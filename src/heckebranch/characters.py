@@ -18,6 +18,7 @@ from .rootdata import (
     SubsystemView,
     dominate_with_sign,
     pairing,
+    peel,
     vec_add,
     vec_scale,
     vec_sub,
@@ -155,26 +156,14 @@ def decompose_invariant_multiset(view: SubsystemView,
     """Peel a Weyl-invariant weight multiset (with integer multiplicities)
     into irreducible highest weights.  Raises if the multiset is not a
     nonnegative sum of irreducible characters."""
-    remaining = {w: m for w, m in table.items() if m != 0}
-    out: dict[Coweight, int] = {}
-
-    def peel_key(x: Coweight):
-        return (view.bilinear(x, view.rho_hat), x)
-
-    while remaining:
-        top = max(remaining, key=peel_key)
+    def character(top: Coweight) -> dict[Coweight, int]:
         if not view.is_dominant(top):
             raise DomainError("multiset is not a character: peak weight not dominant")
-        r = remaining[top]
-        if r < 0:
-            raise DomainError("multiset is not a character: negative multiplicity")
-        out[top] = out.get(top, 0) + r
-        for w, m in weight_table(view, top).items():
-            nv = remaining.get(w, 0) - r * m
-            if nv:
-                remaining[w] = nv
-            else:
-                remaining.pop(w, None)
+        return weight_table(view, top)
+
+    out = peel(table, view.peel_height, character)
+    if any(m < 0 for m in out.values()):
+        raise DomainError("multiset is not a character: negative multiplicity")
     return dict(sorted(out.items()))
 
 

@@ -8,8 +8,9 @@ Two subcommands:
   multiplicity, product structure constant, or constant-term coefficient)
   for one instance.
 
-Exit status: 0 when everything passed, 1 when any check failed, 2 for
-configuration or domain errors.
+Exit status: 0 when everything passed, 1 when any check failed or a
+feasibility cap was exceeded, 2 for configuration or domain errors, 3 when an
+internal invariant failed (a bug in this package, not in the input).
 """
 
 from __future__ import annotations
@@ -199,6 +200,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except FeasibilityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -7,12 +7,21 @@ that coweight.  The basis element attached to a dominant coweight is the
 Hall-Littlewood orbit polynomial times an explicit v-power; products and
 constant terms are extracted by triangular peeling against that basis, which
 is exact in Z[v, v^-1].
+
+Every peel here (the binomial divisions inside ``hall_littlewood``, the
+product expansion and the constant-term expansion) goes through the one
+primitive ``rootdata.peel``, which pops peaks off a heap ordered by an integer
+height: the pairing with the sum of positive roots for the full group, and
+``SubsystemView.peel_height`` for a Levi's basis.
+
+Cached results are handed out as read-only mappings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from .errors import DomainError
 from .parabolic import geq_parabolic
@@ -26,7 +35,7 @@ from .rootdata import (
     is_dominant,
     mat_apply,
     pairing,
-    rho_height,
+    peel,
     vec_add,
     vec_neg,
     vec_sub,
@@ -167,16 +176,14 @@ class LaurentPoly:
 
 
 _ONE = LaurentPoly.one()
+_MINUS_ONE = -_ONE
 _T = LaurentPoly({-2: 1})
 
-InvariantElement = dict  # dominant Coweight -> LaurentPoly
+InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
 _hl_cache: dict = {}
 _satake_cache: dict = {}
 _product_cache: dict = {}
-
-_PEEL_GUARD = 200_000
-
 
 def _gadd(a: dict, b: dict) -> dict:
     out = dict(a)
@@ -202,34 +209,13 @@ def _gmul(a: dict, b: dict) -> dict:
     return out
 
 
-def _gscale(p: LaurentPoly, a: dict) -> dict:
-    return {k: p * v for k, v in a.items() if p * v}
-
-
 def _divide_binomial(datum: RootDatum, f: dict, coroot: Coweight) -> dict:
     """Exact division of a group-algebra element by (1 - x^(-coroot)),
     peeling from the top of the height order."""
-    out: dict = {}
-    work = dict(f)
-    guard = 0
-    while work:
-        guard += 1
-        if guard > _PEEL_GUARD:
-            raise AssertionError("binomial division did not terminate")
-        k = max(work, key=lambda kk: (rho_height(datum, kk), kk))
-        c = work.pop(k)
-        prev = out.get(k, LaurentPoly.zero()) + c
-        if prev:
-            out[k] = prev
-        else:
-            out.pop(k, None)
-        km = vec_sub(k, coroot)
-        n = work.get(km, LaurentPoly.zero()) + c
-        if n:
-            work[km] = n
-        else:
-            work.pop(km, None)
-    return out
+    def binomial(k: Coweight) -> dict:
+        return {k: _ONE, vec_sub(k, coroot): _MINUS_ONE}
+
+    return peel(f, datum.full.two_rho, binomial)
 
 
 def _poly_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -325,7 +311,7 @@ def hall_littlewood(datum: RootDatum, view: SubsystemView,
         f = _divide_binomial(datum, f, cv)
     stab = stabilizer_poincare(view, mu)
     f = {k: _poly_exact_div(p, stab) for k, p in f.items()}
-    result = _collect_orbits(view, f)
+    result = MappingProxyType(_collect_orbits(view, f))
     _hl_cache[key] = result
     return result
 
@@ -340,7 +326,8 @@ def satake_f(datum: RootDatum, view: SubsystemView,
     if key in _satake_cache:
         return _satake_cache[key]
     shift = pairing(view.two_rho, mu)
-    result = {k: p.shift(shift) for k, p in hall_littlewood(datum, view, mu).items()}
+    result = MappingProxyType(
+        {k: p.shift(shift) for k, p in hall_littlewood(datum, view, mu).items()})
     _satake_cache[key] = result
     return result
 
@@ -352,7 +339,7 @@ def multiply_invariants(view: SubsystemView, a: InvariantElement,
 
 
 def hecke_product(datum: RootDatum, alpha: Coweight,
-                  beta: Coweight) -> dict[Coweight, LaurentPoly]:
+                  beta: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Structure constants of the convolution product of the basis elements
     at alpha and beta: the expansion of their product in the triangular
     basis, keyed by dominant coweight."""
@@ -365,20 +352,18 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
         raise DomainError("product arguments must be dominant")
     prod = multiply_invariants(view, satake_f(datum, view, alpha),
                                satake_f(datum, view, beta))
-    out: dict = {}
-    guard = 0
-    while prod:
-        guard += 1
-        if guard > _PEEL_GUARD:
-            raise AssertionError("basis inversion did not terminate")
-        gamma = max(prod, key=lambda k: (rho_height(datum, k), k))
+
+    # satake_f at gamma is the Hall-Littlewood element times v^<2 rho, gamma>,
+    # so peel against the Hall-Littlewood elements and shift afterwards
+    def basis(gamma: Coweight) -> InvariantElement:
         if not is_dominant(gamma):
             raise AssertionError("peak of the product expansion is not dominant")
-        m = prod[gamma].shift(-pairing(view.two_rho, gamma))
-        out[gamma] = m
-        basis = satake_f(datum, view, gamma)
-        prod = _gadd(prod, _gscale(-m, basis))
-    result = dict(sorted(out.items()))
+        return hall_littlewood(datum, view, gamma)
+
+    coeffs = peel(prod, view.two_rho, basis)
+    result = MappingProxyType({
+        gamma: c.shift(-pairing(view.two_rho, gamma))
+        for gamma, c in sorted(coeffs.items())})
     _product_cache[key] = result
     return result
 
@@ -386,8 +371,8 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
 _ct_cache: dict = {}
 
 
-def satake_expand(datum: RootDatum, upper: SubsystemView,
-                  lower: SubsystemView, mu: Coweight) -> dict[Coweight, LaurentPoly]:
+def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
+                  mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Expand the basis element of the upper subsystem at mu into the basis
     of the lower subsystem (lower simple roots a subset of upper's):
     the coefficient map of the constant-term homomorphism."""
@@ -397,25 +382,17 @@ def satake_expand(datum: RootDatum, upper: SubsystemView,
         return _ct_cache[key]
     full = _expand_orbits(upper, satake_f(datum, upper, mu))
     em = _collect_orbits(lower, full)
-    rho_hat_lower = lower.rho_hat
-    out: dict = {}
-    guard = 0
-    while em:
-        guard += 1
-        if guard > _PEEL_GUARD:
-            raise AssertionError("constant-term expansion did not terminate")
-        lam = max(em, key=lambda k: (datum.full.bilinear(k, rho_hat_lower), k))
-        c = em[lam].shift(-pairing(lower.two_rho, lam))
-        out[lam] = c
-        basis = satake_f(datum, lower, lam)
-        em = _gadd(em, _gscale(-c, basis))
-    result = {k: p for k, p in sorted(out.items()) if p}
+    coeffs = peel(em, lower.peel_height,
+                  lambda lam: hall_littlewood(datum, lower, lam))
+    result = MappingProxyType({
+        lam: c.shift(-pairing(lower.two_rho, lam))
+        for lam, c in sorted(coeffs.items())})
     _ct_cache[key] = result
     return result
 
 
 def constant_term(datum: RootDatum, levi: SubsystemView,
-                  mu: Coweight) -> dict[Coweight, LaurentPoly]:
+                  mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Coefficients of the constant-term homomorphism from the full group to
     the Levi, keyed by Levi-dominant coweight.  Support lies inside the orbit
     hull of mu in the coroot-lattice coset of mu."""

@@ -25,6 +25,7 @@ from .rootdata import (
     mat_apply,
     pairing,
     rho_height,
+    solve_exact,
     vec_add,
 )
 
@@ -105,24 +106,6 @@ def offset_pair(datum: RootDatum, levi: SubsystemView,
     return nu0, nu1
 
 
-def _solve_square(rows: list[RatVec], rhs: list[Fraction]) -> Optional[RatVec]:
-    n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)] + [Fraction(rhs[i])]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(aug[i][n] for i in range(n))
-
-
 def hull_vertices(datum: RootDatum, levi: SubsystemView,
                   mu: Coweight) -> tuple[RatVec, ...]:
     """Vertices of the polytope Conv(W mu) intersected with the M-dominant
@@ -161,10 +144,10 @@ def hull_vertices(datum: RootDatum, levi: SubsystemView,
     vertices = set()
     for subset in itertools.combinations(range(len(constraints)), n):
         rows = [constraints[k][0] for k in subset]
-        rhs = [constraints[k][1] for k in subset]
-        x = _solve_square(list(rows), list(rhs))
-        if x is None:
+        sol = solve_exact(rows, [(constraints[k][1],) for k in subset])
+        if sol is None:
             continue
+        x = tuple(v for (v,) in sol)
         if all(sum(f[j] * x[j] for j in range(n)) <= b for f, b in constraints):
             vertices.add(x)
     return tuple(sorted(vertices))

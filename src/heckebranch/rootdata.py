@@ -18,11 +18,13 @@ is exact: integers and ``fractions.Fraction``, no floats anywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
-from typing import Iterable, Optional, Sequence, Union
+from operator import mul
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigurationError, DomainError
 
@@ -65,15 +67,19 @@ def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def _invert(rows: Sequence[Sequence[int]]) -> tuple[RatVec, ...]:
-    """Exact inverse of a square integer matrix via Gaussian elimination."""
+def solve_exact(rows: Sequence[Sequence], rhs: Sequence[Sequence]
+                ) -> Optional[tuple[RatVec, ...]]:
+    """Exact Gauss-Jordan elimination of the square matrix ``rows`` augmented
+    by the block ``rhs`` (one row of right-hand sides per equation).  Returns
+    the reduced right-hand block row by row, or None when ``rows`` is
+    singular."""
     n = len(rows)
-    aug = [[Fraction(rows[i][j]) for j in range(n)]
-           + [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    aug = [[Fraction(v) for v in rows[i]] + [Fraction(v) for v in rhs[i]]
+           for i in range(n)]
     for col in range(n):
         piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
         if piv is None:
-            raise DomainError("singular matrix")
+            return None
         aug[col], aug[piv] = aug[piv], aug[col]
         pv = aug[col][col]
         aug[col] = [v / pv for v in aug[col]]
@@ -82,6 +88,14 @@ def _invert(rows: Sequence[Sequence[int]]) -> tuple[RatVec, ...]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return tuple(tuple(row[n:]) for row in aug)
+
+
+def _invert(rows: Sequence[Sequence[int]]) -> tuple[RatVec, ...]:
+    """Exact inverse of a square integer matrix."""
+    inv = solve_exact(rows, _identity(len(rows)))
+    if inv is None:
+        raise DomainError("singular matrix")
+    return inv
 
 
 def cartan_matrix(letter: str, rank: int) -> Matrix:
@@ -142,6 +156,9 @@ class SubsystemView:
     rho_hat: RatVec            # half-sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
+    # form applied to 2 * rho_hat: <peel_height, x> is twice the form pairing
+    # of x with rho_hat, the height by which this view's characters are peeled
+    peel_height: Root
     _levi_cartan_inv: Optional[tuple[RatVec, ...]]
 
     @property
@@ -268,6 +285,8 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
     rho_hat = tuple(sum(Fraction(c[i]) for (_, c) in sub_pos) / 2
                     for i in range(ambient_rank))
     two_rho = tuple(sum(r[i] for (r, _) in sub_pos) for i in range(ambient_rank))
+    two_rho_hat = [sum(c[j] for (_, c) in sub_pos) for j in range(ambient_rank)]
+    peel_height = mat_apply(form, two_rho_hat)
     levi_inv = None
     if indices:
         # submatrix of the Cartan matrix on the chosen indices
@@ -286,7 +305,7 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         elements=tuple(a for (a, _) in elems),
         root_elements=tuple(r for (_, r) in elems),
         lengths=tuple(lengths),
-        rho_hat=rho_hat, two_rho=two_rho, form=form,
+        rho_hat=rho_hat, two_rho=two_rho, form=form, peel_height=peel_height,
         _levi_cartan_inv=levi_inv,
     )
 
@@ -304,10 +323,7 @@ def _build(letter: str, rank: int) -> RootDatum:
         for i in range(rank):
             m[i][j] -= cm[i][j]
         refl_cw[j + 1] = tuple(tuple(row) for row in m)
-        mr = [[1 if i == k else 0 for k in range(rank)] for i in range(rank)]
-        for k in range(rank):
-            mr[j][k] -= cm[k][j]
-        refl_rt[j + 1] = tuple(tuple(row) for row in mr)
+        refl_rt[j + 1] = _root_reflection(cm, j)
 
     pairs = set()
     frontier = []
@@ -394,6 +410,56 @@ def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
     """<rho, nu> with rho the half-sum of positive roots.  A half-integer in
     general; integral on the coroot lattice."""
     return sum(r * Fraction(v) for r, v in zip(datum.rho, coweight))
+
+
+_PEEL_GUARD = 200_000
+
+
+def peel(work: dict, height: Sequence[int],
+         basis: Callable[[tuple], Mapping]) -> dict:
+    """Expand ``work`` over a triangular basis by peeling from the top.
+
+    ``basis(k)`` is an element monic at ``k`` whose other keys lie strictly
+    below ``k`` in the order of ``(<height, k>, k)``, with ``height`` an
+    integer vector.  The peak of what remains is taken off a max-heap (keys
+    whose coefficient cancelled to zero stay in the heap and are skipped when
+    popped), its coefficient is recorded, and that multiple of its basis
+    element is subtracted.  Coefficients are ints or ``LaurentPoly``s, matching
+    the basis values.  Returns ``{k: coefficient}`` in pop order; ``work`` is
+    left unchanged."""
+    def entry(k: tuple) -> tuple:
+        return (-sum(map(mul, height, k)), tuple(-v for v in k), k)
+
+    rest = {k: c for k, c in work.items() if c}
+    heap = [entry(k) for k in rest]
+    heapq.heapify(heap)
+    out: dict = {}
+    while heap:
+        top = heapq.heappop(heap)
+        k = top[2]
+        c = rest.get(k)
+        if c is None:
+            continue
+        if len(out) >= _PEEL_GUARD:
+            raise AssertionError("triangular peel did not terminate")
+        out[k] = c
+        for y, b in basis(k).items():
+            cur = rest.get(y)
+            if cur is None:
+                below = entry(y)
+                if below < top:
+                    raise AssertionError("basis element reaches above its key")
+                rest[y] = -(c * b)
+                heapq.heappush(heap, below)
+                continue
+            n = cur - c * b
+            if n:
+                rest[y] = n
+            else:
+                del rest[y]
+        if k in rest:
+            raise AssertionError("basis element is not monic at its key")
+    return out
 
 
 def k_phi(datum: RootDatum) -> int:

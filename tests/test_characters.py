@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from heckebranch.characters import (
     branch_decompose,
     branch_multiplicity,
+    decompose_invariant_multiset,
     dominant_weights,
     module_dimension,
     tensor_decompose,
@@ -164,3 +165,18 @@ def test_branch_tensor_compatibility():
         target = vec_add(nu, lam)
         if all(c >= 0 for c in target):
             assert tensor_multiplicity(d, nu, mu, target) == r
+
+
+def test_decompose_rejects_non_characters():
+    d = root_datum("A2")
+    negated = {w: -m for w, m in weight_table(d.full, (1, 0)).items()}
+    with pytest.raises(DomainError, match="negative multiplicity"):
+        decompose_invariant_multiset(d.full, negated)
+    # the adjoint character minus three trivial ones: a positive peak with a
+    # negative multiplicity below it
+    short = dict(weight_table(d.full, (1, 1)))
+    short[(0, 0)] -= 3
+    with pytest.raises(DomainError, match="negative multiplicity"):
+        decompose_invariant_multiset(d.full, short)
+    with pytest.raises(DomainError, match="not dominant"):
+        decompose_invariant_multiset(d.full, {(2, -1): 1})

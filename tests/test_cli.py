@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+from heckebranch import rootdata
 from heckebranch.cli import main
 
 
@@ -143,3 +144,15 @@ def test_console_script_installed():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
+
+
+def test_internal_error_exit_status(monkeypatch, capsys):
+    # a peel guard of one step trips on any restriction with two components
+    monkeypatch.setattr(rootdata, "_PEEL_GUARD", 1)
+    code, stdout, stderr = run_cli(
+        ["compute", "r", "--type", "A2", "--levi", "1",
+         "--mu", "1,1", "--lambda", "1,1"], capsys)
+    assert code == 3
+    assert stdout == ""
+    assert stderr.startswith("internal error: ")
+    assert "did not terminate" in stderr

@@ -310,3 +310,24 @@ def test_multiply_invariants_is_weyl_invariant():
     b = satake_f(d, f, (0, 1))
     prod = multiply_invariants(f, a, b)
     assert all(f.is_dominant(k) for k in prod)
+
+
+def test_cached_results_are_read_only():
+    d = root_datum("A2")
+    lv = levi_view(d, (1,))
+    calls = [
+        lambda: hall_littlewood(d, d.full, (1, 1)),
+        lambda: satake_f(d, d.full, (1, 1)),
+        lambda: hecke_product(d, (1, 0), (0, 1)),
+        lambda: satake_expand(d, d.full, lv, (1, 1)),
+        lambda: constant_term(d, lv, (1, 1)),
+    ]
+    for call in calls:
+        value = call()
+        before = dict(value)
+        key = next(iter(value))
+        with pytest.raises(TypeError):
+            value[key] = ZERO
+        with pytest.raises(TypeError):
+            del value[key]
+        assert call() == before

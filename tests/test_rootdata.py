@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from heckebranch import rootdata
 from heckebranch.errors import ConfigurationError, DomainError
+from heckebranch.hecke import LaurentPoly
 from heckebranch.rootdata import (
     cartan_matrix,
     coroot_coefficients,
@@ -19,8 +21,11 @@ from heckebranch.rootdata import (
     levi_view,
     pairing,
     parse_coweight,
+    peel,
     rho_height,
     root_datum,
+    solve_exact,
+    vec_sub,
     weyl_dim,
     weyl_orbit,
 )
@@ -236,3 +241,80 @@ def test_reflection_action():
     assert mat_apply(s1, (1, 0)) == (-1, 1)
     assert mat_apply(s1, (0, 1)) == (0, 1)
     assert mat_apply(s1, mat_apply(s1, (2, 5))) == (2, 5)
+
+
+ONE = LaurentPoly.one()
+ZERO = LaurentPoly.zero()
+
+
+def _binomial(coroot):
+    """The triangular basis of division by (1 - x^(-coroot))."""
+    def basis(k):
+        return {k: ONE, vec_sub(k, coroot): -ONE}
+    return basis
+
+
+def _times_binomial(f, coroot):
+    g = dict(f)
+    for k, c in f.items():
+        km = vec_sub(k, coroot)
+        g[km] = g.get(km, ZERO) - c
+    return {k: c for k, c in g.items() if c}
+
+
+@settings(max_examples=30, derandomize=True)
+@given(st.sampled_from(["B2", "G2"]),
+       st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       st.tuples(st.integers(-4, 4),
+                                 st.integers(-3, 3).filter(bool)),
+                       min_size=1, max_size=8))
+def test_peel_divides_by_binomial(type_str, raw):
+    d = root_datum(type_str)
+    f = {k: LaurentPoly({e: c}) for k, (e, c) in raw.items()}
+    for coroot in d.positive_coroots:
+        g = _times_binomial(f, coroot)
+        assert peel(g, d.full.two_rho, _binomial(coroot)) == f
+
+
+def test_peel_order_and_input():
+    d = root_datum("B2")
+    coroot = d.positive_coroots[-1]
+    # (4, 0) and (0, 3) have the same height, so the order of the two keys
+    # comes from the tie-break alone
+    f = {(0, 0): ONE, (4, 0): LaurentPoly({2: 3}), (0, 3): -ONE,
+         (1, 1): LaurentPoly({-2: 1, 0: 1})}
+    assert pairing(d.full.two_rho, (4, 0)) == pairing(d.full.two_rho, (0, 3))
+    g = _times_binomial(f, coroot)
+    snapshot = list(g.items())
+    forward = peel(g, d.full.two_rho, _binomial(coroot))
+    assert list(g.items()) == snapshot
+    backward = peel(dict(reversed(snapshot)), d.full.two_rho, _binomial(coroot))
+    assert list(forward.items()) == list(backward.items())
+    keys = list(forward)
+    assert keys == sorted(keys, key=lambda k: (pairing(d.full.two_rho, k), k),
+                          reverse=True)
+
+
+def test_peel_guard(monkeypatch):
+    d = root_datum("B2")
+    coroot = d.positive_coroots[0]
+    g = _times_binomial({(0, 0): ONE, (3, 1): ONE, (-2, 2): ONE}, coroot)
+    monkeypatch.setattr(rootdata, "_PEEL_GUARD", 2)
+    with pytest.raises(AssertionError, match="did not terminate"):
+        peel(g, d.full.two_rho, _binomial(coroot))
+
+
+def test_peel_rejects_a_basis_that_is_not_triangular():
+    height = (1, 1)
+    with pytest.raises(AssertionError, match="not monic"):
+        peel({(1, 0): 1}, height, lambda k: {k: 2})
+    with pytest.raises(AssertionError, match="reaches above"):
+        peel({(1, 0): 1}, height, lambda k: {k: 1, (2, 0): 1})
+
+
+def test_solve_exact():
+    assert solve_exact(((2, -1), (-1, 2)), ((1, 0), (0, 1))) == (
+        (Fraction(2, 3), Fraction(1, 3)), (Fraction(1, 3), Fraction(2, 3)))
+    assert solve_exact(((0, 1), (1, 0)), ((3,), (Fraction(1, 2),))) == (
+        (Fraction(1, 2),), (3,))
+    assert solve_exact(((1, 2), (2, 4)), ((1,), (2,))) is None
