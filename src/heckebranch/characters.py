@@ -10,14 +10,14 @@ which restricts correctly to every Levi subsystem.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
     Coweight,
     RootDatum,
     SubsystemView,
-    dominate_with_sign,
-    pairing,
     peel,
     vec_add,
     vec_scale,
@@ -29,6 +29,8 @@ DIMENSION_CAP = 200_000
 
 _dominant_cache: dict = {}
 _table_cache: dict = {}
+_tensor_cache: dict = {}
+_branch_cache: dict = {}
 
 
 def _check_cap(view: SubsystemView, mu: Coweight) -> None:
@@ -39,9 +41,9 @@ def _check_cap(view: SubsystemView, mu: Coweight) -> None:
             DIMENSION_CAP)
 
 
-def dominant_weights(view: SubsystemView, mu: Coweight) -> dict[Coweight, int]:
+def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     """Multiplicities of the view-dominant weights of the irreducible module
-    with highest weight mu, by the Freudenthal recursion."""
+    with highest weight mu, by the Freudenthal recursion.  Read-only."""
     mu = tuple(mu)
     key = (view.key, mu)
     if key in _dominant_cache:
@@ -99,13 +101,15 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> dict[Coweight, int]:
         mults[kappa] = int(val)
         for y in view.orbit(kappa):
             orbit_mult[y] = int(val)
-    _dominant_cache[key] = mults
-    return mults
+    result = MappingProxyType(mults)
+    _dominant_cache[key] = result
+    return result
 
 
-def weight_table(view: SubsystemView, mu: Coweight) -> dict[Coweight, int]:
+def weight_table(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     """Every weight of the irreducible module with highest weight mu, with
-    multiplicity (the view-orbit expansion of ``dominant_weights``)."""
+    multiplicity (the view-orbit expansion of ``dominant_weights``).
+    Read-only."""
     mu = tuple(mu)
     key = (view.key, mu)
     if key in _table_cache:
@@ -114,36 +118,57 @@ def weight_table(view: SubsystemView, mu: Coweight) -> dict[Coweight, int]:
     for kappa, m in dominant_weights(view, mu).items():
         for y in view.orbit(kappa):
             table[y] = m
-    _table_cache[key] = table
-    return table
+    result = MappingProxyType(table)
+    _table_cache[key] = result
+    return result
 
 
 def module_dimension(view: SubsystemView, mu: Coweight) -> int:
     return weyl_dim(view, mu)
 
 
-def tensor_decompose(datum: RootDatum, a: Coweight, b: Coweight) -> dict[Coweight, int]:
-    """Decomposition of the tensor product of the irreducibles with highest
-    weights a and b, as a dict highest weight -> multiplicity.
+def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
+    """Sum over the weights w of ``weights`` of their coefficient times the
+    view's Weyl character at top + w, straightened by the dot action
+    (Klimyk's rule): top + w + rho_hat is carried into the dominant chamber,
+    taking the sign of the Weyl element, and dropped when it lies on a wall.
+    Coefficients are ints or ``LaurentPoly``s; returns ``{highest weight:
+    coefficient}`` without zero coefficients."""
+    # doubled coordinates keep rho_hat integral on every view
+    shift = tuple(int(2 * s) for s in view.rho_hat)
+    out: dict = {}
+    for w, m in weights.items():
+        x = tuple(2 * (a + b) + s for a, b, s in zip(top, w, shift))
+        dom, sign = view.dominate_with_sign(x)
+        if any(dom[i - 1] == 0 for i in view.indices):
+            continue
+        k = tuple((d - s) // 2 for d, s in zip(dom, shift))
+        term = m if sign > 0 else -m
+        cur = out.get(k)
+        out[k] = term if cur is None else cur + term
+    return {k: m for k, m in out.items() if m}
 
-    Runs over the weights of the smaller factor (Klimyk's rule with the
-    half-sum of positive coroots as the regular shift)."""
+
+def tensor_decompose(datum: RootDatum, a: Coweight,
+                     b: Coweight) -> Mapping[Coweight, int]:
+    """Decomposition of the tensor product of the irreducibles with highest
+    weights a and b, as a read-only map highest weight -> multiplicity.
+
+    Runs ``klimyk`` over the weights of the smaller factor.  Cached on the
+    ordered pair, so (a, b) and (b, a) are computed independently."""
     a, b = tuple(a), tuple(b)
+    key = (datum.cartan_type, a, b)
+    cached = _tensor_cache.get(key)
+    if cached is not None:
+        return cached
     view = datum.full
     if not (view.is_dominant(a) and view.is_dominant(b)):
         raise DomainError("tensor factors must be dominant")
-    if weyl_dim(view, b) > weyl_dim(view, a):
-        a, b = b, a
-    shift = view.rho_hat
-    out: dict[Coweight, int] = {}
-    for w, m in weight_table(view, b).items():
-        x = vec_add(vec_add(a, w), shift)
-        dom, sign = dominate_with_sign(datum, x)
-        if any(v == 0 for v in dom):
-            continue
-        c = tuple(int(v - s) for v, s in zip(dom, shift))
-        out[c] = out.get(c, 0) + sign * m
-    return {c: m for c, m in sorted(out.items()) if m != 0}
+    big, small = (b, a) if weyl_dim(view, b) > weyl_dim(view, a) else (a, b)
+    out = klimyk(view, big, weight_table(view, small))
+    result = MappingProxyType(dict(sorted(out.items())))
+    _tensor_cache[key] = result
+    return result
 
 
 def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,
@@ -152,7 +177,7 @@ def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,
 
 
 def decompose_invariant_multiset(view: SubsystemView,
-                                 table: dict[Coweight, int]) -> dict[Coweight, int]:
+                                 table: Mapping[Coweight, int]) -> dict[Coweight, int]:
     """Peel a Weyl-invariant weight multiset (with integer multiplicities)
     into irreducible highest weights.  Raises if the multiset is not a
     nonnegative sum of irreducible characters."""
@@ -167,15 +192,31 @@ def decompose_invariant_multiset(view: SubsystemView,
     return dict(sorted(out.items()))
 
 
+def restrict_decompose(upper: SubsystemView, lower: SubsystemView,
+                       mu: Coweight) -> Mapping[Coweight, int]:
+    """Restriction of the upper view's irreducible module at mu to the lower
+    view (lower simple roots a subset of upper's): a read-only map of
+    lower-dominant highest weights to multiplicities, cached."""
+    mu = tuple(mu)
+    key = (upper.key, lower.key, mu)
+    cached = _branch_cache.get(key)
+    if cached is not None:
+        return cached
+    result = MappingProxyType(
+        decompose_invariant_multiset(lower, weight_table(upper, mu)))
+    _branch_cache[key] = result
+    return result
+
+
 def branch_decompose(datum: RootDatum, levi: SubsystemView,
-                     mu: Coweight) -> dict[Coweight, int]:
+                     mu: Coweight) -> Mapping[Coweight, int]:
     """Restriction multiplicities: for the irreducible module of the full dual
-    group with highest weight mu, the dict of Levi-dominant highest weights
-    to their multiplicity in the restriction."""
+    group with highest weight mu, the read-only map of Levi-dominant highest
+    weights to their multiplicity in the restriction."""
     mu = tuple(mu)
     if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
-    return decompose_invariant_multiset(levi, weight_table(datum.full, mu))
+    return restrict_decompose(datum.full, levi, mu)
 
 
 def branch_multiplicity(datum: RootDatum, levi: SubsystemView, mu: Coweight,

@@ -1,18 +1,27 @@
 """Exact spherical Hecke algebra computations via symmetric functions.
 
 Elements of the Hecke algebra are represented through their symmetric-function
-images: finite maps from dominant coweights to Laurent polynomials in
-v = q^(1/2), each key denoting the Weyl-orbit sum of the formal exponential at
-that coweight.  The basis element attached to a dominant coweight is the
-Hall-Littlewood orbit polynomial times an explicit v-power; products and
-constant terms are extracted by triangular peeling against that basis, which
-is exact in Z[v, v^-1].
+images, with coefficients Laurent polynomials in v = q^(1/2) and t = v^(-2).
+The basis element attached to a dominant coweight is the Hall-Littlewood
+polynomial times an explicit v-power.  Hall-Littlewood polynomials come from
+Macdonald's formula (Macdonald, Spherical Functions on a Group of p-adic Type,
+1971), written in the basis of Weyl characters: the product over positive
+coroots of (1 - t x^(-coroot)) is expanded once per subsystem, each of its
+terms shifted by mu is straightened by the dot action (``characters.klimyk``,
+the step of the Klimyk tensor rule), and the coefficients are divided exactly
+by the stabilizer Poincare polynomial.
 
-Every peel here (the binomial divisions inside ``hall_littlewood``, the
-product expansion and the constant-term expansion) goes through the one
-primitive ``rootdata.peel``, which pops peaks off a heap ordered by an integer
-height: the pairing with the sum of positive roots for the full group, and
-``SubsystemView.peel_height`` for a Levi's basis.
+Products and constant terms stay in that character basis: a product
+multiplies characters through the cached ``tensor_decompose``, and a constant
+term restricts each character to the Levi through the cached
+``restrict_decompose``, so the constant-term coefficients are computed from
+the branching multiplicities.  Both are then expanded by triangular peeling
+against the character-basis Hall-Littlewood elements, exact in Z[v, v^-1].
+Every peel goes through the one primitive ``rootdata.peel``, which pops peaks
+off a heap ordered by an integer height: the pairing with the sum of positive
+roots for the full group, and ``SubsystemView.peel_height`` for a Levi's
+basis.  ``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed by
+dominant coweights, through ``dominant_weights``.
 
 Cached results are handed out as read-only mappings.
 """
@@ -23,6 +32,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Optional
 
+from .characters import (
+    dominant_weights,
+    klimyk,
+    restrict_decompose,
+    tensor_decompose,
+)
 from .errors import DomainError
 from .parabolic import geq_parabolic
 from .rootdata import (
@@ -37,7 +52,6 @@ from .rootdata import (
     pairing,
     peel,
     vec_add,
-    vec_neg,
     vec_sub,
 )
 
@@ -176,46 +190,19 @@ class LaurentPoly:
 
 
 _ONE = LaurentPoly.one()
-_MINUS_ONE = -_ONE
+_ZERO = LaurentPoly.zero()
 _T = LaurentPoly({-2: 1})
 
 InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
+_numerator_cache: dict = {}
 _hl_cache: dict = {}
-_satake_cache: dict = {}
 _product_cache: dict = {}
-
-def _gadd(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for k, p in b.items():
-        n = out.get(k, LaurentPoly.zero()) + p
-        if n:
-            out[k] = n
-        else:
-            out.pop(k, None)
-    return out
+_ct_cache: dict = {}
 
 
-def _gmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for k1, p1 in a.items():
-        for k2, p2 in b.items():
-            k = vec_add(k1, k2)
-            n = out.get(k, LaurentPoly.zero()) + p1 * p2
-            if n:
-                out[k] = n
-            else:
-                out.pop(k, None)
-    return out
-
-
-def _divide_binomial(datum: RootDatum, f: dict, coroot: Coweight) -> dict:
-    """Exact division of a group-algebra element by (1 - x^(-coroot)),
-    peeling from the top of the height order."""
-    def binomial(k: Coweight) -> dict:
-        return {k: _ONE, vec_sub(k, coroot): _MINUS_ONE}
-
-    return peel(f, datum.full.two_rho, binomial)
+def _add_scaled(out: dict, k: Coweight, p: LaurentPoly, n: int) -> None:
+    out[k] = out.get(k, _ZERO) + (p if n == 1 else p.scale(n))
 
 
 def _poly_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -242,35 +229,6 @@ def _poly_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(q)
 
 
-def _expand_orbits(view: SubsystemView, inv: dict) -> dict:
-    """Orbit-sum representation to full weight representation."""
-    full: dict = {}
-    for k, p in inv.items():
-        for y in view.orbit(k):
-            if y in full:
-                raise AssertionError("orbit-sum keys overlap")
-            full[y] = p
-    return full
-
-
-def _collect_orbits(view: SubsystemView, full: dict) -> dict:
-    """Full weight representation to orbit sums keyed by view-dominant
-    representatives, checking Weyl invariance."""
-    out: dict = {}
-    work = dict(full)
-    while work:
-        k = next(iter(work))
-        rep = view.dominate(k)
-        p = work.get(rep)
-        if p is None:
-            raise AssertionError("not invariant: dominant representative missing")
-        for y in view.orbit(rep):
-            if work.pop(y, None) != p:
-                raise AssertionError("not invariant under the subsystem Weyl group")
-        out[rep] = p
-    return out
-
-
 def stabilizer_poincare(view: SubsystemView, mu: Coweight) -> LaurentPoly:
     """Sum of t^length over the subsystem Weyl elements fixing mu."""
     coeffs: dict[int, int] = {}
@@ -280,40 +238,61 @@ def stabilizer_poincare(view: SubsystemView, mu: Coweight) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def hall_littlewood(datum: RootDatum, view: SubsystemView,
-                    mu: Coweight) -> InvariantElement:
-    """Hall-Littlewood orbit polynomial for the subsystem: symmetrize
-    x^mu prod (1 - t x^(-coroot)) / (1 - x^(-coroot)) over the subsystem Weyl
-    group and divide by the stabilizer Poincare polynomial.  Exact; returns
-    orbit sums keyed by subsystem-dominant coweights, monic at mu."""
+def _numerator(view: SubsystemView) -> Mapping[Coweight, LaurentPoly]:
+    """The product over the view's positive coroots of (1 - t x^(-coroot)),
+    as a read-only map exponent -> coefficient, cached per view."""
+    cached = _numerator_cache.get(view.key)
+    if cached is not None:
+        return cached
+    terms = {tuple(0 for _ in range(view.ambient_rank)): _ONE}
+    for cv in view.positive_coroots:
+        nxt = dict(terms)
+        for k, p in terms.items():
+            y = vec_sub(k, cv)
+            n = nxt.get(y, _ZERO) - p * _T
+            if n:
+                nxt[y] = n
+            else:
+                nxt.pop(y, None)
+        terms = nxt
+    cached = MappingProxyType(terms)
+    _numerator_cache[view.key] = cached
+    return cached
+
+
+def hall_littlewood_characters(view: SubsystemView,
+                               mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
+    """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
+    Weyl characters, by Macdonald's formula: the characters of the numerator
+    times x^mu, straightened by ``klimyk``, each coefficient divided exactly
+    by the stabilizer Poincare polynomial.  Read-only, keyed by
+    subsystem-dominant coweights, monic at mu; coefficients lie in Z[t]."""
     mu = tuple(mu)
     key = (view.key, mu)
-    if key in _hl_cache:
-        return _hl_cache[key]
+    cached = _hl_cache.get(key)
+    if cached is not None:
+        return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
-    zero_key = tuple(0 for _ in range(datum.rank))
-    num: dict = {}
-    for a, r in zip(view.elements, view.root_elements):
-        wmu = mat_apply(a, mu)
-        term = {wmu: _ONE}
-        for root, cv in zip(view.positive_roots, view.positive_coroots):
-            wr = mat_apply(r, root)
-            wc = mat_apply(a, cv)
-            if all(vx >= 0 for vx in wr):
-                factor = {zero_key: _ONE, vec_neg(wc): -_T}
-            else:
-                factor = {zero_key: _T, wc: -_ONE}
-            term = _gmul(term, factor)
-        num = _gadd(num, term)
-    f = num
-    for cv in view.positive_coroots:
-        f = _divide_binomial(datum, f, cv)
     stab = stabilizer_poincare(view, mu)
-    f = {k: _poly_exact_div(p, stab) for k, p in f.items()}
-    result = MappingProxyType(_collect_orbits(view, f))
+    chars = klimyk(view, mu, _numerator(view))
+    result = MappingProxyType({kappa: _poly_exact_div(p, stab)
+                               for kappa, p in sorted(chars.items())})
     _hl_cache[key] = result
     return result
+
+
+def hall_littlewood(datum: RootDatum, view: SubsystemView,
+                    mu: Coweight) -> InvariantElement:
+    """Hall-Littlewood orbit polynomial for the subsystem: the character
+    expansion of ``hall_littlewood_characters`` written in orbit sums through
+    ``dominant_weights``.  Exact; returns a read-only map of orbit sums keyed
+    by subsystem-dominant coweights, monic at mu."""
+    out: dict = {}
+    for kappa, p in hall_littlewood_characters(view, mu).items():
+        for lam, m in dominant_weights(view, kappa).items():
+            _add_scaled(out, lam, p, m)
+    return MappingProxyType({lam: p for lam, p in sorted(out.items()) if p})
 
 
 def satake_f(datum: RootDatum, view: SubsystemView,
@@ -321,21 +300,9 @@ def satake_f(datum: RootDatum, view: SubsystemView,
     """Symmetric-function image of the basis element at mu: the
     Hall-Littlewood element shifted by v to the pairing of mu with the sum of
     the subsystem's positive roots."""
-    mu = tuple(mu)
-    key = (view.key, mu)
-    if key in _satake_cache:
-        return _satake_cache[key]
     shift = pairing(view.two_rho, mu)
-    result = MappingProxyType(
+    return MappingProxyType(
         {k: p.shift(shift) for k, p in hall_littlewood(datum, view, mu).items()})
-    _satake_cache[key] = result
-    return result
-
-
-def multiply_invariants(view: SubsystemView, a: InvariantElement,
-                        b: InvariantElement) -> InvariantElement:
-    return _collect_orbits(view, _gmul(_expand_orbits(view, a),
-                                       _expand_orbits(view, b)))
 
 
 def hecke_product(datum: RootDatum, alpha: Coweight,
@@ -350,15 +317,22 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
     view = datum.full
     if not (is_dominant(alpha) and is_dominant(beta)):
         raise DomainError("product arguments must be dominant")
-    prod = multiply_invariants(view, satake_f(datum, view, alpha),
-                               satake_f(datum, view, beta))
-
     # satake_f at gamma is the Hall-Littlewood element times v^<2 rho, gamma>,
-    # so peel against the Hall-Littlewood elements and shift afterwards
+    # so multiply characters, peel against the Hall-Littlewood elements and
+    # shift afterwards
+    shift = pairing(view.two_rho, vec_add(alpha, beta))
+    right = hall_littlewood_characters(view, beta)
+    prod: dict = {}
+    for ka, pa in hall_littlewood_characters(view, alpha).items():
+        for kb, pb in right.items():
+            p = (pa * pb).shift(shift)
+            for gamma, n in tensor_decompose(datum, ka, kb).items():
+                _add_scaled(prod, gamma, p, n)
+
     def basis(gamma: Coweight) -> InvariantElement:
         if not is_dominant(gamma):
             raise AssertionError("peak of the product expansion is not dominant")
-        return hall_littlewood(datum, view, gamma)
+        return hall_littlewood_characters(view, gamma)
 
     coeffs = peel(prod, view.two_rho, basis)
     result = MappingProxyType({
@@ -368,22 +342,27 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
     return result
 
 
-_ct_cache: dict = {}
-
-
 def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
                   mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Expand the basis element of the upper subsystem at mu into the basis
     of the lower subsystem (lower simple roots a subset of upper's):
-    the coefficient map of the constant-term homomorphism."""
+    the coefficient map of the constant-term homomorphism.  Each upper
+    character is restricted by ``restrict_decompose``, so the coefficients
+    come from the branching multiplicities of the dual groups."""
     mu = tuple(mu)
     key = (upper.key, lower.key, mu)
     if key in _ct_cache:
         return _ct_cache[key]
-    full = _expand_orbits(upper, satake_f(datum, upper, mu))
-    em = _collect_orbits(lower, full)
+    if not set(lower.indices) <= set(upper.indices):
+        raise DomainError(f"{lower.key} is not a subsystem of {upper.key}")
+    shift = pairing(upper.two_rho, mu)
+    em: dict = {}
+    for kappa, p in hall_littlewood_characters(upper, mu).items():
+        p = p.shift(shift)
+        for lam, r in restrict_decompose(upper, lower, kappa).items():
+            _add_scaled(em, lam, p, r)
     coeffs = peel(em, lower.peel_height,
-                  lambda lam: hall_littlewood(datum, lower, lam))
+                  lambda lam: hall_littlewood_characters(lower, lam))
     result = MappingProxyType({
         lam: c.shift(-pairing(lower.two_rho, lam))
         for lam, c in sorted(coeffs.items())})

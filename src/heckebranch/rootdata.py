@@ -21,7 +21,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -170,14 +170,31 @@ class SubsystemView:
 
     def dominate(self, x: Sequence) -> tuple:
         """The unique subsystem-dominant point of the orbit of x."""
+        return self.dominate_with_sign(x)[0]
+
+    def dominate_with_sign(self, x: Sequence) -> tuple[tuple, int]:
+        """The subsystem-dominant point of the orbit of x and the determinant
+        sign of the minimal-length subsystem Weyl element carrying x there.
+        The sign is only meaningful for subsystem-regular x."""
         x = tuple(x)
+        sign = 1
+        coroots = self._simple_coroots
         while True:
             for i in self.indices:
-                if x[i - 1] < 0:
-                    x = mat_apply(self.reflections[i], x)
+                c = x[i - 1]
+                if c < 0:
+                    x = tuple(a - c * b for a, b in zip(x, coroots[i]))
+                    sign = -sign
                     break
             else:
-                return x
+                return x, sign
+
+    @cached_property
+    def _simple_coroots(self) -> dict:
+        # the i-th reflection is x -> x - x[i-1] * (i-th simple coroot)
+        return {i: tuple((k == i - 1) - row[i - 1]
+                         for k, row in enumerate(self.reflections[i]))
+                for i in self.indices}
 
     def orbit(self, x: Sequence) -> frozenset:
         x = tuple(x)
@@ -478,16 +495,7 @@ def dominate(datum: RootDatum, x: Sequence) -> tuple:
 def dominate_with_sign(datum: RootDatum, x: Sequence) -> tuple[tuple, int]:
     """Dominant representative and the determinant sign of the minimal-length
     Weyl element carrying x there.  Sign is only meaningful for regular x."""
-    x = tuple(x)
-    sign = 1
-    while True:
-        for i in range(datum.rank):
-            if x[i] < 0:
-                x = mat_apply(datum.full.reflections[i + 1], x)
-                sign = -sign
-                break
-        else:
-            return x, sign
+    return datum.full.dominate_with_sign(x)
 
 
 def weyl_orbit(datum: RootDatum, x: Sequence) -> frozenset:

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from heckebranch import rootdata
+from heckebranch import characters, rootdata
 from heckebranch.cli import main
 
 
@@ -149,6 +149,8 @@ def test_console_script_installed():
 def test_internal_error_exit_status(monkeypatch, capsys):
     # a peel guard of one step trips on any restriction with two components
     monkeypatch.setattr(rootdata, "_PEEL_GUARD", 1)
+    # an earlier test's cached restriction would skip the peel
+    monkeypatch.setattr(characters, "_branch_cache", {})
     code, stdout, stderr = run_cli(
         ["compute", "r", "--type", "A2", "--levi", "1",
          "--mu", "1,1", "--lambda", "1,1"], capsys)

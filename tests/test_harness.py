@@ -176,3 +176,17 @@ def test_saturation_type_a_has_no_witnesses():
         report = run_sweep(SweepConfig("A2", idx, 3, ("saturation",)))
         assert report["saturation"]["hits"] == []
         assert report["saturation"]["verdict"] == "PASS"
+
+
+@pytest.mark.parametrize("type_str,height", [("A3", 2), ("B3", 3), ("C3", 3),
+                                             ("G2", 3)])
+def test_rank_three_hecke_smoke(type_str, height):
+    # the lowest height with a nonzero coweight, Levi {1}
+    checks = ("product_identity", "multiplicity_identity", "degrees",
+              "ct_transitivity")
+    report = run_sweep(SweepConfig(type_str, (1,), height, checks))
+    verdicts = [(name, v) for rec in report["per_mu"] + report["instances"]
+                for name, v in rec["checks"].items()]
+    assert {name for name, _ in verdicts} == set(checks)
+    assert all(v == "PASS" for _, v in verdicts)
+    assert report["summary"]["skipped"] == 0

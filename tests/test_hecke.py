@@ -6,14 +6,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from heckebranch.characters import branch_multiplicity, tensor_multiplicity
+import hecke_oracle
+from heckebranch.characters import (
+    branch_multiplicity,
+    dominant_weights,
+    tensor_decompose,
+    tensor_multiplicity,
+    weight_table,
+)
 from heckebranch.errors import DomainError
 from heckebranch.hecke import (
     LaurentPoly,
     constant_term,
     hall_littlewood,
+    hall_littlewood_characters,
     hecke_product,
-    multiply_invariants,
     orbit_size,
     product_identity_sides,
     satake_expand,
@@ -308,7 +315,7 @@ def test_multiply_invariants_is_weyl_invariant():
     f = d.full
     a = satake_f(d, f, (1, 0))
     b = satake_f(d, f, (0, 1))
-    prod = multiply_invariants(f, a, b)
+    prod = hecke_oracle.multiply_invariants(f, a, b)
     assert all(f.is_dominant(k) for k in prod)
 
 
@@ -321,6 +328,10 @@ def test_cached_results_are_read_only():
         lambda: hecke_product(d, (1, 0), (0, 1)),
         lambda: satake_expand(d, d.full, lv, (1, 1)),
         lambda: constant_term(d, lv, (1, 1)),
+        lambda: hall_littlewood_characters(d.full, (1, 1)),
+        lambda: weight_table(d.full, (1, 1)),
+        lambda: dominant_weights(d.full, (1, 1)),
+        lambda: tensor_decompose(d, (1, 0), (0, 1)),
     ]
     for call in calls:
         value = call()
@@ -331,3 +342,58 @@ def test_cached_results_are_read_only():
         with pytest.raises(TypeError):
             del value[key]
         assert call() == before
+
+
+def _views(d):
+    n = d.rank
+    return [levi_view(d, idx) for r in range(n + 1)
+            for idx in itertools.combinations(range(1, n + 1), r)]
+
+
+def _small_dominant(view):
+    """View-dominant coweights whose coordinates have absolute sum at most 2."""
+    return [mu for mu in itertools.product(range(-2, 3),
+                                           repeat=view.ambient_rank)
+            if view.is_dominant(mu) and sum(map(abs, mu)) <= 2]
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3"])
+def test_hecke_layer_matches_symmetrization_oracle(type_str):
+    d = root_datum(type_str)
+    views = _views(d)
+    for view in views:
+        for mu in _small_dominant(view):
+            assert hall_littlewood(d, view, mu) == \
+                hecke_oracle.hall_littlewood(d, view, mu), (view.key, mu)
+    pool = _small_dominant(d.full)
+    for a, b in itertools.product(pool, repeat=2):
+        assert hecke_product(d, a, b) == hecke_oracle.hecke_product(d, a, b), \
+            (a, b)
+    for upper, lower in itertools.product(views, repeat=2):
+        if not set(lower.indices) <= set(upper.indices):
+            continue
+        for mu in _small_dominant(upper):
+            assert satake_expand(d, upper, lower, mu) == \
+                hecke_oracle.satake_expand(d, upper, lower, mu), \
+                (upper.key, lower.key, mu)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_hall_littlewood_at_t_zero_and_one(type_str):
+    # t = 0 keeps the v^0 coefficients: the Weyl character; t = 1 (v = 1)
+    # gives the orbit sum at mu
+    d = root_datum(type_str)
+    for view in _views(d):
+        for mu in _small_dominant(view):
+            hl = hall_littlewood(d, view, mu)
+            at_zero = {k: p.coeff(0) for k, p in hl.items() if p.coeff(0)}
+            assert at_zero == dominant_weights(view, mu), (view.key, mu)
+            at_one = {k: sum(c for _, c in p.items()) for k, p in hl.items()}
+            assert {k: c for k, c in at_one.items() if c} == {mu: 1}, \
+                (view.key, mu)
+
+
+def test_satake_expand_rejects_a_lower_view_outside_the_upper():
+    d = root_datum("A2")
+    with pytest.raises(DomainError):
+        satake_expand(d, levi_view(d, (1,)), levi_view(d, (2,)), (1, 0))
