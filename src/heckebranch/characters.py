@@ -135,7 +135,7 @@ def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
     Coefficients are ints or ``LaurentPoly``s; returns ``{highest weight:
     coefficient}`` without zero coefficients."""
     # doubled coordinates keep rho_hat integral on every view
-    shift = tuple(int(2 * s) for s in view.rho_hat)
+    shift = view.two_rho_hat
     out: dict = {}
     for w, m in weights.items():
         x = tuple(2 * (a + b) + s for a, b, s in zip(top, w, shift))

@@ -38,7 +38,7 @@ from .littelmann import (
     branch_path_set,
     count_branch_paths,
     count_tensor_paths,
-    endpoint_weight,
+    crystal_fibers,
     generate_crystal,
     is_hecke_path,
     tensor_path_set,
@@ -262,10 +262,7 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
             verdicts["crystal"] = SKIPPED
         else:
             crystal_size = len(paths)
-            hist: dict = {}
-            for p in paths:
-                end = endpoint_weight(p)
-                hist[end] = hist.get(end, 0) + 1
+            hist = {w: len(f) for w, f in crystal_fibers(datum, mu).items()}
             table = weight_table(datum.full, mu)
             verdicts["crystal"] = _verdict_all([
                 crystal_size == weyl_dim(datum.full, mu), hist == table])

@@ -7,12 +7,19 @@ durations are positive and sum to 1, and the canonical form merges adjacent
 segments with equal directions so that path equality is decidable.  The
 trajectory starts at the origin.  All cone tests are evaluated at the
 breakpoints only, which suffices by piecewise linearity.
+
+The crystal at a dominant mu is generated from the straight path by the
+lowering operators alone (every path of Littelmann's crystal is a string of
+lowerings of the straight path).  ``crystal_fibers`` indexes it once by
+endpoint, with each path's breakpoints computed once; the restriction and
+tensor path sets read only the fiber at the endpoint they can match.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
@@ -34,6 +41,7 @@ Path = tuple[Segment, ...]
 CRYSTAL_CAP = 200_000
 
 _crystal_cache: dict = {}
+_fiber_cache: dict = {}
 
 
 def canonical(segments: Iterable[Segment], rank: int) -> Path:
@@ -74,7 +82,10 @@ def path_points(path: Path) -> list[RatVec]:
 
 
 def endpoint_weight(path: Path) -> Coweight:
-    end = path_points(path)[-1]
+    return _lattice_point(path_points(path)[-1])
+
+
+def _lattice_point(end: RatVec) -> Coweight:
     if any(v.denominator != 1 for v in end):
         raise DomainError("path endpoint is not a lattice point")
     return tuple(int(v) for v in end)
@@ -147,9 +158,9 @@ def e_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
 
 def generate_crystal(datum: RootDatum, mu: Coweight,
                      cap: Optional[int] = None) -> frozenset:
-    """All paths reachable from the straight path to mu under the root
-    operators.  The count equals the dimension of the irreducible module of
-    the dual group with highest weight mu."""
+    """All paths reachable from the straight path to mu under the lowering
+    root operators.  The count equals the dimension of the irreducible module
+    of the dual group with highest weight mu."""
     if cap is None:
         cap = CRYSTAL_CAP
     mu = tuple(mu)
@@ -167,17 +178,35 @@ def generate_crystal(datum: RootDatum, mu: Coweight,
         nxt = []
         for p in frontier:
             for i in range(1, datum.rank + 1):
-                for op in (f_op, e_op):
-                    q = op(datum, i, p)
-                    if q is not None and q not in seen:
-                        seen.add(q)
-                        if len(seen) > cap:
-                            raise FeasibilityError(
-                                f"crystal at {mu} exceeds {cap} paths", cap)
-                        nxt.append(q)
+                q = f_op(datum, i, p)
+                if q is not None and q not in seen:
+                    seen.add(q)
+                    if len(seen) > cap:
+                        raise FeasibilityError(
+                            f"crystal at {mu} exceeds {cap} paths", cap)
+                    nxt.append(q)
         frontier = nxt
     result = frozenset(seen)
     _crystal_cache[key] = result
+    return result
+
+
+def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
+    """The crystal at mu indexed by endpoint: a read-only map from each
+    endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
+    the breakpoints being the path's positions from the origin on.
+    Cached; raises as ``generate_crystal`` does."""
+    mu = tuple(mu)
+    key = (datum.cartan_type, mu)
+    cached = _fiber_cache.get(key)
+    if cached is not None:
+        return cached
+    fibers: dict = {}
+    for p in generate_crystal(datum, mu):
+        points = tuple(path_points(p))
+        fibers.setdefault(_lattice_point(points[-1]), []).append((p, points))
+    result = MappingProxyType({w: tuple(f) for w, f in sorted(fibers.items())})
+    _fiber_cache[key] = result
     return result
 
 
@@ -185,13 +214,9 @@ def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                     lam: Coweight) -> frozenset:
     """Crystal paths that stay Levi-dominant at every breakpoint and end
     at lam."""
-    lam = tuple(lam)
-    keep = []
-    for p in generate_crystal(datum, mu):
-        points = path_points(p)
-        if all(levi.is_dominant(x) for x in points) and endpoint_weight(p) == lam:
-            keep.append(p)
-    return frozenset(keep)
+    fiber = crystal_fibers(datum, mu).get(tuple(lam), ())
+    return frozenset(p for p, points in fiber
+                     if all(levi.is_dominant(x) for x in points))
 
 
 def count_branch_paths(datum: RootDatum, levi: SubsystemView, mu: Coweight,
@@ -206,13 +231,10 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     nu, target = tuple(nu), tuple(target)
     if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
         raise DomainError("translation point and target must be dominant")
-    keep = []
-    for p in generate_crystal(datum, mu):
-        points = path_points(p)
-        if all(all(c >= 0 for c in vec_add(nu, x)) for x in points) \
-                and vec_add(nu, endpoint_weight(p)) == target:
-            keep.append(p)
-    return frozenset(keep)
+    fiber = crystal_fibers(datum, mu).get(vec_sub(target, nu), ())
+    return frozenset(p for p, points in fiber
+                     if all(all(c >= 0 for c in vec_add(nu, x))
+                            for x in points))
 
 
 def count_tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,

@@ -154,6 +154,7 @@ class SubsystemView:
     root_elements: tuple[Matrix, ...]
     lengths: tuple[int, ...]
     rho_hat: RatVec            # half-sum of the subsystem's positive coroots
+    two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
     # form applied to 2 * rho_hat: <peel_height, x> is twice the form pairing
@@ -302,7 +303,8 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
     rho_hat = tuple(sum(Fraction(c[i]) for (_, c) in sub_pos) / 2
                     for i in range(ambient_rank))
     two_rho = tuple(sum(r[i] for (r, _) in sub_pos) for i in range(ambient_rank))
-    two_rho_hat = [sum(c[j] for (_, c) in sub_pos) for j in range(ambient_rank)]
+    two_rho_hat = tuple(sum(c[j] for (_, c) in sub_pos)
+                        for j in range(ambient_rank))
     peel_height = mat_apply(form, two_rho_hat)
     levi_inv = None
     if indices:
@@ -322,7 +324,8 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         elements=tuple(a for (a, _) in elems),
         root_elements=tuple(r for (_, r) in elems),
         lengths=tuple(lengths),
-        rho_hat=rho_hat, two_rho=two_rho, form=form, peel_height=peel_height,
+        rho_hat=rho_hat, two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
+        peel_height=peel_height,
         _levi_cartan_inv=levi_inv,
     )
 
@@ -540,19 +543,21 @@ def in_hull(datum: RootDatum, x: Sequence, mu: Sequence) -> bool:
 def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
     """Dimension of the irreducible of highest weight mu for the dual group of
     the subsystem (Weyl's formula over the subsystem's positive roots, with the
-    half-sum of positive coroots as the shift)."""
+    half-sum of positive coroots as the shift).  Evaluated in doubled integer
+    coordinates: prod <a, 2mu + 2rho_hat> divided exactly by
+    prod <a, 2rho_hat>."""
     if not view.is_dominant(mu):
         raise DomainError(f"{tuple(mu)} is not dominant for {view.key}")
-    shifted = vec_add(tuple(Fraction(v) for v in mu), view.rho_hat)
-    num = Fraction(1)
-    den = Fraction(1)
+    shift = view.two_rho_hat
+    shifted = tuple(2 * v + s for v, s in zip(mu, shift))
+    num = den = 1
     for a in view.positive_roots:
         num *= pairing(a, shifted)
-        den *= pairing(a, view.rho_hat)
-    d = num / den
-    if d.denominator != 1:
+        den *= pairing(a, shift)
+    d, rem = divmod(num, den)
+    if rem:
         raise AssertionError("Weyl dimension came out non-integral")
-    return int(d)
+    return d
 
 
 def parse_coweight(text: str, rank: int) -> Coweight:

@@ -178,15 +178,28 @@ def test_saturation_type_a_has_no_witnesses():
         assert report["saturation"]["verdict"] == "PASS"
 
 
+def _assert_all_pass(report, checks):
+    verdicts = [(name, v) for rec in report["per_mu"] + report["instances"]
+                for name, v in rec["checks"].items()]
+    assert {name for name, _ in verdicts} == set(checks)
+    assert all(v == "PASS" for _, v in verdicts)
+    assert report["summary"]["skipped"] == 0
+
+
 @pytest.mark.parametrize("type_str,height", [("A3", 2), ("B3", 3), ("C3", 3),
                                              ("G2", 3)])
 def test_rank_three_hecke_smoke(type_str, height):
     # the lowest height with a nonzero coweight, Levi {1}
     checks = ("product_identity", "multiplicity_identity", "degrees",
               "ct_transitivity")
-    report = run_sweep(SweepConfig(type_str, (1,), height, checks))
-    verdicts = [(name, v) for rec in report["per_mu"] + report["instances"]
-                for name, v in rec["checks"].items()]
-    assert {name for name, _ in verdicts} == set(checks)
-    assert all(v == "PASS" for _, v in verdicts)
-    assert report["summary"]["skipped"] == 0
+    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height, checks)),
+                     checks)
+
+
+@pytest.mark.parametrize("type_str,height", [("A3", 3), ("B3", 3), ("C3", 3),
+                                             ("G2", 3), ("B4", 4), ("A4", 2)])
+def test_path_checks_smoke(type_str, height):
+    # Levi {1}; rank 4 at the lowest height with a nonzero coweight
+    checks = ("crystal", "hecke_paths", "multiplicity_identity")
+    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height, checks)),
+                     checks)

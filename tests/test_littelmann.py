@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import littelmann_oracle
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_weights,
@@ -13,11 +14,13 @@ from heckebranch.characters import (
     weight_table,
 )
 from heckebranch.errors import DomainError, FeasibilityError
+from heckebranch.harness import SweepConfig, enumerate_instances
 from heckebranch.littelmann import (
     canonical,
     count_branch_paths,
     count_tensor_paths,
     branch_path_set,
+    crystal_fibers,
     e_op,
     endpoint_weight,
     f_op,
@@ -89,6 +92,62 @@ def test_crystal_endpoint_histogram():
             w = endpoint_weight(p)
             hist[w] = hist.get(w, 0) + 1
         assert hist == weight_table(d.full, mu)
+
+
+@pytest.mark.parametrize("type_str,mus", [
+    ("A2", [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0)]),
+    ("B2", [(1, 0), (0, 1), (1, 1), (2, 1)]),
+    ("G2", [(1, 0), (0, 1), (1, 1)]),
+    ("A3", [(1, 0, 0), (0, 1, 0), (1, 0, 1), (2, 1, 0)]),
+    ("B3", [(1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)]),
+])
+def test_lowering_crystal_matches_closure(type_str, mus):
+    d = root_datum(type_str)
+    for mu in mus:
+        crystal = generate_crystal(d, mu)
+        assert crystal == littelmann_oracle.closure_crystal(d, mu), mu
+        fibers = crystal_fibers(d, mu)
+        assert {w: len(f) for w, f in fibers.items()} == weight_table(d.full, mu)
+        assert {p for f in fibers.values() for p, _ in f} == crystal
+
+
+def test_crystal_fibers_are_read_only():
+    d = root_datum("A2")
+    fibers = crystal_fibers(d, (1, 1))
+    before = dict(fibers)
+    key = next(iter(fibers))
+    with pytest.raises(TypeError):
+        fibers[key] = ()
+    with pytest.raises(TypeError):
+        del fibers[key]
+    assert isinstance(fibers[key], tuple)
+    assert crystal_fibers(d, (1, 1)) == before
+
+
+def _levis(d):
+    n = d.rank
+    return [idx for r in range(n + 1)
+            for idx in itertools.combinations(range(1, n + 1), r)]
+
+
+# every Levi of A2, B2 and G2, and the benchmark's A3 Levi {1} sweep
+_PATH_SET_SWEEPS = [(t, idx, h) for t, h in (("A2", 4), ("B2", 5), ("G2", 6))
+                    for idx in _levis(root_datum(t))] + [("A3", (1,), 4)]
+
+
+@pytest.mark.parametrize(
+    "type_str,idx,height", _PATH_SET_SWEEPS,
+    ids=[f"{t}-levi{''.join(map(str, idx))}-h{h}" for t, idx, h in _PATH_SET_SWEEPS])
+def test_path_sets_match_whole_crystal_scan(type_str, idx, height):
+    d = root_datum(type_str)
+    lv = levi_view(d, idx)
+    config = SweepConfig(type_str, idx, height, ("multiplicity_identity",))
+    for mu, lam, nu in enumerate_instances(config):
+        target = vec_add(nu, lam)
+        assert branch_path_set(d, lv, mu, lam) == \
+            littelmann_oracle.branch_path_set(d, lv, mu, lam), (mu, lam)
+        assert tensor_path_set(d, mu, nu, target) == \
+            littelmann_oracle.tensor_path_set(d, mu, nu, target), (mu, nu, lam)
 
 
 def test_crystal_cap():

@@ -1,5 +1,6 @@
 """Root data construction, Weyl groups, and cone arithmetic."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from heckebranch.rootdata import (
     rho_height,
     root_datum,
     solve_exact,
+    vec_add,
     vec_sub,
     weyl_dim,
     weyl_orbit,
@@ -205,6 +207,32 @@ def test_weyl_dim():
     assert weyl_dim(levi_view(d, ()), (2, 0, 1)) == 1
     with pytest.raises(DomainError):
         weyl_dim(d.full, (-1, 0, 0))
+
+
+def _weyl_dim_by_fractions(view, mu) -> Fraction:
+    """Weyl's formula with the half-sum of positive coroots in Fractions."""
+    shifted = vec_add(tuple(Fraction(v) for v in mu), view.rho_hat)
+    num = den = Fraction(1)
+    for a in view.positive_roots:
+        num *= pairing(a, shifted)
+        den *= pairing(a, view.rho_hat)
+    return num / den
+
+
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
+def test_weyl_dim_matches_fraction_formula(type_str):
+    d = root_datum(type_str)
+    n = d.rank
+    for r in range(n + 1):
+        for idx in itertools.combinations(range(1, n + 1), r):
+            view = levi_view(d, idx)
+            for mu in itertools.product(range(3), repeat=n):
+                dim = weyl_dim(view, mu)
+                assert type(dim) is int
+                assert dim == _weyl_dim_by_fractions(view, mu), (idx, mu)
+            for i in idx:
+                with pytest.raises(DomainError):
+                    weyl_dim(view, tuple(-(k == i) for k in range(1, n + 1)))
 
 
 def test_weyl_dim_dual_side_values():
