@@ -4,12 +4,15 @@ All modules here are representations of the dual group attached to a root
 datum (or to a Levi subsystem of it), so "weights" are coweights of the
 original datum and the roots acting on them are its coroots.  Multiplicities
 come from the Freudenthal recursion run with the ambient Weyl-invariant form,
-which restricts correctly to every Levi subsystem.
+which restricts correctly to every Levi subsystem.  Everything here is
+integer arithmetic: the recursion orders weights by their pairing with the
+view's sum of positive roots and divides exactly by
+``<mu - kappa, mu + kappa + 2 rho_hat>``, and the Klimyk step works in doubled
+coordinates.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
@@ -18,6 +21,7 @@ from .rootdata import (
     Coweight,
     RootDatum,
     SubsystemView,
+    pairing,
     peel,
     vec_add,
     vec_scale,
@@ -41,18 +45,12 @@ def _check_cap(view: SubsystemView, mu: Coweight) -> None:
             DIMENSION_CAP)
 
 
-def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
-    """Multiplicities of the view-dominant weights of the irreducible module
-    with highest weight mu, by the Freudenthal recursion.  Read-only."""
+def dominant_support(view: SubsystemView, mu: Coweight) -> frozenset:
+    """The view-dominant weights of the irreducible module with highest
+    weight mu, without multiplicities: every view-dominant weight reached
+    from mu by stepping down positive coroots.  Needs no Freudenthal step,
+    so it runs under no dimension cap."""
     mu = tuple(mu)
-    key = (view.key, mu)
-    if key in _dominant_cache:
-        return _dominant_cache[key]
-    if not view.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant for {view.key}")
-    _check_cap(view, mu)
-
-    # all view-dominant weights below mu, found by stepping down positive coroots
     found = {mu}
     frontier = [mu]
     while frontier:
@@ -64,14 +62,26 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
                     found.add(y)
                     nxt.append(y)
         frontier = nxt
+    return frozenset(found)
 
-    def depth(x: Coweight) -> Fraction:
-        cc = view.coroot_coefficients(vec_sub(mu, x))
-        return sum(cc, Fraction(0))
 
-    ordered = sorted(found, key=lambda x: (depth(x), x))
-    shifted_mu = vec_add(mu, view.rho_hat)
-    norm_mu = view.bilinear(shifted_mu, shifted_mu)
+def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
+    """Multiplicities of the view-dominant weights of the irreducible module
+    with highest weight mu, by the Freudenthal recursion.  Read-only."""
+    mu = tuple(mu)
+    key = (view.key, mu)
+    if key in _dominant_cache:
+        return _dominant_cache[key]
+    if not view.is_dominant(mu):
+        raise DomainError(f"{mu} is not dominant for {view.key}")
+    _check_cap(view, mu)
+    found = dominant_support(view, mu)
+
+    # from mu down: the depth of x below mu (the sum of the coroot
+    # coefficients of mu - x) is half the pairing of mu - x with two_rho
+    two_rho = view.two_rho
+    ordered = sorted(found, key=lambda x: (-pairing(two_rho, x), x))
+    shift = vec_add(mu, view.two_rho_hat)
     mults: dict[Coweight, int] = {}
     orbit_mult: dict[Coweight, int] = {}
     for kappa in ordered:
@@ -80,7 +90,7 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
             for y in view.orbit(kappa):
                 orbit_mult[y] = 1
             continue
-        acc = Fraction(0)
+        acc = 0
         for cv in view.positive_coroots:
             k = 1
             while True:
@@ -93,14 +103,14 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
                     m = mults[dom]
                 acc += m * view.bilinear(y, cv)
                 k += 1
-        shifted = vec_add(kappa, view.rho_hat)
-        denom = norm_mu - view.bilinear(shifted, shifted)
-        val = 2 * acc / denom
-        if val.denominator != 1:
+        # |mu + rho_hat|^2 - |kappa + rho_hat|^2, in integers
+        denom = view.bilinear(vec_sub(mu, kappa), vec_add(shift, kappa))
+        val, rem = divmod(2 * acc, denom)
+        if rem:
             raise AssertionError("Freudenthal produced a non-integer multiplicity")
-        mults[kappa] = int(val)
+        mults[kappa] = val
         for y in view.orbit(kappa):
-            orbit_mult[y] = int(val)
+            orbit_mult[y] = val
     result = MappingProxyType(mults)
     _dominant_cache[key] = result
     return result

@@ -12,6 +12,7 @@ worker count.
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -23,6 +24,7 @@ from .characters import (
     DIMENSION_CAP,
     branch_decompose,
     branch_multiplicity,
+    dominant_support,
     tensor_multiplicity,
     weight_table,
 )
@@ -111,10 +113,11 @@ class SweepConfig:
 def dominant_coweights_up_to(datum: RootDatum, max_height) -> list[Coweight]:
     """All dominant coweights whose pairing with the half-sum of positive
     roots is at most the bound, ordered by (height, lex)."""
-    bounds = [int(Fraction(max_height) / datum.rho[i]) for i in range(datum.rank)]
-    out = [mu for mu in itertools.product(*(range(b + 1) for b in bounds))
-           if rho_height(datum, mu) <= max_height]
-    return sorted(out, key=lambda m: (rho_height(datum, m), m))
+    two_rho = datum.full.two_rho
+    bound = 2 * max_height
+    out = [mu for mu in itertools.product(*(range(bound // h + 1) for h in two_rho))
+           if pairing(two_rho, mu) <= bound]
+    return sorted(out, key=lambda m: (pairing(two_rho, m), m))
 
 
 def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, Coweight]]:
@@ -128,9 +131,11 @@ def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, C
     datum = root_datum(config.cartan_type)
     levi = levi_view(datum, config.levi)
     out = []
+    full = datum.full
     for mu in dominant_coweights_up_to(datum, config.max_height):
-        lams = sorted(w for w in weight_table(datum.full, mu)
-                      if levi.is_dominant(w))
+        # the weight set needs no multiplicities, so no module cap applies
+        lams = sorted(w for kappa in dominant_support(full, mu)
+                      for w in full.orbit(kappa) if levi.is_dominant(w))
         nu0, nu1 = offset_pair(datum, levi, mu)
         nus = (nu0,) if nu1 == nu0 else (nu0, nu1)
         for lam in lams:
@@ -141,6 +146,22 @@ def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, C
 
 def _verdict_all(flags: Sequence[bool]) -> str:
     return PASS if all(flags) else FAIL
+
+
+# instance checks that read r, and those that read the Hecke values m and c
+_NEED_R = ("multiplicity_identity", "degrees", "nonvanishing")
+_NEED_HECKE = ("product_identity", "degrees", "nonvanishing")
+
+
+def _skip(checks: tuple, names: tuple, err: FeasibilityError, verdicts: dict,
+          notes: list) -> tuple:
+    """Record the checks among ``names`` as SKIPPED for the cap hit ``err``
+    and return the checks left to run."""
+    for name in checks:
+        if name in names:
+            verdicts[name] = SKIPPED
+            notes.append(f"{name}: {err}")
+    return tuple(c for c in checks if c not in names)
 
 
 def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
@@ -155,23 +176,28 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     mustar = dual_star(datum, mu)
     k = k_phi(datum)
 
-    r = branch_multiplicity(datum, levi, mu, lam)
-    values["r"] = r
+    r = None
+    try:
+        r = branch_multiplicity(datum, levi, mu, lam)
+        values["r"] = r
+    except FeasibilityError as e:
+        checks = _skip(checks, _NEED_R, e, verdicts, notes)
 
-    need_hecke = ("product_identity" in checks or "degrees" in checks
-                  or "nonvanishing" in checks)
     m_poly = c_poly = None
-    if need_hecke:
-        c_poly = constant_term(datum, levi, mu).get(lam, LaurentPoly.zero())
-        m_poly = hecke_product(datum, alpha, mustar).get(nu, LaurentPoly.zero())
-        values["m"] = m_poly.to_json()
-        values["c"] = c_poly.to_json()
-        m_negative = any(cf < 0 for _, cf in m_poly.items())
+    if any(c in checks for c in _NEED_HECKE):
+        try:
+            c_poly = constant_term(datum, levi, mu).get(lam, LaurentPoly.zero())
+            m_poly = hecke_product(datum, alpha, mustar).get(nu, LaurentPoly.zero())
+            values["m"] = m_poly.to_json()
+            values["c"] = c_poly.to_json()
+            m_negative = any(cf < 0 for _, cf in m_poly.items())
+        except FeasibilityError as e:
+            checks = _skip(checks, _NEED_HECKE, e, verdicts, notes)
 
     if "multiplicity_identity" in checks:
-        n2 = tensor_multiplicity(datum, alpha, mustar, nu)
-        values["n"] = n2
         try:
+            n2 = tensor_multiplicity(datum, alpha, mustar, nu)
+            values["n"] = n2
             r_paths = count_branch_paths(datum, levi, mu, lam)
             n_paths = count_tensor_paths(datum, mu, nu, alpha)
             sets_match = (branch_path_set(datum, levi, mu, lam)
@@ -263,9 +289,13 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
         else:
             crystal_size = len(paths)
             hist = {w: len(f) for w, f in crystal_fibers(datum, mu).items()}
-            table = weight_table(datum.full, mu)
-            verdicts["crystal"] = _verdict_all([
-                crystal_size == weyl_dim(datum.full, mu), hist == table])
+            try:
+                table = weight_table(datum.full, mu)
+                verdicts["crystal"] = _verdict_all([
+                    crystal_size == weyl_dim(datum.full, mu), hist == table])
+            except FeasibilityError as e:
+                verdicts["crystal"] = SKIPPED
+                notes.append(f"crystal: {e}")
 
     if "hecke_paths" in checks:
         if paths is None:
@@ -276,18 +306,22 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
 
     if "ct_transitivity" in checks:
         torus = levi_view(datum, ())
-        direct = satake_expand(datum, datum.full, torus, mu)
-        through = satake_expand(datum, datum.full, levi, mu)
-        composed: dict = {}
-        for lam, outer in through.items():
-            for tau, inner in satake_expand(datum, levi, torus, lam).items():
-                cur = composed.get(tau, LaurentPoly.zero()) + outer * inner
-                if cur:
-                    composed[tau] = cur
-                else:
-                    composed.pop(tau, None)
-        direct = {kk: pp for kk, pp in direct.items() if pp}
-        verdicts["ct_transitivity"] = _verdict_all([composed == direct])
+        try:
+            direct = satake_expand(datum, datum.full, torus, mu)
+            through = satake_expand(datum, datum.full, levi, mu)
+            composed: dict = {}
+            for lam, outer in through.items():
+                for tau, inner in satake_expand(datum, levi, torus, lam).items():
+                    cur = composed.get(tau, LaurentPoly.zero()) + outer * inner
+                    if cur:
+                        composed[tau] = cur
+                    else:
+                        composed.pop(tau, None)
+            direct = {kk: pp for kk, pp in direct.items() if pp}
+            verdicts["ct_transitivity"] = _verdict_all([composed == direct])
+        except FeasibilityError as e:
+            verdicts["ct_transitivity"] = SKIPPED
+            notes.append(f"ct_transitivity: {e}")
 
     return {
         "mu": list(mu),
@@ -446,8 +480,10 @@ def run_sweep(config: SweepConfig) -> dict:
             tasks.append(("instance", config.cartan_type, config.levi,
                           (mu, lam, nu), inst_checks, config.q_eval_points))
 
-    if config.jobs > 1 and tasks:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    # more workers than tasks or cores only adds start-up and contention
+    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, tasks))
     else:
         results = [_run_task(t) for t in tasks]

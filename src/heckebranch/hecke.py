@@ -38,7 +38,7 @@ from .characters import (
     restrict_decompose,
     tensor_decompose,
 )
-from .errors import DomainError
+from .errors import DomainError, FeasibilityError
 from .parabolic import geq_parabolic
 from .rootdata import (
     Coweight,
@@ -167,8 +167,10 @@ class LaurentPoly:
         """Value at a given q; requires even v-exponents."""
         if not self.has_even_exponents():
             raise DomainError("odd v-exponent present, not a function of q")
-        return sum((Fraction(c) * Fraction(q) ** (e // 2)
-                    for e, c in self._c.items()), Fraction(0))
+        # the lowest negative power of q becomes the one denominator
+        low = min([0, *(e // 2 for e in self._c)])
+        num = sum(c * q ** (e // 2 - low) for e, c in self._c.items())
+        return Fraction(num, q ** -low)
 
     def to_json(self) -> dict:
         return {"exponents_of_v": {str(e): c for e, c in sorted(self._c.items())}}
@@ -188,6 +190,11 @@ class LaurentPoly:
                 parts.append(f"{c}*v^{e}")
         return " + ".join(parts)
 
+
+# Terms of the Macdonald numerator one Hall-Littlewood polynomial straightens:
+# every rank up to 5 stays under it except F4 (15,145 terms), where the
+# sweeps ask for thousands of these polynomials
+SUPPORT_CAP = 10_000
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -274,8 +281,13 @@ def hall_littlewood_characters(view: SubsystemView,
         return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
+    numerator = _numerator(view)
+    if len(numerator) > SUPPORT_CAP:
+        raise FeasibilityError(
+            f"Hall-Littlewood numerator of {view.key} has {len(numerator)} "
+            f"terms, over the cap", SUPPORT_CAP)
     stab = stabilizer_poincare(view, mu)
-    chars = klimyk(view, mu, _numerator(view))
+    chars = klimyk(view, mu, numerator)
     result = MappingProxyType({kappa: _poly_exact_div(p, stab)
                                for kappa, p in sorted(chars.items())})
     _hl_cache[key] = result

@@ -41,7 +41,6 @@ Path = tuple[Segment, ...]
 CRYSTAL_CAP = 200_000
 
 _crystal_cache: dict = {}
-_fiber_cache: dict = {}
 
 
 def canonical(segments: Iterable[Segment], rank: int) -> Path:
@@ -117,7 +116,12 @@ def f_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
     """Lowering root operator for the i-th simple root (1-based), by the
     cut-and-reflect rule on the height function t -> <alpha_i, path(t)>.
     Returns None when undefined."""
-    times, points = path_times_and_points(path)
+    return _lower(datum, i, path, *path_times_and_points(path))
+
+
+def _lower(datum: RootDatum, i: int, path: Path, times: Sequence[Fraction],
+           points: Sequence[RatVec]) -> Optional[Path]:
+    """``f_op`` on a path whose breakpoint times and positions are given."""
     heights = [x[i - 1] for x in points]
     low = min(heights)
     if heights[-1] - low < 1:
@@ -161,34 +165,7 @@ def generate_crystal(datum: RootDatum, mu: Coweight,
     """All paths reachable from the straight path to mu under the lowering
     root operators.  The count equals the dimension of the irreducible module
     of the dual group with highest weight mu."""
-    if cap is None:
-        cap = CRYSTAL_CAP
-    mu = tuple(mu)
-    key = (datum.cartan_type, mu)
-    if key in _crystal_cache:
-        return _crystal_cache[key]
-    if not datum.full.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
-    if weyl_dim(datum.full, mu) > cap:
-        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
-    start = straight_path(datum, mu)
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for i in range(1, datum.rank + 1):
-                q = f_op(datum, i, p)
-                if q is not None and q not in seen:
-                    seen.add(q)
-                    if len(seen) > cap:
-                        raise FeasibilityError(
-                            f"crystal at {mu} exceeds {cap} paths", cap)
-                    nxt.append(q)
-        frontier = nxt
-    result = frozenset(seen)
-    _crystal_cache[key] = result
-    return result
+    return _crystal(datum, tuple(mu), cap)[0]
 
 
 def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
@@ -196,18 +173,48 @@ def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
     endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
     the breakpoints being the path's positions from the origin on.
     Cached; raises as ``generate_crystal`` does."""
-    mu = tuple(mu)
+    return _crystal(datum, tuple(mu), None)[1]
+
+
+def _crystal(datum: RootDatum, mu: Coweight,
+             cap: Optional[int]) -> tuple[frozenset, Mapping]:
+    """The crystal at mu and its endpoint index, cached together.  Each
+    path's breakpoints are computed once, when the search first reaches it,
+    and serve both its lowerings and the index."""
     key = (datum.cartan_type, mu)
-    cached = _fiber_cache.get(key)
+    cached = _crystal_cache.get(key)
     if cached is not None:
         return cached
+    if cap is None:
+        cap = CRYSTAL_CAP
+    if not datum.full.is_dominant(mu):
+        raise DomainError(f"{mu} is not dominant")
+    if weyl_dim(datum.full, mu) > cap:
+        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
+    start = straight_path(datum, mu)
+    breakpoints = {start: path_times_and_points(start)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            times, points = breakpoints[p]
+            for i in range(1, datum.rank + 1):
+                q = _lower(datum, i, p, times, points)
+                if q is not None and q not in breakpoints:
+                    breakpoints[q] = path_times_and_points(q)
+                    if len(breakpoints) > cap:
+                        raise FeasibilityError(
+                            f"crystal at {mu} exceeds {cap} paths", cap)
+                    nxt.append(q)
+        frontier = nxt
     fibers: dict = {}
-    for p in generate_crystal(datum, mu):
-        points = tuple(path_points(p))
-        fibers.setdefault(_lattice_point(points[-1]), []).append((p, points))
-    result = MappingProxyType({w: tuple(f) for w, f in sorted(fibers.items())})
-    _fiber_cache[key] = result
-    return result
+    for p, (_, points) in breakpoints.items():
+        fibers.setdefault(_lattice_point(points[-1]), []).append(
+            (p, tuple(points)))
+    cached = (frozenset(breakpoints),
+              MappingProxyType({w: tuple(f) for w, f in sorted(fibers.items())}))
+    _crystal_cache[key] = cached
+    return cached
 
 
 def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,

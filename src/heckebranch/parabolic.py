@@ -24,7 +24,6 @@ from .rootdata import (
     is_dominant,
     mat_apply,
     pairing,
-    rho_height,
     solve_exact,
     vec_add,
 )
@@ -77,16 +76,17 @@ def minimal_offset(datum: RootDatum, levi: SubsystemView, mu: Coweight) -> Cowei
         return tuple(0 for _ in range(datum.rank))
     star = max(0, max((q for _, q in requirements), default=0))
     feasible = tuple(star if i in off else 0 for i in range(datum.rank))
-    h_star = rho_height(datum, feasible)
-    r_min = min(datum.rho[i] for i in off)
-    box = int(h_star / r_min) + 1
+    # doubled heights: pairings with the sum of positive roots
+    two_rho = datum.full.two_rho
+    h_star = pairing(two_rho, feasible)
+    box = h_star // min(two_rho[i] for i in off) + 1
     best: Optional[tuple] = None
     for combo in itertools.product(range(box + 1), repeat=len(off)):
         nu = [0] * datum.rank
         for i, v in zip(off, combo):
             nu[i] = v
         nu = tuple(nu)
-        h = rho_height(datum, nu)
+        h = pairing(two_rho, nu)
         if h > h_star:
             continue
         if all(pairing(alpha, nu) >= q for alpha, q in requirements):

@@ -13,7 +13,14 @@ Conventions, fixed once here and relied on everywhere else:
 * Simple-root indices in the public API are 1-based (Bourbaki numbering).
 
 Supported type/rank pairs: A1..A5, B2..B4, C2..C4, D4, F4, G2.  Everything
-is exact: integers and ``fractions.Fraction``, no floats anywhere.
+is exact, and no floats appear anywhere.  Coroot coordinates are integer:
+each datum carries the integer adjugate of its Cartan matrix and its
+determinant, so the hull, coroot-lattice and dominance tests read signs and
+residues of ``adj @ x``, and heights are compared through the integer
+pairing with the sum of positive roots.  The public results still in
+``fractions.Fraction`` are ``rho_height``, ``coroot_coefficients``, the
+half-sums ``rho``, ``rho_check`` and ``rho_hat``, and
+``fundamental_weights``.
 """
 
 from __future__ import annotations
@@ -90,12 +97,24 @@ def solve_exact(rows: Sequence[Sequence], rhs: Sequence[Sequence]
     return tuple(tuple(row[n:]) for row in aug)
 
 
-def _invert(rows: Sequence[Sequence[int]]) -> tuple[RatVec, ...]:
-    """Exact inverse of a square integer matrix."""
-    inv = solve_exact(rows, _identity(len(rows)))
-    if inv is None:
-        raise DomainError("singular matrix")
-    return inv
+def _minor(m: Sequence[Sequence[int]], i: int, j: int) -> Matrix:
+    return tuple(row[:j] + row[j + 1:] for k, row in enumerate(m) if k != i)
+
+
+def _det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by cofactor expansion (rank is
+    at most five here)."""
+    if not m:
+        return 1
+    return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j))
+               for j in range(len(m)) if m[0][j])
+
+
+def _adjugate(m: Sequence[Sequence[int]]) -> Matrix:
+    """Integer adjugate: ``adj @ m == det(m) * identity``."""
+    n = len(m)
+    return tuple(tuple((-1) ** (i + j) * _det(_minor(m, j, i)) for j in range(n))
+                 for i in range(n))
 
 
 def cartan_matrix(letter: str, rank: int) -> Matrix:
@@ -160,7 +179,6 @@ class SubsystemView:
     # form applied to 2 * rho_hat: <peel_height, x> is twice the form pairing
     # of x with rho_hat, the height by which this view's characters are peeled
     peel_height: Root
-    _levi_cartan_inv: Optional[tuple[RatVec, ...]]
 
     @property
     def order(self) -> int:
@@ -219,35 +237,6 @@ class SubsystemView:
         return sum(self.form[i][j] * x[i] * y[j]
                    for i in range(n) for j in range(n) if self.form[i][j])
 
-    def coroot_coefficients(self, x: Sequence) -> Optional[RatVec]:
-        """Coefficients of x over the subsystem's simple coroots, or None when
-        x is outside their span.  Ordered by ``indices``."""
-        if not self.indices:
-            return None if any(v != 0 for v in x) else ()
-        inv = self._levi_cartan_inv
-        sol = tuple(sum(inv[a][b] * Fraction(x[self.indices[b] - 1])
-                        for b in range(len(self.indices)))
-                    for a in range(len(self.indices)))
-        # consistency on the coordinates not solved for
-        datum_cols = self._coroot_columns()
-        recon = [Fraction(0)] * self.ambient_rank
-        for c, col in zip(sol, datum_cols):
-            for k in range(self.ambient_rank):
-                recon[k] += c * col[k]
-        if any(recon[k] != x[k] for k in range(self.ambient_rank)):
-            return None
-        return sol
-
-    def _coroot_columns(self) -> tuple[Coweight, ...]:
-        # ambient coordinates of the subsystem's simple coroots
-        cols = []
-        for i in self.indices:
-            for r, c in zip(self.positive_roots, self.positive_coroots):
-                if sum(abs(v) for v in r) == 1 and r[i - 1] == 1:
-                    cols.append(c)
-                    break
-        return tuple(cols)
-
 
 @dataclass(frozen=True, eq=False)
 class RootDatum:
@@ -268,6 +257,10 @@ class RootDatum:
     rho: RatVec                      # half-sum of positive roots, simple-root coords
     rho_check: RatVec                # half-sum of positive coroots, coweight coords
     fundamental_weights: tuple[RatVec, ...]   # rows: simple-root coords of each
+    # integer adjugate and determinant of the Cartan matrix: adj @ x is det
+    # times the coefficients of x over the simple coroots
+    cartan_adjugate: Matrix
+    cartan_det: int
     form: tuple[tuple[int, ...], ...]
     w0: Matrix                       # longest element, acting on coweight coords
     full: SubsystemView
@@ -306,16 +299,6 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
     two_rho_hat = tuple(sum(c[j] for (_, c) in sub_pos)
                         for j in range(ambient_rank))
     peel_height = mat_apply(form, two_rho_hat)
-    levi_inv = None
-    if indices:
-        # submatrix of the Cartan matrix on the chosen indices
-        cols = {}
-        for (r, c) in sub_pos:
-            if sum(abs(v) for v in r) == 1:
-                j = r.index(1) + 1
-                cols[j] = c
-        cm = [[cols[j][i - 1] for j in indices] for i in indices]
-        levi_inv = _invert(cm)
     return SubsystemView(
         key=key, indices=indices, ambient_rank=ambient_rank,
         positive_roots=tuple(r for (r, _) in sub_pos),
@@ -326,7 +309,6 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         lengths=tuple(lengths),
         rho_hat=rho_hat, two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
         peel_height=peel_height,
-        _levi_cartan_inv=levi_inv,
     )
 
 
@@ -374,13 +356,17 @@ def _build(letter: str, rank: int) -> RootDatum:
     w0 = view.elements[view.lengths.index(n_pos)]
     rho = tuple(sum(Fraction(r[i]) for (r, _) in positive) / 2 for i in range(rank))
     rho_check = tuple(sum(Fraction(c[i]) for (_, c) in positive) / 2 for i in range(rank))
-    fw = _invert(cm)  # row i = simple-root coordinates of the i-th fundamental weight
+    adj = _adjugate(cm)
+    det = _det(cm)
+    # row i = simple-root coordinates of the i-th fundamental weight
+    fw = tuple(tuple(Fraction(a, det) for a in row) for row in adj)
     return RootDatum(
         cartan_type=f"{letter}{rank}", letter=letter, rank=rank, cartan_matrix=cm,
         positive_roots=tuple(r for (r, _) in positive),
         positive_coroots=tuple(c for (_, c) in positive),
         highest_root=positive[-1][0],
-        rho=rho, rho_check=rho_check, fundamental_weights=fw, form=form,
+        rho=rho, rho_check=rho_check, fundamental_weights=fw,
+        cartan_adjugate=adj, cartan_det=det, form=form,
         w0=w0, full=view,
     )
 
@@ -428,8 +414,9 @@ def pairing(root: Sequence, coweight: Sequence):
 
 def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
     """<rho, nu> with rho the half-sum of positive roots.  A half-integer in
-    general; integral on the coroot lattice."""
-    return sum(r * Fraction(v) for r, v in zip(datum.rho, coweight))
+    general; integral on the coroot lattice.  Integer comparisons of heights
+    use ``pairing(datum.full.two_rho, nu)``, twice this value."""
+    return Fraction(pairing(datum.full.two_rho, coweight), 2)
 
 
 _PEEL_GUARD = 200_000
@@ -510,13 +497,17 @@ def dual_star(datum: RootDatum, x: Sequence) -> tuple:
     return vec_neg(mat_apply(datum.w0, x))
 
 
+def _coroot_numerators(datum: RootDatum, x: Sequence) -> tuple:
+    """``cartan_det`` times the coefficients of x over the simple coroots:
+    the integer adjugate of the Cartan matrix applied to x (x may be
+    rational)."""
+    return mat_apply(datum.cartan_adjugate, x)
+
+
 def coroot_coefficients(datum: RootDatum, x: Sequence) -> RatVec:
-    """Coefficients of x over the simple coroots (exact solve via the Cartan
-    matrix; x may be rational)."""
-    inv = datum.fundamental_weights
-    # <omega_i, x> reads the i-th coroot coefficient
-    return tuple(sum(inv[i][j] * Fraction(x[j]) for j in range(datum.rank))
-                 for i in range(datum.rank))
+    """Coefficients of x over the simple coroots (x may be rational)."""
+    det = datum.cartan_det
+    return tuple(Fraction(n, det) for n in _coroot_numerators(datum, x))
 
 
 def leq_dominance(datum: RootDatum, lower: Sequence, upper: Sequence) -> bool:
@@ -524,20 +515,21 @@ def leq_dominance(datum: RootDatum, lower: Sequence, upper: Sequence) -> bool:
     integer combination of simple coroots."""
     if not (is_dominant(lower) and is_dominant(upper)):
         raise DomainError("dominance order compares dominant coweights")
-    cc = coroot_coefficients(datum, vec_sub(upper, lower))
-    return all(c >= 0 and c.denominator == 1 for c in cc)
+    det = datum.cartan_det
+    return all(n >= 0 and n % det == 0
+               for n in _coroot_numerators(datum, vec_sub(upper, lower)))
 
 
 def in_coroot_lattice(datum: RootDatum, x: Sequence) -> bool:
-    cc = coroot_coefficients(datum, x)
-    return all(c.denominator == 1 for c in cc)
+    det = datum.cartan_det
+    return all(n % det == 0 for n in _coroot_numerators(datum, x))
 
 
 def in_hull(datum: RootDatum, x: Sequence, mu: Sequence) -> bool:
     """Membership of x (rational allowed) in the convex hull of the Weyl orbit
     of the dominant coweight mu."""
-    cc = coroot_coefficients(datum, vec_sub(mu, datum.full.dominate(x)))
-    return all(c >= 0 for c in cc)
+    return all(n >= 0 for n in _coroot_numerators(
+        datum, vec_sub(mu, datum.full.dominate(x))))
 
 
 def weyl_dim(view: SubsystemView, mu: Sequence) -> int:

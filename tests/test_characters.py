@@ -1,9 +1,12 @@
 """Weight multiplicities, tensor decomposition, and restriction to a Levi."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import fraction_oracle
 
 from heckebranch.characters import (
     branch_decompose,
@@ -35,6 +38,29 @@ def test_dominant_weights_goldens():
     g2 = root_datum("G2")
     # adjoint module of the dual group: long root string through zero
     assert dominant_weights(g2.full, (1, 0)) == {(1, 0): 1, (0, 1): 1, (0, 0): 2}
+
+
+@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
+                                      "B4", "C2", "C3", "C4", "D4", "F4", "G2"])
+def test_dominant_weights_match_fraction_oracle(type_str):
+    # every Levi view; highest weights in [-2, 2]^rank that are dominant for
+    # the view, of dimension at most 300: all of them up to rank 3, a seeded
+    # sample of 8 per view above
+    d = root_datum(type_str)
+    n = d.rank
+    box = list(itertools.product(range(-2, 3), repeat=n))
+    rng = random.Random(n)
+    for r in range(n + 1):
+        for idx in itertools.combinations(range(1, n + 1), r):
+            view = levi_view(d, idx)
+            mus = [mu for mu in box if view.is_dominant(mu)]
+            if n >= 4:
+                rng.shuffle(mus)
+            small = (mu for mu in mus if weyl_dim(view, mu) <= 300)
+            for mu in itertools.islice(small, 8 if n >= 4 else None):
+                want = fraction_oracle.dominant_weights(view, mu)
+                assert list(dominant_weights(view, mu).items()) \
+                    == list(want.items()), (idx, mu)
 
 
 def test_weight_table_sums_to_dimension():

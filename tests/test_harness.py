@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from heckebranch.errors import ConfigurationError
+from heckebranch import characters, harness, hecke, littelmann
+from heckebranch.errors import ConfigurationError, FeasibilityError
 from heckebranch.harness import (
     CHECK_NAMES,
     SweepConfig,
@@ -152,6 +153,97 @@ def test_skips_are_recorded_not_dropped():
     skipped_mu = [rec for rec in report["per_mu"]
                   if rec["checks"]["crystal"] == "SKIPPED"]
     assert skipped_mu and all(rec["notes"] for rec in skipped_mu)
+
+
+def _fresh_caches(monkeypatch):
+    # caps are checked on cache misses only, so start from empty caches
+    for module in (characters, hecke, littelmann):
+        for name in [n for n in vars(module) if n.endswith("_cache")]:
+            monkeypatch.setattr(module, name, {})
+
+
+PER_MU_AND_INSTANCE = ("crystal", "hecke_paths", "ct_transitivity",
+                       "multiplicity_identity", "product_identity", "degrees",
+                       "nonvanishing")
+
+
+def test_dimension_cap_hit_skips_checks(monkeypatch):
+    # (1, 2) and (2, 1) have dimension 15, over a cap of 10; everything
+    # below it still runs
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    report = run_sweep(SweepConfig("A2", (1,), 3, PER_MU_AND_INSTANCE))
+    over = ([1, 2], [2, 1])
+    records = report["per_mu"] + report["instances"]
+    for rec in records:
+        if rec["mu"] in over:
+            skipped = {n for n, v in rec["checks"].items() if v == "SKIPPED"}
+            assert skipped == set(rec["checks"]) - {"hecke_paths"}
+            assert sorted(note.split(":")[0] for note in rec["notes"]) \
+                == sorted(skipped)
+        else:
+            assert set(rec["checks"].values()) == {"PASS"}
+            assert rec["notes"] == []
+    assert {tuple(rec["mu"]) for rec in report["instances"]} >= {(1, 2), (2, 1)}
+    assert report["summary"]["fail"] == 0
+    assert report["summary"]["skipped"] == sum(
+        v == "SKIPPED" for rec in records for v in rec["checks"].values()) > 0
+
+
+def test_hall_littlewood_support_cap(monkeypatch):
+    _fresh_caches(monkeypatch)
+    d = root_datum("A2")
+    cached = hecke.hall_littlewood_characters(d.full, (1, 0))
+    monkeypatch.setattr(hecke, "SUPPORT_CAP", len(hecke._numerator(d.full)) - 1)
+    # checked once per cache miss: a cached polynomial is still handed out
+    assert hecke.hall_littlewood_characters(d.full, (1, 0)) is cached
+    with pytest.raises(FeasibilityError):
+        hecke.hall_littlewood_characters(d.full, (1, 1))
+    report = run_sweep(SweepConfig("A2", (1,), 2, ("product_identity",
+                                                   "ct_transitivity")))
+    verdicts = [v for rec in report["per_mu"] + report["instances"]
+                for v in rec["checks"].values()]
+    assert "SKIPPED" in verdicts and "FAIL" not in verdicts
+    assert all(rec["notes"] for rec in report["per_mu"] + report["instances"]
+               if "SKIPPED" in rec["checks"].values())
+
+
+class _RecordingPool:
+    """Stands in for the process pool: records its size, runs in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus,jobs,expected", [
+    (2, 4, 2),      # clamped to the cores
+    (8, 4, 3),      # clamped to the three tasks
+    (8, 2, 2),
+    (None, 4, None),  # one core: no pool
+    (8, 1, None),
+])
+def test_pool_is_clamped(monkeypatch, cpus, jobs, expected):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    # A1 up to height 1: three coweights, one per-mu task each
+    cfg = SweepConfig("A1", (), 1, ("crystal",), jobs=jobs)
+    report = run_sweep(cfg)
+    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    serial = run_sweep(SweepConfig("A1", (), 1, ("crystal",)))
+    assert strip_timing(report) == strip_timing(serial)
+    assert len(report["per_mu"]) == 3
 
 
 def test_saturation_finds_witness_outside_type_a():

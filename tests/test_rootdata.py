@@ -1,10 +1,13 @@
 """Root data construction, Weyl groups, and cone arithmetic."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import fraction_oracle
 
 from heckebranch import rootdata
 from heckebranch.errors import ConfigurationError, DomainError
@@ -194,6 +197,65 @@ def test_in_hull():
     assert in_hull(d, (-1, 2), table_mu)
     assert not in_hull(d, (2, 2), table_mu)
     assert in_hull(d, (1, 1), table_mu)
+
+
+def _box(rank: int, lo: int, hi: int) -> list:
+    return list(itertools.product(range(lo, hi + 1), repeat=rank))
+
+
+def _points(d) -> list:
+    """Every point of the box [-2, 2]^rank up to rank 3; a seeded sample of
+    100 above, where the box has 625 or 3125 points."""
+    box = _box(d.rank, -2, 2)
+    if d.rank <= 3:
+        return box
+    return random.Random(d.rank).sample(box, 100)
+
+
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
+def test_coroot_predicates_match_fraction_oracle(type_str):
+    d = root_datum(type_str)
+    n = d.rank
+    points = _points(d)
+    # rational points: a half and a third of every other box point
+    rational = [tuple(Fraction(v, den) for v in x)
+                for den in (2, 3) for x in points[::2]]
+    if n <= 3:
+        mus = _box(n, 0, 1) + [(2,) * n]
+        dominant = _box(n, 0, 2)
+    else:
+        mus = ([(0,) * n, (1,) * n, (2,) * n]
+               + [tuple(int(k == i) for k in range(n)) for i in range(n)])
+        dominant = _box(n, 0, 1) + [(2,) * n]
+    for x in points + rational:
+        assert coroot_coefficients(d, x) == fraction_oracle.coroot_coefficients(d, x)
+        assert in_coroot_lattice(d, x) == fraction_oracle.in_coroot_lattice(d, x)
+        for mu in mus:
+            assert in_hull(d, x, mu) == fraction_oracle.in_hull(d, x, mu), (x, mu)
+    assert not any(in_coroot_lattice(d, x) for x in rational
+                   if any(v.denominator != 1 for v in x))
+    for lower in dominant:
+        for upper in dominant:
+            assert (leq_dominance(d, lower, upper)
+                    == fraction_oracle.leq_dominance(d, lower, upper))
+
+
+def test_coroot_adjugate():
+    for type_str in WEYL_ORDERS:
+        d = root_datum(type_str)
+        det = d.cartan_det
+        assert det > 0
+        assert all(type(a) is int for row in d.cartan_adjugate for a in row)
+        ident = tuple(tuple(int(i == j) for j in range(d.rank))
+                      for i in range(d.rank))
+        assert rootdata.mat_mul(d.cartan_adjugate, d.cartan_matrix) == tuple(
+            tuple(det * v for v in row) for row in ident)
+        # against the rational inverse by Gauss-Jordan elimination
+        assert d.fundamental_weights == solve_exact(d.cartan_matrix, ident) \
+            == tuple(tuple(Fraction(a, det) for a in row)
+                     for row in d.cartan_adjugate)
+    assert [root_datum(t).cartan_det for t in ("A4", "B3", "D4", "F4", "G2")] \
+        == [5, 2, 4, 1, 1]
 
 
 def test_weyl_dim():
