@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .characters import branch_multiplicity, tensor_multiplicity
 from .errors import ConfigurationError, DomainError, FeasibilityError
 from .harness import CHECK_NAMES, SweepConfig, run_sweep
-from .hecke import LaurentPoly, constant_term, hecke_product
+from .hecke import LaurentPoly, constant_term_coefficient, structure_constant
 from .parabolic import minimal_offset
 from .rootdata import (
     dual_star,
@@ -174,9 +174,9 @@ def _cmd_compute(args) -> int:
     elif args.quantity == "n":
         value = tensor_multiplicity(datum, alpha, mustar, nu)
     elif args.quantity == "m":
-        value = hecke_product(datum, alpha, mustar).get(nu, LaurentPoly.zero())
+        value = structure_constant(datum, alpha, mustar, nu)
     else:
-        value = constant_term(datum, levi, mu).get(lam, LaurentPoly.zero())
+        value = constant_term_coefficient(datum, levi, mu, lam)
     if args.json:
         if isinstance(value, LaurentPoly):
             print(json.dumps(value.to_json(), sort_keys=True))

@@ -31,18 +31,18 @@ from .characters import (
 from .errors import ConfigurationError, FeasibilityError
 from .hecke import (
     LaurentPoly,
-    constant_term,
-    hecke_product,
+    constant_term_coefficient,
     orbit_size,
     satake_expand,
+    structure_constant,
 )
 from .littelmann import (
+    _folds_connected,
     branch_path_set,
     count_branch_paths,
     count_tensor_paths,
     crystal_fibers,
     generate_crystal,
-    is_hecke_path,
     tensor_path_set,
 )
 from .parabolic import offset_pair
@@ -186,8 +186,8 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     m_poly = c_poly = None
     if any(c in checks for c in _NEED_HECKE):
         try:
-            c_poly = constant_term(datum, levi, mu).get(lam, LaurentPoly.zero())
-            m_poly = hecke_product(datum, alpha, mustar).get(nu, LaurentPoly.zero())
+            c_poly = constant_term_coefficient(datum, levi, mu, lam)
+            m_poly = structure_constant(datum, alpha, mustar, nu)
             values["m"] = m_poly.to_json()
             values["c"] = c_poly.to_json()
             m_negative = any(cf < 0 for _, cf in m_poly.items())
@@ -302,7 +302,9 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
             verdicts["hecke_paths"] = SKIPPED
         else:
             verdicts["hecke_paths"] = _verdict_all(
-                [is_hecke_path(datum, p) for p in paths])
+                [_folds_connected(datum, p, points)
+                 for fiber in crystal_fibers(datum, mu).values()
+                 for p, points in fiber])
 
     if "ct_transitivity" in checks:
         torus = levi_view(datum, ())
@@ -420,8 +422,8 @@ def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
             skips.append({"mu": list(mu), "lambda": list(lam), "n": k,
                           "reason": "k-scaled constant term over the cap"})
         else:
-            ck = constant_term(datum, levi, kmu).get(vec_scale(k, lam),
-                                                     LaurentPoly.zero())
+            ck = constant_term_coefficient(datum, levi, kmu,
+                                           vec_scale(k, lam))
             hit["c_at_k"] = bool(ck)
             if not ck:
                 failures.append({"mu": list(mu), "lambda": list(lam),

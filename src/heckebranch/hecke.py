@@ -11,17 +11,41 @@ terms shifted by mu is straightened by the dot action (``characters.klimyk``,
 the step of the Klimyk tensor rule), and the coefficients are divided exactly
 by the stabilizer Poincare polynomial.
 
-Products and constant terms stay in that character basis: a product
-multiplies characters through the cached ``tensor_decompose``, and a constant
-term restricts each character to the Levi through the cached
-``restrict_decompose``, so the constant-term coefficients are computed from
-the branching multiplicities.  Both are then expanded by triangular peeling
-against the character-basis Hall-Littlewood elements, exact in Z[v, v^-1].
-Every peel goes through the one primitive ``rootdata.peel``, which pops peaks
-off a heap ordered by an integer height: the pairing with the sum of positive
-roots for the full group, and ``SubsystemView.peel_height`` for a Levi's
-basis.  ``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed by
-dominant coweights, through ``dominant_weights``.
+Structure constants and constant-term coefficients are computed one
+coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
+character in Hall-Littlewood polynomials, s_lam = sum_gamma K_{lam,gamma}(t)
+P_gamma.  Lusztig's q-analogue of Kostant's partition function gives them as
+
+    K_{lam,gamma}(t) = sum_w eps(w) P_t(w(lam + rho) - (gamma + rho)),
+
+where prod over positive coroots a of 1 / (1 - t x^a) = sum_g P_t(g) x^g
+(Lusztig, Singularities, character formulas, and a q-analog of weight
+multiplicities, 1983; Kato, Invent. Math. 1982).  With A and B the character
+expansions of the Hall-Littlewood polynomials at alpha and beta,
+
+    m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma>
+                           sum_{a,b,c} A_a B_b n_{ab}^c K_{c,gamma}(v^-2),
+    c_mu(lam) = v^(<2rho, mu> - <2rho_M, lam>)
+                sum_{kappa,l} A_kappa r_kappa(l) K^M_{l,lam}(v^-2),
+
+with n from the cached ``tensor_decompose``, r from the cached
+``restrict_decompose`` (so the constant-term coefficients come from the
+branching multiplicities), and K^M taken over the Levi's positive coroots.
+K is evaluated in the view's simple-coroot coordinates of
+w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
+goes down the orbit by simple reflections, flipping the sign at each step and
+keeping only points at or above gamma + rho in dominance.  Every such point
+that is not dominant reflects up to lam + rho through such points, so the
+walk reaches every contributing Weyl element without enumerating the Weyl
+group.  P_t is one memoized table per view.  Sums accumulate in flat
+{v-exponent: int} maps; ``LaurentPoly`` is built at the public boundary only.
+
+``hecke_product`` and ``satake_expand`` give the full expansions from the
+same K, over the dominant weights below the characters they expand.  Nothing
+here peels: the triangular peels against the Hall-Littlewood characters are
+kept in ``tests/hecke_oracle.py`` as oracles, and ``rootdata.peel`` serves
+only the branching multiplicities.  ``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed
+by dominant coweights, through ``dominant_weights``.
 
 Cached results are handed out as read-only mappings.
 """
@@ -29,10 +53,13 @@ Cached results are handed out as read-only mappings.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .characters import (
+    dominant_support,
     dominant_weights,
     klimyk,
     restrict_decompose,
@@ -50,7 +77,6 @@ from .rootdata import (
     is_dominant,
     mat_apply,
     pairing,
-    peel,
     vec_add,
     vec_sub,
 )
@@ -191,10 +217,11 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-# Terms of the Macdonald numerator one Hall-Littlewood polynomial straightens:
-# every rank up to 5 stays under it except F4 (15,145 terms), where the
-# sweeps ask for thousands of these polynomials
-SUPPORT_CAP = 10_000
+# Lattice points in the box below lam - gamma, in simple-coroot coordinates:
+# the most entries a Kostka-Foulkes polynomial can add to each level of its
+# view's partition table.  It is checked per polynomial, not against the
+# table's running size, so a verdict does not depend on what ran before.
+PARTITION_CAP = 20_000
 
 _ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
@@ -206,6 +233,8 @@ _numerator_cache: dict = {}
 _hl_cache: dict = {}
 _product_cache: dict = {}
 _ct_cache: dict = {}
+_partition_cache: dict = {}
+_kf_cache: dict = {}
 
 
 def _add_scaled(out: dict, k: Coweight, p: LaurentPoly, n: int) -> None:
@@ -281,13 +310,8 @@ def hall_littlewood_characters(view: SubsystemView,
         return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
-    numerator = _numerator(view)
-    if len(numerator) > SUPPORT_CAP:
-        raise FeasibilityError(
-            f"Hall-Littlewood numerator of {view.key} has {len(numerator)} "
-            f"terms, over the cap", SUPPORT_CAP)
     stab = stabilizer_poincare(view, mu)
-    chars = klimyk(view, mu, numerator)
+    chars = klimyk(view, mu, _numerator(view))
     result = MappingProxyType({kappa: _poly_exact_div(p, stab)
                                for kappa, p in sorted(chars.items())})
     _hl_cache[key] = result
@@ -317,6 +341,204 @@ def satake_f(datum: RootDatum, view: SubsystemView,
         {k: p.shift(shift) for k, p in hall_littlewood(datum, view, mu).items()})
 
 
+def _view_coordinates(datum: RootDatum, view: SubsystemView,
+                      x: Coweight) -> Optional[tuple]:
+    """Coefficients of x over the view's simple coroots, read from the
+    integer Cartan adjugate, or None when x is not an integer combination of
+    them."""
+    det = datum.cartan_det
+    out = []
+    for i, n in enumerate(mat_apply(datum.cartan_adjugate, x), 1):
+        if i in view.indices:
+            q, r = divmod(n, det)
+            if r:
+                return None
+            out.append(q)
+        elif n:
+            return None
+    return tuple(out)
+
+
+def _tadd(p: tuple, q: tuple) -> tuple:
+    """Sum of two polynomials given as coefficient tuples by power of t."""
+    if len(p) < len(q):
+        p, q = q, p
+    return tuple(map(add, p, q)) + p[len(q):]
+
+
+def _partition_table(datum: RootDatum, view: SubsystemView) -> tuple:
+    """The view's non-simple positive coroots in simple-coroot coordinates,
+    and its memo of partition-function values keyed by (level, point)."""
+    cached = _partition_cache.get(view.key)
+    if cached is None:
+        coords = (_view_coordinates(datum, view, cv)
+                  for cv in view.positive_coroots)
+        cached = (tuple(a for a in coords if sum(a) > 1), {})
+        _partition_cache[view.key] = cached
+    return cached
+
+
+def _partition(roots: tuple, table: dict, k: int, d: tuple) -> tuple:
+    """Coefficients by power of t of x^d in the product of 1 / (1 - t x^a)
+    over the simple coroots and the first k of ``roots``; at k = len(roots)
+    this is the q-analogue of Kostant's partition function.  d is a
+    nonnegative point in simple-coroot coordinates.  Level k is filled along
+    the chain d, d - a, d - 2a, ... from its lowest point up, so the
+    recursion is only as deep as there are roots."""
+    if k == 0:
+        return (0,) * sum(d) + (1,)
+    a = roots[k - 1]
+    chain = []
+    below: tuple = ()
+    while True:
+        hit = table.get((k, d))
+        if hit is not None:
+            below = hit
+            break
+        chain.append(d)
+        d = tuple(map(sub, d, a))
+        if min(d) < 0:
+            break
+    for d in reversed(chain):
+        below = _tadd(_partition(roots, table, k - 1, d),
+                      (0,) + below if below else ())
+        table[(k, d)] = below
+    return below
+
+
+def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
+                    gamma: Coweight) -> tuple:
+    """K_{lam,gamma}(t) of the view as coefficients by power of t, () when
+    zero; lam and gamma are view-dominant.  Cached."""
+    key = (view.key, lam, gamma)
+    cached = _kf_cache.get(key)
+    if cached is not None:
+        return cached
+    top = _view_coordinates(datum, view, vec_sub(lam, gamma))
+    acc: dict[int, int] = {}
+    if top is not None and min(top, default=0) >= 0:
+        box = prod(v + 1 for v in top)
+        if box > PARTITION_CAP:
+            raise FeasibilityError(
+                f"Kostka-Foulkes polynomial of {view.key} at {lam}, {gamma} "
+                f"needs {box} partition-table points", PARTITION_CAP)
+        roots, table = _partition_table(datum, view)
+        cm = datum.cartan_matrix
+        # a point d stands for p = w(lam + rho): <alpha_i, p> is gamma_i + 1
+        # plus the i-th row of the view's Cartan matrix applied to d, and the
+        # reflection s_i lowers d_i by it
+        rows = [(pos, [cm[i - 1][j - 1] for j in view.indices], gamma[i - 1] + 1)
+                for pos, i in enumerate(view.indices)]
+        level, sign = {top}, 1
+        while level:
+            below = set()
+            for d in level:
+                for e, c in enumerate(_partition(roots, table, len(roots), d)):
+                    if c:
+                        acc[e] = acc.get(e, 0) + sign * c
+                for pos, row, base in rows:
+                    step = base + sum(map(mul, row, d))
+                    if 0 < step <= d[pos]:
+                        below.add(d[:pos] + (d[pos] - step,) + d[pos + 1:])
+            level, sign = below, -sign
+    degree = max((e for e, c in acc.items() if c), default=-1)
+    result = tuple(acc.get(e, 0) for e in range(degree + 1))
+    _kf_cache[key] = result
+    return result
+
+
+def kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
+                   gamma: Coweight) -> LaurentPoly:
+    """Kostka-Foulkes polynomial of the view, in v with t = v^(-2): the
+    coefficient of the Hall-Littlewood polynomial at gamma in the Weyl
+    character at lam.  Zero unless gamma lies below lam in the view's
+    dominance order; raises ``FeasibilityError`` over ``PARTITION_CAP``."""
+    lam, gamma = tuple(lam), tuple(gamma)
+    if not (view.is_dominant(lam) and view.is_dominant(gamma)):
+        raise DomainError(f"{lam} and {gamma} must be dominant for {view.key}")
+    return LaurentPoly({-2 * e: c for e, c in
+                        enumerate(_kostka_foulkes(datum, view, lam, gamma))})
+
+
+def _kf_sum(datum: RootDatum, view: SubsystemView, chars: dict,
+            gamma: Coweight, shift: int) -> dict:
+    """v^shift times the sum over c of chars[c] K_{c,gamma}(v^-2), as a flat
+    {v-exponent: int} map; chars maps view-dominant c to flat maps."""
+    out: dict[int, int] = {}
+    for c, p in chars.items():
+        for deg, k in enumerate(_kostka_foulkes(datum, view, c, gamma)):
+            if k:
+                base = shift - 2 * deg
+                for e, x in p.items():
+                    out[e + base] = out.get(e + base, 0) + k * x
+    return out
+
+
+def _add_flat(out: dict, key, p: dict, n: int) -> None:
+    acc = out.setdefault(key, {})
+    for e, x in p.items():
+        acc[e] = acc.get(e, 0) + n * x
+
+
+def _character_product(datum: RootDatum, alpha: Coweight, beta: Coweight,
+                       floor: Coweight) -> dict:
+    """The product of the Hall-Littlewood polynomials at alpha and beta in
+    the Weyl-character basis, through the cached tensor decompositions:
+    {c: flat map}.  Pairs (a, b) with a + b not at or above floor in
+    dominance are left out: every constituent c of theirs lies below a + b,
+    so K_{c,floor} is zero."""
+    view = datum.full
+    # a + b >= floor reads as adj @ (a + b - floor) >= 0: a + b - floor lies
+    # in the coroot lattice whenever the coefficient at floor can be nonzero
+    adj = datum.cartan_adjugate
+    low = mat_apply(adj, floor)
+    right = [(b, pb, tuple(map(sub, mat_apply(adj, b), low)))
+             for b, pb in hall_littlewood_characters(view, beta).items()]
+    out: dict = {}
+    for a, pa in hall_littlewood_characters(view, alpha).items():
+        above = mat_apply(adj, a)
+        for b, pb, rest in right:
+            if min(map(add, above, rest)) < 0:
+                continue
+            ab: dict[int, int] = {}
+            for e1, x1 in pa._c.items():
+                for e2, x2 in pb._c.items():
+                    ab[e1 + e2] = ab.get(e1 + e2, 0) + x1 * x2
+            for c, n in tensor_decompose(datum, a, b).items():
+                _add_flat(out, c, ab, n)
+    return out
+
+
+def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
+                           mu: Coweight) -> dict:
+    """The upper view's Hall-Littlewood polynomial at mu restricted to the
+    lower view's Weyl characters, through the cached branching
+    multiplicities: {l: flat map}."""
+    out: dict = {}
+    for kappa, p in hall_littlewood_characters(upper, mu).items():
+        for lam, r in restrict_decompose(upper, lower, kappa).items():
+            _add_flat(out, lam, p._c, r)
+    return out
+
+
+def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
+                       gamma: Coweight) -> LaurentPoly:
+    """The structure constant at gamma of the convolution product of the
+    basis elements at alpha and beta, on its own: the coefficient of
+    ``hecke_product(datum, alpha, beta)`` at gamma, zero when gamma is not
+    dominant."""
+    alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
+    if not (is_dominant(alpha) and is_dominant(beta)):
+        raise DomainError("product arguments must be dominant")
+    if not is_dominant(gamma):
+        return LaurentPoly.zero()
+    view = datum.full
+    shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
+    return LaurentPoly(_kf_sum(datum, view,
+                               _character_product(datum, alpha, beta, gamma),
+                               gamma, shift))
+
+
 def hecke_product(datum: RootDatum, alpha: Coweight,
                   beta: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Structure constants of the convolution product of the basis elements
@@ -329,27 +551,18 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
     view = datum.full
     if not (is_dominant(alpha) and is_dominant(beta)):
         raise DomainError("product arguments must be dominant")
-    # satake_f at gamma is the Hall-Littlewood element times v^<2 rho, gamma>,
-    # so multiply characters, peel against the Hall-Littlewood elements and
-    # shift afterwards
-    shift = pairing(view.two_rho, vec_add(alpha, beta))
-    right = hall_littlewood_characters(view, beta)
-    prod: dict = {}
-    for ka, pa in hall_littlewood_characters(view, alpha).items():
-        for kb, pb in right.items():
-            p = (pa * pb).shift(shift)
-            for gamma, n in tensor_decompose(datum, ka, kb).items():
-                _add_scaled(prod, gamma, p, n)
-
-    def basis(gamma: Coweight) -> InvariantElement:
-        if not is_dominant(gamma):
-            raise AssertionError("peak of the product expansion is not dominant")
-        return hall_littlewood_characters(view, gamma)
-
-    coeffs = peel(prod, view.two_rho, basis)
-    result = MappingProxyType({
-        gamma: c.shift(-pairing(view.two_rho, gamma))
-        for gamma, c in sorted(coeffs.items())})
+    top = vec_add(alpha, beta)
+    support = sorted(dominant_support(view, top))
+    # the lowest dominant weight of the coset lies below all the others
+    floor = min(support, key=lambda g: pairing(view.two_rho, g))
+    chars = _character_product(datum, alpha, beta, floor)
+    out = {}
+    for gamma in support:
+        m = LaurentPoly(_kf_sum(datum, view, chars, gamma,
+                                pairing(view.two_rho, vec_sub(top, gamma))))
+        if m:
+            out[gamma] = m
+    result = MappingProxyType(out)
     _product_cache[key] = result
     return result
 
@@ -367,19 +580,24 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
         return _ct_cache[key]
     if not set(lower.indices) <= set(upper.indices):
         raise DomainError(f"{lower.key} is not a subsystem of {upper.key}")
+    chars = _restricted_characters(upper, lower, mu)
     shift = pairing(upper.two_rho, mu)
-    em: dict = {}
-    for kappa, p in hall_littlewood_characters(upper, mu).items():
-        p = p.shift(shift)
-        for lam, r in restrict_decompose(upper, lower, kappa).items():
-            _add_scaled(em, lam, p, r)
-    coeffs = peel(em, lower.peel_height,
-                  lambda lam: hall_littlewood_characters(lower, lam))
-    result = MappingProxyType({
-        lam: c.shift(-pairing(lower.two_rho, lam))
-        for lam, c in sorted(coeffs.items())})
+    out = {}
+    for lam in sorted(set().union(*(dominant_support(lower, l)
+                                    for l in chars))):
+        c = LaurentPoly(_kf_sum(datum, lower, chars, lam,
+                                shift - pairing(lower.two_rho, lam)))
+        if c:
+            out[lam] = c
+    result = MappingProxyType(out)
     _ct_cache[key] = result
     return result
+
+
+def _check_ct_support(datum: RootDatum, mu: Coweight, lam: Coweight) -> None:
+    if not (in_hull(datum, lam, mu)
+            and in_coroot_lattice(datum, vec_sub(mu, lam))):
+        raise AssertionError("constant-term support escaped the weight hull")
 
 
 def constant_term(datum: RootDatum, levi: SubsystemView,
@@ -392,10 +610,27 @@ def constant_term(datum: RootDatum, levi: SubsystemView,
         raise DomainError(f"{mu} is not dominant")
     result = satake_expand(datum, datum.full, levi, mu)
     for lam in result:
-        if not (in_hull(datum, lam, mu)
-                and in_coroot_lattice(datum, vec_sub(mu, lam))):
-            raise AssertionError("constant-term support escaped the weight hull")
+        _check_ct_support(datum, mu, lam)
     return result
+
+
+def constant_term_coefficient(datum: RootDatum, levi: SubsystemView,
+                              mu: Coweight, lam: Coweight) -> LaurentPoly:
+    """The constant-term coefficient of the basis element at mu at the
+    Levi's lam, on its own: the coefficient of ``constant_term(datum, levi,
+    mu)`` at lam, zero when lam is not Levi-dominant."""
+    mu, lam = tuple(mu), tuple(lam)
+    if not is_dominant(mu):
+        raise DomainError(f"{mu} is not dominant")
+    if not levi.is_dominant(lam):
+        return LaurentPoly.zero()
+    shift = pairing(datum.full.two_rho, mu) - pairing(levi.two_rho, lam)
+    c = LaurentPoly(_kf_sum(datum, levi,
+                            _restricted_characters(datum.full, levi, mu),
+                            lam, shift))
+    if c:
+        _check_ct_support(datum, mu, lam)
+    return c
 
 
 def orbit_size(datum: RootDatum, levi: SubsystemView,
@@ -437,11 +672,11 @@ def product_identity_sides(datum: RootDatum, levi: SubsystemView, mu: Coweight,
     alpha = vec_add(nu, lam)
     if not is_dominant(alpha):
         raise DomainError("nu + lam left the dominant cone")
-    c = constant_term(datum, levi, mu).get(lam, LaurentPoly.zero())
+    c = constant_term_coefficient(datum, levi, mu, lam)
     shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
     lhs = c.shift(shift_n) * orbit_size(datum, levi, lam)
     mustar = dual_star(datum, mu)
-    rhs = hecke_product(datum, alpha, mustar).get(nu, LaurentPoly.zero())
+    rhs = structure_constant(datum, alpha, mustar, nu)
     return lhs, rhs
 
 

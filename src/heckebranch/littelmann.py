@@ -287,13 +287,16 @@ def is_hecke_path(datum: RootDatum, path: Path) -> bool:
     integral walls through the breakpoint, each applied to a direction it
     pairs strictly negatively with."""
     path = canonical(path, datum.rank)
-    _, points = path_times_and_points(path)
-    for k in range(1, len(path)):
-        incoming = path[k - 1][0]
-        outgoing = path[k][0]
-        if not _directions_connected(datum, points[k], incoming, outgoing):
-            return False
-    return True
+    return _folds_connected(datum, path, path_points(path))
+
+
+def _folds_connected(datum: RootDatum, path: Path,
+                     points: Sequence[RatVec]) -> bool:
+    """``is_hecke_path`` on a canonical path whose breakpoints are given, as
+    ``crystal_fibers`` holds them."""
+    return all(_directions_connected(datum, points[k], path[k - 1][0],
+                                     path[k][0])
+               for k in range(1, len(path)))
 
 
 def path_to_json(path: Path) -> list[dict]:

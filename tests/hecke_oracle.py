@@ -1,4 +1,4 @@
-"""Reference route for the Hecke layer: symmetrization over the Weyl group.
+"""Reference routes for the Hecke layer.
 
 Hall-Littlewood polynomials are built by summing x^mu prod (1 - t x^(-a)) /
 (1 - x^(-a)) over every Weyl element (|W| * 2^N group-algebra products),
@@ -6,13 +6,20 @@ dividing out each binomial by a peel, and collecting orbit sums.  Products
 and constant terms then convolve orbit sums in the full weight
 representation.  Slow, and independent of the character tables that the
 library's Hecke layer uses, so the tests compare the two.
+
+The character-basis peels at the end are a second reference: they expand the
+library's character products by triangular peeling against the
+Hall-Littlewood characters, where the library goes through Kostka-Foulkes
+polynomials.
 """
 
 from functools import lru_cache
 
+from heckebranch.characters import restrict_decompose, tensor_decompose
 from heckebranch.hecke import (
     LaurentPoly,
     _poly_exact_div,
+    hall_littlewood_characters,
     stabilizer_poincare,
 )
 from heckebranch.rootdata import (
@@ -151,3 +158,41 @@ def satake_expand(datum, upper, lower, mu):
                   lambda lam: hall_littlewood(datum, lower, lam))
     return {lam: c.shift(-pairing(lower.two_rho, lam))
             for lam, c in coeffs.items()}
+
+
+def _add_scaled(out, k, p, n):
+    out[k] = out.get(k, LaurentPoly.zero()) + (p if n == 1 else p.scale(n))
+
+
+def peeled_hecke_product(datum, alpha, beta):
+    view = datum.full
+    shift = pairing(view.two_rho, vec_add(alpha, beta))
+    right = hall_littlewood_characters(view, beta)
+    prod = {}
+    for ka, pa in hall_littlewood_characters(view, alpha).items():
+        for kb, pb in right.items():
+            p = (pa * pb).shift(shift)
+            for gamma, n in tensor_decompose(datum, ka, kb).items():
+                _add_scaled(prod, gamma, p, n)
+
+    def basis(gamma):
+        if not is_dominant(gamma):
+            raise AssertionError("peak of the product expansion is not dominant")
+        return hall_littlewood_characters(view, gamma)
+
+    coeffs = peel(prod, view.two_rho, basis)
+    return {gamma: c.shift(-pairing(view.two_rho, gamma))
+            for gamma, c in sorted(coeffs.items())}
+
+
+def peeled_satake_expand(datum, upper, lower, mu):
+    shift = pairing(upper.two_rho, mu)
+    em = {}
+    for kappa, p in hall_littlewood_characters(upper, mu).items():
+        p = p.shift(shift)
+        for lam, r in restrict_decompose(upper, lower, kappa).items():
+            _add_scaled(em, lam, p, r)
+    coeffs = peel(em, lower.peel_height,
+                  lambda lam: hall_littlewood_characters(lower, lam))
+    return {lam: c.shift(-pairing(lower.two_rho, lam))
+            for lam, c in sorted(coeffs.items())}

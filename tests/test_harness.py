@@ -190,20 +190,24 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
         v == "SKIPPED" for rec in records for v in rec["checks"].values()) > 0
 
 
-def test_hall_littlewood_support_cap(monkeypatch):
+def test_partition_cap_hit_skips_checks(monkeypatch):
     _fresh_caches(monkeypatch)
     d = root_datum("A2")
-    cached = hecke.hall_littlewood_characters(d.full, (1, 0))
-    monkeypatch.setattr(hecke, "SUPPORT_CAP", len(hecke._numerator(d.full)) - 1)
+    # (1, 1) - (0, 0) is one simple coroot of each kind: a box of 4 points
+    cached = hecke.kostka_foulkes(d, d.full, (1, 1), (0, 0))
+    monkeypatch.setattr(hecke, "PARTITION_CAP", 3)
     # checked once per cache miss: a cached polynomial is still handed out
-    assert hecke.hall_littlewood_characters(d.full, (1, 0)) is cached
+    assert hecke.kostka_foulkes(d, d.full, (1, 1), (0, 0)) == cached
     with pytest.raises(FeasibilityError):
-        hecke.hall_littlewood_characters(d.full, (1, 1))
+        hecke.kostka_foulkes(d, d.full, (2, 2), (1, 1))
+    monkeypatch.setattr(hecke, "PARTITION_CAP", 1)
     report = run_sweep(SweepConfig("A2", (1,), 2, ("product_identity",
                                                    "ct_transitivity")))
-    verdicts = [v for rec in report["per_mu"] + report["instances"]
-                for v in rec["checks"].values()]
-    assert "SKIPPED" in verdicts and "FAIL" not in verdicts
+    verdicts = {(name, v) for rec in report["per_mu"] + report["instances"]
+                for name, v in rec["checks"].items()}
+    assert verdicts == {(name, v) for name in ("product_identity",
+                                               "ct_transitivity")
+                        for v in ("PASS", "SKIPPED")}
     assert all(rec["notes"] for rec in report["per_mu"] + report["instances"]
                if "SKIPPED" in rec["checks"].values())
 
@@ -279,7 +283,8 @@ def _assert_all_pass(report, checks):
 
 
 @pytest.mark.parametrize("type_str,height", [("A3", 2), ("B3", 3), ("C3", 3),
-                                             ("G2", 3)])
+                                             ("G2", 3), ("B4", 4), ("C4", 4),
+                                             ("A5", 3)])
 def test_rank_three_hecke_smoke(type_str, height):
     # the lowest height with a nonzero coweight, Levi {1}
     checks = ("product_identity", "multiplicity_identity", "degrees",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import hecke_oracle
 from heckebranch.characters import (
     branch_multiplicity,
+    dominant_support,
     dominant_weights,
     tensor_decompose,
     tensor_multiplicity,
@@ -18,14 +19,17 @@ from heckebranch.errors import DomainError
 from heckebranch.hecke import (
     LaurentPoly,
     constant_term,
+    constant_term_coefficient,
     hall_littlewood,
     hall_littlewood_characters,
     hecke_product,
+    kostka_foulkes,
     orbit_size,
     product_identity_sides,
     satake_expand,
     satake_f,
     stabilizer_poincare,
+    structure_constant,
     verify_product_identity,
 )
 from heckebranch.parabolic import offset_pair
@@ -342,6 +346,19 @@ def test_cached_results_are_read_only():
         with pytest.raises(TypeError):
             del value[key]
         assert call() == before
+    # the point-wise values are built afresh from the cached Kostka-Foulkes
+    # polynomials, so not even a write to a value's internals reaches them
+    single = [
+        lambda: kostka_foulkes(d, d.full, (2, 2), (0, 0)),
+        lambda: structure_constant(d, (1, 1), (1, 1), (0, 0)),
+        lambda: constant_term_coefficient(d, lv, (1, 1), (0, 0)),
+    ]
+    for call in single:
+        value = call()
+        before = LaurentPoly(dict(value.items()))
+        assert value
+        value._c.clear()
+        assert call() == before
 
 
 def _views(d):
@@ -397,3 +414,67 @@ def test_satake_expand_rejects_a_lower_view_outside_the_upper():
     d = root_datum("A2")
     with pytest.raises(DomainError):
         satake_expand(d, levi_view(d, (1,)), levi_view(d, (2,)), (1, 0))
+
+
+def _pairs_and_levis(d):
+    """Every product pair and every proper Levi with its constant-term
+    support, over the coweights of coordinate sum at most 2."""
+    pool = _small_dominant(d.full)
+    pairs = list(itertools.product(pool, repeat=2))
+    levis = [(lv, mu, sorted({w for k in dominant_support(d.full, mu)
+                              for w in d.full.orbit(k) if lv.is_dominant(w)}))
+             for lv in _views(d) if lv is not d.full for mu in pool]
+    return pairs, levis
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_pointwise_coefficients_match_the_peels(type_str):
+    # the Kostka-Foulkes route against the character-basis peels, point by
+    # point and expansion by expansion
+    d = root_datum(type_str)
+    pairs, levis = _pairs_and_levis(d)
+    for a, b in pairs:
+        peeled = hecke_oracle.peeled_hecke_product(d, a, b)
+        assert hecke_product(d, a, b) == peeled, (a, b)
+        for g in dominant_support(d.full, vec_add(a, b)):
+            assert structure_constant(d, a, b, g) == peeled.get(g, ZERO), \
+                (a, b, g)
+    for lv, mu, lams in levis:
+        peeled = hecke_oracle.peeled_satake_expand(d, d.full, lv, mu)
+        assert constant_term(d, lv, mu) == peeled, (lv.key, mu)
+        for lam in lams:
+            assert constant_term_coefficient(d, lv, mu, lam) == \
+                peeled.get(lam, ZERO), (lv.key, mu, lam)
+
+
+def test_pointwise_coefficients_off_the_support():
+    d = root_datum("A2")
+    lv = levi_view(d, (1,))
+    # keys an expansion never has read as zero, as in the expansion's map
+    assert structure_constant(d, (1, 0), (0, 1), (1, -1)) == ZERO
+    assert structure_constant(d, (1, 0), (0, 1), (2, 2)) == ZERO
+    assert constant_term_coefficient(d, lv, (1, 1), (-1, 2)) == ZERO
+    assert constant_term_coefficient(d, lv, (1, 0), (0, 0)) == ZERO
+    with pytest.raises(DomainError):
+        structure_constant(d, (1, -1), (0, 1), (0, 0))
+    with pytest.raises(DomainError):
+        constant_term_coefficient(d, lv, (-1, 0), (0, 0))
+    with pytest.raises(DomainError):
+        kostka_foulkes(d, lv, (1, 0), (-1, 1))
+
+
+@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "B2", "B3", "C2",
+                                      "C3", "G2"])
+def test_kostka_foulkes_at_t_one_and_zero(type_str):
+    # K(1) is the weight multiplicity (Kostant's formula) and K(0) the
+    # Kronecker delta, on every view
+    d = root_datum(type_str)
+    for view in _views(d):
+        for lam in _small_dominant(view):
+            mults = dominant_weights(view, lam)
+            for gamma in sorted(mults):
+                k = kostka_foulkes(d, view, lam, gamma)
+                assert k.has_even_exponents() and k.max_exponent() <= 0
+                assert sum(c for _, c in k.items()) == mults[gamma], \
+                    (view.key, lam, gamma)
+                assert k.coeff(0) == (gamma == lam), (view.key, lam, gamma)
