@@ -4,9 +4,13 @@ All modules here are representations of the dual group attached to a root
 datum (or to a Levi subsystem of it), so "weights" are coweights of the
 original datum and the roots acting on them are its coroots.  Multiplicities
 come from the Freudenthal recursion run with the ambient Weyl-invariant form,
-which restricts correctly to every Levi subsystem.  Everything here is
-integer arithmetic: the recursion orders weights by their pairing with the
-view's sum of positive roots and divides exactly by
+which restricts correctly to every Levi subsystem.  Tensor products and
+restrictions are both decomposed by one step, ``klimyk``: a weight table is
+shifted by a highest weight and straightened by the dot action, for a tensor
+product by the full Weyl group (Klimyk's rule) and for a restriction by the
+Levi's, at highest weight 0 (Brauer's rule).  Everything here is integer
+arithmetic: the recursion orders weights by their pairing with the view's
+sum of positive roots and divides exactly by
 ``<mu - kappa, mu + kappa + 2 rho_hat>``, and the Klimyk step works in doubled
 coordinates.
 """
@@ -22,7 +26,6 @@ from .rootdata import (
     RootDatum,
     SubsystemView,
     pairing,
-    peel,
     vec_add,
     vec_scale,
     vec_sub,
@@ -186,34 +189,25 @@ def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,
     return tensor_decompose(datum, a, b).get(tuple(c), 0)
 
 
-def decompose_invariant_multiset(view: SubsystemView,
-                                 table: Mapping[Coweight, int]) -> dict[Coweight, int]:
-    """Peel a Weyl-invariant weight multiset (with integer multiplicities)
-    into irreducible highest weights.  Raises if the multiset is not a
-    nonnegative sum of irreducible characters."""
-    def character(top: Coweight) -> dict[Coweight, int]:
-        if not view.is_dominant(top):
-            raise DomainError("multiset is not a character: peak weight not dominant")
-        return weight_table(view, top)
-
-    out = peel(table, view.peel_height, character)
-    if any(m < 0 for m in out.values()):
-        raise DomainError("multiset is not a character: negative multiplicity")
-    return dict(sorted(out.items()))
-
-
 def restrict_decompose(upper: SubsystemView, lower: SubsystemView,
                        mu: Coweight) -> Mapping[Coweight, int]:
     """Restriction of the upper view's irreducible module at mu to the lower
     view (lower simple roots a subset of upper's): a read-only map of
-    lower-dominant highest weights to multiplicities, cached."""
+    lower-dominant highest weights to multiplicities, sorted by highest
+    weight and cached.
+
+    Brauer's rule: the upper weight table is invariant under the lower Weyl
+    group, so ``klimyk`` at highest weight 0 straightens it into lower
+    characters."""
     mu = tuple(mu)
     key = (upper.key, lower.key, mu)
     cached = _branch_cache.get(key)
     if cached is not None:
         return cached
-    result = MappingProxyType(
-        decompose_invariant_multiset(lower, weight_table(upper, mu)))
+    out = klimyk(lower, (0,) * len(mu), weight_table(upper, mu))
+    if any(m < 0 for m in out.values()):
+        raise AssertionError("restriction has a negative multiplicity")
+    result = MappingProxyType(dict(sorted(out.items())))
     _branch_cache[key] = result
     return result
 
@@ -233,17 +227,3 @@ def branch_multiplicity(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                         lam: Coweight) -> int:
     return branch_decompose(datum, levi, mu).get(tuple(lam), 0)
 
-
-def tensor_decompose_by_tables(datum: RootDatum, a: Coweight,
-                               b: Coweight) -> dict[Coweight, int]:
-    """Independent cross-check of ``tensor_decompose``: multiply the two full
-    weight tables and peel the product multiset."""
-    view = datum.full
-    ta = weight_table(view, tuple(a))
-    tb = weight_table(view, tuple(b))
-    prod: dict[Coweight, int] = {}
-    for x, mx in ta.items():
-        for y, my in tb.items():
-            z = vec_add(x, y)
-            prod[z] = prod.get(z, 0) + mx * my
-    return decompose_invariant_multiset(view, prod)

@@ -43,9 +43,10 @@ group.  P_t is one memoized table per view.  Sums accumulate in flat
 ``hecke_product`` and ``satake_expand`` give the full expansions from the
 same K, over the dominant weights below the characters they expand.  Nothing
 here peels: the triangular peels against the Hall-Littlewood characters are
-kept in ``tests/hecke_oracle.py`` as oracles, and ``rootdata.peel`` serves
-only the branching multiplicities.  ``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed
-by dominant coweights, through ``dominant_weights``.
+kept in ``tests/hecke_oracle.py`` as oracles, and the branching
+multiplicities come from Brauer's rule through the same ``klimyk`` step.
+``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed by
+dominant coweights, through ``dominant_weights``.
 
 Cached results are handed out as read-only mappings.
 """

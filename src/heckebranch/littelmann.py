@@ -298,17 +298,3 @@ def _folds_connected(datum: RootDatum, path: Path,
                                      path[k][0])
                for k in range(1, len(path)))
 
-
-def path_to_json(path: Path) -> list[dict]:
-    return [{"direction": [str(c) for c in d], "duration": str(t)}
-            for d, t in path]
-
-
-def path_from_json(data: Sequence[dict], rank: int) -> Path:
-    segs = []
-    for item in data:
-        d = tuple(Fraction(c) for c in item["direction"])
-        if len(d) != rank:
-            raise DomainError("direction has wrong rank")
-        segs.append((d, Fraction(item["duration"])))
-    return canonical(segs, rank)

@@ -1,31 +1,28 @@
-"""Parabolic comparison of coweights, minimal translation offsets, hull tests.
+"""Parabolic comparison of coweights and minimal translation offsets.
 
 Fixing a Levi subsystem M inside the full system, a coweight nu dominates a
 dominant coweight mu for the parabolic (written ``geq_parabolic``) when nu is
 M-central and nu + x stays G-dominant for every point x of the convex hull of
-the Weyl orbit of mu that is itself M-dominant.  The pairing form of that
-condition, its polytope form, and a facet form are all implemented; the three
-are provably equivalent and the equivalence is exercised by the test suite.
+the Weyl orbit of mu that is itself M-dominant.  It is evaluated in its
+pairing form: the minimum over the orbit of each root outside the Levi.  The
+polytope and facet forms, computed from the exact hull vertices, are
+reference routes in ``tests/peel_oracle.py``, and the tests check that all
+three agree.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DomainError
 from .rootdata import (
     Coweight,
-    RatVec,
     Root,
     RootDatum,
     SubsystemView,
     is_dominant,
-    mat_apply,
     pairing,
-    solve_exact,
-    vec_add,
 )
 
 
@@ -105,83 +102,3 @@ def offset_pair(datum: RootDatum, levi: SubsystemView,
                 for i, v in enumerate(nu0))
     return nu0, nu1
 
-
-def hull_vertices(datum: RootDatum, levi: SubsystemView,
-                  mu: Coweight) -> tuple[RatVec, ...]:
-    """Vertices of the polytope Conv(W mu) intersected with the M-dominant
-    cone, computed exactly from the facet description.
-
-    Facets of the orbit polytope are the Weyl translates of the fundamental
-    weight functionals bounded by their value at mu; the cone contributes one
-    facet per Levi simple root."""
-    mu = tuple(mu)
-    if not is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
-    n = datum.rank
-    constraints: list[tuple[RatVec, Fraction]] = []
-    seen_funcs = set()
-    for i in range(n):
-        bound = sum(datum.fundamental_weights[i][j] * mu[j] for j in range(n))
-        frontier = [datum.fundamental_weights[i]]
-        orbit = {datum.fundamental_weights[i]}
-        while frontier:
-            nxt = []
-            for f in frontier:
-                for r in datum.full.root_elements:
-                    g = mat_apply(r, f)
-                    if g not in orbit:
-                        orbit.add(g)
-                        nxt.append(g)
-            frontier = nxt
-        for f in orbit:
-            if (f, bound) not in seen_funcs:
-                seen_funcs.add((f, bound))
-                constraints.append((f, bound))
-    for i in levi.indices:
-        f = tuple(Fraction(-1 if j == i - 1 else 0) for j in range(n))
-        constraints.append((f, Fraction(0)))
-
-    vertices = set()
-    for subset in itertools.combinations(range(len(constraints)), n):
-        rows = [constraints[k][0] for k in subset]
-        sol = solve_exact(rows, [(constraints[k][1],) for k in subset])
-        if sol is None:
-            continue
-        x = tuple(v for (v,) in sol)
-        if all(sum(f[j] * x[j] for j in range(n)) <= b for f, b in constraints):
-            vertices.add(x)
-    return tuple(sorted(vertices))
-
-
-def hull_conditions(datum: RootDatum, levi: SubsystemView, nu: Coweight,
-                    mu: Coweight) -> dict[str, bool]:
-    """Three equivalent forms of the parabolic comparison, evaluated
-    independently:
-
-    * ``pairing_criterion``: the orbit-minimum pairing bound over the roots
-      outside the Levi (same as ``geq_parabolic``);
-    * ``shifted_vertices_dominant``: every vertex of Conv(W mu) cap Delta_M,
-      translated by nu, is G-dominant;
-    * ``vertex_pairing_bound``: for every positive root alpha outside the
-      Levi, the minimum of <alpha, -> over those vertices is at least
-      <alpha, -nu>.
-
-    Raises DomainError when nu is not M-central, since the polytope forms
-    presuppose centrality."""
-    nu, mu = tuple(nu), tuple(mu)
-    if not is_levi_central(levi, nu):
-        raise DomainError(f"{nu} is not central for the Levi {levi.indices}")
-    cond1 = geq_parabolic(datum, levi, nu, mu)
-    verts = hull_vertices(datum, levi, mu)
-    cond2 = all(all(c >= 0 for c in vec_add(v, nu)) for v in verts)
-    cond3 = True
-    for alpha in nilradical_roots(datum, levi):
-        lowest = min(pairing(alpha, v) for v in verts)
-        if lowest < -pairing(alpha, nu):
-            cond3 = False
-            break
-    return {
-        "pairing_criterion": cond1,
-        "shifted_vertices_dominant": cond2,
-        "vertex_pairing_bound": cond3,
-    }

@@ -25,13 +25,11 @@ half-sums ``rho``, ``rho_check`` and ``rho_hat``, and
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
-from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError
 
@@ -72,29 +70,6 @@ def mat_mul(x: Sequence[Sequence], y: Sequence[Sequence]) -> Matrix:
 
 def _identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def solve_exact(rows: Sequence[Sequence], rhs: Sequence[Sequence]
-                ) -> Optional[tuple[RatVec, ...]]:
-    """Exact Gauss-Jordan elimination of the square matrix ``rows`` augmented
-    by the block ``rhs`` (one row of right-hand sides per equation).  Returns
-    the reduced right-hand block row by row, or None when ``rows`` is
-    singular."""
-    n = len(rows)
-    aug = [[Fraction(v) for v in rows[i]] + [Fraction(v) for v in rhs[i]]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [v / pv for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
 
 
 def _minor(m: Sequence[Sequence[int]], i: int, j: int) -> Matrix:
@@ -176,9 +151,6 @@ class SubsystemView:
     two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
-    # form applied to 2 * rho_hat: <peel_height, x> is twice the form pairing
-    # of x with rho_hat, the height by which this view's characters are peeled
-    peel_height: Root
 
     @property
     def order(self) -> int:
@@ -298,7 +270,6 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
     two_rho = tuple(sum(r[i] for (r, _) in sub_pos) for i in range(ambient_rank))
     two_rho_hat = tuple(sum(c[j] for (_, c) in sub_pos)
                         for j in range(ambient_rank))
-    peel_height = mat_apply(form, two_rho_hat)
     return SubsystemView(
         key=key, indices=indices, ambient_rank=ambient_rank,
         positive_roots=tuple(r for (r, _) in sub_pos),
@@ -308,7 +279,6 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         root_elements=tuple(r for (_, r) in elems),
         lengths=tuple(lengths),
         rho_hat=rho_hat, two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
-        peel_height=peel_height,
     )
 
 
@@ -417,56 +387,6 @@ def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
     general; integral on the coroot lattice.  Integer comparisons of heights
     use ``pairing(datum.full.two_rho, nu)``, twice this value."""
     return Fraction(pairing(datum.full.two_rho, coweight), 2)
-
-
-_PEEL_GUARD = 200_000
-
-
-def peel(work: dict, height: Sequence[int],
-         basis: Callable[[tuple], Mapping]) -> dict:
-    """Expand ``work`` over a triangular basis by peeling from the top.
-
-    ``basis(k)`` is an element monic at ``k`` whose other keys lie strictly
-    below ``k`` in the order of ``(<height, k>, k)``, with ``height`` an
-    integer vector.  The peak of what remains is taken off a max-heap (keys
-    whose coefficient cancelled to zero stay in the heap and are skipped when
-    popped), its coefficient is recorded, and that multiple of its basis
-    element is subtracted.  Coefficients are ints or ``LaurentPoly``s, matching
-    the basis values.  Returns ``{k: coefficient}`` in pop order; ``work`` is
-    left unchanged."""
-    def entry(k: tuple) -> tuple:
-        return (-sum(map(mul, height, k)), tuple(-v for v in k), k)
-
-    rest = {k: c for k, c in work.items() if c}
-    heap = [entry(k) for k in rest]
-    heapq.heapify(heap)
-    out: dict = {}
-    while heap:
-        top = heapq.heappop(heap)
-        k = top[2]
-        c = rest.get(k)
-        if c is None:
-            continue
-        if len(out) >= _PEEL_GUARD:
-            raise AssertionError("triangular peel did not terminate")
-        out[k] = c
-        for y, b in basis(k).items():
-            cur = rest.get(y)
-            if cur is None:
-                below = entry(y)
-                if below < top:
-                    raise AssertionError("basis element reaches above its key")
-                rest[y] = -(c * b)
-                heapq.heappush(heap, below)
-                continue
-            n = cur - c * b
-            if n:
-                rest[y] = n
-            else:
-                del rest[y]
-        if k in rest:
-            raise AssertionError("basis element is not monic at its key")
-    return out
 
 
 def k_phi(datum: RootDatum) -> int:

@@ -12,7 +12,8 @@ coordinates that the library uses, so the tests compare the two.
 
 from fractions import Fraction
 
-from heckebranch.rootdata import solve_exact, vec_add, vec_scale, vec_sub
+from heckebranch.rootdata import vec_add, vec_scale, vec_sub
+from peel_oracle import solve_exact
 
 
 def coroot_coefficients(datum, x) -> tuple:

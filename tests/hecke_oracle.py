@@ -26,11 +26,11 @@ from heckebranch.rootdata import (
     is_dominant,
     mat_apply,
     pairing,
-    peel,
     vec_add,
     vec_neg,
     vec_sub,
 )
+from peel_oracle import peel, peel_height
 
 ONE = LaurentPoly.one()
 T = LaurentPoly({-2: 1})
@@ -154,7 +154,7 @@ def satake_expand(datum, upper, lower, mu):
     """Regroup the upper basis element's orbit sums into lower orbit sums and
     peel against the lower symmetrized Hall-Littlewood elements."""
     em = collect_orbits(lower, expand_orbits(upper, satake_f(datum, upper, mu)))
-    coeffs = peel(em, lower.peel_height,
+    coeffs = peel(em, peel_height(lower),
                   lambda lam: hall_littlewood(datum, lower, lam))
     return {lam: c.shift(-pairing(lower.two_rho, lam))
             for lam, c in coeffs.items()}
@@ -192,7 +192,7 @@ def peeled_satake_expand(datum, upper, lower, mu):
         p = p.shift(shift)
         for lam, r in restrict_decompose(upper, lower, kappa).items():
             _add_scaled(em, lam, p, r)
-    coeffs = peel(em, lower.peel_height,
+    coeffs = peel(em, peel_height(lower),
                   lambda lam: hall_littlewood_characters(lower, lam))
     return {lam: c.shift(-pairing(lower.two_rho, lam))
             for lam, c in sorted(coeffs.items())}

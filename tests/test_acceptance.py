@@ -39,7 +39,6 @@ from heckebranch.littelmann import (
 )
 from heckebranch.parabolic import (
     geq_parabolic,
-    hull_conditions,
     minimal_offset,
 )
 from heckebranch.rootdata import (
@@ -50,6 +49,7 @@ from heckebranch.rootdata import (
     vec_scale,
     weyl_dim,
 )
+from peel_oracle import hull_conditions
 
 ONE = LaurentPoly.one()
 Q = LaurentPoly.q_power

@@ -7,15 +7,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle
+from peel_oracle import decompose_invariant_multiset, tensor_decompose_by_tables
 
 from heckebranch.characters import (
     branch_decompose,
     branch_multiplicity,
-    decompose_invariant_multiset,
     dominant_weights,
     module_dimension,
+    restrict_decompose,
     tensor_decompose,
-    tensor_decompose_by_tables,
     tensor_multiplicity,
     weight_table,
 )
@@ -191,6 +191,27 @@ def test_branch_tensor_compatibility():
         target = vec_add(nu, lam)
         if all(c >= 0 for c in target):
             assert tensor_multiplicity(d, nu, mu, target) == r
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_branching_matches_peel_oracle(type_str):
+    # Brauer-Klimyk against the triangular peel, keys in the same order, for
+    # every Levi inside the full system and inside every larger Levi;
+    # coordinates off the upper Levi may be negative, as in satake_expand
+    d = root_datum(type_str)
+    levis = [levi_view(d, idx) for k in range(d.rank)
+             for idx in itertools.combinations(range(1, d.rank + 1), k)]
+    pairs = [(d.full, lower) for lower in levis] + [
+        (upper, lower) for upper in levis for lower in levis
+        if set(lower.indices) < set(upper.indices)]
+    for upper, lower in pairs:
+        for mu in itertools.product(range(-1, 3), repeat=d.rank):
+            if not upper.is_dominant(mu) or sum(map(abs, mu)) > 2:
+                continue
+            got = restrict_decompose(upper, lower, mu)
+            want = decompose_invariant_multiset(lower, weight_table(upper, mu))
+            assert list(got.items()) == list(want.items()), (
+                upper.key, lower.key, mu)
 
 
 def test_decompose_rejects_non_characters():

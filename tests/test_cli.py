@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 
-from heckebranch import characters, rootdata
+from heckebranch import characters
 from heckebranch.cli import main
 
 
@@ -147,9 +147,11 @@ def test_console_script_installed():
 
 
 def test_internal_error_exit_status(monkeypatch, capsys):
-    # a peel guard of one step trips on any restriction with two components
-    monkeypatch.setattr(rootdata, "_PEEL_GUARD", 1)
-    # an earlier test's cached restriction would skip the peel
+    # a weight table that is not a character restricts to a negative
+    # multiplicity: (-2, 0) straightens to -1 times the Levi character (0, -1)
+    monkeypatch.setattr(characters, "weight_table",
+                        lambda view, mu: {(-2, 0): 1})
+    # an earlier test's cached restriction would skip the straightening
     monkeypatch.setattr(characters, "_branch_cache", {})
     code, stdout, stderr = run_cli(
         ["compute", "r", "--type", "A2", "--levi", "1",
@@ -157,4 +159,4 @@ def test_internal_error_exit_status(monkeypatch, capsys):
     assert code == 3
     assert stdout == ""
     assert stderr.startswith("internal error: ")
-    assert "did not terminate" in stderr
+    assert "negative multiplicity" in stderr

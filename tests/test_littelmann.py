@@ -26,8 +26,6 @@ from heckebranch.littelmann import (
     f_op,
     generate_crystal,
     is_hecke_path,
-    path_from_json,
-    path_to_json,
     straight_path,
     tensor_path_set,
 )
@@ -266,8 +264,3 @@ def test_folded_validity_examples():
     # straight paths have no interior breakpoints
     assert is_hecke_path(a1, straight_path(a1, (5,)))
 
-
-def test_path_json_roundtrip():
-    d = root_datum("B2")
-    for p in sorted(generate_crystal(d, (1, 1)))[:10]:
-        assert path_from_json(path_to_json(p), d.rank) == p

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 from heckebranch.errors import DomainError
 from heckebranch.parabolic import (
     geq_parabolic,
-    hull_conditions,
-    hull_vertices,
     is_levi_central,
     minimal_offset,
     nilradical_roots,
@@ -23,6 +21,7 @@ from heckebranch.rootdata import (
     vec_add,
     vec_scale,
 )
+from peel_oracle import hull_conditions, hull_vertices
 
 
 def test_nilradical_roots():

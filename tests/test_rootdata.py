@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle
+import peel_oracle
+from peel_oracle import peel, solve_exact
 
 from heckebranch import rootdata
 from heckebranch.errors import ConfigurationError, DomainError
@@ -25,10 +27,8 @@ from heckebranch.rootdata import (
     levi_view,
     pairing,
     parse_coweight,
-    peel,
     rho_height,
     root_datum,
-    solve_exact,
     vec_add,
     vec_sub,
     weyl_dim,
@@ -389,7 +389,7 @@ def test_peel_guard(monkeypatch):
     d = root_datum("B2")
     coroot = d.positive_coroots[0]
     g = _times_binomial({(0, 0): ONE, (3, 1): ONE, (-2, 2): ONE}, coroot)
-    monkeypatch.setattr(rootdata, "_PEEL_GUARD", 2)
+    monkeypatch.setattr(peel_oracle, "_PEEL_GUARD", 2)
     with pytest.raises(AssertionError, match="did not terminate"):
         peel(g, d.full.two_rho, _binomial(coroot))
 
