@@ -37,11 +37,9 @@ from .hecke import (
     structure_constant,
 )
 from .littelmann import (
+    _crystal,
     _folds_connected,
     branch_path_set,
-    count_branch_paths,
-    count_tensor_paths,
-    crystal_fibers,
     generate_crystal,
     tensor_path_set,
 )
@@ -198,13 +196,12 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         try:
             n2 = tensor_multiplicity(datum, alpha, mustar, nu)
             values["n"] = n2
-            r_paths = count_branch_paths(datum, levi, mu, lam)
-            n_paths = count_tensor_paths(datum, mu, nu, alpha)
-            sets_match = (branch_path_set(datum, levi, mu, lam)
-                          == tensor_path_set(datum, mu, nu, alpha))
+            r_paths = branch_path_set(datum, levi, mu, lam)
+            n_paths = tensor_path_set(datum, mu, nu, alpha)
             n1 = tensor_multiplicity(datum, nu, mu, alpha)
             verdicts["multiplicity_identity"] = _verdict_all([
-                r_paths == r, n_paths == n1, n1 == n2, r == n2, sets_match])
+                len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
+                r_paths == n_paths])
         except FeasibilityError as e:
             verdicts["multiplicity_identity"] = SKIPPED
             notes.append(f"multiplicity_identity: {e}")
@@ -276,10 +273,11 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
     verdicts: dict = {}
     notes: list[str] = []
     crystal_size = None
-    paths = None
+    paths = crystal = None
     if "crystal" in checks or "hecke_paths" in checks:
         try:
             paths = generate_crystal(datum, mu)
+            crystal = _crystal(datum, mu, None)
         except FeasibilityError as e:
             notes.append(f"crystal: {e}")
 
@@ -288,7 +286,7 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
             verdicts["crystal"] = SKIPPED
         else:
             crystal_size = len(paths)
-            hist = {w: len(f) for w, f in crystal_fibers(datum, mu).items()}
+            hist = {w: len(f) for w, f in crystal.fibers.items()}
             try:
                 table = weight_table(datum.full, mu)
                 verdicts["crystal"] = _verdict_all([
@@ -302,9 +300,9 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
             verdicts["hecke_paths"] = SKIPPED
         else:
             verdicts["hecke_paths"] = _verdict_all(
-                [_folds_connected(datum, p, points)
-                 for fiber in crystal_fibers(datum, mu).values()
-                 for p, points in fiber])
+                [_folds_connected(datum, ipath, points, crystal.grid)
+                 for fiber in crystal.fibers.values()
+                 for _, ipath, points in fiber])
 
     if "ct_transitivity" in checks:
         torus = levi_view(datum, ())

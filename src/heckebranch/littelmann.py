@@ -8,16 +8,35 @@ segments with equal directions so that path equality is decidable.  The
 trajectory starts at the origin.  All cone tests are evaluated at the
 breakpoints only, which suffices by piecewise linearity.
 
+Every computation runs in integers, on a time grid.  On the grid ``N`` a
+path is a tuple of (direction, duration) segments with integer directions
+and positive integer durations summing to ``N``; its breakpoints are ``N``
+times its positions, so they are integer points and the height ``1`` of a
+root operator is ``N``.  The crystal at a dominant mu lives on the grid
+``N = lcm(1, ..., <theta, mu>)``, theta the highest root.  This suffices: a
+break time ``a`` of a Lakshmibai-Seshadri path of shape mu satisfies
+``a <beta, tau mu> in Z`` for a positive root beta and a Weyl element tau
+(Littelmann, Ann. of Math. 1995), and ``|<beta, tau mu>| <= <theta, mu>``
+because theta dominates every positive root and mu is dominant.  So every
+cut a lowering operator makes lands on the grid, which the exact ``divmod``
+by the slope checks: a remainder raises ``AssertionError``, as Freudenthal's
+non-integer check does.
+
 The crystal at a dominant mu is generated from the straight path by the
 lowering operators alone (every path of Littelmann's crystal is a string of
-lowerings of the straight path).  ``crystal_fibers`` indexes it once by
-endpoint, with each path's breakpoints computed once; the restriction and
-tensor path sets read only the fiber at the endpoint they can match.
+lowerings of the straight path).  It is indexed once by endpoint, with each
+path's breakpoints computed once, and its paths are decoded to ``Fraction``
+form once; the restriction and tensor path sets read only the fiber at the
+endpoint they can match.  The public functions keep ``Fraction`` paths:
+they encode their input on a grid that its denominators fix, run the
+integer routine and decode the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -27,9 +46,7 @@ from .rootdata import (
     RatVec,
     RootDatum,
     SubsystemView,
-    mat_apply,
     pairing,
-    vec_add,
     vec_scale,
     vec_sub,
     weyl_dim,
@@ -37,15 +54,18 @@ from .rootdata import (
 
 Segment = tuple[RatVec, Fraction]
 Path = tuple[Segment, ...]
+# a path on an integer grid: (direction, duration) with integer entries
+GridPath = tuple[tuple[Coweight, int], ...]
 
 CRYSTAL_CAP = 200_000
 
 _crystal_cache: dict = {}
 
 
-def canonical(segments: Iterable[Segment], rank: int) -> Path:
-    """Drop zero-duration segments and merge adjacent equal directions; the
-    empty result becomes the constant path at the origin."""
+# --- the integer routine --------------------------------------------------
+
+def _canonical(segments: Iterable[tuple[Coweight, int]]) -> GridPath:
+    """Drop zero-duration segments and merge adjacent equal directions."""
     out: list[list] = []
     for d, t in segments:
         if t == 0:
@@ -56,108 +76,242 @@ def canonical(segments: Iterable[Segment], rank: int) -> Path:
             out[-1][1] += t
         else:
             out.append([d, t])
-    if not out:
-        return ((tuple(Fraction(0) for _ in range(rank)), Fraction(1)),)
     return tuple((d, t) for d, t in out)
 
 
-def straight_path(datum: RootDatum, mu: Coweight) -> Path:
-    direction = tuple(Fraction(v) for v in mu)
-    return canonical([(direction, Fraction(1))], datum.rank)
-
-
-def path_times_and_points(path: Path) -> tuple[list[Fraction], list[RatVec]]:
-    """Breakpoint times and positions, starting at (0, origin)."""
-    times = [Fraction(0)]
-    points = [tuple(Fraction(0) for _ in path[0][0])]
+def _points(path: GridPath) -> tuple[Coweight, ...]:
+    """Breakpoints from the origin on, in the grid's units."""
+    x = (0,) * len(path[0][0])
+    out = [x]
     for d, t in path:
-        points.append(vec_add(points[-1], vec_scale(t, d)))
-        times.append(times[-1] + t)
-    return times, points
+        x = tuple(a + t * b for a, b in zip(x, d))
+        out.append(x)
+    return tuple(out)
+
+
+def _lattice_point(x: Coweight, unit: int) -> Coweight:
+    out = []
+    for c in x:
+        q, r = divmod(c, unit)
+        if r:
+            raise DomainError("path endpoint is not a lattice point")
+        out.append(q)
+    return tuple(out)
+
+
+def _cut_and_reflect(coroot: Coweight, j: int, path: GridPath, t0: int,
+                     t1: int) -> GridPath:
+    """Reflect the directions of the sub-path on [t0, t1] by the simple
+    reflection ``x -> x - x[j] * coroot``, splitting segments at t0 and t1
+    when they fall inside one."""
+    out = []
+    end = 0
+    for d, t in path:
+        start, end = end, end + t
+        if end <= t0 or start >= t1:
+            out.append((d, t))
+            continue
+        if start < t0:
+            out.append((d, t0 - start))
+        c = d[j]
+        out.append((tuple(a - c * b for a, b in zip(d, coroot)),
+                    min(end, t1) - max(start, t0)))
+        if end > t1:
+            out.append((d, end - t1))
+    return _canonical(out)
+
+
+def _slope_steps(rise: int, slope: int) -> int:
+    """Time for a segment of the given slope to climb ``rise``: an exact
+    division, or the cut is off the grid."""
+    steps, rem = divmod(rise, slope)
+    if rem:
+        raise AssertionError("root operator cut falls off the time grid")
+    return steps
+
+
+def _lower(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
+           unit: int) -> Optional[GridPath]:
+    """The lowering operator for the simple root with coroot ``coroot`` and
+    coordinate ``j``, by the cut-and-reflect rule on the height function
+    ``t -> path(t)[j]``, on a path whose breakpoints are given and whose
+    height 1 is ``unit``.  None when undefined."""
+    heights = [x[j] for x in points]
+    low = min(heights)
+    top = low + unit
+    if heights[-1] < top:
+        return None
+    k0 = len(heights) - 1 - heights[::-1].index(low)
+    k1 = k0 + 1
+    while heights[k1] < top:
+        k1 += 1
+    t0 = sum(t for _, t in path[:k0])
+    t1 = t0 + sum(t for _, t in path[k0:k1])
+    if heights[k1] > top:
+        t1 -= _slope_steps(heights[k1] - top, path[k1 - 1][0][j])
+    return _cut_and_reflect(coroot, j, path, t0, t1)
+
+
+def _raise(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
+           unit: int) -> Optional[GridPath]:
+    """The raising operator, inverse to ``_lower`` where both are defined."""
+    heights = [x[j] for x in points]
+    low = min(heights)
+    top = low + unit
+    if low > -unit:
+        return None
+    k1 = heights.index(low)
+    # the path starts at height 0 >= top, so the scan stops
+    k = k1
+    while heights[k - 1] < top:
+        k -= 1
+    t1 = sum(t for _, t in path[:k1])
+    t0 = sum(t for _, t in path[:k - 1])
+    if heights[k - 1] > top:
+        t0 += _slope_steps(heights[k - 1] - top, -path[k - 1][0][j])
+    return _cut_and_reflect(coroot, j, path, t0, t1)
+
+
+def _coroot(datum: RootDatum, i: int) -> Coweight:
+    """The i-th simple coroot: the i-th column of the Cartan matrix."""
+    return tuple(row[i - 1] for row in datum.cartan_matrix)
+
+
+# --- Fraction paths at the API --------------------------------------------
+
+def _encode(path: Iterable[Segment], i: int = 0) -> tuple[list, int, int]:
+    """A path in integer form: directions times ``scale``, the lcm of their
+    denominators, and durations on the grid, the lcm of theirs.  With a
+    simple-root index i the grid is refined by the slopes at i, so the cut
+    of the i-th root operator falls on it.  Positions come out multiplied
+    by ``grid * scale``.  Returns (segments, grid, scale)."""
+    path = list(path)
+    scale = lcm(*(c.denominator for d, _ in path for c in d))
+    directions = [tuple(int(c * scale) for c in d) for d, _ in path]
+    grid = lcm(*(t.denominator for _, t in path))
+    if i:
+        grid *= lcm(*(d[i - 1] for d in directions if d[i - 1]))
+    return ([(d, int(t * grid)) for d, (_, t) in zip(directions, path)],
+            grid, scale)
+
+
+def _decode(path: GridPath, grid: int, scale: int = 1) -> Path:
+    return tuple((tuple(Fraction(c, scale) for c in d), Fraction(t, grid))
+                 for d, t in path)
+
+
+def canonical(segments: Iterable[Segment], rank: int) -> Path:
+    """Drop zero-duration segments and merge adjacent equal directions; the
+    empty result becomes the constant path at the origin."""
+    path, grid, scale = _encode(segments)
+    path = _canonical(path)
+    if not path:
+        return ((tuple(Fraction(0) for _ in range(rank)), Fraction(1)),)
+    return _decode(path, grid, scale)
+
+
+def straight_path(datum: RootDatum, mu: Coweight) -> Path:
+    return _decode(((tuple(mu), 1),), 1)
 
 
 def path_points(path: Path) -> list[RatVec]:
-    return path_times_and_points(path)[1]
+    """Breakpoint positions, starting at the origin."""
+    ipath, grid, scale = _encode(path)
+    unit = grid * scale
+    return [tuple(Fraction(c, unit) for c in x) for x in _points(ipath)]
 
 
 def endpoint_weight(path: Path) -> Coweight:
-    return _lattice_point(path_points(path)[-1])
-
-
-def _lattice_point(end: RatVec) -> Coweight:
-    if any(v.denominator != 1 for v in end):
-        raise DomainError("path endpoint is not a lattice point")
-    return tuple(int(v) for v in end)
-
-
-def _cut_and_reflect(datum: RootDatum, i: int, path: Path, t0: Fraction,
-                     t1: Fraction) -> Path:
-    """Reflect the directions of the sub-path on [t0, t1] by the i-th simple
-    reflection, splitting segments at t0 and t1 when they fall inside one."""
-    refl = datum.full.reflections[i]
-    out: list[Segment] = []
-    clock = Fraction(0)
-    for d, t in path:
-        start, end = clock, clock + t
-        clock = end
-        cuts = [c for c in (t0, t1) if start < c < end]
-        last = start
-        for c in cuts + [end]:
-            if c > last:
-                if last >= t0 and c <= t1:
-                    out.append((mat_apply(refl, d), c - last))
-                else:
-                    out.append((d, c - last))
-                last = c
-    return canonical(out, datum.rank)
+    ipath, grid, scale = _encode(path)
+    return _lattice_point(_points(ipath)[-1], grid * scale)
 
 
 def f_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
     """Lowering root operator for the i-th simple root (1-based), by the
     cut-and-reflect rule on the height function t -> <alpha_i, path(t)>.
     Returns None when undefined."""
-    return _lower(datum, i, path, *path_times_and_points(path))
-
-
-def _lower(datum: RootDatum, i: int, path: Path, times: Sequence[Fraction],
-           points: Sequence[RatVec]) -> Optional[Path]:
-    """``f_op`` on a path whose breakpoint times and positions are given."""
-    heights = [x[i - 1] for x in points]
-    low = min(heights)
-    if heights[-1] - low < 1:
-        return None
-    k0 = max(k for k, h in enumerate(heights) if h == low)
-    t0 = times[k0]
-    k1 = next(k for k in range(k0, len(heights)) if heights[k] >= low + 1)
-    if heights[k1] == low + 1:
-        t1 = times[k1]
-    else:
-        frac = (low + 1 - heights[k1 - 1]) / (heights[k1] - heights[k1 - 1])
-        t1 = times[k1 - 1] + (times[k1] - times[k1 - 1]) * frac
-    return _cut_and_reflect(datum, i, path, t0, t1)
+    ipath, grid, scale = _encode(path, i)
+    out = _lower(_coroot(datum, i), i - 1, ipath, _points(ipath), grid * scale)
+    return None if out is None else _decode(out, grid, scale)
 
 
 def e_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
     """Raising root operator, inverse to ``f_op`` where both are defined."""
-    times, points = path_times_and_points(path)
-    heights = [x[i - 1] for x in points]
-    low = min(heights)
-    if low > -1:
-        return None
-    k1 = min(k for k, h in enumerate(heights) if h == low)
-    t1 = times[k1]
-    t0 = None
-    for k in range(k1, 0, -1):
-        if heights[k - 1] >= low + 1:
-            if heights[k - 1] == low + 1:
-                t0 = times[k - 1]
-            else:
-                frac = (heights[k - 1] - (low + 1)) / (heights[k - 1] - heights[k])
-                t0 = times[k - 1] + (times[k] - times[k - 1]) * frac
-            break
-    if t0 is None:
-        raise AssertionError("raising operator found no upper level")
-    return _cut_and_reflect(datum, i, path, t0, t1)
+    ipath, grid, scale = _encode(path, i)
+    out = _raise(_coroot(datum, i), i - 1, ipath, _points(ipath), grid * scale)
+    return None if out is None else _decode(out, grid, scale)
+
+
+# --- the crystal ----------------------------------------------------------
+
+def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int,
+                      cap: int) -> dict:
+    """Every path reachable from the straight path to mu by lowering, on the
+    given grid, mapped to its breakpoints."""
+    coroots = [(i - 1, _coroot(datum, i)) for i in range(1, datum.rank + 1)]
+    start = ((tuple(mu), grid),)
+    points = {start: _points(start)}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            x = points[p]
+            for j, coroot in coroots:
+                q = _lower(coroot, j, p, x, grid)
+                if q is not None and q not in points:
+                    points[q] = _points(q)
+                    if len(points) > cap:
+                        raise FeasibilityError(
+                            f"crystal at {mu} exceeds {cap} paths", cap)
+                    nxt.append(q)
+        frontier = nxt
+    return points
+
+
+class _Crystal:
+    """The crystal at one dominant mu, on its grid.
+
+    ``paths`` is the public frozenset of ``Fraction`` paths.  ``fibers``
+    maps each endpoint weight to the tuple of ``(path, grid path,
+    breakpoints)`` ending there, the last two in the grid's integers, in
+    the order the search met them; endpoints are sorted."""
+
+    def __init__(self, datum: RootDatum, mu: Coweight, cap: int):
+        self.grid = grid = lcm(*range(1, pairing(datum.highest_root, mu) + 1))
+        fibers: dict = {}
+        for ipath, points in _lowering_closure(datum, mu, grid, cap).items():
+            fibers.setdefault(_lattice_point(points[-1], grid), []).append(
+                (_decode(ipath, grid), ipath, points))
+        self.fibers = {w: tuple(f) for w, f in sorted(fibers.items())}
+        self.paths = frozenset(p for f in self.fibers.values() for p, _, _ in f)
+
+    @cached_property
+    def public_fibers(self) -> Mapping:
+        grid = self.grid
+        return MappingProxyType({
+            w: tuple((p, tuple(tuple(Fraction(c, grid) for c in x)
+                               for x in points))
+                     for p, _, points in fiber)
+            for w, fiber in self.fibers.items()})
+
+
+def _crystal(datum: RootDatum, mu: Coweight, cap: Optional[int]) -> _Crystal:
+    """The crystal at mu, cached.  The cap is tested on every call, so a
+    crystal cached under a larger cap is not handed out: against the Weyl
+    dimension before a build, and against the cached crystal's size, which
+    equals it, after."""
+    if cap is None:
+        cap = CRYSTAL_CAP
+    key = (datum.cartan_type, mu)
+    cached = _crystal_cache.get(key)
+    if cached is None and not datum.full.is_dominant(mu):
+        raise DomainError(f"{mu} is not dominant")
+    size = weyl_dim(datum.full, mu) if cached is None else len(cached.paths)
+    if size > cap:
+        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
+    if cached is None:
+        cached = _crystal_cache[key] = _Crystal(datum, mu, cap)
+    return cached
 
 
 def generate_crystal(datum: RootDatum, mu: Coweight,
@@ -165,7 +319,7 @@ def generate_crystal(datum: RootDatum, mu: Coweight,
     """All paths reachable from the straight path to mu under the lowering
     root operators.  The count equals the dimension of the irreducible module
     of the dual group with highest weight mu."""
-    return _crystal(datum, tuple(mu), cap)[0]
+    return _crystal(datum, tuple(mu), cap).paths
 
 
 def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
@@ -173,56 +327,15 @@ def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
     endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
     the breakpoints being the path's positions from the origin on.
     Cached; raises as ``generate_crystal`` does."""
-    return _crystal(datum, tuple(mu), None)[1]
-
-
-def _crystal(datum: RootDatum, mu: Coweight,
-             cap: Optional[int]) -> tuple[frozenset, Mapping]:
-    """The crystal at mu and its endpoint index, cached together.  Each
-    path's breakpoints are computed once, when the search first reaches it,
-    and serve both its lowerings and the index."""
-    key = (datum.cartan_type, mu)
-    cached = _crystal_cache.get(key)
-    if cached is not None:
-        return cached
-    if cap is None:
-        cap = CRYSTAL_CAP
-    if not datum.full.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
-    if weyl_dim(datum.full, mu) > cap:
-        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
-    start = straight_path(datum, mu)
-    breakpoints = {start: path_times_and_points(start)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            times, points = breakpoints[p]
-            for i in range(1, datum.rank + 1):
-                q = _lower(datum, i, p, times, points)
-                if q is not None and q not in breakpoints:
-                    breakpoints[q] = path_times_and_points(q)
-                    if len(breakpoints) > cap:
-                        raise FeasibilityError(
-                            f"crystal at {mu} exceeds {cap} paths", cap)
-                    nxt.append(q)
-        frontier = nxt
-    fibers: dict = {}
-    for p, (_, points) in breakpoints.items():
-        fibers.setdefault(_lattice_point(points[-1]), []).append(
-            (p, tuple(points)))
-    cached = (frozenset(breakpoints),
-              MappingProxyType({w: tuple(f) for w, f in sorted(fibers.items())}))
-    _crystal_cache[key] = cached
-    return cached
+    return _crystal(datum, tuple(mu), None).public_fibers
 
 
 def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                     lam: Coweight) -> frozenset:
     """Crystal paths that stay Levi-dominant at every breakpoint and end
     at lam."""
-    fiber = crystal_fibers(datum, mu).get(tuple(lam), ())
-    return frozenset(p for p, points in fiber
+    fiber = _crystal(datum, tuple(mu), None).fibers.get(tuple(lam), ())
+    return frozenset(p for p, _, points in fiber
                      if all(levi.is_dominant(x) for x in points))
 
 
@@ -238,10 +351,12 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     nu, target = tuple(nu), tuple(target)
     if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
         raise DomainError("translation point and target must be dominant")
-    fiber = crystal_fibers(datum, mu).get(vec_sub(target, nu), ())
-    return frozenset(p for p, points in fiber
-                     if all(all(c >= 0 for c in vec_add(nu, x))
-                            for x in points))
+    crystal = _crystal(datum, tuple(mu), None)
+    shift = vec_scale(crystal.grid, nu)
+    fiber = crystal.fibers.get(vec_sub(target, nu), ())
+    return frozenset(p for p, _, points in fiber
+                     if all(a + c >= 0 for x in points
+                            for a, c in zip(shift, x)))
 
 
 def count_tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,
@@ -249,18 +364,22 @@ def count_tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,
     return len(tensor_path_set(datum, mu, nu, target))
 
 
-def _directions_connected(datum: RootDatum, point: RatVec, incoming: RatVec,
-                          outgoing: RatVec) -> bool:
+# --- folded paths ---------------------------------------------------------
+
+def _directions_connected(datum: RootDatum, point: Coweight,
+                          incoming: Coweight, outgoing: Coweight,
+                          unit: int) -> bool:
     """Breadth-first search over reflection chains through walls containing
-    the point: each step reflects the current direction in a positive root
-    whose pairing with the point is integral and with the direction strictly
-    negative.  Directions live in a finite Weyl orbit, so the search halts."""
+    the point (``unit`` times the position): each step reflects the current
+    direction in a positive root whose pairing with the position is
+    integral and with the direction strictly negative.  Directions live in
+    a finite Weyl orbit, so the search halts."""
     if incoming == outgoing:
         return True
     integral_walls = [
         (root, cv) for root, cv in zip(datum.positive_roots,
                                        datum.positive_coroots)
-        if pairing(root, point).denominator == 1
+        if pairing(root, point) % unit == 0
     ]
     seen = {incoming}
     frontier = [incoming]
@@ -286,15 +405,14 @@ def is_hecke_path(datum: RootDatum, path: Path) -> bool:
     direction must reach the outgoing one by a chain of reflections in
     integral walls through the breakpoint, each applied to a direction it
     pairs strictly negatively with."""
-    path = canonical(path, datum.rank)
-    return _folds_connected(datum, path, path_points(path))
+    ipath, grid, scale = _encode(canonical(path, datum.rank))
+    return _folds_connected(datum, ipath, _points(ipath), grid * scale)
 
 
-def _folds_connected(datum: RootDatum, path: Path,
-                     points: Sequence[RatVec]) -> bool:
-    """``is_hecke_path`` on a canonical path whose breakpoints are given, as
-    ``crystal_fibers`` holds them."""
+def _folds_connected(datum: RootDatum, path: GridPath,
+                     points: Sequence[Coweight], unit: int) -> bool:
+    """``is_hecke_path`` on a canonical grid path whose breakpoints are
+    given, in units where the lattice spacing is ``unit``."""
     return all(_directions_connected(datum, points[k], path[k - 1][0],
-                                     path[k][0])
+                                     path[k][0], unit)
                for k in range(1, len(path)))
-

@@ -4,8 +4,9 @@ Conventions, fixed once here and relied on everywhere else:
 
 * A coweight is a tuple of integers in fundamental-coweight coordinates,
   so ``nu[i]`` equals the pairing of the (i+1)-th simple root with ``nu``.
-  Rational vectors (piecewise-linear path vertices, half-sums) use the
-  same coordinates with ``Fraction`` entries.
+  Rational vectors (half-sums, and path vertices at the path API) use the
+  same coordinates with ``Fraction`` entries; the path model itself works
+  with integer multiples of its vertices on a time grid.
 * A root is a tuple of integers in simple-root coordinates.  The pairing
   of a root with a coweight is the plain dot product of the two tuples.
 * The coroot of the j-th simple root has fundamental-coweight coordinates
@@ -34,6 +35,7 @@ from typing import Iterable, Sequence
 from .errors import ConfigurationError, DomainError
 
 Coweight = tuple[int, ...]
+# rational coweight coordinates: half-sums, and path vertices at the path API
 RatVec = tuple[Fraction, ...]
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]

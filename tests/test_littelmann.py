@@ -14,6 +14,7 @@ from heckebranch.characters import (
     weight_table,
 )
 from heckebranch.errors import DomainError, FeasibilityError
+from heckebranch import littelmann
 from heckebranch.harness import SweepConfig, enumerate_instances
 from heckebranch.littelmann import (
     canonical,
@@ -26,12 +27,14 @@ from heckebranch.littelmann import (
     f_op,
     generate_crystal,
     is_hecke_path,
+    path_points,
     straight_path,
     tensor_path_set,
 )
 from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
     levi_view,
+    pairing,
     root_datum,
     vec_add,
     weyl_dim,
@@ -92,13 +95,16 @@ def test_crystal_endpoint_histogram():
         assert hist == weight_table(d.full, mu)
 
 
-@pytest.mark.parametrize("type_str,mus", [
+_CLOSURE_CASES = [
     ("A2", [(0, 0), (1, 0), (1, 1), (2, 1), (3, 0)]),
     ("B2", [(1, 0), (0, 1), (1, 1), (2, 1)]),
     ("G2", [(1, 0), (0, 1), (1, 1)]),
     ("A3", [(1, 0, 0), (0, 1, 0), (1, 0, 1), (2, 1, 0)]),
     ("B3", [(1, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 1)]),
-])
+]
+
+
+@pytest.mark.parametrize("type_str,mus", _CLOSURE_CASES)
 def test_lowering_crystal_matches_closure(type_str, mus):
     d = root_datum(type_str)
     for mu in mus:
@@ -107,6 +113,94 @@ def test_lowering_crystal_matches_closure(type_str, mus):
         fibers = crystal_fibers(d, mu)
         assert {w: len(f) for w, f in fibers.items()} == weight_table(d.full, mu)
         assert {p for f in fibers.values() for p, _ in f} == crystal
+
+
+@pytest.mark.parametrize("type_str,mus", _CLOSURE_CASES)
+def test_root_operators_match_fraction_oracle(type_str, mus):
+    d = root_datum(type_str)
+    for mu in mus:
+        for p in littelmann_oracle.closure_crystal(d, mu):
+            for i in range(1, d.rank + 1):
+                assert f_op(d, i, p) == littelmann_oracle.f_op(d, i, p), (mu, p, i)
+                assert e_op(d, i, p) == littelmann_oracle.e_op(d, i, p), (mu, p, i)
+
+
+# canonical paths outside every crystal: off-lattice break times, slopes
+# that do not divide the heights, rational directions
+_NON_LS_PATHS = [
+    ("A1", [((3,), F(1, 3)), ((-2,), F(2, 5)), ((3,), F(4, 15))]),
+    ("A1", [((-3,), F(2, 5)), ((3,), F(3, 5))]),
+    ("A1", [((F(3, 2),), F(1))]),
+    ("A2", [((2, -1), F(1, 3)), ((-1, 3), F(2, 5)), ((3, 0), F(4, 15))]),
+    ("A2", [((F(1, 2), F(3, 2)), F(2, 3)), ((-2, 3), F(1, 3))]),
+    ("B2", [((3, -2), F(2, 5)), ((-1, 2), F(1, 3)), ((2, 2), F(4, 15))]),
+    ("G2", [((2, -3), F(1, 3)), ((-1, 3), F(2, 5)), ((3, -2), F(4, 15))]),
+]
+
+
+@pytest.mark.parametrize("type_str,segments", _NON_LS_PATHS)
+def test_root_operators_match_fraction_oracle_off_the_crystal(type_str,
+                                                               segments):
+    # each path and every path a string of root operators makes from it
+    d = root_datum(type_str)
+    start = canonical([(tuple(F(c) for c in dd), t) for dd, t in segments],
+                      d.rank)
+    assert start == littelmann_oracle.canonical(
+        [(tuple(F(c) for c in dd), t) for dd, t in segments], d.rank)
+    seen = {start}
+    frontier = [start]
+    for _ in range(3):
+        nxt = []
+        for p in frontier:
+            assert path_points(p) == \
+                littelmann_oracle.path_times_and_points(p)[1], p
+            for i in range(1, d.rank + 1):
+                for op, oracle_op in ((f_op, littelmann_oracle.f_op),
+                                      (e_op, littelmann_oracle.e_op)):
+                    q = op(d, i, p)
+                    assert q == oracle_op(d, i, p), (p, i, op.__name__)
+                    if q is not None and q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+        frontier = nxt
+    assert len(seen) > 1
+
+
+_ALL_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2", "C3",
+              "C4", "D4", "F4", "G2")
+# bound on <theta, mu>, which fixes the grid lcm(1, ..., <theta, mu>)
+_GRID_HEIGHT = {"A4": 2, "A5": 2, "B4": 2, "C4": 2, "D4": 2, "G2": 9}
+
+
+@pytest.mark.parametrize("type_str", _ALL_TYPES)
+def test_crystal_grid_is_exact(type_str):
+    # every crystal builds on lcm(1, ..., <theta, mu>) with no off-grid cut
+    # and equals the Fraction closure
+    d = root_datum(type_str)
+    height = _GRID_HEIGHT.get(type_str, 3)
+    theta = d.highest_root
+    mus = [mu for mu in itertools.product(*(range(height // c + 1)
+                                            for c in theta))
+           if pairing(theta, mu) <= height and weyl_dim(d.full, mu) <= 2000]
+    assert len(mus) > 2
+    for mu in mus:
+        assert generate_crystal(d, mu) == \
+            littelmann_oracle.closure_crystal(d, mu), mu
+
+
+def test_coarse_grid_trips_the_cut_check():
+    # A1 (2,) cuts at time 1/2 and G2 (1, 0) at thirds
+    for type_str, mu, grid in (("A1", (2,), 1), ("G2", (1, 0), 2)):
+        with pytest.raises(AssertionError):
+            littelmann._lowering_closure(root_datum(type_str), mu, grid,
+                                         littelmann.CRYSTAL_CAP)
+
+
+def test_crystal_cap_holds_on_a_warm_cache():
+    d = root_datum("A2")
+    assert len(generate_crystal(d, (2, 1))) == 15
+    with pytest.raises(FeasibilityError):
+        generate_crystal(d, (2, 1), cap=5)
 
 
 def test_crystal_fibers_are_read_only():
