@@ -84,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           + ",".join(CHECK_NAMES) + " (or 'all')")
     ver.add_argument("--out", default=None, help="path for the JSON report")
     ver.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (1 = serial)")
+                     help="processes, this one included (1 = serial)")
     ver.add_argument("--seed", type=int, default=20260816,
                      help="seed for the randomized semigroup sampling")
     ver.add_argument("--n-max", type=int, default=3, dest="n_max",

@@ -15,3 +15,8 @@ class FeasibilityError(RuntimeError):
     def __init__(self, message: str, cap: int):
         super().__init__(message)
         self.cap = cap
+
+    def __reduce__(self):
+        # the default rebuilds from ``args``, which lack the cap; a forked
+        # sweep worker sends its exception back pickled
+        return type(self), (self.args[0], self.cap), self.__dict__

@@ -5,8 +5,10 @@ for saturation behaviour, and assemble a machine-readable report.
 Reports are deterministic for a fixed configuration: instance order follows
 the enumeration order, randomized sections draw from a seeded generator, and
 timing lives in dedicated ``*_ms`` fields so two runs differ at most there.
-Worker processes rebuild their own caches, so results are independent of the
-worker count.
+With ``jobs`` > 1 the sweep forks its workers after enumeration, so they
+start from the parent's warm caches, and the parent works as one of them.
+Records are placed by task index, so results are independent of the worker
+count.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import itertools
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Optional, Sequence
 
 from .characters import (
@@ -332,17 +334,6 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
     }
 
 
-def _run_task(payload: tuple) -> dict:
-    kind, type_str, levi_idx, args, checks, q_points = payload
-    datum = root_datum(type_str)
-    levi = levi_view(datum, levi_idx)
-    if kind == "mu":
-        (mu,) = args
-        return _mu_record(datum, levi, mu, checks, q_points)
-    mu, lam, nu = args
-    return _instance_record(datum, levi, mu, lam, nu, checks, q_points)
-
-
 def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
                        samples: int) -> dict:
     pool = []
@@ -452,6 +443,106 @@ def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
     }
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on: its affinity mask where the
+    platform has one, since a cpuset-limited container has fewer cores than
+    the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _claims(fd: int):
+    """The unit indices read off the claim pipe, one 4-byte token at a time,
+    until it runs dry."""
+    while len(token := os.read(fd, 4)) == 4:
+        yield int.from_bytes(token, "little")
+
+
+def _child_exit(tasks: list, units: list, claims: int, out: int) -> None:
+    """A forked worker's whole life: claim units until the pipe runs dry,
+    pickle ``(None, [(task index, result), ...])`` or ``(exception, None)``
+    into ``out``, and leave without returning to the caller."""
+    import pickle
+
+    status = 1
+    try:
+        try:
+            done = [(i, tasks[i]()) for unit in _claims(claims)
+                    for i in units[unit]]
+            payload = pickle.dumps((None, done), pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            import traceback
+            exc.add_note("raised in a sweep worker:\n"
+                         + "".join(traceback.format_exception(exc)))
+            payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
+        with os.fdopen(out, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list, units: list, workers: int) -> list:
+    """Run the zero-argument ``tasks`` in ``workers`` processes, this one
+    included, and return their results in task order.
+
+    ``units`` lists the task indices that run together, in the order they
+    should start.  The unit indices go into one pipe as 4-byte tokens before
+    the children fork, and every worker claims its next unit by reading one
+    token until the pipe runs dry.  A task that raises in a child raises
+    here once every child is reaped; one that raises here kills and reaps
+    the children first.  The caller must not run threads: a forked child
+    holds only the thread that forked it.
+    """
+    # imported here, so that a run that never forks does not pay for them
+    import pickle
+    import signal
+
+    results: list = [None] * len(tasks)
+    claims, feed = os.pipe()
+    os.set_blocking(feed, False)
+    # a pipe holds 64 KiB on Linux, 16,384 tokens; the units it cannot hold
+    # (and a token cut short) are this process's after the pipe runs dry
+    held = os.write(feed, b"".join(
+        u.to_bytes(4, "little") for u in range(len(units)))) // 4
+    os.close(feed)
+    children: dict = {}   # pid -> read end of the child's result pipe
+    try:
+        for _ in range(workers - 1):
+            out_r, out_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _child_exit(tasks, units, claims, out_w)
+            os.close(out_w)
+            children[pid] = out_r
+        for unit in itertools.chain(_claims(claims), range(held, len(units))):
+            for i in units[unit]:
+                results[i] = tasks[i]()
+        payloads = []
+        for out_r in children.values():
+            with os.fdopen(out_r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(claims)
+        for pid, out_r in children.items():
+            os.close(out_r)
+            os.waitpid(pid, 0)
+    for payload in payloads:
+        if not payload:
+            raise RuntimeError("a sweep worker exited without its results")
+        exc, done = pickle.loads(payload)
+        if exc is not None:
+            raise exc
+        for i, result in done:
+            results[i] = result
+    return results
+
+
 def run_sweep(config: SweepConfig) -> dict:
     """Execute every selected check over the enumerated instances and return
     the report as a JSON-serializable dict."""
@@ -470,35 +561,52 @@ def run_sweep(config: SweepConfig) -> dict:
     mu_checks = tuple(c for c in checks if c in _MU_CHECKS)
     inst_checks = tuple(c for c in checks if c in _INSTANCE_CHECKS)
 
-    tasks = []
+    q_points = config.q_eval_points
+    tasks: list = []
+    by_mu: dict = {mu: [] for mu in mus}
     if mu_checks:
         for mu in mus:
-            tasks.append(("mu", config.cartan_type, config.levi, (mu,),
-                          mu_checks, config.q_eval_points))
+            by_mu[mu].append(len(tasks))
+            tasks.append(partial(_mu_record, datum, levi, mu, mu_checks,
+                                 q_points))
     if inst_checks:
         for mu, lam, nu in instances:
-            tasks.append(("instance", config.cartan_type, config.levi,
-                          (mu, lam, nu), inst_checks, config.q_eval_points))
-
-    # more workers than tasks or cores only adds start-up and contention
-    workers = min(config.jobs, len(tasks), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, tasks))
-    else:
-        results = [_run_task(t) for t in tasks]
-
-    per_mu = [rec for t, rec in zip(tasks, results) if t[0] == "mu"]
-    inst_records = [rec for t, rec in zip(tasks, results) if t[0] == "instance"]
-
-    semigroup = None
+            by_mu[mu].append(len(tasks))
+            tasks.append(partial(_instance_record, datum, levi, mu, lam, nu,
+                                 inst_checks, q_points))
+    records = len(tasks)
+    sections = {}
     if "semigroup" in checks and mus:
-        semigroup = _semigroup_section(datum, levi, mus, config.seed,
-                                       config.semigroup_samples)
-    saturation = None
+        sections["semigroup"] = partial(_semigroup_section, datum, levi, mus,
+                                        config.seed, config.semigroup_samples)
     if "saturation" in checks and mus:
-        saturation = _saturation_section(datum, levi, mus,
-                                         config.saturation_n_max)
+        sections["saturation"] = partial(_saturation_section, datum, levi,
+                                         mus, config.saturation_n_max)
+    tasks += sections.values()
+    mu_units = [by_mu[mu] for mu in reversed(mus) if by_mu[mu]]
+
+    # more workers than units or cores only adds start-up and contention
+    workers = min(config.jobs, len(sections) + len(mu_units), _usable_cores())
+    if workers > 1 and hasattr(os, "fork"):
+        # a unit is one section, or one mu with its tasks; the largest come
+        # first: the sections, then mu from the highest down.  A mu with more
+        # than 1/(2 workers) of the tasks is cut into chunks of that many, or
+        # it outlasts the rest of the sweep (B4 Levi {1} h6: one mu has 32 of
+        # the 46 instances)
+        size = -(-len(tasks) // (2 * workers))
+        units = [[i] for i in range(records, len(tasks))]
+        units += [ids[k:k + size] for ids in mu_units
+                  for k in range(0, len(ids), size)]
+        results = _run_forked(tasks, units, workers)
+    else:
+        results = [task() for task in tasks]
+
+    n_mu = len(mus) if mu_checks else 0
+    per_mu = results[:n_mu]
+    inst_records = results[n_mu:records]
+    done = dict(zip(sections, results[records:]))
+    semigroup = done.get("semigroup")
+    saturation = done.get("saturation")
 
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     counterexamples = []

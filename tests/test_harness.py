@@ -1,6 +1,10 @@
 """Sweep enumeration, report structure, determinism, and worker independence."""
 
+import functools
 import json
+import operator
+import os
+import time
 
 import pytest
 
@@ -212,42 +216,152 @@ def test_partition_cap_hit_skips_checks(monkeypatch):
                if "SKIPPED" in rec["checks"].values())
 
 
-class _RecordingPool:
-    """Stands in for the process pool: records its size, runs in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
+def _recording_runner(workers: list):
+    """Stands in for the forked runner: records the worker count, then runs
+    the tasks in this process."""
+    def run(tasks, units, n):
+        workers.append(n)
+        return [task() for task in tasks]
+    return run
 
 
 @pytest.mark.parametrize("cpus,jobs,expected", [
     (2, 4, 2),      # clamped to the cores
     (8, 4, 3),      # clamped to the three tasks
     (8, 2, 2),
-    (None, 4, None),  # one core: no pool
+    (None, 4, None),  # one core: no fork
     (8, 1, None),
 ])
 def test_pool_is_clamped(monkeypatch, cpus, jobs, expected):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _RecordingPool)
+    workers = []
+    monkeypatch.setattr(harness, "_run_forked", _recording_runner(workers))
+    monkeypatch.delattr(harness.os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(_RecordingPool, "sizes", [])
     # A1 up to height 1: three coweights, one per-mu task each
     cfg = SweepConfig("A1", (), 1, ("crystal",), jobs=jobs)
     report = run_sweep(cfg)
-    assert _RecordingPool.sizes == ([] if expected is None else [expected])
+    assert workers == ([] if expected is None else [expected])
     serial = run_sweep(SweepConfig("A1", (), 1, ("crystal",)))
     assert strip_timing(report) == strip_timing(serial)
     assert len(report["per_mu"]) == 3
+
+
+@pytest.mark.parametrize("affinity,expected", [({3, 5}, [2]), ({1}, [])])
+def test_clamp_counts_the_cores_this_process_may_use(monkeypatch, affinity,
+                                                     expected):
+    workers = []
+    monkeypatch.setattr(harness, "_run_forked", _recording_runner(workers))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: affinity)
+    monkeypatch.setattr(harness.os, "cpu_count", lambda: 64)
+    run_sweep(SweepConfig("A1", (), 1, ("crystal",), jobs=8))
+    assert workers == expected
+
+
+def test_no_fork_runs_serially(monkeypatch):
+    workers = []
+    monkeypatch.setattr(harness, "_run_forked", _recording_runner(workers))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(harness.os, "fork")
+    report = run_sweep(SweepConfig("A1", (), 1, ("crystal",), jobs=2))
+    assert workers == []
+    serial = run_sweep(SweepConfig("A1", (), 1, ("crystal",)))
+    assert strip_timing(report) == strip_timing(serial)
+
+
+def test_forked_sweep_is_jobs_independent(monkeypatch):
+    # B2 Levi {1} h3: 32 tasks, of which (2, 0) has 13, cut into units of
+    # at most 8 at jobs 2 and 6 at jobs 3.  At cap 10 every module at mu
+    # fits, so the sections run, but modules at 2 mu do not: nonvanishing,
+    # saturation and semigroup record skips
+    def sweep(jobs):
+        _fresh_caches(monkeypatch)
+        return strip_timing(run_sweep(SweepConfig(
+            "B2", (1,), 3, ALL, semigroup_samples=30, jobs=jobs)))
+
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    serial = sweep(1)
+    assert serial["summary"]["skipped"] > 0 and serial["summary"]["fail"] == 0
+    assert serial["saturation"]["skipped"] and serial["semigroup"]["pairs_skipped"]
+    assert any("SKIPPED" in rec["checks"].values() and rec["notes"]
+               for rec in serial["instances"])
+    runs = []
+    real = harness._run_forked
+
+    def spy(tasks, units, workers):
+        runs.append((workers, max(map(len, units))))
+        return real(tasks, units, workers)
+
+    monkeypatch.setattr(harness, "_run_forked", spy)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert sweep(2) == serial
+    assert sweep(3) == serial
+    assert runs == [(2, 8), (3, 6)]
+
+
+def test_units_past_the_claim_pipe_still_run():
+    # 20,000 four-byte tokens overfill a 64 KiB pipe; the parent runs the rest
+    n = 20_000
+    tasks = [functools.partial(operator.neg, i) for i in range(n)]
+    assert harness._run_forked(tasks, [[i] for i in range(n)], 2) \
+        == [-i for i in range(n)]
+
+
+def _raising_in(where: str, exc: Exception, delay: float):
+    """An ``_instance_record`` that raises ``exc`` in the parent or in a
+    forked child, and sleeps ``delay`` seconds before running the real one
+    in the other process."""
+    parent = os.getpid()
+    real = harness._instance_record
+
+    def record(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise exc
+        time.sleep(delay)
+        return real(*args)
+    return record
+
+
+@pytest.mark.parametrize("exc", [AssertionError("wrong r"),
+                                 FeasibilityError("over the cap", 7)],
+                         ids=["AssertionError", "FeasibilityError"])
+def test_child_error_raises_in_the_parent(monkeypatch, exc):
+    # the parent's instances are slow, so the child claims some
+    monkeypatch.setattr(harness, "_instance_record",
+                        _raising_in("child", exc, 0.01))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(type(exc)) as info:
+        run_sweep(SweepConfig("A2", (1,), 2, IDENTITY_CHECKS, jobs=2))
+    assert str(info.value) == str(exc)
+    assert getattr(info.value, "cap", None) == getattr(exc, "cap", None)
+    assert "raised in a sweep worker" in "".join(info.value.__notes__)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_parent_error_kills_and_reaps_children(monkeypatch):
+    # A1 h1 at jobs 3: twelve instances in units of two; children that
+    # sleep 5 s per instance would keep a parent that waits for them 10 s
+    # or more
+    monkeypatch.setattr(harness, "_instance_record",
+                        _raising_in("parent", RuntimeError("parent"), 5.0))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    start = time.monotonic()
+    with pytest.raises(RuntimeError, match="parent"):
+        run_sweep(SweepConfig("A1", (), 1, IDENTITY_CHECKS, jobs=3))
+    assert time.monotonic() - start < 4.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_section_cap_hit_escapes_the_sweep(monkeypatch, jobs):
+    # the sections record no skipped mu: a cap hit on a swept module aborts
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(FeasibilityError):
+        run_sweep(SweepConfig("A2", (1,), 3, ("semigroup", "saturation"),
+                              jobs=jobs))
 
 
 def test_saturation_finds_witness_outside_type_a():
