@@ -18,7 +18,7 @@ coordinates.
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
@@ -140,25 +140,36 @@ def module_dimension(view: SubsystemView, mu: Coweight) -> int:
     return weyl_dim(view, mu)
 
 
-def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
-    """Sum over the weights w of ``weights`` of their coefficient times the
-    view's Weyl character at top + w, straightened by the dot action
-    (Klimyk's rule): top + w + rho_hat is carried into the dominant chamber,
-    taking the sign of the Weyl element, and dropped when it lies on a wall.
-    Coefficients are ints or ``LaurentPoly``s; returns ``{highest weight:
-    coefficient}`` without zero coefficients."""
-    # doubled coordinates keep rho_hat integral on every view
+def dot_straighten(view: SubsystemView, top: Coweight,
+                   weights: Mapping) -> Iterator[tuple[Coweight, int, object]]:
+    """The dot-action straightening of Klimyk's rule, term by term: for each
+    weight w of ``weights`` whose top + w + rho_hat is off the view's walls,
+    yields the dominant highest weight it is carried to, the sign of the
+    Weyl element carrying it, and w's coefficient.  Works in doubled
+    coordinates, which keep rho_hat integral on every view."""
     shift = view.two_rho_hat
-    out: dict = {}
+    base = [2 * a + s for a, s in zip(top, shift)]
+    walls = [i - 1 for i in view.indices]
+    dominate = view.dominate_with_sign
     for w, m in weights.items():
-        x = tuple(2 * (a + b) + s for a, b, s in zip(top, w, shift))
-        dom, sign = view.dominate_with_sign(x)
-        if any(dom[i - 1] == 0 for i in view.indices):
-            continue
-        k = tuple((d - s) // 2 for d, s in zip(dom, shift))
-        term = m if sign > 0 else -m
-        cur = out.get(k)
-        out[k] = term if cur is None else cur + term
+        dom, sign = dominate(tuple([b + 2 * a for b, a in zip(base, w)]))
+        for i in walls:
+            if not dom[i]:
+                break
+        else:
+            yield tuple([(d - s) // 2 for d, s in zip(dom, shift)]), sign, m
+
+
+def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
+    """Sum over the weights w of ``weights`` of their integer coefficient
+    times the view's Weyl character at top + w, straightened by the dot
+    action (Klimyk's rule, through ``dot_straighten``): top + w + rho_hat is
+    carried into the dominant chamber, taking the sign of the Weyl element,
+    and dropped when it lies on a wall.  Returns ``{highest weight:
+    coefficient}`` without zero coefficients."""
+    out: dict = {}
+    for k, sign, m in dot_straighten(view, top, weights):
+        out[k] = out.get(k, 0) + (m if sign > 0 else -m)
     return {k: m for k, m in out.items() if m}
 
 

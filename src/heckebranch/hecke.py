@@ -7,9 +7,10 @@ polynomial times an explicit v-power.  Hall-Littlewood polynomials come from
 Macdonald's formula (Macdonald, Spherical Functions on a Group of p-adic Type,
 1971), written in the basis of Weyl characters: the product over positive
 coroots of (1 - t x^(-coroot)) is expanded once per subsystem, each of its
-terms shifted by mu is straightened by the dot action (``characters.klimyk``,
-the step of the Klimyk tensor rule), and the coefficients are divided exactly
-by the stabilizer Poincare polynomial.
+terms shifted by mu is straightened by the dot action
+(``characters.dot_straighten``, the step of the Klimyk tensor rule) into flat
+{v-exponent: int} maps, and the coefficients are divided exactly by the
+stabilizer Poincare polynomial.
 
 Structure constants and constant-term coefficients are computed one
 coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
@@ -23,14 +24,22 @@ where prod over positive coroots a of 1 / (1 - t x^a) = sum_g P_t(g) x^g
 multiplicities, 1983; Kato, Invent. Math. 1982).  With A and B the character
 expansions of the Hall-Littlewood polynomials at alpha and beta,
 
-    m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma>
-                           sum_{a,b,c} A_a B_b n_{ab}^c K_{c,gamma}(v^-2),
+    m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum_a A_a G(a, beta, gamma),
+    G(a, beta, gamma) = sum_b B_b sum_c n_{ab}^c K_{c,gamma}(v^-2),
     c_mu(lam) = v^(<2rho, mu> - <2rho_M, lam>)
                 sum_{kappa,l} A_kappa r_kappa(l) K^M_{l,lam}(v^-2),
 
 with n from the cached ``tensor_decompose``, r from the cached
 ``restrict_decompose`` (so the constant-term coefficients come from the
 branching multiplicities), and K^M taken over the Levi's positive coroots.
+The partial sum G is memoized on (type, a, beta, gamma) and leaves out the
+characters b with a + b not at or above gamma, on whose constituents
+K_{c,gamma} vanishes.  The instances of a sweep that share mu share
+beta = mu* and gamma = nu, so they reuse G across their first factors, and
+``hecke_product`` reads the same G at each gamma of its support.  The
+restricted characters sum_kappa A_kappa r_kappa(l) are memoized per
+(upper, lower, mu).
+
 K is evaluated in the view's simple-coroot coordinates of
 w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
 goes down the orbit by simple reflections, flipping the sign at each step and
@@ -44,7 +53,8 @@ group.  P_t is one memoized table per view.  Sums accumulate in flat
 same K, over the dominant weights below the characters they expand.  Nothing
 here peels: the triangular peels against the Hall-Littlewood characters are
 kept in ``tests/hecke_oracle.py`` as oracles, and the branching
-multiplicities come from Brauer's rule through the same ``klimyk`` step.
+multiplicities come from Brauer's rule through ``characters.klimyk``, the
+same straightening step.
 ``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed by
 dominant coweights, through ``dominant_weights``.
 
@@ -62,7 +72,7 @@ from typing import Mapping, Optional
 from .characters import (
     dominant_support,
     dominant_weights,
-    klimyk,
+    dot_straighten,
     restrict_decompose,
     tensor_decompose,
 )
@@ -224,9 +234,7 @@ class LaurentPoly:
 # table's running size, so a verdict does not depend on what ran before.
 PARTITION_CAP = 20_000
 
-_ONE = LaurentPoly.one()
 _ZERO = LaurentPoly.zero()
-_T = LaurentPoly({-2: 1})
 
 InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
@@ -236,10 +244,18 @@ _product_cache: dict = {}
 _ct_cache: dict = {}
 _partition_cache: dict = {}
 _kf_cache: dict = {}
+_partial_cache: dict = {}
+_restricted_cache: dict = {}
 
 
 def _add_scaled(out: dict, k: Coweight, p: LaurentPoly, n: int) -> None:
     out[k] = out.get(k, _ZERO) + (p if n == 1 else p.scale(n))
+
+
+def _add_flat(out: dict, key, p: dict, n: int) -> None:
+    acc = out.setdefault(key, {})
+    for e, x in p.items():
+        acc[e] = acc.get(e, 0) + n * x
 
 
 def _poly_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -275,24 +291,27 @@ def stabilizer_poincare(view: SubsystemView, mu: Coweight) -> LaurentPoly:
     return LaurentPoly(coeffs)
 
 
-def _numerator(view: SubsystemView) -> Mapping[Coweight, LaurentPoly]:
+def _numerator(view: SubsystemView) -> Mapping[Coweight, dict]:
     """The product over the view's positive coroots of (1 - t x^(-coroot)),
-    as a read-only map exponent -> coefficient, cached per view."""
+    as a read-only map exponent -> flat {v-exponent: int} coefficient,
+    cached per view."""
     cached = _numerator_cache.get(view.key)
     if cached is not None:
         return cached
-    terms = {tuple(0 for _ in range(view.ambient_rank)): _ONE}
+    terms = {tuple(0 for _ in range(view.ambient_rank)): {0: 1}}
     for cv in view.positive_coroots:
-        nxt = dict(terms)
+        nxt = {k: dict(p) for k, p in terms.items()}
         for k, p in terms.items():
-            y = vec_sub(k, cv)
-            n = nxt.get(y, _ZERO) - p * _T
-            if n:
-                nxt[y] = n
-            else:
-                nxt.pop(y, None)
+            acc = nxt.setdefault(vec_sub(k, cv), {})
+            for e, x in p.items():
+                acc[e - 2] = acc.get(e - 2, 0) - x
         terms = nxt
-    cached = MappingProxyType(terms)
+    flat = {}
+    for k, p in terms.items():
+        p = {e: x for e, x in p.items() if x}
+        if p:
+            flat[k] = p
+    cached = MappingProxyType(flat)
     _numerator_cache[view.key] = cached
     return cached
 
@@ -301,9 +320,10 @@ def hall_littlewood_characters(view: SubsystemView,
                                mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
     Weyl characters, by Macdonald's formula: the characters of the numerator
-    times x^mu, straightened by ``klimyk``, each coefficient divided exactly
-    by the stabilizer Poincare polynomial.  Read-only, keyed by
-    subsystem-dominant coweights, monic at mu; coefficients lie in Z[t]."""
+    times x^mu, straightened by ``dot_straighten`` into flat maps, each
+    coefficient divided exactly by the stabilizer Poincare polynomial.
+    Read-only, keyed by subsystem-dominant coweights, monic at mu;
+    coefficients lie in Z[t]."""
     mu = tuple(mu)
     key = (view.key, mu)
     cached = _hl_cache.get(key)
@@ -312,9 +332,12 @@ def hall_littlewood_characters(view: SubsystemView,
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
     stab = stabilizer_poincare(view, mu)
-    chars = klimyk(view, mu, _numerator(view))
+    chars: dict = {}
+    for kappa, sign, p in dot_straighten(view, mu, _numerator(view)):
+        _add_flat(chars, kappa, p, sign)
+    polys = {kappa: LaurentPoly(p) for kappa, p in sorted(chars.items())}
     result = MappingProxyType({kappa: _poly_exact_div(p, stab)
-                               for kappa, p in sorted(chars.items())})
+                               for kappa, p in polys.items() if p})
     _hl_cache[key] = result
     return result
 
@@ -475,38 +498,58 @@ def _kf_sum(datum: RootDatum, view: SubsystemView, chars: dict,
     return out
 
 
-def _add_flat(out: dict, key, p: dict, n: int) -> None:
-    acc = out.setdefault(key, {})
-    for e, x in p.items():
-        acc[e] = acc.get(e, 0) + n * x
-
-
-def _character_product(datum: RootDatum, alpha: Coweight, beta: Coweight,
-                       floor: Coweight) -> dict:
-    """The product of the Hall-Littlewood polynomials at alpha and beta in
-    the Weyl-character basis, through the cached tensor decompositions:
-    {c: flat map}.  Pairs (a, b) with a + b not at or above floor in
-    dominance are left out: every constituent c of theirs lies below a + b,
-    so K_{c,floor} is zero."""
+def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
+                 gamma: Coweight) -> dict:
+    """G(a, beta, gamma) = sum over b of B_b sum over c of n_{ab}^c
+    K_{c,gamma}(v^-2), with B the character expansion of the
+    Hall-Littlewood polynomial at beta and n from the cached
+    ``tensor_decompose``, as a flat {v-exponent: int} map.  Characters b
+    with a + b not at or above gamma in dominance are left out: every
+    constituent c of a x b lies below a + b, so K_{c,gamma} is zero.
+    Cached on (type, a, beta, gamma), so every product whose first factor
+    has a in its expansion reuses it."""
+    key = (datum.cartan_type, a, beta, gamma)
+    cached = _partial_cache.get(key)
+    if cached is not None:
+        return cached
     view = datum.full
-    # a + b >= floor reads as adj @ (a + b - floor) >= 0: a + b - floor lies
-    # in the coroot lattice whenever the coefficient at floor can be nonzero
+    # a + b >= gamma reads as adj @ (a + b - gamma) >= 0: a + b - gamma lies
+    # in the coroot lattice whenever K_{c,gamma} can be nonzero
     adj = datum.cartan_adjugate
-    low = mat_apply(adj, floor)
-    right = [(b, pb, tuple(map(sub, mat_apply(adj, b), low)))
-             for b, pb in hall_littlewood_characters(view, beta).items()]
-    out: dict = {}
+    rest = mat_apply(adj, vec_sub(a, gamma))
+    out: dict[int, int] = {}
+    for b, pb in hall_littlewood_characters(view, beta).items():
+        if min(map(add, rest, mat_apply(adj, b))) < 0:
+            continue
+        # sum over c of n_{ab}^c K_{c,gamma}, by power of t
+        kf: dict[int, int] = {}
+        for c, n in tensor_decompose(datum, a, b).items():
+            for deg, k in enumerate(_kostka_foulkes(datum, view, c, gamma)):
+                if k:
+                    kf[deg] = kf.get(deg, 0) + n * k
+        for deg, k in kf.items():
+            if k:
+                for e, x in pb._c.items():
+                    e -= 2 * deg
+                    out[e] = out.get(e, 0) + k * x
+    _partial_cache[key] = out
+    return out
+
+
+def _structure_sum(datum: RootDatum, alpha: Coweight, beta: Coweight,
+                   gamma: Coweight) -> dict:
+    """m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum over a of A_a
+    G(a, beta, gamma), with A the character expansion of the
+    Hall-Littlewood polynomial at alpha, as a flat {v-exponent: int} map."""
+    view = datum.full
+    shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
+    out: dict[int, int] = {}
     for a, pa in hall_littlewood_characters(view, alpha).items():
-        above = mat_apply(adj, a)
-        for b, pb, rest in right:
-            if min(map(add, above, rest)) < 0:
-                continue
-            ab: dict[int, int] = {}
-            for e1, x1 in pa._c.items():
-                for e2, x2 in pb._c.items():
-                    ab[e1 + e2] = ab.get(e1 + e2, 0) + x1 * x2
-            for c, n in tensor_decompose(datum, a, b).items():
-                _add_flat(out, c, ab, n)
+        g = _partial_sum(datum, a, beta, gamma)
+        for e1, x1 in pa._c.items():
+            e1 += shift
+            for e2, x2 in g.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2
     return out
 
 
@@ -514,11 +557,16 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
                            mu: Coweight) -> dict:
     """The upper view's Hall-Littlewood polynomial at mu restricted to the
     lower view's Weyl characters, through the cached branching
-    multiplicities: {l: flat map}."""
+    multiplicities: {l: flat map}.  Cached; callers only read it."""
+    key = (upper.key, lower.key, mu)
+    cached = _restricted_cache.get(key)
+    if cached is not None:
+        return cached
     out: dict = {}
     for kappa, p in hall_littlewood_characters(upper, mu).items():
         for lam, r in restrict_decompose(upper, lower, kappa).items():
             _add_flat(out, lam, p._c, r)
+    _restricted_cache[key] = out
     return out
 
 
@@ -533,11 +581,7 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         raise DomainError("product arguments must be dominant")
     if not is_dominant(gamma):
         return LaurentPoly.zero()
-    view = datum.full
-    shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
-    return LaurentPoly(_kf_sum(datum, view,
-                               _character_product(datum, alpha, beta, gamma),
-                               gamma, shift))
+    return LaurentPoly(_structure_sum(datum, alpha, beta, gamma))
 
 
 def hecke_product(datum: RootDatum, alpha: Coweight,
@@ -549,18 +593,11 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
     key = (datum.cartan_type, alpha, beta)
     if key in _product_cache:
         return _product_cache[key]
-    view = datum.full
     if not (is_dominant(alpha) and is_dominant(beta)):
         raise DomainError("product arguments must be dominant")
-    top = vec_add(alpha, beta)
-    support = sorted(dominant_support(view, top))
-    # the lowest dominant weight of the coset lies below all the others
-    floor = min(support, key=lambda g: pairing(view.two_rho, g))
-    chars = _character_product(datum, alpha, beta, floor)
     out = {}
-    for gamma in support:
-        m = LaurentPoly(_kf_sum(datum, view, chars, gamma,
-                                pairing(view.two_rho, vec_sub(top, gamma))))
+    for gamma in sorted(dominant_support(datum.full, vec_add(alpha, beta))):
+        m = LaurentPoly(_structure_sum(datum, alpha, beta, gamma))
         if m:
             out[gamma] = m
     result = MappingProxyType(out)

@@ -12,6 +12,10 @@ Conventions, fixed once here and relied on everywhere else:
 * The coroot of the j-th simple root has fundamental-coweight coordinates
   equal to the j-th column of the Cartan matrix ``C[i][j] = <alpha_i, alpha_j^vee>``.
 * Simple-root indices in the public API are 1-based (Bourbaki numbering).
+* Weyl orbits and dominant representatives are walked by simple
+  reflections written through the simple coroots,
+  ``x -> x - x[i-1] * (i-th simple coroot)``, skipping any reflection that
+  fixes the point; the reflection matrices build the Weyl group elements.
 
 Supported type/rank pairs: A1..A5, B2..B4, C2..C4, D4, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
@@ -30,6 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError
@@ -45,11 +50,11 @@ _SUPPORTED_RANKS = {"A": range(1, 6), "B": range(2, 5), "C": range(2, 5),
 
 
 def vec_add(x: Sequence, y: Sequence) -> tuple:
-    return tuple(a + b for a, b in zip(x, y))
+    return tuple(map(add, x, y))
 
 
 def vec_sub(x: Sequence, y: Sequence) -> tuple:
-    return tuple(a - b for a, b in zip(x, y))
+    return tuple(map(sub, x, y))
 
 
 def vec_scale(c, x: Sequence) -> tuple:
@@ -61,7 +66,7 @@ def vec_neg(x: Sequence) -> tuple:
 
 
 def mat_apply(m: Sequence[Sequence], v: Sequence) -> tuple:
-    return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in m)
+    return tuple([sum(map(mul, row, v)) for row in m])
 
 
 def mat_mul(x: Sequence[Sequence], y: Sequence[Sequence]) -> Matrix:
@@ -176,7 +181,7 @@ class SubsystemView:
             for i in self.indices:
                 c = x[i - 1]
                 if c < 0:
-                    x = tuple(a - c * b for a, b in zip(x, coroots[i]))
+                    x = tuple([a - c * b for a, b in zip(x, coroots[i])])
                     sign = -sign
                     break
             else:
@@ -190,14 +195,20 @@ class SubsystemView:
                 for i in self.indices}
 
     def orbit(self, x: Sequence) -> frozenset:
+        """The subsystem Weyl orbit of x, reached by simple reflections; a
+        reflection that fixes a point is skipped."""
         x = tuple(x)
         seen = {x}
         frontier = [x]
+        coroots = self._simple_coroots
         while frontier:
             nxt = []
             for y in frontier:
                 for i in self.indices:
-                    z = mat_apply(self.reflections[i], y)
+                    c = y[i - 1]
+                    if not c:
+                        continue
+                    z = tuple([a - c * b for a, b in zip(y, coroots[i])])
                     if z not in seen:
                         seen.add(z)
                         nxt.append(z)
@@ -381,7 +392,7 @@ def _root_reflection(cm: Matrix, j: int) -> Matrix:
 
 def pairing(root: Sequence, coweight: Sequence):
     """<root, coweight>: dot product in the fixed coordinates."""
-    return sum(a * b for a, b in zip(root, coweight))
+    return sum(map(mul, root, coweight))
 
 
 def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
@@ -454,14 +465,21 @@ def in_hull(datum: RootDatum, x: Sequence, mu: Sequence) -> bool:
         datum, vec_sub(mu, datum.full.dominate(x))))
 
 
+_dim_cache: dict = {}
+
+
 def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
     """Dimension of the irreducible of highest weight mu for the dual group of
     the subsystem (Weyl's formula over the subsystem's positive roots, with the
     half-sum of positive coroots as the shift).  Evaluated in doubled integer
     coordinates: prod <a, 2mu + 2rho_hat> divided exactly by
-    prod <a, 2rho_hat>."""
+    prod <a, 2rho_hat>, and memoized per view and mu."""
     if not view.is_dominant(mu):
         raise DomainError(f"{tuple(mu)} is not dominant for {view.key}")
+    key = (view.key, tuple(mu))
+    d = _dim_cache.get(key)
+    if d is not None:
+        return d
     shift = view.two_rho_hat
     shifted = tuple(2 * v + s for v, s in zip(mu, shift))
     num = den = 1
@@ -471,6 +489,7 @@ def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
     d, rem = divmod(num, den)
     if rem:
         raise AssertionError("Weyl dimension came out non-integral")
+    _dim_cache[key] = d
     return d
 
 

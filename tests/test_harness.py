@@ -1,6 +1,7 @@
 """Sweep enumeration, report structure, determinism, and worker independence."""
 
 import functools
+import hashlib
 import json
 import operator
 import os
@@ -414,3 +415,25 @@ def test_path_checks_smoke(type_str, height):
     checks = ("crystal", "hecke_paths", "multiplicity_identity")
     _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height, checks)),
                      checks)
+
+
+# SHA-256 of each all-checks report's canonical JSON without its *_ms fields,
+# as ``perfbench/child.py`` digests it; recorded from the program before the
+# integer lattice kernels and the per-character Hecke partial sums
+GOLDEN_DIGESTS = {
+    ("A3", (1,), 5):
+        "54c8c6fe676d12c3857352b1c824cb96fe55ef9fb7aa8835cc262cc72595f3fd",
+    ("G2", (), 6):
+        "5fd31c1ad9f91e2f2755aa738b97d35f3c2cbc35e119722ef758ea3baa68673e",
+    ("B3", (2,), 4):
+        "86d623ecc44fe44fe62e398555756f197e89719fd5e2575629c12b23c3ec3b93",
+}
+
+
+@pytest.mark.parametrize("type_str,levi,height", sorted(GOLDEN_DIGESTS))
+def test_reports_match_golden_digests(type_str, levi, height):
+    report = run_sweep(SweepConfig(type_str, levi, height, ALL))
+    blob = json.dumps(strip_timing(report), sort_keys=True,
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() \
+        == GOLDEN_DIGESTS[type_str, levi, height]

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_oracle
+from heckebranch import hecke
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_support,
@@ -445,6 +446,28 @@ def test_pointwise_coefficients_match_the_peels(type_str):
         for lam in lams:
             assert constant_term_coefficient(d, lv, mu, lam) == \
                 peeled.get(lam, ZERO), (lv.key, mu, lam)
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3"])
+@pytest.mark.parametrize("product_first", [False, True])
+def test_partial_sums_do_not_depend_on_call_order(monkeypatch, type_str,
+                                                  product_first):
+    # from empty partial-sum and Kostka-Foulkes memos, point-wise structure
+    # constants asked for before any product and after one both match the
+    # peel: what the memos hold does not depend on which call filled them
+    for name in ("_partial_cache", "_kf_cache", "_product_cache"):
+        monkeypatch.setattr(hecke, name, {})
+    d = root_datum(type_str)
+    pairs, _ = _pairs_and_levis(d)
+    for a, b in pairs:
+        peeled = hecke_oracle.peeled_hecke_product(d, a, b)
+        if product_first:
+            assert hecke_product(d, a, b) == peeled, (a, b)
+        for g in dominant_support(d.full, vec_add(a, b)):
+            assert structure_constant(d, a, b, g) == peeled.get(g, ZERO), \
+                (a, b, g)
+        if not product_first:
+            assert hecke_product(d, a, b) == peeled, (a, b)
 
 
 def test_pointwise_coefficients_off_the_support():

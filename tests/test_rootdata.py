@@ -297,6 +297,39 @@ def test_weyl_dim_matches_fraction_formula(type_str):
                     weyl_dim(view, tuple(-(k == i) for k in range(1, n + 1)))
 
 
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
+def test_lattice_kernels_match_the_group_elements(monkeypatch, type_str):
+    # orbits walked by simple coroots against the images under every Weyl
+    # element's matrix, at dominant and non-dominant points, on the full view
+    # and every Levi; the dimension memo still rejects non-dominant weights
+    # once it holds dominant ones
+    monkeypatch.setattr(rootdata, "_dim_cache", {})
+    d = root_datum(type_str)
+    n = d.rank
+    points = _box(n, -1, 1)
+    if n > 3:
+        points = random.Random(n).sample(points, 20) + [(1,) * n]
+    for r in range(n + 1):
+        for idx in itertools.combinations(range(1, n + 1), r):
+            view = levi_view(d, idx)
+            for x in points:
+                assert view.orbit(x) == {rootdata.mat_apply(a, x)
+                                         for a in view.elements}, (idx, x)
+            dominant = [x for x in points if view.is_dominant(x)]
+            off = [x for x in points if not view.is_dominant(x)]
+            assert dominant and (off or not idx)
+            assert not any(k[0] == view.key for k in rootdata._dim_cache)
+            for x in off:
+                with pytest.raises(DomainError):
+                    weyl_dim(view, x)
+            for x in dominant:
+                assert weyl_dim(view, x) == _weyl_dim_by_fractions(view, x)
+            assert all((view.key, x) in rootdata._dim_cache for x in dominant)
+            for x in off:
+                with pytest.raises(DomainError):
+                    weyl_dim(view, x)
+
+
 def test_weyl_dim_dual_side_values():
     # module side is the dual group: B-input gives C-dimensions and back
     assert [weyl_dim(root_datum("B3").full, mu)
