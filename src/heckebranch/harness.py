@@ -18,7 +18,6 @@ import os
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 from typing import Optional, Sequence
 
@@ -53,7 +52,6 @@ from .rootdata import (
     k_phi,
     levi_view,
     pairing,
-    rho_height,
     root_datum,
     vec_add,
     vec_scale,
@@ -208,9 +206,15 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             verdicts["multiplicity_identity"] = SKIPPED
             notes.append(f"multiplicity_identity: {e}")
 
+    two_rho = datum.full.two_rho
+    if "product_identity" in checks or "degrees" in checks:
+        # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
+        # orbit size
+        levi_lam = pairing(levi.two_rho, lam)
+        f_poly = c_poly.shift(pairing(two_rho, lam) - levi_lam)
+
     if "product_identity" in checks:
-        shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
-        lhs = c_poly.shift(shift_n) * orbit_size(datum, levi, lam)
+        lhs = f_poly * orbit_size(datum, levi, lam)
         verdicts["product_identity"] = _verdict_all([lhs == m_poly])
 
     if "degrees" in checks:
@@ -218,26 +222,29 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         if n2 is None:
             n2 = tensor_multiplicity(datum, alpha, mustar, nu)
             values["n"] = n2
-        flags = [m_poly.has_even_exponents()]
-        m_bound = rho_height(datum, vec_sub(vec_add(alpha, mustar), nu))
+        # degree bounds doubled, as top v-exponents: 2 <rho, alpha + mu* - nu>
+        # for m and 2 <rho, mu + lam> - 2 <2rho_M, lam> for f
+        even = m_poly.has_even_exponents()
+        flags = [even]
+        m_bound = pairing(two_rho, vec_sub(vec_add(alpha, mustar), nu))
         if n2 != 0:
-            flags.append(m_poly.q_degree() == m_bound)
+            flags.append(bool(m_poly) and m_poly.max_exponent() == m_bound)
             flags.append(m_poly.leading() == n2)
         elif m_poly:
-            flags.append(m_poly.q_degree() < m_bound)
-        shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
-        f_poly = c_poly.shift(shift_n)
+            flags.append(m_poly.max_exponent() < m_bound)
         flags.append(f_poly.has_even_exponents())
-        f_bound = (rho_height(datum, vec_add(mu, lam))
-                   - Fraction(pairing(levi.two_rho, lam)))
+        f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
         if r != 0:
-            flags.append(f_poly.q_degree() == f_bound)
+            flags.append(bool(f_poly) and f_poly.max_exponent() == f_bound)
             flags.append(f_poly.leading() == r)
         elif f_poly:
-            flags.append(f_poly.q_degree() < f_bound)
+            flags.append(f_poly.max_exponent() < f_bound)
+        terms = m_poly.items()
+        low = min([0, *(e // 2 for e, _ in terms)])
         for q in q_points:
-            val = m_poly.eval_q(q) if m_poly.has_even_exponents() else None
-            flags.append(val is not None and val.denominator == 1 and val >= 0)
+            # m(q) = num / q^(-low), a nonnegative integer or not
+            num = sum(c * q ** (e // 2 - low) for e, c in terms)
+            flags.append(even and num >= 0 and num % q ** -low == 0)
         verdicts["degrees"] = _verdict_all(flags)
 
     if "nonvanishing" in checks:

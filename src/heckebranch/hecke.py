@@ -5,12 +5,19 @@ images, with coefficients Laurent polynomials in v = q^(1/2) and t = v^(-2).
 The basis element attached to a dominant coweight is the Hall-Littlewood
 polynomial times an explicit v-power.  Hall-Littlewood polynomials come from
 Macdonald's formula (Macdonald, Spherical Functions on a Group of p-adic Type,
-1971), written in the basis of Weyl characters: the product over positive
-coroots of (1 - t x^(-coroot)) is expanded once per subsystem, each of its
+1971), written in the basis of Weyl characters and summed over the cosets of
+the stabilizer W_mu of mu: the W_mu-sum of 1 / Delta is
+1 / prod (1 - x^(-a)) over the positive coroots a whose roots pair nonzero
+with mu, so
+
+    P_mu = sum_w w(x^mu prod_{<a,mu> != 0} (1 - t x^(-a)) / Delta)
+
+over the whole Weyl group, and no division is needed.  That singular
+numerator is expanded once per subsystem and zero set of mu, and each of its
 terms shifted by mu is straightened by the dot action
-(``characters.dot_straighten``, the step of the Klimyk tensor rule) into flat
-{v-exponent: int} maps, and the coefficients are divided exactly by the
-stabilizer Poincare polynomial.
+(``characters.dot_straighten``, the step of the Klimyk tensor rule).  Its
+coefficients, polynomials in t, are packed into one integer each while they
+are multiplied out and summed.
 
 Structure constants and constant-term coefficients are computed one
 coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
@@ -34,7 +41,9 @@ with n from the cached ``tensor_decompose``, r from the cached
 branching multiplicities), and K^M taken over the Levi's positive coroots.
 The partial sum G is memoized on (type, a, beta, gamma) and leaves out the
 characters b with a + b not at or above gamma, on whose constituents
-K_{c,gamma} vanishes.  The instances of a sweep that share mu share
+K_{c,gamma} vanishes; the sum over a leaves out, by the same test, the
+characters a with a + beta not at or above gamma, since every b lies below
+beta.  The instances of a sweep that share mu share
 beta = mu* and gamma = nu, so they reuse G across their first factors, and
 ``hecke_product`` reads the same G at each gamma of its support.  The
 restricted characters sum_kappa A_kappa r_kappa(l) are memoized per
@@ -252,78 +261,66 @@ def _add_scaled(out: dict, k: Coweight, p: LaurentPoly, n: int) -> None:
     out[k] = out.get(k, _ZERO) + (p if n == 1 else p.scale(n))
 
 
-def _add_flat(out: dict, key, p: dict, n: int) -> None:
-    acc = out.setdefault(key, {})
-    for e, x in p.items():
-        acc[e] = acc.get(e, 0) + n * x
+# A numerator coefficient is a polynomial in t, packed into one integer: the
+# coefficient of t^j is the j-th signed base-2^64 digit.  Every coefficient
+# of a Hall-Littlewood numerator and of its straightening is bounded by
+# 2^(number of positive roots) < 2^63, so sums of packed integers add digit
+# by digit and multiplying by t is a shift.
+_T_BITS = 64
+_T_MASK = (1 << _T_BITS) - 1
+_T_HALF = 1 << (_T_BITS - 1)
 
 
-def _poly_exact_div(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact Laurent division f / g; the divisor's top coefficient must be
-    a unit and the division must leave no remainder."""
-    if not g:
-        raise DomainError("division by zero polynomial")
-    if not f:
-        return LaurentPoly.zero()
-    gmax = g.max_exponent()
-    gtop = g.coeff(gmax)
-    if gtop not in (1, -1):
-        raise AssertionError("divisor top coefficient is not a unit")
-    floor = f.min_exponent() - g.min_exponent()
-    q: dict[int, int] = {}
-    rem = f
-    while rem:
-        d = rem.max_exponent() - gmax
-        if d < floor:
-            raise AssertionError("inexact polynomial division")
-        ce = rem.coeff(rem.max_exponent()) * gtop
-        q[d] = ce
-        rem = rem - g.shift(d).scale(ce)
-    return LaurentPoly(q)
+def _unpack_t(p: int) -> dict:
+    """A packed polynomial in t = v^(-2) as a flat {v-exponent: int} map."""
+    out = {}
+    e = 0
+    while p:
+        d = ((p + _T_HALF) & _T_MASK) - _T_HALF   # the signed lowest digit
+        if d:
+            out[e] = d
+        p = (p - d) >> _T_BITS
+        e -= 2
+    return out
 
 
-def stabilizer_poincare(view: SubsystemView, mu: Coweight) -> LaurentPoly:
-    """Sum of t^length over the subsystem Weyl elements fixing mu."""
-    coeffs: dict[int, int] = {}
-    for a, l in zip(view.elements, view.lengths):
-        if mat_apply(a, mu) == tuple(mu):
-            coeffs[-2 * l] = coeffs.get(-2 * l, 0) + 1
-    return LaurentPoly(coeffs)
-
-
-def _numerator(view: SubsystemView) -> Mapping[Coweight, dict]:
-    """The product over the view's positive coroots of (1 - t x^(-coroot)),
-    as a read-only map exponent -> flat {v-exponent: int} coefficient,
-    cached per view."""
-    cached = _numerator_cache.get(view.key)
+def _numerator(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
+    """The product of (1 - t x^(-a)) over the view's positive coroots a whose
+    roots pair nonzero with the view-dominant mu, as a read-only map
+    exponent -> packed coefficient.  The factors depend on mu only through
+    the view's simple roots that vanish on it, so the product is cached per
+    view and zero set."""
+    zeros = tuple(i for i in view.indices if not mu[i - 1])
+    key = (view.key, zeros)
+    cached = _numerator_cache.get(key)
     if cached is not None:
         return cached
-    terms = {tuple(0 for _ in range(view.ambient_rank)): {0: 1}}
-    for cv in view.positive_coroots:
-        nxt = {k: dict(p) for k, p in terms.items()}
+    if len(view.positive_roots) >= _T_BITS - 1:
+        raise AssertionError("numerator coefficients overflow their digits")
+    terms = {tuple(0 for _ in range(view.ambient_rank)): 1}
+    for r, cv in zip(view.positive_roots, view.positive_coroots):
+        if not pairing(r, mu):
+            continue
+        nxt = dict(terms)
         for k, p in terms.items():
-            acc = nxt.setdefault(vec_sub(k, cv), {})
-            for e, x in p.items():
-                acc[e - 2] = acc.get(e - 2, 0) - x
+            k = vec_sub(k, cv)
+            nxt[k] = nxt.get(k, 0) - (p << _T_BITS)
         terms = nxt
-    flat = {}
-    for k, p in terms.items():
-        p = {e: x for e, x in p.items() if x}
-        if p:
-            flat[k] = p
-    cached = MappingProxyType(flat)
-    _numerator_cache[view.key] = cached
+    cached = MappingProxyType({k: p for k, p in terms.items() if p})
+    _numerator_cache[key] = cached
     return cached
 
 
 def hall_littlewood_characters(view: SubsystemView,
                                mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
-    Weyl characters, by Macdonald's formula: the characters of the numerator
-    times x^mu, straightened by ``dot_straighten`` into flat maps, each
-    coefficient divided exactly by the stabilizer Poincare polynomial.
-    Read-only, keyed by subsystem-dominant coweights, monic at mu;
-    coefficients lie in Z[t]."""
+    Weyl characters, by Macdonald's formula taken over the cosets of the
+    stabilizer of mu: the characters of x^mu times ``_numerator(view, mu)``,
+    straightened by ``dot_straighten`` and summed as packed coefficients.
+    Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
+    the coroots off it, so nothing is divided.  Read-only, keyed by
+    subsystem-dominant coweights in sorted order, monic at mu; coefficients
+    lie in Z[t]."""
     mu = tuple(mu)
     key = (view.key, mu)
     cached = _hl_cache.get(key)
@@ -331,13 +328,11 @@ def hall_littlewood_characters(view: SubsystemView,
         return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
-    stab = stabilizer_poincare(view, mu)
     chars: dict = {}
-    for kappa, sign, p in dot_straighten(view, mu, _numerator(view)):
-        _add_flat(chars, kappa, p, sign)
-    polys = {kappa: LaurentPoly(p) for kappa, p in sorted(chars.items())}
-    result = MappingProxyType({kappa: _poly_exact_div(p, stab)
-                               for kappa, p in polys.items() if p})
+    for kappa, sign, p in dot_straighten(view, mu, _numerator(view, mu)):
+        chars[kappa] = chars.get(kappa, 0) + (p if sign > 0 else -p)
+    result = MappingProxyType({kappa: LaurentPoly(_unpack_t(p))
+                               for kappa, p in sorted(chars.items()) if p})
     _hl_cache[key] = result
     return result
 
@@ -540,11 +535,18 @@ def _structure_sum(datum: RootDatum, alpha: Coweight, beta: Coweight,
                    gamma: Coweight) -> dict:
     """m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum over a of A_a
     G(a, beta, gamma), with A the character expansion of the
-    Hall-Littlewood polynomial at alpha, as a flat {v-exponent: int} map."""
+    Hall-Littlewood polynomial at alpha, as a flat {v-exponent: int} map.
+    Characters a with a + beta not at or above gamma are left out."""
     view = datum.full
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
+    adj = datum.cartan_adjugate
+    rest = mat_apply(adj, vec_sub(beta, gamma))
     out: dict[int, int] = {}
     for a, pa in hall_littlewood_characters(view, alpha).items():
+        # every b of P_beta lies below beta, so G(a, beta, gamma) is zero
+        # unless a + beta is at or above gamma
+        if min(map(add, rest, mat_apply(adj, a))) < 0:
+            continue
         g = _partial_sum(datum, a, beta, gamma)
         for e1, x1 in pa._c.items():
             e1 += shift
@@ -565,7 +567,9 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
     out: dict = {}
     for kappa, p in hall_littlewood_characters(upper, mu).items():
         for lam, r in restrict_decompose(upper, lower, kappa).items():
-            _add_flat(out, lam, p._c, r)
+            acc = out.setdefault(lam, {})
+            for e, x in p._c.items():
+                acc[e] = acc.get(e, 0) + r * x
     _restricted_cache[key] = out
     return out
 
@@ -676,21 +680,20 @@ def orbit_size(datum: RootDatum, levi: SubsystemView,
     """Cardinality of the Levi integral-group orbit of the lattice point at
     lam, as a polynomial in q: q^(pairing with the Levi positive-root sum
     minus the number of Levi positive roots off the stabilizer) times the
-    Poincare series of the minimal coset representatives."""
+    Poincare series of the minimal coset representatives, summed over the
+    Levi orbit of lam: the representative carrying lam to x has length the
+    number of Levi positive roots negative on x."""
     lam = tuple(lam)
     if not levi.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant for the Levi {levi.indices}")
     sh = pairing(levi.two_rho, lam)
     d = sum(1 for r in levi.positive_roots if pairing(r, lam) > 0)
-    best: dict[Coweight, int] = {}
-    for a, l in zip(levi.elements, levi.lengths):
-        w = mat_apply(a, lam)
-        if w not in best or l < best[w]:
-            best[w] = l
     coeffs: dict[int, int] = {}
-    for l in best.values():
-        coeffs[2 * l] = coeffs.get(2 * l, 0) + 1
-    return LaurentPoly(coeffs).shift(2 * (sh - d))
+    for x in levi.orbit(lam):
+        e = 2 * (sh - d + sum(1 for r in levi.positive_roots
+                              if pairing(r, x) < 0))
+        coeffs[e] = coeffs.get(e, 0) + 1
+    return LaurentPoly(coeffs)
 
 
 def product_identity_sides(datum: RootDatum, levi: SubsystemView, mu: Coweight,

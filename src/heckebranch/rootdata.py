@@ -15,9 +15,11 @@ Conventions, fixed once here and relied on everywhere else:
 * Weyl orbits and dominant representatives are walked by simple
   reflections written through the simple coroots,
   ``x -> x - x[i-1] * (i-th simple coroot)``, skipping any reflection that
-  fixes the point; the reflection matrices build the Weyl group elements.
+  fixes the point.  No Weyl group is enumerated: the only group element
+  kept is the longest one, ``w0``, composed from the reduced word of simple
+  reflections that carries ``-(1, ..., 1)`` to the dominant chamber.
 
-Supported type/rank pairs: A1..A5, B2..B4, C2..C4, D4, F4, G2.  Everything
+Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
 each datum carries the integer adjugate of its Cartan matrix and its
 determinant, so the hull, coroot-lattice and dominance tests read signs and
@@ -45,8 +47,8 @@ RatVec = tuple[Fraction, ...]
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
-_SUPPORTED_RANKS = {"A": range(1, 6), "B": range(2, 5), "C": range(2, 5),
-                    "D": range(4, 5), "F": range(4, 5), "G": range(2, 3)}
+_SUPPORTED_RANKS = {"A": range(1, 7), "B": range(2, 6), "C": range(2, 6),
+                    "D": range(4, 6), "F": range(4, 5), "G": range(2, 3)}
 
 
 def vec_add(x: Sequence, y: Sequence) -> tuple:
@@ -85,7 +87,7 @@ def _minor(m: Sequence[Sequence[int]], i: int, j: int) -> Matrix:
 
 def _det(m: Sequence[Sequence[int]]) -> int:
     """Determinant of a square integer matrix by cofactor expansion (rank is
-    at most five here)."""
+    at most six here)."""
     if not m:
         return 1
     return sum((-1) ** j * m[0][j] * _det(_minor(m, 0, j))
@@ -137,12 +139,10 @@ def cartan_matrix(letter: str, rank: int) -> Matrix:
 @dataclass(frozen=True, eq=False)
 class SubsystemView:
     """A root subsystem (the full system, or the span of a subset of simple roots)
-    together with its Weyl group, acting on the ambient coweight coordinates.
+    with the action of its Weyl group on the ambient coweight coordinates,
+    through its simple reflections.
 
     ``indices`` are the 1-based simple-root indices generating the subsystem.
-    ``elements``/``root_elements`` are parallel lists of matrices: the former act
-    on coweight coordinates, the latter on simple-root coordinates, and
-    ``lengths[k]`` counts the subsystem positive roots inverted by element ``k``.
     """
 
     key: tuple
@@ -151,17 +151,10 @@ class SubsystemView:
     positive_roots: tuple[Root, ...]
     positive_coroots: tuple[Coweight, ...]
     reflections: dict
-    elements: tuple[Matrix, ...]
-    root_elements: tuple[Matrix, ...]
-    lengths: tuple[int, ...]
     rho_hat: RatVec            # half-sum of the subsystem's positive coroots
     two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
 
     def is_dominant(self, x: Sequence) -> bool:
         return all(x[i - 1] >= 0 for i in self.indices)
@@ -255,29 +248,10 @@ class RootDatum:
 
 
 def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
-                positive: list[tuple[Root, Coweight]], refl_cw: dict, refl_rt: dict,
+                positive: list[tuple[Root, Coweight]], refl_cw: dict,
                 form) -> SubsystemView:
     sub_pos = [(r, c) for (r, c) in positive
                if all(r[i] == 0 for i in range(ambient_rank) if (i + 1) not in indices)]
-    ident = _identity(ambient_rank)
-    elements = {ident: ident}
-    frontier = [(ident, ident)]
-    while frontier:
-        nxt = []
-        for (a, r) in frontier:
-            for i in indices:
-                a2 = mat_mul(a, refl_cw[i])
-                if a2 not in elements:
-                    r2 = mat_mul(r, refl_rt[i])
-                    elements[a2] = r2
-                    nxt.append((a2, r2))
-        frontier = nxt
-    elems = sorted(elements.items())
-    lengths = []
-    for (_, r) in elems:
-        inv = sum(1 for (root, _) in sub_pos
-                  if any(v < 0 for v in mat_apply(r, root)))
-        lengths.append(inv)
     rho_hat = tuple(sum(Fraction(c[i]) for (_, c) in sub_pos) / 2
                     for i in range(ambient_rank))
     two_rho = tuple(sum(r[i] for (r, _) in sub_pos) for i in range(ambient_rank))
@@ -288,27 +262,42 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         positive_roots=tuple(r for (r, _) in sub_pos),
         positive_coroots=tuple(c for (_, c) in sub_pos),
         reflections=refl_cw,
-        elements=tuple(a for (a, _) in elems),
-        root_elements=tuple(r for (_, r) in elems),
-        lengths=tuple(lengths),
         rho_hat=rho_hat, two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
     )
+
+
+def _longest_element(view: SubsystemView) -> Matrix:
+    """The longest Weyl element: the product of the simple reflections that
+    carry the regular antidominant point -(1, ..., 1) to the dominant
+    chamber, one reflection per positive root."""
+    x = (-1,) * view.ambient_rank
+    w0 = _identity(view.ambient_rank)
+    while True:
+        for i in view.indices:
+            if x[i - 1] < 0:
+                s = view.reflections[i]
+                x = mat_apply(s, x)
+                w0 = mat_mul(s, w0)
+                break
+        else:
+            return w0
 
 
 @lru_cache(maxsize=None)
 def _build(letter: str, rank: int) -> RootDatum:
     if letter not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[letter]:
         raise ConfigurationError(
-            f"unsupported type {letter}{rank}; supported: A1-A5, B2-B4, C2-C4, D4, F4, G2")
+            f"unsupported type {letter}{rank}; "
+            "supported: A1-A6, B2-B5, C2-C5, D4-D5, F4, G2")
     cm = cartan_matrix(letter, rank)
     refl_cw = {}
-    refl_rt = {}
     for j in range(rank):
         m = [[1 if i == k else 0 for k in range(rank)] for i in range(rank)]
         for i in range(rank):
             m[i][j] -= cm[i][j]
         refl_cw[j + 1] = tuple(tuple(row) for row in m)
-        refl_rt[j + 1] = _root_reflection(cm, j)
+    # on simple-root coordinates a simple reflection acts by the transpose
+    refl_rt = {j: tuple(zip(*m)) for j, m in refl_cw.items()}
 
     pairs = set()
     frontier = []
@@ -328,15 +317,13 @@ def _build(letter: str, rank: int) -> RootDatum:
         frontier = nxt
     positive = sorted((p for p in pairs if all(v >= 0 for v in p[0])),
                       key=lambda p: (sum(p[0]), p[0]))
-    n_pos = len(positive)
-    if 2 * n_pos != len(pairs):
+    if 2 * len(positive) != len(pairs):
         raise AssertionError("root enumeration lost the positive/negative split")
 
     form = tuple(tuple(sum(r[i] * r[j] for (r, _) in positive) for j in range(rank))
                  for i in range(rank))
     view = _build_view((f"{letter}{rank}", tuple(range(1, rank + 1))), rank,
-                       tuple(range(1, rank + 1)), positive, refl_cw, refl_rt, form)
-    w0 = view.elements[view.lengths.index(n_pos)]
+                       tuple(range(1, rank + 1)), positive, refl_cw, form)
     rho = tuple(sum(Fraction(r[i]) for (r, _) in positive) / 2 for i in range(rank))
     rho_check = tuple(sum(Fraction(c[i]) for (_, c) in positive) / 2 for i in range(rank))
     adj = _adjugate(cm)
@@ -350,7 +337,7 @@ def _build(letter: str, rank: int) -> RootDatum:
         highest_root=positive[-1][0],
         rho=rho, rho_check=rho_check, fundamental_weights=fw,
         cartan_adjugate=adj, cartan_det=det, form=form,
-        w0=w0, full=view,
+        w0=_longest_element(view), full=view,
     )
 
 
@@ -374,20 +361,9 @@ def levi_view(datum: RootDatum, indices: Iterable[int]) -> SubsystemView:
     key = (datum.cartan_type, idx)
     if key not in _view_cache:
         positive = list(zip(datum.positive_roots, datum.positive_coroots))
-        refl_rt = {i + 1: _root_reflection(datum.cartan_matrix, i)
-                   for i in range(datum.rank)}
         _view_cache[key] = _build_view(key, datum.rank, idx, positive,
-                                       datum.full.reflections, refl_rt,
-                                       datum.form)
+                                       datum.full.reflections, datum.form)
     return _view_cache[key]
-
-
-def _root_reflection(cm: Matrix, j: int) -> Matrix:
-    rank = len(cm)
-    mr = [[1 if i == k else 0 for k in range(rank)] for i in range(rank)]
-    for k in range(rank):
-        mr[j][k] -= cm[k][j]
-    return tuple(tuple(row) for row in mr)
 
 
 def pairing(root: Sequence, coweight: Sequence):

@@ -11,17 +11,22 @@ The character-basis peels at the end are a second reference: they expand the
 library's character products by triangular peeling against the
 Hall-Littlewood characters, where the library goes through Kostka-Foulkes
 polynomials.
+
+The enumerated forms are a third: the Hall-Littlewood characters from the
+whole Macdonald numerator divided by the stabilizer Poincare polynomial, and
+the Levi orbit sizes from the lengths of the group elements, both over the
+group enumerated by ``weyl_oracle``.
 """
 
 from functools import lru_cache
 
-from heckebranch.characters import restrict_decompose, tensor_decompose
-from heckebranch.hecke import (
-    LaurentPoly,
-    _poly_exact_div,
-    hall_littlewood_characters,
-    stabilizer_poincare,
+from heckebranch.characters import (
+    dot_straighten,
+    restrict_decompose,
+    tensor_decompose,
 )
+from heckebranch.errors import DomainError
+from heckebranch.hecke import LaurentPoly, hall_littlewood_characters
 from heckebranch.rootdata import (
     is_dominant,
     mat_apply,
@@ -31,6 +36,7 @@ from heckebranch.rootdata import (
     vec_sub,
 )
 from peel_oracle import peel, peel_height
+from weyl_oracle import group
 
 ONE = LaurentPoly.one()
 T = LaurentPoly({-2: 1})
@@ -66,6 +72,40 @@ def _divide_binomial(datum, f, coroot):
         return {k: ONE, vec_sub(k, coroot): -ONE}
 
     return peel(f, datum.full.two_rho, binomial)
+
+
+def _poly_exact_div(f, g):
+    """Exact Laurent division f / g; the divisor's top coefficient must be
+    a unit and the division must leave no remainder."""
+    if not g:
+        raise DomainError("division by zero polynomial")
+    if not f:
+        return LaurentPoly.zero()
+    gmax = g.max_exponent()
+    gtop = g.coeff(gmax)
+    if gtop not in (1, -1):
+        raise AssertionError("divisor top coefficient is not a unit")
+    floor = f.min_exponent() - g.min_exponent()
+    q = {}
+    rem = f
+    while rem:
+        d = rem.max_exponent() - gmax
+        if d < floor:
+            raise AssertionError("inexact polynomial division")
+        ce = rem.coeff(rem.max_exponent()) * gtop
+        q[d] = ce
+        rem = rem - g.shift(d).scale(ce)
+    return LaurentPoly(q)
+
+
+def stabilizer_poincare(view, mu):
+    """Sum of t^length over the subsystem Weyl elements fixing mu."""
+    coeffs = {}
+    g = group(view)
+    for a, l in zip(g.elements, g.lengths):
+        if mat_apply(a, mu) == tuple(mu):
+            coeffs[-2 * l] = coeffs.get(-2 * l, 0) + 1
+    return LaurentPoly(coeffs)
 
 
 def expand_orbits(view, inv):
@@ -109,7 +149,8 @@ def hall_littlewood(datum, view, mu):
     orbit sums keyed by subsystem-dominant coweights."""
     zero_key = tuple(0 for _ in range(datum.rank))
     num = {}
-    for a, r in zip(view.elements, view.root_elements):
+    g = group(view)
+    for a, r in zip(g.elements, g.root_elements):
         term = {mat_apply(a, mu): ONE}
         for root, cv in zip(view.positive_roots, view.positive_coroots):
             wc = mat_apply(a, cv)
@@ -196,3 +237,50 @@ def peeled_satake_expand(datum, upper, lower, mu):
                   lambda lam: hall_littlewood_characters(lower, lam))
     return {lam: c.shift(-pairing(lower.two_rho, lam))
             for lam, c in sorted(coeffs.items())}
+
+
+@lru_cache(maxsize=None)
+def full_numerator(view):
+    """The product over all of the view's positive coroots of
+    (1 - t x^(-coroot)), as exponent -> flat {v-exponent: int}."""
+    terms = {tuple(0 for _ in range(view.ambient_rank)): {0: 1}}
+    for cv in view.positive_coroots:
+        nxt = {k: dict(p) for k, p in terms.items()}
+        for k, p in terms.items():
+            acc = nxt.setdefault(vec_sub(k, cv), {})
+            for e, x in p.items():
+                acc[e - 2] = acc.get(e - 2, 0) - x
+        terms = nxt
+    return {k: p for k, p in terms.items() if any(p.values())}
+
+
+def divided_hall_littlewood_characters(view, mu):
+    """Macdonald's formula over the whole Weyl group: the characters of x^mu
+    times ``full_numerator``, each coefficient divided by the stabilizer
+    Poincare polynomial; keyed in sorted order."""
+    stab = stabilizer_poincare(view, mu)
+    chars = {}
+    for kappa, sign, p in dot_straighten(view, mu, full_numerator(view)):
+        acc = chars.setdefault(kappa, {})
+        for e, x in p.items():
+            acc[e] = acc.get(e, 0) + sign * x
+    polys = {kappa: LaurentPoly(p) for kappa, p in sorted(chars.items())}
+    return {kappa: _poly_exact_div(p, stab) for kappa, p in polys.items() if p}
+
+
+def enumerated_orbit_size(levi, lam):
+    """The Levi orbit size through the group elements: each orbit point
+    counted at q^(the least length carrying lam there), with the same
+    q-shift as the library's."""
+    sh = pairing(levi.two_rho, lam)
+    d = sum(1 for r in levi.positive_roots if pairing(r, lam) > 0)
+    best = {}
+    g = group(levi)
+    for a, l in zip(g.elements, g.lengths):
+        w = mat_apply(a, lam)
+        if w not in best or l < best[w]:
+            best[w] = l
+    coeffs = {}
+    for l in best.values():
+        coeffs[2 * l] = coeffs.get(2 * l, 0) + 1
+    return LaurentPoly(coeffs).shift(2 * (sh - d))

@@ -37,6 +37,7 @@ from heckebranch.rootdata import (
     pairing,
     vec_add,
 )
+from weyl_oracle import group
 
 _PEEL_GUARD = 200_000
 
@@ -170,7 +171,7 @@ def hull_vertices(datum: RootDatum, levi: SubsystemView,
         while frontier:
             nxt = []
             for f in frontier:
-                for r in datum.full.root_elements:
+                for r in group(datum.full).root_elements:
                     g = mat_apply(r, f)
                     if g not in orbit:
                         orbit.add(g)

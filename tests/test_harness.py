@@ -408,6 +408,17 @@ def test_rank_three_hecke_smoke(type_str, height):
                      checks)
 
 
+def test_rank_five_all_checks_smoke():
+    # D5, a type whose Weyl group nothing enumerates: Levi {1} at height 4,
+    # every check and both scans included
+    report = run_sweep(SweepConfig("D5", (1,), 4, ALL))
+    assert report["instance_count"] == 18
+    assert report["semigroup"]["verdict"] == "PASS"
+    assert report["saturation"]["verdict"] == "PASS"
+    summary = report["summary"]
+    assert (summary["pass"], summary["fail"], summary["skipped"]) == (80, 0, 0)
+
+
 @pytest.mark.parametrize("type_str,height", [("A3", 3), ("B3", 3), ("C3", 3),
                                              ("G2", 3), ("B4", 4), ("A4", 2)])
 def test_path_checks_smoke(type_str, height):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_oracle
+from hecke_oracle import stabilizer_poincare
 from heckebranch import hecke
 from heckebranch.characters import (
     branch_multiplicity,
@@ -29,7 +30,6 @@ from heckebranch.hecke import (
     product_identity_sides,
     satake_expand,
     satake_f,
-    stabilizer_poincare,
     structure_constant,
     verify_product_identity,
 )
@@ -234,6 +234,27 @@ def test_orbit_size_at_one_counts_orbit():
         assert p.eval_q(1) == len(weyl_orbit(d, lam))
 
 
+ORBIT_SIZE_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2",
+                    "C3", "C4", "D4", "F4", "G2")
+
+
+def test_orbit_size_matches_the_enumerated_form():
+    # the sum over the Levi orbit against the least lengths of the group
+    # elements, on every Levi of every enumerable type at each Levi-dominant
+    # lam in the box [-1, 1]^rank
+    cases = 0
+    for type_str in ORBIT_SIZE_TYPES:
+        d = root_datum(type_str)
+        for levi in _views(d):
+            for lam in itertools.product((-1, 0, 1), repeat=d.rank):
+                if levi.is_dominant(lam):
+                    assert orbit_size(d, levi, lam) == \
+                        hecke_oracle.enumerated_orbit_size(levi, lam), \
+                        (levi.key, lam)
+                    cases += 1
+    assert cases == 6730
+
+
 def test_constant_term_goldens():
     d = root_datum("A1")
     t = levi_view(d, ())
@@ -394,6 +415,24 @@ def test_hecke_layer_matches_symmetrization_oracle(type_str):
             assert satake_expand(d, upper, lower, mu) == \
                 hecke_oracle.satake_expand(d, upper, lower, mu), \
                 (upper.key, lower.key, mu)
+
+
+@pytest.mark.parametrize("type_str,views,top", [
+    ("A1", "all", 2), ("A2", "all", 2), ("A3", "all", 2), ("B2", "all", 2),
+    ("B3", "all", 2), ("C3", "all", 2), ("G2", "all", 2),
+    ("A4", "full", 1), ("B4", "full", 1), ("C4", "full", 1),
+    ("D4", "full", 1), ("F4", "full", 1)])
+def test_hall_littlewood_matches_the_stabilizer_division(type_str, views,
+                                                         top):
+    # the numerator over the coroots off the stabilizer, undivided, against
+    # the whole numerator divided by the stabilizer Poincare polynomial:
+    # the same coefficients under the same keys in the same order
+    d = root_datum(type_str)
+    for view in _views(d) if views == "all" else [d.full]:
+        for mu in itertools.product(range(top + 1), repeat=d.rank):
+            got = hall_littlewood_characters(view, mu)
+            want = hecke_oracle.divided_hall_littlewood_characters(view, mu)
+            assert list(got.items()) == list(want.items()), (view.key, mu)
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])

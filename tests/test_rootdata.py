@@ -9,11 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_oracle
 import peel_oracle
+import weyl_oracle
 from peel_oracle import peel, solve_exact
 
 from heckebranch import rootdata
 from heckebranch.errors import ConfigurationError, DomainError
-from heckebranch.hecke import LaurentPoly
+from heckebranch.hecke import LaurentPoly, orbit_size
 from heckebranch.rootdata import (
     cartan_matrix,
     coroot_coefficients,
@@ -42,25 +43,34 @@ WEYL_ORDERS = {
     "D4": 192, "F4": 1152, "G2": 12,
 }
 
+# the rank-5 and rank-6 types, whose groups the tests do not enumerate
+WIDE_WEYL_ORDERS = {"A6": 5040, "B5": 3840, "C5": 3840, "D5": 1920}
+
 POSITIVE_ROOT_COUNTS = {
-    "A1": 1, "A2": 3, "A3": 6, "A4": 10, "A5": 15,
-    "B2": 4, "B3": 9, "B4": 16,
-    "C2": 4, "C3": 9, "C4": 16,
-    "D4": 12, "F4": 24, "G2": 6,
+    "A1": 1, "A2": 3, "A3": 6, "A4": 10, "A5": 15, "A6": 21,
+    "B2": 4, "B3": 9, "B4": 16, "B5": 25,
+    "C2": 4, "C3": 9, "C4": 16, "C5": 25,
+    "D4": 12, "D5": 20, "F4": 24, "G2": 6,
 }
 
 K_PHI = {
-    "A1": 1, "A2": 1, "A3": 1, "A4": 1, "A5": 1,
-    "B2": 2, "B3": 2, "B4": 2,
-    "C2": 2, "C3": 2, "C4": 2,
-    "D4": 2, "F4": 12, "G2": 6,
+    "A1": 1, "A2": 1, "A3": 1, "A4": 1, "A5": 1, "A6": 1,
+    "B2": 2, "B3": 2, "B4": 2, "B5": 2,
+    "C2": 2, "C3": 2, "C4": 2, "C5": 2,
+    "D4": 2, "D5": 2, "F4": 12, "G2": 6,
 }
 
 
-@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS | WIDE_WEYL_ORDERS))
 def test_counts_per_type(type_str):
     d = root_datum(type_str)
-    assert d.full.order == WEYL_ORDERS[type_str]
+    if type_str in WEYL_ORDERS:
+        assert weyl_oracle.order(d.full) == WEYL_ORDERS[type_str]
+    else:
+        # the orbit of a regular point at q = 1
+        regular = (1,) * d.rank
+        assert orbit_size(d, d.full, regular).eval_q(1) \
+            == WIDE_WEYL_ORDERS[type_str]
     assert len(d.positive_roots) == POSITIVE_ROOT_COUNTS[type_str]
     assert len(d.positive_coroots) == POSITIVE_ROOT_COUNTS[type_str]
     assert k_phi(d) == K_PHI[type_str]
@@ -90,7 +100,7 @@ def test_cartan_matrix_shapes():
     assert d4[1][3] == -1 and d4[3][1] == -1 and d4[2][3] == 0
 
 
-@pytest.mark.parametrize("bad", ["", "A0", "A6", "B1", "B5", "D5", "E6", "H2",
+@pytest.mark.parametrize("bad", ["", "A0", "A7", "B1", "B6", "D6", "E6", "H2",
                                  "AA", "2A", "G3", "F3", "C1", "D3"])
 def test_unsupported_types_rejected(bad):
     with pytest.raises(ConfigurationError):
@@ -118,10 +128,10 @@ def test_levi_view_validation():
     # the index iterable denotes a subset, so order and repeats are immaterial
     assert levi_view(d, (3, 1, 3)) is levi_view(d, (1, 3))
     lv = levi_view(d, (1, 3))
-    assert lv.order == 4
+    assert weyl_oracle.order(lv) == 4
     assert len(lv.positive_roots) == 2
-    assert levi_view(d, ()).order == 1
-    assert levi_view(d, (1, 2, 3)).order == 24
+    assert weyl_oracle.order(levi_view(d, ())) == 1
+    assert weyl_oracle.order(levi_view(d, (1, 2, 3))) == 24
 
 
 def test_levi_view_roots_are_ambient_roots():
@@ -143,6 +153,12 @@ def test_dual_star():
     b = root_datum("B2")
     assert dual_star(b, (1, 0)) == (1, 0)
     assert dual_star(b, (0, 1)) == (0, 1)
+
+
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
+def test_w0_is_the_longest_element(type_str):
+    d = root_datum(type_str)
+    assert d.w0 == weyl_oracle.longest_element(d)
 
 
 def test_dominate_and_orbit():
@@ -167,7 +183,7 @@ def test_dominate_properties(type_str, coords):
     assert all(c >= 0 for c in dom)
     orb = weyl_orbit(d, x)
     assert dom in orb
-    assert d.full.order % len(orb) == 0
+    assert weyl_oracle.order(d.full) % len(orb) == 0
     assert dominate(d, dom) == dom
 
 
@@ -313,8 +329,9 @@ def test_lattice_kernels_match_the_group_elements(monkeypatch, type_str):
         for idx in itertools.combinations(range(1, n + 1), r):
             view = levi_view(d, idx)
             for x in points:
-                assert view.orbit(x) == {rootdata.mat_apply(a, x)
-                                         for a in view.elements}, (idx, x)
+                assert view.orbit(x) == {
+                    rootdata.mat_apply(a, x)
+                    for a in weyl_oracle.group(view).elements}, (idx, x)
             dominant = [x for x in points if view.is_dominant(x)]
             off = [x for x in points if not view.is_dominant(x)]
             assert dominant and (off or not idx)
