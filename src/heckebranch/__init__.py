@@ -15,13 +15,11 @@ from .rootdata import (
     rho_height,
     root_datum,
     weyl_dim,
-    weyl_orbit,
 )
 from .characters import (
     branch_decompose,
     branch_multiplicity,
     dominant_weights,
-    module_dimension,
     tensor_decompose,
     tensor_multiplicity,
     weight_table,
@@ -33,10 +31,7 @@ from .parabolic import (
     offset_pair,
 )
 from .littelmann import (
-    count_branch_paths,
-    count_tensor_paths,
     crystal_fibers,
-    e_op,
     endpoint_weight,
     f_op,
     generate_crystal,
@@ -51,11 +46,8 @@ from .hecke import (
     hall_littlewood_characters,
     hecke_product,
     orbit_size,
-    product_identity_sides,
     satake_expand,
-    satake_f,
     structure_constant,
-    verify_product_identity,
 )
 from .harness import CHECK_NAMES, SweepConfig, enumerate_instances, run_sweep
 
@@ -74,12 +66,9 @@ __all__ = [
     "branch_multiplicity",
     "constant_term",
     "constant_term_coefficient",
-    "count_branch_paths",
-    "count_tensor_paths",
     "crystal_fibers",
     "dominant_weights",
     "dual_star",
-    "e_op",
     "endpoint_weight",
     "enumerate_instances",
     "f_op",
@@ -93,24 +82,19 @@ __all__ = [
     "leq_dominance",
     "levi_view",
     "minimal_offset",
-    "module_dimension",
     "nilradical_roots",
     "offset_pair",
     "orbit_size",
     "pairing",
     "parse_coweight",
-    "product_identity_sides",
     "rho_height",
     "root_datum",
     "run_sweep",
     "satake_expand",
-    "satake_f",
     "straight_path",
     "structure_constant",
     "tensor_decompose",
     "tensor_multiplicity",
-    "verify_product_identity",
     "weight_table",
     "weyl_dim",
-    "weyl_orbit",
 ]

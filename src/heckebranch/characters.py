@@ -136,10 +136,6 @@ def weight_table(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     return result
 
 
-def module_dimension(view: SubsystemView, mu: Coweight) -> int:
-    return weyl_dim(view, mu)
-
-
 def dot_straighten(view: SubsystemView, top: Coweight,
                    weights: Mapping) -> Iterator[tuple[Coweight, int, object]]:
     """The dot-action straightening of Klimyk's rule, term by term: for each

@@ -126,11 +126,10 @@ def _cmd_verify(args) -> int:
         seed=args.seed,
         saturation_n_max=args.n_max,
         semigroup_samples=args.semigroup_samples,
-        output=args.out,
     )
     report = run_sweep(config)
-    if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
     per_check: dict[str, dict[str, int]] = {}

@@ -91,7 +91,6 @@ class SweepConfig:
     seed: int = 20260816
     saturation_n_max: int = 3
     semigroup_samples: int = 120
-    output: Optional[str] = None
 
     def validate(self) -> None:
         if self.max_height < 0:
@@ -386,11 +385,9 @@ def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
                 zero_pairs.append((mu, lam))
 
     def scaled_branch(factor: int, mu, lam) -> Optional[int]:
-        smu = vec_scale(factor, mu)
-        if weyl_dim(datum.full, smu) > DIMENSION_CAP:
-            return None
         try:
-            return branch_multiplicity(datum, levi, smu, vec_scale(factor, lam))
+            return branch_multiplicity(datum, levi, vec_scale(factor, mu),
+                                       vec_scale(factor, lam))
         except FeasibilityError:
             return None
 
@@ -413,13 +410,19 @@ def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
         hit = {"mu": list(mu), "lambda": list(lam),
                "witness_n": witness[0], "witness_r": witness[1]}
         kmu = vec_scale(k, mu)
-        if weyl_dim(datum.full, kmu) > DIMENSION_CAP:
+        ck = None
+        # the dimension test spares a Hall-Littlewood expansion at kmu
+        if weyl_dim(datum.full, kmu) <= DIMENSION_CAP:
+            try:
+                ck = constant_term_coefficient(datum, levi, kmu,
+                                               vec_scale(k, lam))
+            except FeasibilityError:
+                pass
+        if ck is None:
             hit["c_at_k"] = SKIPPED
             skips.append({"mu": list(mu), "lambda": list(lam), "n": k,
                           "reason": "k-scaled constant term over the cap"})
         else:
-            ck = constant_term_coefficient(datum, levi, kmu,
-                                           vec_scale(k, lam))
             hit["c_at_k"] = bool(ck)
             if not ck:
                 failures.append({"mu": list(mu), "lambda": list(lam),

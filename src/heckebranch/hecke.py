@@ -64,15 +64,14 @@ here peels: the triangular peels against the Hall-Littlewood characters are
 kept in ``tests/hecke_oracle.py`` as oracles, and the branching
 multiplicities come from Brauer's rule through ``characters.klimyk``, the
 same straightening step.
-``hall_littlewood`` and ``satake_f`` give the orbit-sum form, keyed by
-dominant coweights, through ``dominant_weights``.
+``hall_littlewood`` gives the orbit-sum form, keyed by dominant coweights,
+through ``dominant_weights``.
 
 Cached results are handed out as read-only mappings.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -86,12 +85,10 @@ from .characters import (
     tensor_decompose,
 )
 from .errors import DomainError, FeasibilityError
-from .parabolic import geq_parabolic
 from .rootdata import (
     Coweight,
     RootDatum,
     SubsystemView,
-    dual_star,
     in_hull,
     in_coroot_lattice,
     is_dominant,
@@ -194,12 +191,6 @@ class LaurentPoly:
             raise DomainError("zero polynomial has no valuation")
         return min(self._c)
 
-    def q_degree(self) -> Optional[Fraction]:
-        """Degree as a polynomial in q = v**2, None for the zero polynomial."""
-        if not self._c:
-            return None
-        return Fraction(max(self._c), 2)
-
     def leading(self) -> int:
         """Coefficient of the highest v-power (0 for the zero polynomial)."""
         if not self._c:
@@ -208,15 +199,6 @@ class LaurentPoly:
 
     def has_even_exponents(self) -> bool:
         return all(e % 2 == 0 for e in self._c)
-
-    def eval_q(self, q) -> Fraction:
-        """Value at a given q; requires even v-exponents."""
-        if not self.has_even_exponents():
-            raise DomainError("odd v-exponent present, not a function of q")
-        # the lowest negative power of q becomes the one denominator
-        low = min([0, *(e // 2 for e in self._c)])
-        num = sum(c * q ** (e // 2 - low) for e, c in self._c.items())
-        return Fraction(num, q ** -low)
 
     def to_json(self) -> dict:
         return {"exponents_of_v": {str(e): c for e, c in sorted(self._c.items())}}
@@ -348,16 +330,6 @@ def hall_littlewood(datum: RootDatum, view: SubsystemView,
         for lam, m in dominant_weights(view, kappa).items():
             _add_scaled(out, lam, p, m)
     return MappingProxyType({lam: p for lam, p in sorted(out.items()) if p})
-
-
-def satake_f(datum: RootDatum, view: SubsystemView,
-             mu: Coweight) -> InvariantElement:
-    """Symmetric-function image of the basis element at mu: the
-    Hall-Littlewood element shifted by v to the pairing of mu with the sum of
-    the subsystem's positive roots."""
-    shift = pairing(view.two_rho, mu)
-    return MappingProxyType(
-        {k: p.shift(shift) for k, p in hall_littlewood(datum, view, mu).items()})
 
 
 def _view_coordinates(datum: RootDatum, view: SubsystemView,
@@ -694,34 +666,3 @@ def orbit_size(datum: RootDatum, levi: SubsystemView,
                               if pairing(r, x) < 0))
         coeffs[e] = coeffs.get(e, 0) + 1
     return LaurentPoly(coeffs)
-
-
-def product_identity_sides(datum: RootDatum, levi: SubsystemView, mu: Coweight,
-                           lam: Coweight, nu: Coweight
-                           ) -> tuple[LaurentPoly, LaurentPoly]:
-    """The two sides of the structure-constant identity: the constant-term
-    coefficient at lam times v^(pairing of lam with the roots off the Levi)
-    times the Levi orbit size, against the product structure constant at nu
-    for the pair (nu + lam, dual of mu)."""
-    mu, lam, nu = tuple(mu), tuple(lam), tuple(nu)
-    if not levi.is_dominant(lam):
-        raise DomainError(f"{lam} is not dominant for the Levi")
-    if not in_coroot_lattice(datum, vec_sub(mu, lam)):
-        raise DomainError("mu and lam are not congruent modulo the coroot lattice")
-    if not geq_parabolic(datum, levi, nu, mu):
-        raise DomainError("nu does not dominate mu for this parabolic")
-    alpha = vec_add(nu, lam)
-    if not is_dominant(alpha):
-        raise DomainError("nu + lam left the dominant cone")
-    c = constant_term_coefficient(datum, levi, mu, lam)
-    shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
-    lhs = c.shift(shift_n) * orbit_size(datum, levi, lam)
-    mustar = dual_star(datum, mu)
-    rhs = structure_constant(datum, alpha, mustar, nu)
-    return lhs, rhs
-
-
-def verify_product_identity(datum: RootDatum, levi: SubsystemView,
-                            mu: Coweight, lam: Coweight, nu: Coweight) -> bool:
-    lhs, rhs = product_identity_sides(datum, levi, mu, lam, nu)
-    return lhs == rhs

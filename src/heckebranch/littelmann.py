@@ -152,26 +152,6 @@ def _lower(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
     return _cut_and_reflect(coroot, j, path, t0, t1)
 
 
-def _raise(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
-           unit: int) -> Optional[GridPath]:
-    """The raising operator, inverse to ``_lower`` where both are defined."""
-    heights = [x[j] for x in points]
-    low = min(heights)
-    top = low + unit
-    if low > -unit:
-        return None
-    k1 = heights.index(low)
-    # the path starts at height 0 >= top, so the scan stops
-    k = k1
-    while heights[k - 1] < top:
-        k -= 1
-    t1 = sum(t for _, t in path[:k1])
-    t0 = sum(t for _, t in path[:k - 1])
-    if heights[k - 1] > top:
-        t0 += _slope_steps(heights[k - 1] - top, -path[k - 1][0][j])
-    return _cut_and_reflect(coroot, j, path, t0, t1)
-
-
 def _coroot(datum: RootDatum, i: int) -> Coweight:
     """The i-th simple coroot: the i-th column of the Cartan matrix."""
     return tuple(row[i - 1] for row in datum.cartan_matrix)
@@ -232,13 +212,6 @@ def f_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
     Returns None when undefined."""
     ipath, grid, scale = _encode(path, i)
     out = _lower(_coroot(datum, i), i - 1, ipath, _points(ipath), grid * scale)
-    return None if out is None else _decode(out, grid, scale)
-
-
-def e_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
-    """Raising root operator, inverse to ``f_op`` where both are defined."""
-    ipath, grid, scale = _encode(path, i)
-    out = _raise(_coroot(datum, i), i - 1, ipath, _points(ipath), grid * scale)
     return None if out is None else _decode(out, grid, scale)
 
 
@@ -339,11 +312,6 @@ def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                      if all(levi.is_dominant(x) for x in points))
 
 
-def count_branch_paths(datum: RootDatum, levi: SubsystemView, mu: Coweight,
-                       lam: Coweight) -> int:
-    return len(branch_path_set(datum, levi, mu, lam))
-
-
 def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
                     target: Coweight) -> frozenset:
     """Crystal paths of mu that stay G-dominant at every breakpoint after
@@ -357,11 +325,6 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     return frozenset(p for p, _, points in fiber
                      if all(a + c >= 0 for x in points
                             for a, c in zip(shift, x)))
-
-
-def count_tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,
-                       target: Coweight) -> int:
-    return len(tensor_path_set(datum, mu, nu, target))
 
 
 # --- folded paths ---------------------------------------------------------

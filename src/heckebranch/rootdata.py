@@ -4,9 +4,9 @@ Conventions, fixed once here and relied on everywhere else:
 
 * A coweight is a tuple of integers in fundamental-coweight coordinates,
   so ``nu[i]`` equals the pairing of the (i+1)-th simple root with ``nu``.
-  Rational vectors (half-sums, and path vertices at the path API) use the
-  same coordinates with ``Fraction`` entries; the path model itself works
-  with integer multiples of its vertices on a time grid.
+  Path vertices at the path API use the same coordinates with ``Fraction``
+  entries; the path model itself works with integer multiples of its
+  vertices on a time grid.
 * A root is a tuple of integers in simple-root coordinates.  The pairing
   of a root with a coweight is the plain dot product of the two tuples.
 * The coroot of the j-th simple root has fundamental-coweight coordinates
@@ -24,10 +24,8 @@ is exact, and no floats appear anywhere.  Coroot coordinates are integer:
 each datum carries the integer adjugate of its Cartan matrix and its
 determinant, so the hull, coroot-lattice and dominance tests read signs and
 residues of ``adj @ x``, and heights are compared through the integer
-pairing with the sum of positive roots.  The public results still in
-``fractions.Fraction`` are ``rho_height``, ``coroot_coefficients``, the
-half-sums ``rho``, ``rho_check`` and ``rho_hat``, and
-``fundamental_weights``.
+pairing with the sum of positive roots.  Half-sums are kept doubled, as the
+integer sums ``two_rho`` and ``two_rho_hat``.
 """
 
 from __future__ import annotations
@@ -42,7 +40,7 @@ from typing import Iterable, Sequence
 from .errors import ConfigurationError, DomainError
 
 Coweight = tuple[int, ...]
-# rational coweight coordinates: half-sums, and path vertices at the path API
+# rational coweight coordinates: path vertices at the path API
 RatVec = tuple[Fraction, ...]
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
@@ -151,7 +149,6 @@ class SubsystemView:
     positive_roots: tuple[Root, ...]
     positive_coroots: tuple[Coweight, ...]
     reflections: dict
-    rho_hat: RatVec            # half-sum of the subsystem's positive coroots
     two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
@@ -232,9 +229,6 @@ class RootDatum:
     positive_roots: tuple[Root, ...]
     positive_coroots: tuple[Coweight, ...]
     highest_root: Root
-    rho: RatVec                      # half-sum of positive roots, simple-root coords
-    rho_check: RatVec                # half-sum of positive coroots, coweight coords
-    fundamental_weights: tuple[RatVec, ...]   # rows: simple-root coords of each
     # integer adjugate and determinant of the Cartan matrix: adj @ x is det
     # times the coefficients of x over the simple coroots
     cartan_adjugate: Matrix
@@ -243,17 +237,12 @@ class RootDatum:
     w0: Matrix                       # longest element, acting on coweight coords
     full: SubsystemView
 
-    def simple_reflection(self, i: int) -> Matrix:
-        return self.full.reflections[i]
-
 
 def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
                 positive: list[tuple[Root, Coweight]], refl_cw: dict,
                 form) -> SubsystemView:
     sub_pos = [(r, c) for (r, c) in positive
                if all(r[i] == 0 for i in range(ambient_rank) if (i + 1) not in indices)]
-    rho_hat = tuple(sum(Fraction(c[i]) for (_, c) in sub_pos) / 2
-                    for i in range(ambient_rank))
     two_rho = tuple(sum(r[i] for (r, _) in sub_pos) for i in range(ambient_rank))
     two_rho_hat = tuple(sum(c[j] for (_, c) in sub_pos)
                         for j in range(ambient_rank))
@@ -262,7 +251,7 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         positive_roots=tuple(r for (r, _) in sub_pos),
         positive_coroots=tuple(c for (_, c) in sub_pos),
         reflections=refl_cw,
-        rho_hat=rho_hat, two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
+        two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
     )
 
 
@@ -324,19 +313,12 @@ def _build(letter: str, rank: int) -> RootDatum:
                  for i in range(rank))
     view = _build_view((f"{letter}{rank}", tuple(range(1, rank + 1))), rank,
                        tuple(range(1, rank + 1)), positive, refl_cw, form)
-    rho = tuple(sum(Fraction(r[i]) for (r, _) in positive) / 2 for i in range(rank))
-    rho_check = tuple(sum(Fraction(c[i]) for (_, c) in positive) / 2 for i in range(rank))
-    adj = _adjugate(cm)
-    det = _det(cm)
-    # row i = simple-root coordinates of the i-th fundamental weight
-    fw = tuple(tuple(Fraction(a, det) for a in row) for row in adj)
     return RootDatum(
         cartan_type=f"{letter}{rank}", letter=letter, rank=rank, cartan_matrix=cm,
         positive_roots=tuple(r for (r, _) in positive),
         positive_coroots=tuple(c for (_, c) in positive),
         highest_root=positive[-1][0],
-        rho=rho, rho_check=rho_check, fundamental_weights=fw,
-        cartan_adjugate=adj, cartan_det=det, form=form,
+        cartan_adjugate=_adjugate(cm), cartan_det=_det(cm), form=form,
         w0=_longest_element(view), full=view,
     )
 
@@ -387,20 +369,6 @@ def is_dominant(coweight: Sequence) -> bool:
     return all(v >= 0 for v in coweight)
 
 
-def dominate(datum: RootDatum, x: Sequence) -> tuple:
-    return datum.full.dominate(x)
-
-
-def dominate_with_sign(datum: RootDatum, x: Sequence) -> tuple[tuple, int]:
-    """Dominant representative and the determinant sign of the minimal-length
-    Weyl element carrying x there.  Sign is only meaningful for regular x."""
-    return datum.full.dominate_with_sign(x)
-
-
-def weyl_orbit(datum: RootDatum, x: Sequence) -> frozenset:
-    return datum.full.orbit(x)
-
-
 def dual_star(datum: RootDatum, x: Sequence) -> tuple:
     """x* = -w0(x); an involution permuting dominant coweights."""
     return vec_neg(mat_apply(datum.w0, x))
@@ -411,12 +379,6 @@ def _coroot_numerators(datum: RootDatum, x: Sequence) -> tuple:
     the integer adjugate of the Cartan matrix applied to x (x may be
     rational)."""
     return mat_apply(datum.cartan_adjugate, x)
-
-
-def coroot_coefficients(datum: RootDatum, x: Sequence) -> RatVec:
-    """Coefficients of x over the simple coroots (x may be rational)."""
-    det = datum.cartan_det
-    return tuple(Fraction(n, det) for n in _coroot_numerators(datum, x))
 
 
 def leq_dominance(datum: RootDatum, lower: Sequence, upper: Sequence) -> bool:

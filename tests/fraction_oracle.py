@@ -2,9 +2,9 @@
 ``Fraction`` arithmetic.
 
 Coroot coefficients come from the rational inverse of the Cartan matrix (the
-fundamental weights), and the hull, coroot-lattice and dominance tests read
-their signs and denominators.  The Freudenthal recursion runs with the
-half-sum ``rho_hat`` of positive coroots, orders the weights by the sum of
+fundamental weights, by Gauss-Jordan elimination), and the hull,
+coroot-lattice and dominance tests read their signs and denominators.  The
+Freudenthal recursion runs with the half-sum ``rho_hat`` of positive coroots, orders the weights by the sum of
 their coroot coefficients over the view's simple coroots, and divides in
 ``Fraction``s.  Independent of the integer adjugate and the doubled
 coordinates that the library uses, so the tests compare the two.
@@ -13,11 +13,16 @@ coordinates that the library uses, so the tests compare the two.
 from fractions import Fraction
 
 from heckebranch.rootdata import vec_add, vec_scale, vec_sub
-from peel_oracle import solve_exact
+from peel_oracle import fundamental_weights, solve_exact
+
+
+def rho_hat(view) -> tuple:
+    """Half the sum of the view's positive coroots."""
+    return tuple(Fraction(c, 2) for c in view.two_rho_hat)
 
 
 def coroot_coefficients(datum, x) -> tuple:
-    inv = datum.fundamental_weights
+    inv = fundamental_weights(datum)
     # <omega_i, x> reads the i-th coroot coefficient
     return tuple(sum(inv[i][j] * Fraction(x[j]) for j in range(datum.rank))
                  for i in range(datum.rank))
@@ -83,7 +88,8 @@ def dominant_weights(view, mu) -> dict:
         return sum(view_coroot_coefficients(view, vec_sub(mu, x)), Fraction(0))
 
     ordered = sorted(found, key=lambda x: (depth(x), x))
-    shifted_mu = vec_add(mu, view.rho_hat)
+    half = rho_hat(view)
+    shifted_mu = vec_add(mu, half)
     norm_mu = view.bilinear(shifted_mu, shifted_mu)
     mults: dict = {}
     orbit_mult: dict = {}
@@ -104,7 +110,7 @@ def dominant_weights(view, mu) -> dict:
                         m = mults[dom]
                     acc += m * view.bilinear(y, cv)
                     k += 1
-            shifted = vec_add(kappa, view.rho_hat)
+            shifted = vec_add(kappa, half)
             val = 2 * acc / (norm_mu - view.bilinear(shifted, shifted))
             assert val.denominator == 1
             val = int(val)

@@ -16,6 +16,11 @@ The enumerated forms are a third: the Hall-Littlewood characters from the
 whole Macdonald numerator divided by the stabilizer Poincare polynomial, and
 the Levi orbit sizes from the lengths of the group elements, both over the
 group enumerated by ``weyl_oracle``.
+
+``product_identity_sides`` gives the two sides of the structure-constant
+identity for one instance, after validating every precondition; the
+harness's ``product_identity`` check computes the same sides unvalidated,
+since its instance enumeration guarantees them.
 """
 
 from functools import lru_cache
@@ -26,8 +31,17 @@ from heckebranch.characters import (
     tensor_decompose,
 )
 from heckebranch.errors import DomainError
-from heckebranch.hecke import LaurentPoly, hall_littlewood_characters
+from heckebranch.hecke import (
+    LaurentPoly,
+    constant_term_coefficient,
+    hall_littlewood_characters,
+    orbit_size,
+    structure_constant,
+)
+from heckebranch.parabolic import geq_parabolic
 from heckebranch.rootdata import (
+    dual_star,
+    in_coroot_lattice,
     is_dominant,
     mat_apply,
     pairing,
@@ -284,3 +298,25 @@ def enumerated_orbit_size(levi, lam):
     for l in best.values():
         coeffs[2 * l] = coeffs.get(2 * l, 0) + 1
     return LaurentPoly(coeffs).shift(2 * (sh - d))
+
+
+def product_identity_sides(datum, levi, mu, lam, nu):
+    """The two sides of the structure-constant identity: the constant-term
+    coefficient at lam times v^(pairing of lam with the roots off the Levi)
+    times the Levi orbit size, against the product structure constant at nu
+    for the pair (nu + lam, dual of mu)."""
+    mu, lam, nu = tuple(mu), tuple(lam), tuple(nu)
+    if not levi.is_dominant(lam):
+        raise DomainError(f"{lam} is not dominant for the Levi")
+    if not in_coroot_lattice(datum, vec_sub(mu, lam)):
+        raise DomainError("mu and lam are not congruent modulo the coroot lattice")
+    if not geq_parabolic(datum, levi, nu, mu):
+        raise DomainError("nu does not dominate mu for this parabolic")
+    alpha = vec_add(nu, lam)
+    if not is_dominant(alpha):
+        raise DomainError("nu + lam left the dominant cone")
+    c = constant_term_coefficient(datum, levi, mu, lam)
+    shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
+    lhs = c.shift(shift_n) * orbit_size(datum, levi, lam)
+    rhs = structure_constant(datum, alpha, dual_star(datum, mu), nu)
+    return lhs, rhs

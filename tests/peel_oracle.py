@@ -21,6 +21,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -150,6 +151,15 @@ def solve_exact(rows: Sequence[Sequence], rhs: Sequence[Sequence]
     return tuple(tuple(row[n:]) for row in aug)
 
 
+@lru_cache(maxsize=None)
+def fundamental_weights(datum: RootDatum) -> tuple[RatVec, ...]:
+    """Rows: the simple-root coordinates of each fundamental weight, the
+    rational inverse of the Cartan matrix by ``solve_exact``."""
+    n = datum.rank
+    ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+    return solve_exact(datum.cartan_matrix, ident)
+
+
 def hull_vertices(datum: RootDatum, levi: SubsystemView,
                   mu: Coweight) -> tuple[RatVec, ...]:
     """Vertices of the polytope Conv(W mu) intersected with the M-dominant
@@ -165,9 +175,10 @@ def hull_vertices(datum: RootDatum, levi: SubsystemView,
     constraints: list[tuple[RatVec, Fraction]] = []
     seen_funcs = set()
     for i in range(n):
-        bound = sum(datum.fundamental_weights[i][j] * mu[j] for j in range(n))
-        frontier = [datum.fundamental_weights[i]]
-        orbit = {datum.fundamental_weights[i]}
+        omega = fundamental_weights(datum)[i]
+        bound = sum(omega[j] * mu[j] for j in range(n))
+        frontier = [omega]
+        orbit = {omega}
         while frontier:
             nxt = []
             for f in frontier:

@@ -30,7 +30,6 @@ from heckebranch.hecke import (
     satake_expand,
 )
 from heckebranch.littelmann import (
-    e_op,
     endpoint_weight,
     f_op,
     generate_crystal,
@@ -49,6 +48,7 @@ from heckebranch.rootdata import (
     vec_scale,
     weyl_dim,
 )
+from littelmann_oracle import e_op
 from peel_oracle import hull_conditions
 
 ONE = LaurentPoly.one()

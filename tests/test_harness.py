@@ -217,6 +217,25 @@ def test_partition_cap_hit_skips_checks(monkeypatch):
                if "SKIPPED" in rec["checks"].values())
 
 
+def test_partition_cap_hit_skips_the_saturation_constant_term(monkeypatch):
+    # B2 Levi {1} h3 has one saturation hit, (0, 1) at lambda 0, and its
+    # constant term at k mu = (0, 2) needs more than two partition-table
+    # points: the hit records c_at_k as SKIPPED and the scan goes on
+    config = SweepConfig("B2", (1,), 3, ("saturation",))
+    _fresh_caches(monkeypatch)
+    full = run_sweep(config)["saturation"]
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(hecke, "PARTITION_CAP", 2)
+    capped = run_sweep(config)["saturation"]
+    assert [h["c_at_k"] for h in full["hits"]] == [True]
+    assert full["skipped"] == []
+    assert capped["hits"] == [dict(full["hits"][0], c_at_k="SKIPPED")]
+    assert capped["skipped"] == [{"mu": [0, 1], "lambda": [0, 0], "n": 2,
+                                  "reason": "k-scaled constant term over "
+                                            "the cap"}]
+    assert capped["verdict"] == full["verdict"] == "PASS"
+
+
 def _recording_runner(workers: list):
     """Stands in for the forked runner: records the worker count, then runs
     the tasks in this process."""

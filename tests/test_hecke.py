@@ -1,13 +1,12 @@
 """Laurent arithmetic, triangular bases, products, and constant terms."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_oracle
-from hecke_oracle import stabilizer_poincare
+from hecke_oracle import product_identity_sides, satake_f, stabilizer_poincare
 from heckebranch import hecke
 from heckebranch.characters import (
     branch_multiplicity,
@@ -27,11 +26,8 @@ from heckebranch.hecke import (
     hecke_product,
     kostka_foulkes,
     orbit_size,
-    product_identity_sides,
     satake_expand,
-    satake_f,
     structure_constant,
-    verify_product_identity,
 )
 from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
@@ -65,11 +61,14 @@ def test_laurent_basic_ops():
     assert (p * q).coeff(0) == 3
 
 
+def _at_q_one(p):
+    """The value at q = 1: the sum of the coefficients."""
+    return sum(c for _, c in p.items())
+
+
 def test_laurent_degree_and_leading():
     p = LaurentPoly({4: 2, 0: -1})
-    assert p.q_degree() == 2
     assert p.leading() == 2
-    assert ZERO.q_degree() is None
     assert ZERO.leading() == 0
     assert p.max_exponent() == 4 and p.min_exponent() == 0
     with pytest.raises(DomainError):
@@ -79,12 +78,7 @@ def test_laurent_degree_and_leading():
 def test_laurent_eval_and_parity():
     p = Q(2) + Q(1).scale(3)
     assert p.has_even_exponents()
-    assert p.eval_q(2) == 10
-    assert p.eval_q(Fraction(1, 2)) == Fraction(7, 4)
-    odd = V(1)
-    assert not odd.has_even_exponents()
-    with pytest.raises(DomainError):
-        odd.eval_q(2)
+    assert not V(1).has_even_exponents()
 
 
 def test_laurent_json_roundtrip():
@@ -100,7 +94,7 @@ def test_stabilizer_poincare():
     a2 = root_datum("A2")
     # full stabilizer of zero is the whole Weyl group
     w_poly = stabilizer_poincare(a2.full, (0, 0))
-    assert w_poly.eval_q(1) == 6
+    assert _at_q_one(w_poly) == 6
 
 
 def test_hall_littlewood_a1():
@@ -205,14 +199,15 @@ def test_product_against_tensor_leading_coefficient():
         from heckebranch.characters import weight_table
         for gamma in sorted(keys):
             n = tensor_multiplicity(d, a, b, gamma)
-            bound = rho_height(d, vec_sub(vec_add(a, b), gamma))
+            # the q-degree bound, doubled to a bound on v-exponents
+            bound = 2 * rho_height(d, vec_sub(vec_add(a, b), gamma))
             m = prod[gamma]
             assert m.has_even_exponents()
             if n:
-                assert m.q_degree() == bound
+                assert m.max_exponent() == bound
                 assert m.leading() == n
             else:
-                assert m.q_degree() < bound
+                assert m.max_exponent() < bound
 
 
 def test_orbit_size_goldens():
@@ -227,11 +222,10 @@ def test_orbit_size_goldens():
 
 
 def test_orbit_size_at_one_counts_orbit():
-    from heckebranch.rootdata import weyl_orbit
     for type_str, lam in [("A2", (1, 1)), ("B2", (2, 1)), ("A2", (1, 0))]:
         d = root_datum(type_str)
         p = orbit_size(d, d.full, lam)
-        assert p.eval_q(1) == len(weyl_orbit(d, lam))
+        assert _at_q_one(p) == len(d.full.orbit(lam))
 
 
 ORBIT_SIZE_TYPES = ("A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "C2",
@@ -325,8 +319,8 @@ def test_product_identity_sweep_small():
                 if not lv.is_dominant(lam):
                     continue
                 for nu in {nu0, nu1}:
-                    assert verify_product_identity(d, lv, mu, lam, nu), \
-                        (type_str, idx, mu, lam, nu)
+                    lhs, rhs = product_identity_sides(d, lv, mu, lam, nu)
+                    assert lhs == rhs, (type_str, idx, mu, lam, nu)
 
 
 def test_product_identity_rejects_bad_offset():
@@ -350,7 +344,6 @@ def test_cached_results_are_read_only():
     lv = levi_view(d, (1,))
     calls = [
         lambda: hall_littlewood(d, d.full, (1, 1)),
-        lambda: satake_f(d, d.full, (1, 1)),
         lambda: hecke_product(d, (1, 0), (0, 1)),
         lambda: satake_expand(d, d.full, lv, (1, 1)),
         lambda: constant_term(d, lv, (1, 1)),

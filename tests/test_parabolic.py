@@ -131,8 +131,7 @@ def test_hull_vertices_torus_levi():
     d = root_datum("A2")
     # no cone constraints: plain orbit hull has the orbit among its vertices
     verts = set(hull_vertices(d, levi_view(d, ()), (1, 0)))
-    from heckebranch.rootdata import weyl_orbit
-    orbit = {tuple(Fraction(c) for c in x) for x in weyl_orbit(d, (1, 0))}
+    orbit = {tuple(Fraction(c) for c in x) for x in d.full.orbit((1, 0))}
     assert orbit <= verts
 
 

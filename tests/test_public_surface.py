@@ -1,0 +1,41 @@
+"""The names other code looks up: the benchmark tracer's tables and the
+README's library entry points."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import heckebranch
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _layertrace():
+    # loaded by path and only read: the tracer wraps nothing until installed
+    spec = importlib.util.spec_from_file_location(
+        "_layertrace_tables", ROOT / "perfbench" / "layertrace.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_names_resolve():
+    tracer = _layertrace()
+    missing = [f"{layer}.{name}"
+               for table in (tracer.SPANNED, tracer.COUNTED)
+               for layer, names in table.items() for name in names
+               if not callable(getattr(importlib.import_module(
+                   f"heckebranch.{layer}"), name, None))]
+    assert missing == []
+
+
+def test_readme_entry_points_are_exported():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library entry points", 1)[1]
+    block = block.split("```python", 1)[1].split("```", 1)[0]
+    imports = block.split("from heckebranch import (", 1)[1].split(")", 1)[0]
+    names = re.findall(r"\w+", re.sub(r"#.*", "", imports))
+    assert len(names) > 10
+    assert sorted(set(names) - set(heckebranch.__all__)) == []
+    assert all(hasattr(heckebranch, n) for n in heckebranch.__all__)
