@@ -34,7 +34,6 @@ from .rootdata import (
 
 DIMENSION_CAP = 200_000
 
-_dominant_cache: dict = {}
 _table_cache: dict = {}
 _tensor_cache: dict = {}
 _branch_cache: dict = {}
@@ -72,9 +71,6 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
     """Multiplicities of the view-dominant weights of the irreducible module
     with highest weight mu, by the Freudenthal recursion.  Read-only."""
     mu = tuple(mu)
-    key = (view.key, mu)
-    if key in _dominant_cache:
-        return _dominant_cache[key]
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
     _check_cap(view, mu)
@@ -114,9 +110,7 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
         mults[kappa] = val
         for y in view.orbit(kappa):
             orbit_mult[y] = val
-    result = MappingProxyType(mults)
-    _dominant_cache[key] = result
-    return result
+    return MappingProxyType(mults)
 
 
 def weight_table(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:

@@ -41,7 +41,6 @@ from .littelmann import (
     _crystal,
     _folds_connected,
     branch_path_set,
-    generate_crystal,
     tensor_path_set,
 )
 from .parabolic import offset_pair
@@ -281,36 +280,27 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
     verdicts: dict = {}
     notes: list[str] = []
     crystal_size = None
-    paths = crystal = None
     if "crystal" in checks or "hecke_paths" in checks:
         try:
-            paths = generate_crystal(datum, mu)
-            crystal = _crystal(datum, mu, None)
+            crystal = _crystal(datum, mu)
         except FeasibilityError as e:
-            notes.append(f"crystal: {e}")
+            checks = _skip(checks, ("crystal", "hecke_paths"), e, verdicts,
+                           notes)
 
     if "crystal" in checks:
-        if paths is None:
-            verdicts["crystal"] = SKIPPED
-        else:
-            crystal_size = len(paths)
-            hist = {w: len(f) for w, f in crystal.fibers.items()}
-            try:
-                table = weight_table(datum.full, mu)
-                verdicts["crystal"] = _verdict_all([
-                    crystal_size == weyl_dim(datum.full, mu), hist == table])
-            except FeasibilityError as e:
-                verdicts["crystal"] = SKIPPED
-                notes.append(f"crystal: {e}")
+        # the crystal and the weight table run under one cap, so a crystal
+        # that was built has its table
+        hist = {w: len(f) for w, f in crystal.fibers.items()}
+        crystal_size = sum(hist.values())
+        verdicts["crystal"] = _verdict_all([
+            crystal_size == weyl_dim(datum.full, mu),
+            hist == weight_table(datum.full, mu)])
 
     if "hecke_paths" in checks:
-        if paths is None:
-            verdicts["hecke_paths"] = SKIPPED
-        else:
-            verdicts["hecke_paths"] = _verdict_all(
-                [_folds_connected(datum, ipath, points, crystal.grid)
-                 for fiber in crystal.fibers.values()
-                 for _, ipath, points in fiber])
+        verdicts["hecke_paths"] = _verdict_all(
+            [_folds_connected(datum, ipath, points, crystal.grid)
+             for fiber in crystal.fibers.values()
+             for _, ipath, points in fiber])
 
     if "ct_transitivity" in checks:
         torus = levi_view(datum, ())
@@ -374,15 +364,19 @@ def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
     }
 
 
-def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
+def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
+                        n_max: int) -> dict:
     k = k_phi(datum)
     zero_pairs = []
-    for mu in mus:
-        br = branch_decompose(datum, levi, mu)
-        for lam in sorted(w for w in weight_table(datum.full, mu)
-                          if levi.is_dominant(w)):
-            if br.get(lam, 0) == 0:
-                zero_pairs.append((mu, lam))
+    skips = []
+    for mu, lams in lams_by_mu.items():
+        try:
+            br = branch_decompose(datum, levi, mu)
+        except FeasibilityError:
+            skips += [{"mu": list(mu), "lambda": list(lam), "n": 1,
+                       "reason": "module over the cap"} for lam in lams]
+            continue
+        zero_pairs += [(mu, lam) for lam in lams if br.get(lam, 0) == 0]
 
     def scaled_branch(factor: int, mu, lam) -> Optional[int]:
         try:
@@ -393,7 +387,6 @@ def _saturation_section(datum: RootDatum, levi, mus, n_max: int) -> dict:
 
     hits = []
     failures = []
-    skips = []
     for mu, lam in zero_pairs:
         witness = None
         for n in range(2, n_max + 1):
@@ -563,10 +556,13 @@ def run_sweep(config: SweepConfig) -> dict:
     checks = tuple(c for c in CHECK_NAMES if c in config.checks)
 
     instances = enumerate_instances(config)
-    mus = []
-    for mu, _, _ in instances:
-        if mu not in mus:
-            mus.append(mu)
+    # each mu's Levi-dominant weights, sorted, as the enumeration lists them
+    lams_by_mu: dict = {}
+    for mu, lam, _ in instances:
+        lams = lams_by_mu.setdefault(mu, [])
+        if not lams or lams[-1] != lam:
+            lams.append(lam)
+    mus = list(lams_by_mu)
 
     mu_checks = tuple(c for c in checks if c in _MU_CHECKS)
     inst_checks = tuple(c for c in checks if c in _INSTANCE_CHECKS)
@@ -591,7 +587,7 @@ def run_sweep(config: SweepConfig) -> dict:
                                         config.seed, config.semigroup_samples)
     if "saturation" in checks and mus:
         sections["saturation"] = partial(_saturation_section, datum, levi,
-                                         mus, config.saturation_n_max)
+                                         lams_by_mu, config.saturation_n_max)
     tasks += sections.values()
     mu_units = [by_mu[mu] for mu in reversed(mus) if by_mu[mu]]
 

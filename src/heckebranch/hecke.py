@@ -51,8 +51,8 @@ restricted characters sum_kappa A_kappa r_kappa(l) are memoized per
 
 K is evaluated in the view's simple-coroot coordinates of
 w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
-goes down the orbit by simple reflections, flipping the sign at each step and
-keeping only points at or above gamma + rho in dominance.  Every such point
+goes down the orbit one simple reflection at a time, flipping the sign at each
+and keeping only points at or above gamma + rho in dominance.  Every such point
 that is not dominant reflects up to lam + rho through such points, so the
 walk reaches every contributing Weyl element without enumerating the Weyl
 group.  P_t is one memoized table per view.  Sums accumulate in flat
@@ -67,7 +67,7 @@ same straightening step.
 ``hall_littlewood`` gives the orbit-sum form, keyed by dominant coweights,
 through ``dominant_weights``.
 
-Cached results are handed out as read-only mappings.
+Maps are handed out read-only, cached or not.
 """
 
 from __future__ import annotations
@@ -231,7 +231,6 @@ InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
 _numerator_cache: dict = {}
 _hl_cache: dict = {}
-_product_cache: dict = {}
 _ct_cache: dict = {}
 _partition_cache: dict = {}
 _kf_cache: dict = {}
@@ -566,9 +565,6 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
     at alpha and beta: the expansion of their product in the triangular
     basis, keyed by dominant coweight."""
     alpha, beta = tuple(alpha), tuple(beta)
-    key = (datum.cartan_type, alpha, beta)
-    if key in _product_cache:
-        return _product_cache[key]
     if not (is_dominant(alpha) and is_dominant(beta)):
         raise DomainError("product arguments must be dominant")
     out = {}
@@ -576,9 +572,7 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
         m = LaurentPoly(_structure_sum(datum, alpha, beta, gamma))
         if m:
             out[gamma] = m
-    result = MappingProxyType(out)
-    _product_cache[key] = result
-    return result
+    return MappingProxyType(out)
 
 
 def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,

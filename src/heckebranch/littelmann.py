@@ -27,19 +27,20 @@ lowering operators alone (every path of Littelmann's crystal is a string of
 lowerings of the straight path).  It is indexed once by endpoint, with each
 path's breakpoints computed once, and its paths are decoded to ``Fraction``
 form once; the restriction and tensor path sets read only the fiber at the
-endpoint they can match.  The public functions keep ``Fraction`` paths:
-they encode their input on a grid that its denominators fix, run the
-integer routine and decode the result.
+endpoint they can match.  Its size is the Weyl dimension at mu, so it runs
+under the module cap, ``characters.DIMENSION_CAP``.  The public functions
+keep ``Fraction`` paths: they encode their input on a grid that its
+denominators fix, run the integer routine and decode the result.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from math import lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import characters
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
     Coweight,
@@ -56,8 +57,6 @@ Segment = tuple[RatVec, Fraction]
 Path = tuple[Segment, ...]
 # a path on an integer grid: (direction, duration) with integer entries
 GridPath = tuple[tuple[Coweight, int], ...]
-
-CRYSTAL_CAP = 200_000
 
 _crystal_cache: dict = {}
 
@@ -152,11 +151,6 @@ def _lower(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
     return _cut_and_reflect(coroot, j, path, t0, t1)
 
 
-def _coroot(datum: RootDatum, i: int) -> Coweight:
-    """The i-th simple coroot: the i-th column of the Cartan matrix."""
-    return tuple(row[i - 1] for row in datum.cartan_matrix)
-
-
 # --- Fraction paths at the API --------------------------------------------
 
 def _encode(path: Iterable[Segment], i: int = 0) -> tuple[list, int, int]:
@@ -211,17 +205,17 @@ def f_op(datum: RootDatum, i: int, path: Path) -> Optional[Path]:
     cut-and-reflect rule on the height function t -> <alpha_i, path(t)>.
     Returns None when undefined."""
     ipath, grid, scale = _encode(path, i)
-    out = _lower(_coroot(datum, i), i - 1, ipath, _points(ipath), grid * scale)
+    out = _lower(datum.full.simple_coroots[i], i - 1, ipath, _points(ipath),
+                 grid * scale)
     return None if out is None else _decode(out, grid, scale)
 
 
 # --- the crystal ----------------------------------------------------------
 
-def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int,
-                      cap: int) -> dict:
+def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int) -> dict:
     """Every path reachable from the straight path to mu by lowering, on the
     given grid, mapped to its breakpoints."""
-    coroots = [(i - 1, _coroot(datum, i)) for i in range(1, datum.rank + 1)]
+    coroots = [(i - 1, c) for i, c in datum.full.simple_coroots.items()]
     start = ((tuple(mu), grid),)
     points = {start: _points(start)}
     frontier = [start]
@@ -233,9 +227,6 @@ def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int,
                 q = _lower(coroot, j, p, x, grid)
                 if q is not None and q not in points:
                     points[q] = _points(q)
-                    if len(points) > cap:
-                        raise FeasibilityError(
-                            f"crystal at {mu} exceeds {cap} paths", cap)
                     nxt.append(q)
         frontier = nxt
     return points
@@ -244,70 +235,63 @@ def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int,
 class _Crystal:
     """The crystal at one dominant mu, on its grid.
 
-    ``paths`` is the public frozenset of ``Fraction`` paths.  ``fibers``
-    maps each endpoint weight to the tuple of ``(path, grid path,
-    breakpoints)`` ending there, the last two in the grid's integers, in
-    the order the search met them; endpoints are sorted."""
+    ``fibers`` maps each endpoint weight to the tuple of ``(path, grid
+    path, breakpoints)`` ending there, the path in ``Fraction`` form and
+    the last two in the grid's integers, in the order the search met them;
+    endpoints are sorted."""
 
-    def __init__(self, datum: RootDatum, mu: Coweight, cap: int):
+    def __init__(self, datum: RootDatum, mu: Coweight):
         self.grid = grid = lcm(*range(1, pairing(datum.highest_root, mu) + 1))
         fibers: dict = {}
-        for ipath, points in _lowering_closure(datum, mu, grid, cap).items():
+        for ipath, points in _lowering_closure(datum, mu, grid).items():
             fibers.setdefault(_lattice_point(points[-1], grid), []).append(
                 (_decode(ipath, grid), ipath, points))
         self.fibers = {w: tuple(f) for w, f in sorted(fibers.items())}
-        self.paths = frozenset(p for f in self.fibers.values() for p, _, _ in f)
-
-    @cached_property
-    def public_fibers(self) -> Mapping:
-        grid = self.grid
-        return MappingProxyType({
-            w: tuple((p, tuple(tuple(Fraction(c, grid) for c in x)
-                               for x in points))
-                     for p, _, points in fiber)
-            for w, fiber in self.fibers.items()})
 
 
-def _crystal(datum: RootDatum, mu: Coweight, cap: Optional[int]) -> _Crystal:
-    """The crystal at mu, cached.  The cap is tested on every call, so a
-    crystal cached under a larger cap is not handed out: against the Weyl
-    dimension before a build, and against the cached crystal's size, which
-    equals it, after."""
-    if cap is None:
-        cap = CRYSTAL_CAP
+def _crystal(datum: RootDatum, mu: Coweight) -> _Crystal:
+    """The crystal at mu, cached.  Its size, the Weyl dimension at mu, is
+    tested against ``characters.DIMENSION_CAP`` on every call, so a crystal
+    cached under a larger cap is not handed out."""
+    if not datum.full.is_dominant(mu):
+        raise DomainError(f"{mu} is not dominant")
+    cap = characters.DIMENSION_CAP
+    if weyl_dim(datum.full, mu) > cap:
+        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
     key = (datum.cartan_type, mu)
     cached = _crystal_cache.get(key)
-    if cached is None and not datum.full.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant")
-    size = weyl_dim(datum.full, mu) if cached is None else len(cached.paths)
-    if size > cap:
-        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
     if cached is None:
-        cached = _crystal_cache[key] = _Crystal(datum, mu, cap)
+        cached = _crystal_cache[key] = _Crystal(datum, mu)
     return cached
 
 
-def generate_crystal(datum: RootDatum, mu: Coweight,
-                     cap: Optional[int] = None) -> frozenset:
+def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:
     """All paths reachable from the straight path to mu under the lowering
     root operators.  The count equals the dimension of the irreducible module
     of the dual group with highest weight mu."""
-    return _crystal(datum, tuple(mu), cap).paths
+    return frozenset(p for fiber in _crystal(datum, tuple(mu)).fibers.values()
+                     for p, _, _ in fiber)
 
 
 def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
     """The crystal at mu indexed by endpoint: a read-only map from each
     endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
-    the breakpoints being the path's positions from the origin on.
-    Cached; raises as ``generate_crystal`` does."""
-    return _crystal(datum, tuple(mu), None).public_fibers
+    the breakpoints being the path's positions from the origin on.  Raises
+    as ``generate_crystal`` does."""
+    crystal = _crystal(datum, tuple(mu))
+    grid = crystal.grid
+    return MappingProxyType({
+        w: tuple((p, tuple(tuple(Fraction(c, grid) for c in x)
+                           for x in points))
+                 for p, _, points in fiber)
+        for w, fiber in crystal.fibers.items()})
 
 
 def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                     lam: Coweight) -> frozenset:
     """Crystal paths that stay Levi-dominant at every breakpoint and end
     at lam."""
-    fiber = _crystal(datum, tuple(mu), None).fibers.get(tuple(lam), ())
+    fiber = _crystal(datum, tuple(mu)).fibers.get(tuple(lam), ())
     return frozenset(p for p, _, points in fiber
                      if all(levi.is_dominant(x) for x in points))
 
@@ -319,7 +303,7 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     nu, target = tuple(nu), tuple(target)
     if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
         raise DomainError("translation point and target must be dominant")
-    crystal = _crystal(datum, tuple(mu), None)
+    crystal = _crystal(datum, tuple(mu))
     shift = vec_scale(crystal.grid, nu)
     fiber = crystal.fibers.get(vec_sub(target, nu), ())
     return frozenset(p for p, _, points in fiber
@@ -365,9 +349,9 @@ def _directions_connected(datum: RootDatum, point: Coweight,
 
 def is_hecke_path(datum: RootDatum, path: Path) -> bool:
     """Validity of a folded path: at every interior breakpoint the incoming
-    direction must reach the outgoing one by a chain of reflections in
-    integral walls through the breakpoint, each applied to a direction it
-    pairs strictly negatively with."""
+    direction must reach the outgoing one by reflecting it in integral walls
+    through the breakpoint, one wall at a time, each reflection applied to
+    a direction it pairs strictly negatively with."""
     ipath, grid, scale = _encode(canonical(path, datum.rank))
     return _folds_connected(datum, ipath, _points(ipath), grid * scale)
 

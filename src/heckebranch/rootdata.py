@@ -12,12 +12,13 @@ Conventions, fixed once here and relied on everywhere else:
 * The coroot of the j-th simple root has fundamental-coweight coordinates
   equal to the j-th column of the Cartan matrix ``C[i][j] = <alpha_i, alpha_j^vee>``.
 * Simple-root indices in the public API are 1-based (Bourbaki numbering).
-* Weyl orbits and dominant representatives are walked by simple
-  reflections written through the simple coroots,
+* Weyl orbits and dominant representatives are walked one simple
+  reflection at a time, each written through its simple coroot,
   ``x -> x - x[i-1] * (i-th simple coroot)``, skipping any reflection that
-  fixes the point.  No Weyl group is enumerated: the only group element
-  kept is the longest one, ``w0``, composed from the reduced word of simple
-  reflections that carries ``-(1, ..., 1)`` to the dominant chamber.
+  fixes the point; a root is reflected by ``r -> r - <r, c_j> e_j``.  No Weyl
+  group element is stored: the only trace of the longest one, ``w_0``, is
+  the diagram involution ``star``, the permutation of the simple roots by
+  ``-w_0``.
 
 Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -61,22 +62,8 @@ def vec_scale(c, x: Sequence) -> tuple:
     return tuple(c * a for a in x)
 
 
-def vec_neg(x: Sequence) -> tuple:
-    return tuple(-a for a in x)
-
-
 def mat_apply(m: Sequence[Sequence], v: Sequence) -> tuple:
     return tuple([sum(map(mul, row, v)) for row in m])
-
-
-def mat_mul(x: Sequence[Sequence], y: Sequence[Sequence]) -> Matrix:
-    n = len(x)
-    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
-                 for i in range(n))
-
-
-def _identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def _minor(m: Sequence[Sequence[int]], i: int, j: int) -> Matrix:
@@ -138,9 +125,11 @@ def cartan_matrix(letter: str, rank: int) -> Matrix:
 class SubsystemView:
     """A root subsystem (the full system, or the span of a subset of simple roots)
     with the action of its Weyl group on the ambient coweight coordinates,
-    through its simple reflections.
+    one simple reflection at a time.
 
-    ``indices`` are the 1-based simple-root indices generating the subsystem.
+    ``indices`` are the 1-based simple-root indices generating the subsystem;
+    ``simple_coroots`` maps every ambient 1-based index to its simple coroot,
+    the column of the Cartan matrix.
     """
 
     key: tuple
@@ -148,7 +137,7 @@ class SubsystemView:
     ambient_rank: int
     positive_roots: tuple[Root, ...]
     positive_coroots: tuple[Coweight, ...]
-    reflections: dict
+    simple_coroots: dict
     two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
@@ -166,7 +155,7 @@ class SubsystemView:
         The sign is only meaningful for subsystem-regular x."""
         x = tuple(x)
         sign = 1
-        coroots = self._simple_coroots
+        coroots = self.simple_coroots
         while True:
             for i in self.indices:
                 c = x[i - 1]
@@ -177,20 +166,13 @@ class SubsystemView:
             else:
                 return x, sign
 
-    @cached_property
-    def _simple_coroots(self) -> dict:
-        # the i-th reflection is x -> x - x[i-1] * (i-th simple coroot)
-        return {i: tuple((k == i - 1) - row[i - 1]
-                         for k, row in enumerate(self.reflections[i]))
-                for i in self.indices}
-
     def orbit(self, x: Sequence) -> frozenset:
-        """The subsystem Weyl orbit of x, reached by simple reflections; a
-        reflection that fixes a point is skipped."""
+        """The subsystem Weyl orbit of x, reached one simple reflection at a
+        time; a reflection that fixes a point is skipped."""
         x = tuple(x)
         seen = {x}
         frontier = [x]
-        coroots = self._simple_coroots
+        coroots = self.simple_coroots
         while frontier:
             nxt = []
             for y in frontier:
@@ -234,12 +216,14 @@ class RootDatum:
     cartan_adjugate: Matrix
     cartan_det: int
     form: tuple[tuple[int, ...], ...]
-    w0: Matrix                       # longest element, acting on coweight coords
+    # the diagram involution: -w_0 carries the i-th fundamental coweight to
+    # the star[i]-th, 0-based
+    star: tuple[int, ...]
     full: SubsystemView
 
 
 def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
-                positive: list[tuple[Root, Coweight]], refl_cw: dict,
+                positive: list[tuple[Root, Coweight]], coroots: dict,
                 form) -> SubsystemView:
     sub_pos = [(r, c) for (r, c) in positive
                if all(r[i] == 0 for i in range(ambient_rank) if (i + 1) not in indices)]
@@ -250,26 +234,9 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
         key=key, indices=indices, ambient_rank=ambient_rank,
         positive_roots=tuple(r for (r, _) in sub_pos),
         positive_coroots=tuple(c for (_, c) in sub_pos),
-        reflections=refl_cw,
+        simple_coroots=coroots,
         two_rho_hat=two_rho_hat, two_rho=two_rho, form=form,
     )
-
-
-def _longest_element(view: SubsystemView) -> Matrix:
-    """The longest Weyl element: the product of the simple reflections that
-    carry the regular antidominant point -(1, ..., 1) to the dominant
-    chamber, one reflection per positive root."""
-    x = (-1,) * view.ambient_rank
-    w0 = _identity(view.ambient_rank)
-    while True:
-        for i in view.indices:
-            if x[i - 1] < 0:
-                s = view.reflections[i]
-                x = mat_apply(s, x)
-                w0 = mat_mul(s, w0)
-                break
-        else:
-            return w0
 
 
 @lru_cache(maxsize=None)
@@ -279,27 +246,24 @@ def _build(letter: str, rank: int) -> RootDatum:
             f"unsupported type {letter}{rank}; "
             "supported: A1-A6, B2-B5, C2-C5, D4-D5, F4, G2")
     cm = cartan_matrix(letter, rank)
-    refl_cw = {}
-    for j in range(rank):
-        m = [[1 if i == k else 0 for k in range(rank)] for i in range(rank)]
-        for i in range(rank):
-            m[i][j] -= cm[i][j]
-        refl_cw[j + 1] = tuple(tuple(row) for row in m)
-    # on simple-root coordinates a simple reflection acts by the transpose
-    refl_rt = {j: tuple(zip(*m)) for j, m in refl_cw.items()}
+    coroots = {j + 1: tuple(row[j] for row in cm) for j in range(rank)}
 
+    # the simple reflection at coordinate j (0-based) with coroot c:
+    # x -> x - x[j] c on a coroot and r -> r - <r, c> e_j on a root
     pairs = set()
     frontier = []
     for i in range(rank):
         root = tuple(1 if k == i else 0 for k in range(rank))
-        coroot = tuple(cm[k][i] for k in range(rank))
-        pairs.add((root, coroot))
-        frontier.append((root, coroot))
+        pairs.add((root, coroots[i + 1]))
+        frontier.append((root, coroots[i + 1]))
     while frontier:
         nxt = []
         for (root, coroot) in frontier:
-            for j in range(1, rank + 1):
-                p = (mat_apply(refl_rt[j], root), mat_apply(refl_cw[j], coroot))
+            for j, c in enumerate(coroots.values()):
+                r = list(root)
+                r[j] -= pairing(root, c)
+                p = (tuple(r), tuple([a - coroot[j] * b
+                                      for a, b in zip(coroot, c)]))
                 if p not in pairs:
                     pairs.add(p)
                     nxt.append(p)
@@ -312,14 +276,17 @@ def _build(letter: str, rank: int) -> RootDatum:
     form = tuple(tuple(sum(r[i] * r[j] for (r, _) in positive) for j in range(rank))
                  for i in range(rank))
     view = _build_view((f"{letter}{rank}", tuple(range(1, rank + 1))), rank,
-                       tuple(range(1, rank + 1)), positive, refl_cw, form)
+                       tuple(range(1, rank + 1)), positive, coroots, form)
+    # -w_0 carries the antidominant -e_i to a dominant fundamental coweight
+    star = tuple(view.dominate(tuple(-(k == i) for k in range(rank))).index(1)
+                 for i in range(rank))
     return RootDatum(
         cartan_type=f"{letter}{rank}", letter=letter, rank=rank, cartan_matrix=cm,
         positive_roots=tuple(r for (r, _) in positive),
         positive_coroots=tuple(c for (_, c) in positive),
         highest_root=positive[-1][0],
         cartan_adjugate=_adjugate(cm), cartan_det=_det(cm), form=form,
-        w0=_longest_element(view), full=view,
+        star=star, full=view,
     )
 
 
@@ -344,7 +311,7 @@ def levi_view(datum: RootDatum, indices: Iterable[int]) -> SubsystemView:
     if key not in _view_cache:
         positive = list(zip(datum.positive_roots, datum.positive_coroots))
         _view_cache[key] = _build_view(key, datum.rank, idx, positive,
-                                       datum.full.reflections, datum.form)
+                                       datum.full.simple_coroots, datum.form)
     return _view_cache[key]
 
 
@@ -370,8 +337,9 @@ def is_dominant(coweight: Sequence) -> bool:
 
 
 def dual_star(datum: RootDatum, x: Sequence) -> tuple:
-    """x* = -w0(x); an involution permuting dominant coweights."""
-    return vec_neg(mat_apply(datum.w0, x))
+    """x* = -w_0(x); an involution permuting dominant coweights, which reads
+    coordinates through the diagram involution ``datum.star``."""
+    return tuple([x[j] for j in datum.star])
 
 
 def _coroot_numerators(datum: RootDatum, x: Sequence) -> tuple:

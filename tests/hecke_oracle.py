@@ -46,7 +46,6 @@ from heckebranch.rootdata import (
     mat_apply,
     pairing,
     vec_add,
-    vec_neg,
     vec_sub,
 )
 from peel_oracle import peel, peel_height
@@ -169,7 +168,7 @@ def hall_littlewood(datum, view, mu):
         for root, cv in zip(view.positive_roots, view.positive_coroots):
             wc = mat_apply(a, cv)
             if all(v >= 0 for v in mat_apply(r, root)):
-                factor = {zero_key: ONE, vec_neg(wc): -T}
+                factor = {zero_key: ONE, tuple(-v for v in wc): -T}
             else:
                 factor = {zero_key: T, wc: -ONE}
             term = _gmul(term, factor)

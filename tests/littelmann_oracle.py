@@ -14,6 +14,7 @@ from functools import lru_cache
 
 from heckebranch.errors import DomainError
 from heckebranch.rootdata import mat_apply, vec_add, vec_scale
+from weyl_oracle import reflections
 
 
 def canonical(segments, rank):
@@ -58,7 +59,7 @@ def endpoint_weight(path):
 def _cut_and_reflect(datum, i, path, t0, t1):
     """Reflect the directions of the sub-path on [t0, t1] by the i-th simple
     reflection, splitting segments at t0 and t1 when they fall inside one."""
-    refl = datum.full.reflections[i]
+    refl = reflections(datum.cartan_matrix)[i]
     out = []
     clock = Fraction(0)
     for d, t in path:

@@ -141,18 +141,12 @@ def test_seed_changes_semigroup_draws():
     assert r1["config"]["seed"] != r3["config"]["seed"]
 
 
-def test_skips_are_recorded_not_dropped():
+def test_skips_are_recorded_not_dropped(monkeypatch):
     # a tiny cap forces the crystal check to skip while oracles still run
-    import heckebranch.littelmann as lt
     cfg = SweepConfig("B2", (1,), 3, ("crystal", "multiplicity_identity"))
-    old = lt.CRYSTAL_CAP
-    lt.CRYSTAL_CAP = 4
-    lt._crystal_cache.clear()
-    try:
-        report = run_sweep(cfg)
-    finally:
-        lt.CRYSTAL_CAP = old
-        lt._crystal_cache.clear()
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 4)
+    report = run_sweep(cfg)
     assert report["summary"]["skipped"] > 0
     assert report["summary"]["fail"] == 0
     skipped_mu = [rec for rec in report["per_mu"]
@@ -183,7 +177,7 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
     for rec in records:
         if rec["mu"] in over:
             skipped = {n for n, v in rec["checks"].items() if v == "SKIPPED"}
-            assert skipped == set(rec["checks"]) - {"hecke_paths"}
+            assert skipped == set(rec["checks"])
             assert sorted(note.split(":")[0] for note in rec["notes"]) \
                 == sorted(skipped)
         else:
@@ -193,6 +187,11 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
     assert report["summary"]["fail"] == 0
     assert report["summary"]["skipped"] == sum(
         v == "SKIPPED" for rec in records for v in rec["checks"].values()) > 0
+    # asked for alone, a check's note names that check
+    alone = run_sweep(SweepConfig("A2", (1,), 3, ("hecke_paths",)))
+    assert [rec["notes"] for rec in alone["per_mu"] if rec["mu"] in over] == [
+        [f"hecke_paths: crystal at {tuple(mu)} exceeds 10 paths"]
+        for mu in over]
 
 
 def test_partition_cap_hit_skips_checks(monkeypatch):
@@ -375,13 +374,33 @@ def test_parent_error_kills_and_reaps_children(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_section_cap_hit_escapes_the_sweep(monkeypatch, jobs):
-    # the sections record no skipped mu: a cap hit on a swept module aborts
+    # the semigroup section records no skipped mu: a cap hit on a swept
+    # module aborts
     _fresh_caches(monkeypatch)
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(FeasibilityError):
-        run_sweep(SweepConfig("A2", (1,), 3, ("semigroup", "saturation"),
-                              jobs=jobs))
+        run_sweep(SweepConfig("A2", (1,), 3, ("semigroup",), jobs=jobs))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_saturation_records_a_swept_module_over_the_cap(monkeypatch, jobs):
+    # (1, 2) and (2, 1) have dimension 15, over a cap of 10: each of their
+    # Levi-dominant weights gets one skip entry at n = 1, and the scan goes on
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    sat = run_sweep(SweepConfig("A2", (1,), 3, ("saturation",),
+                                jobs=jobs))["saturation"]
+    lams = {(1, 2): [(0, -2), (0, 1), (1, -1), (1, 2), (2, -3), (2, 0),
+                     (3, -2)],
+            (2, 1): [(0, -1), (0, 2), (1, -3), (1, 0), (2, -2), (2, 1),
+                     (3, -1)]}
+    assert [entry for entry in sat["skipped"] if entry["n"] == 1] == [
+        {"mu": list(mu), "lambda": list(lam), "n": 1,
+         "reason": "module over the cap"}
+        for mu, ls in lams.items() for lam in ls]
+    assert sat["verdict"] == "PASS"
 
 
 def test_saturation_finds_witness_outside_type_a():

@@ -487,7 +487,7 @@ def test_partial_sums_do_not_depend_on_call_order(monkeypatch, type_str,
     # from empty partial-sum and Kostka-Foulkes memos, point-wise structure
     # constants asked for before any product and after one both match the
     # peel: what the memos hold does not depend on which call filled them
-    for name in ("_partial_cache", "_kf_cache", "_product_cache"):
+    for name in ("_partial_cache", "_kf_cache"):
         monkeypatch.setattr(hecke, name, {})
     d = root_datum(type_str)
     pairs, _ = _pairs_and_levis(d)

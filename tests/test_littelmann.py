@@ -15,7 +15,7 @@ from heckebranch.characters import (
     weight_table,
 )
 from heckebranch.errors import DomainError, FeasibilityError
-from heckebranch import littelmann
+from heckebranch import characters, littelmann
 from heckebranch.harness import SweepConfig, enumerate_instances
 from heckebranch.littelmann import (
     canonical,
@@ -188,15 +188,17 @@ def test_coarse_grid_trips_the_cut_check():
     # A1 (2,) cuts at time 1/2 and G2 (1, 0) at thirds
     for type_str, mu, grid in (("A1", (2,), 1), ("G2", (1, 0), 2)):
         with pytest.raises(AssertionError):
-            littelmann._lowering_closure(root_datum(type_str), mu, grid,
-                                         littelmann.CRYSTAL_CAP)
+            littelmann._lowering_closure(root_datum(type_str), mu, grid)
 
 
-def test_crystal_cap_holds_on_a_warm_cache():
+def test_crystal_cap_holds_on_a_warm_cache(monkeypatch):
     d = root_datum("A2")
     assert len(generate_crystal(d, (2, 1))) == 15
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 5)
+    with pytest.raises(FeasibilityError, match=r"crystal at \(2, 1\) exceeds 5"):
+        generate_crystal(d, (2, 1))
     with pytest.raises(FeasibilityError):
-        generate_crystal(d, (2, 1), cap=5)
+        crystal_fibers(d, (2, 1))
 
 
 def test_crystal_fibers_are_read_only():

@@ -156,8 +156,22 @@ def test_dual_star():
 
 @pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
 def test_w0_is_the_longest_element(type_str):
+    # the diagram involution is -w0, w0 the oracle's element inverting
+    # every positive root, on non-dominant points too
     d = root_datum(type_str)
-    assert d.w0 == weyl_oracle.longest_element(d)
+    w0 = weyl_oracle.longest_element(d)
+    points = [x for x in _box(d.rank, -2, 2) if not d.full.is_dominant(x)]
+    assert points
+    for x in points:
+        assert dual_star(d, x) == tuple(-v for v in rootdata.mat_apply(w0, x))
+
+
+@pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS | WIDE_WEYL_ORDERS))
+def test_roots_are_the_closure_under_reflection_matrices(type_str):
+    d = root_datum(type_str)
+    pairs = weyl_oracle.positive_roots(d.cartan_matrix)
+    assert d.positive_roots == tuple(r for r, _ in pairs)
+    assert d.positive_coroots == tuple(c for _, c in pairs)
 
 
 def test_dominate_and_orbit():
@@ -262,7 +276,7 @@ def test_coroot_adjugate():
         assert all(type(a) is int for row in d.cartan_adjugate for a in row)
         ident = tuple(tuple(int(i == j) for j in range(d.rank))
                       for i in range(d.rank))
-        assert rootdata.mat_mul(d.cartan_adjugate, d.cartan_matrix) == tuple(
+        assert weyl_oracle.mat_mul(d.cartan_adjugate, d.cartan_matrix) == tuple(
             tuple(det * v for v in row) for row in ident)
         # against the rational inverse by Gauss-Jordan elimination
         assert solve_exact(d.cartan_matrix, ident) \
@@ -375,11 +389,21 @@ def test_parse_coweight():
 
 def test_reflection_action():
     d = root_datum("A2")
-    s1 = d.full.reflections[1]
+    s1 = weyl_oracle.reflections(d.cartan_matrix)[1]
     from heckebranch.rootdata import mat_apply
     assert mat_apply(s1, (1, 0)) == (-1, 1)
     assert mat_apply(s1, (0, 1)) == (0, 1)
     assert mat_apply(s1, mat_apply(s1, (2, 5))) == (2, 5)
+    # each view's simple coroots give the matrices' reflections
+    for type_str in WEYL_ORDERS:
+        d = root_datum(type_str)
+        refl = weyl_oracle.reflections(d.cartan_matrix)
+        for view in (d.full, levi_view(d, (1,))):
+            assert sorted(view.simple_coroots) == list(range(1, d.rank + 1))
+            for j, c in view.simple_coroots.items():
+                for x in _box(d.rank, -1, 1):
+                    assert mat_apply(refl[j], x) == tuple(
+                        a - x[j - 1] * b for a, b in zip(x, c)), (j, x)
 
 
 ONE = LaurentPoly.one()

@@ -1,9 +1,11 @@
 """The Weyl group of a subsystem view, enumerated element by element.
 
-The library never builds the group: it walks orbits by simple reflections
-and keeps only the longest element.  The tests compare it against the
-enumeration here, which closes the view's simple reflections under products
-as matrices on coweight coordinates and, in parallel, on simple-root
+The library never builds the group and stores no reflection matrix: it
+walks orbits by simple reflections written through the simple coroots and
+keeps only the diagram involution of the longest element.  The tests
+compare it against the enumeration here, which builds the simple
+reflections as matrices from the Cartan matrix, closes the view's under
+products on coweight coordinates and, in parallel, on simple-root
 coordinates (where each simple reflection acts by the transposed matrix),
 and counts for each element the subsystem positive roots it makes negative.
 """
@@ -11,7 +13,46 @@ and counts for each element the subsystem positive roots it makes negative.
 from functools import lru_cache
 from typing import NamedTuple
 
-from heckebranch.rootdata import mat_apply, mat_mul
+from heckebranch.rootdata import mat_apply, root_datum
+
+
+def mat_mul(x, y):
+    n = len(x)
+    return tuple(tuple(sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n))
+                 for i in range(n))
+
+
+def reflections(cartan) -> dict:
+    """The simple reflections on coweight coordinates, keyed by 1-based
+    index: the j-th is x -> x - x[j-1] * (j-th column of the Cartan
+    matrix)."""
+    n = len(cartan)
+    return {j: tuple(tuple(int(i == k) - (k == j - 1) * cartan[i][j - 1]
+                           for k in range(n)) for i in range(n))
+            for j in range(1, n + 1)}
+
+
+def positive_roots(cartan) -> list:
+    """The positive (root, coroot) pairs, closed from the simple ones under
+    the reflection matrices (transposed on simple-root coordinates) and
+    sorted by (height, root)."""
+    n = len(cartan)
+    refl = [(tuple(zip(*s)), s) for s in reflections(cartan).values()]
+    simple = [(tuple(int(i == j) for i in range(n)),
+               tuple(row[j] for row in cartan)) for j in range(n)]
+    pairs = set(simple)
+    frontier = simple
+    while frontier:
+        nxt = []
+        for root, coroot in frontier:
+            for s_rt, s in refl:
+                p = (mat_apply(s_rt, root), mat_apply(s, coroot))
+                if p not in pairs:
+                    pairs.add(p)
+                    nxt.append(p)
+        frontier = nxt
+    return sorted((p for p in pairs if min(p[0]) >= 0),
+                  key=lambda p: (sum(p[0]), p[0]))
 
 
 class WeylGroup(NamedTuple):
@@ -24,7 +65,8 @@ class WeylGroup(NamedTuple):
 def group(view) -> WeylGroup:
     """The Weyl group of a view, cached per view."""
     n = view.ambient_rank
-    refl_rt = {i: tuple(zip(*view.reflections[i])) for i in view.indices}
+    refl = reflections(root_datum(view.key[0]).cartan_matrix)
+    refl_rt = {i: tuple(zip(*refl[i])) for i in view.indices}
     ident = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     elements = {ident: ident}
     frontier = [(ident, ident)]
@@ -32,7 +74,7 @@ def group(view) -> WeylGroup:
         nxt = []
         for (a, r) in frontier:
             for i in view.indices:
-                a2 = mat_mul(a, view.reflections[i])
+                a2 = mat_mul(a, refl[i])
                 if a2 not in elements:
                     r2 = mat_mul(r, refl_rt[i])
                     elements[a2] = r2
