@@ -17,9 +17,8 @@ import itertools
 import os
 import random
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .characters import (
     DIMENSION_CAP,
@@ -38,10 +37,10 @@ from .hecke import (
     structure_constant,
 )
 from .littelmann import (
+    _branch_paths,
     _crystal,
     _folds_connected,
-    branch_path_set,
-    tensor_path_set,
+    _tensor_paths,
 )
 from .parabolic import offset_pair
 from .rootdata import (
@@ -79,8 +78,7 @@ FAIL = "FAIL"
 SKIPPED = "SKIPPED"
 
 
-@dataclass(frozen=True)
-class SweepConfig:
+class SweepConfig(NamedTuple):
     cartan_type: str
     levi: tuple[int, ...]
     max_height: int
@@ -94,6 +92,8 @@ class SweepConfig:
     def validate(self) -> None:
         if self.max_height < 0:
             raise ConfigurationError("max_height must be nonnegative")
+        if len(set(self.levi)) != len(self.levi):
+            raise ConfigurationError("Levi subset has repeated indices")
         unknown = [c for c in self.checks if c not in CHECK_NAMES]
         if unknown:
             raise ConfigurationError(
@@ -102,6 +102,8 @@ class SweepConfig:
             raise ConfigurationError("jobs must be at least 1")
         if self.saturation_n_max < 2:
             raise ConfigurationError("saturation_n_max must be at least 2")
+        if self.semigroup_samples < 1:
+            raise ConfigurationError("semigroup_samples must be at least 1")
         if any(q < 2 for q in self.q_eval_points):
             raise ConfigurationError("q evaluation points must be at least 2")
 
@@ -194,8 +196,10 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         try:
             n2 = tensor_multiplicity(datum, alpha, mustar, nu)
             values["n"] = n2
-            r_paths = branch_path_set(datum, levi, mu, lam)
-            n_paths = tensor_path_set(datum, mu, nu, alpha)
+            # grid paths of one crystal: equal exactly when their Fraction
+            # forms are
+            r_paths = _branch_paths(datum, levi, mu, lam)
+            n_paths = _tensor_paths(datum, mu, nu, alpha)
             n1 = tensor_multiplicity(datum, nu, mu, alpha)
             verdicts["multiplicity_identity"] = _verdict_all([
                 len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
@@ -300,7 +304,7 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
         verdicts["hecke_paths"] = _verdict_all(
             [_folds_connected(datum, ipath, points, crystal.grid)
              for fiber in crystal.fibers.values()
-             for _, ipath, points in fiber])
+             for ipath, points in fiber])
 
     if "ct_transitivity" in checks:
         torus = levi_view(datum, ())

@@ -25,20 +25,22 @@ non-integer check does.
 The crystal at a dominant mu is generated from the straight path by the
 lowering operators alone (every path of Littelmann's crystal is a string of
 lowerings of the straight path).  It is indexed once by endpoint, with each
-path's breakpoints computed once, and its paths are decoded to ``Fraction``
-form once; the restriction and tensor path sets read only the fiber at the
-endpoint they can match.  Its size is the Weyl dimension at mu, so it runs
-under the module cap, ``characters.DIMENSION_CAP``.  The public functions
-keep ``Fraction`` paths: they encode their input on a grid that its
-denominators fix, run the integer routine and decode the result.
+path's breakpoints computed once, and holds grid paths only; the restriction
+and tensor path filters, ``_branch_paths`` and ``_tensor_paths``, read only
+the fiber at the endpoint they can match and return grid paths, which is
+what the sweep compares.  Its size is the Weyl dimension at mu, so it runs
+under the module cap, ``characters.DIMENSION_CAP``.  ``Fraction`` paths
+exist at the public path functions alone: they encode their input on a grid
+that its denominators fix, run the integer routine and decode the result on
+each call, importing ``Fraction`` there, so importing this module does not
+load ``fractions``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from . import characters
 from .errors import DomainError, FeasibilityError
@@ -53,7 +55,10 @@ from .rootdata import (
     weyl_dim,
 )
 
-Segment = tuple[RatVec, Fraction]
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+Segment = tuple[RatVec, "Fraction"]
 Path = tuple[Segment, ...]
 # a path on an integer grid: (direction, duration) with integer entries
 GridPath = tuple[tuple[Coweight, int], ...]
@@ -170,6 +175,8 @@ def _encode(path: Iterable[Segment], i: int = 0) -> tuple[list, int, int]:
 
 
 def _decode(path: GridPath, grid: int, scale: int = 1) -> Path:
+    from fractions import Fraction
+
     return tuple((tuple(Fraction(c, scale) for c in d), Fraction(t, grid))
                  for d, t in path)
 
@@ -180,7 +187,7 @@ def canonical(segments: Iterable[Segment], rank: int) -> Path:
     path, grid, scale = _encode(segments)
     path = _canonical(path)
     if not path:
-        return ((tuple(Fraction(0) for _ in range(rank)), Fraction(1)),)
+        return _decode((((0,) * rank, 1),), 1)
     return _decode(path, grid, scale)
 
 
@@ -190,6 +197,8 @@ def straight_path(datum: RootDatum, mu: Coweight) -> Path:
 
 def path_points(path: Path) -> list[RatVec]:
     """Breakpoint positions, starting at the origin."""
+    from fractions import Fraction
+
     ipath, grid, scale = _encode(path)
     unit = grid * scale
     return [tuple(Fraction(c, unit) for c in x) for x in _points(ipath)]
@@ -235,17 +244,16 @@ def _lowering_closure(datum: RootDatum, mu: Coweight, grid: int) -> dict:
 class _Crystal:
     """The crystal at one dominant mu, on its grid.
 
-    ``fibers`` maps each endpoint weight to the tuple of ``(path, grid
-    path, breakpoints)`` ending there, the path in ``Fraction`` form and
-    the last two in the grid's integers, in the order the search met them;
-    endpoints are sorted."""
+    ``fibers`` maps each endpoint weight to the tuple of ``(grid path,
+    breakpoints)`` ending there, both in the grid's integers, in the order
+    the search met them; endpoints are sorted."""
 
     def __init__(self, datum: RootDatum, mu: Coweight):
         self.grid = grid = lcm(*range(1, pairing(datum.highest_root, mu) + 1))
         fibers: dict = {}
         for ipath, points in _lowering_closure(datum, mu, grid).items():
             fibers.setdefault(_lattice_point(points[-1], grid), []).append(
-                (_decode(ipath, grid), ipath, points))
+                (ipath, points))
         self.fibers = {w: tuple(f) for w, f in sorted(fibers.items())}
 
 
@@ -269,8 +277,9 @@ def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:
     """All paths reachable from the straight path to mu under the lowering
     root operators.  The count equals the dimension of the irreducible module
     of the dual group with highest weight mu."""
-    return frozenset(p for fiber in _crystal(datum, tuple(mu)).fibers.values()
-                     for p, _, _ in fiber)
+    crystal = _crystal(datum, tuple(mu))
+    return frozenset(_decode(p, crystal.grid)
+                     for fiber in crystal.fibers.values() for p, _ in fiber)
 
 
 def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
@@ -278,37 +287,59 @@ def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
     endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
     the breakpoints being the path's positions from the origin on.  Raises
     as ``generate_crystal`` does."""
+    from fractions import Fraction
+
     crystal = _crystal(datum, tuple(mu))
     grid = crystal.grid
     return MappingProxyType({
-        w: tuple((p, tuple(tuple(Fraction(c, grid) for c in x)
-                           for x in points))
-                 for p, _, points in fiber)
+        w: tuple((_decode(p, grid), tuple(tuple(Fraction(c, grid) for c in x)
+                                          for x in points))
+                 for p, points in fiber)
         for w, fiber in crystal.fibers.items()})
 
 
-def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
-                    lam: Coweight) -> frozenset:
-    """Crystal paths that stay Levi-dominant at every breakpoint and end
-    at lam."""
+def _branch_paths(datum: RootDatum, levi: SubsystemView, mu: Coweight,
+                  lam: Coweight) -> frozenset:
+    """Grid paths of the crystal at mu that stay Levi-dominant at every
+    breakpoint and end at lam."""
     fiber = _crystal(datum, tuple(mu)).fibers.get(tuple(lam), ())
-    return frozenset(p for p, _, points in fiber
-                     if all(levi.is_dominant(x) for x in points))
+    return frozenset(p for p, points in fiber
+                     if all(map(levi.is_dominant, points)))
 
 
-def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
-                    target: Coweight) -> frozenset:
-    """Crystal paths of mu that stay G-dominant at every breakpoint after
-    translation by nu and whose translated endpoint is the target."""
+def _tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,
+                  target: Coweight) -> frozenset:
+    """Grid paths of the crystal at mu that stay G-dominant at every
+    breakpoint after translation by nu and whose translated endpoint is the
+    target."""
     nu, target = tuple(nu), tuple(target)
     if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
         raise DomainError("translation point and target must be dominant")
     crystal = _crystal(datum, tuple(mu))
     shift = vec_scale(crystal.grid, nu)
     fiber = crystal.fibers.get(vec_sub(target, nu), ())
-    return frozenset(p for p, _, points in fiber
+    return frozenset(p for p, points in fiber
                      if all(a + c >= 0 for x in points
                             for a, c in zip(shift, x)))
+
+
+def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
+                    lam: Coweight) -> frozenset:
+    """Crystal paths that stay Levi-dominant at every breakpoint and end
+    at lam: ``_branch_paths`` decoded."""
+    paths = _branch_paths(datum, levi, mu, lam)
+    grid = _crystal(datum, tuple(mu)).grid
+    return frozenset(_decode(p, grid) for p in paths)
+
+
+def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
+                    target: Coweight) -> frozenset:
+    """Crystal paths of mu that stay G-dominant at every breakpoint after
+    translation by nu and whose translated endpoint is the target:
+    ``_tensor_paths`` decoded."""
+    paths = _tensor_paths(datum, mu, nu, target)
+    grid = _crystal(datum, tuple(mu)).grid
+    return frozenset(_decode(p, grid) for p in paths)
 
 
 # --- folded paths ---------------------------------------------------------

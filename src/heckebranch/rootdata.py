@@ -26,23 +26,27 @@ each datum carries the integer adjugate of its Cartan matrix and its
 determinant, so the hull, coroot-lattice and dominance tests read signs and
 residues of ``adj @ x``, and heights are compared through the integer
 pairing with the sum of positive roots.  Half-sums are kept doubled, as the
-integer sums ``two_rho`` and ``two_rho_hat``.
+integer sums ``two_rho`` and ``two_rho_hat``.  ``RootDatum`` and
+``SubsystemView`` are plain read-only classes, and ``rho_height``, the one
+function here that returns a ``Fraction``, imports it when called, so
+importing this module loads neither ``dataclasses`` nor ``fractions``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import ConfigurationError, DomainError
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 Coweight = tuple[int, ...]
 # rational coweight coordinates: path vertices at the path API
-RatVec = tuple[Fraction, ...]
+RatVec = tuple["Fraction", ...]
 Root = tuple[int, ...]
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -121,8 +125,25 @@ def cartan_matrix(letter: str, rank: int) -> Matrix:
     return tuple(tuple(row) for row in c)
 
 
-@dataclass(frozen=True, eq=False)
-class SubsystemView:
+class _ReadOnly:
+    """Fields are the class's annotated names, all given by keyword to
+    ``__init__`` and read-only after it: assigning or deleting one raises
+    ``AttributeError``.  Equality is identity."""
+
+    def __init__(self, **fields):
+        if fields.keys() != type(self).__annotations__.keys():
+            raise TypeError(f"{type(self).__name__} takes the fields "
+                            f"{list(type(self).__annotations__)}")
+        self.__dict__.update(fields)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+
+class SubsystemView(_ReadOnly):
     """A root subsystem (the full system, or the span of a subset of simple roots)
     with the action of its Weyl group on the ambient coweight coordinates,
     one simple reflection at a time.
@@ -143,7 +164,10 @@ class SubsystemView:
     form: tuple[tuple[int, ...], ...]
 
     def is_dominant(self, x: Sequence) -> bool:
-        return all(x[i - 1] >= 0 for i in self.indices)
+        for i in self.indices:
+            if x[i - 1] < 0:
+                return False
+        return True
 
     def dominate(self, x: Sequence) -> tuple:
         """The unique subsystem-dominant point of the orbit of x."""
@@ -195,8 +219,7 @@ class SubsystemView:
                    for i in range(n) for j in range(n) if self.form[i][j])
 
 
-@dataclass(frozen=True, eq=False)
-class RootDatum:
+class RootDatum(_ReadOnly):
     """An irreducible root datum with the full coweight lattice as cocharacters.
 
     Fields are all derived from the Cartan matrix at construction time and
@@ -324,6 +347,8 @@ def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
     """<rho, nu> with rho the half-sum of positive roots.  A half-integer in
     general; integral on the coroot lattice.  Integer comparisons of heights
     use ``pairing(datum.full.two_rho, nu)``, twice this value."""
+    from fractions import Fraction
+
     return Fraction(pairing(datum.full.two_rho, coweight), 2)
 
 

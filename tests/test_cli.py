@@ -61,6 +61,19 @@ def test_verify_rejects_unknown_check(capsys):
     assert "unknown checks" in stderr
 
 
+def test_verify_rejects_repeated_levi_and_empty_samples(capsys):
+    for extra, message in ((["--levi", "1,1"], "repeated indices"),
+                           (["--levi", "1", "--semigroup-samples", "-5"],
+                            "semigroup_samples"),
+                           (["--levi", "1", "--semigroup-samples", "0"],
+                            "semigroup_samples")):
+        code, stdout, stderr = run_cli(
+            ["verify", "--type", "A2", "--max-height", "1", *extra], capsys)
+        assert code == 2, extra
+        assert message in stderr
+        assert stdout == ""
+
+
 def test_compute_r(capsys):
     code, stdout, _ = run_cli(
         ["compute", "r", "--type", "A2", "--levi", "1",

@@ -91,6 +91,43 @@ def test_config_validation():
                               saturation_n_max=1))
 
 
+@pytest.mark.parametrize("config", [
+    SweepConfig("A2", (1, 1), 1, ("multiplicity_identity",)),
+    SweepConfig("A3", (3, 1, 3), 1, ("multiplicity_identity",)),
+    SweepConfig("A2", (1,), 1, ("semigroup",), semigroup_samples=0),
+    SweepConfig("A2", (1,), 1, ("semigroup",), semigroup_samples=-5),
+], ids=["levi-11", "levi-313", "samples-0", "samples-neg"])
+def test_config_validation_rejects_repeats_and_empty_samples(config):
+    # a repeated Levi index would be reported as given while the sweep runs
+    # the subset, and no sample would check 0 pairs and pass
+    with pytest.raises(ConfigurationError):
+        run_sweep(config)
+    with pytest.raises(ConfigurationError):
+        enumerate_instances(config)
+
+
+def test_sweep_config_surface():
+    positional = SweepConfig("A2", (1,), 2, ("crystal",), (2, 3), 2, 7, 4, 9)
+    keyword = SweepConfig(cartan_type="A2", levi=(1,), max_height=2,
+                          checks=("crystal",), q_eval_points=(2, 3), jobs=2,
+                          seed=7, saturation_n_max=4, semigroup_samples=9)
+    assert positional == keyword and hash(positional) == hash(keyword)
+    assert positional != SweepConfig("A2", (1,), 2, ("crystal",))
+    defaults = SweepConfig("A2", (1,), 2, ("crystal",))
+    assert (defaults.q_eval_points, defaults.jobs, defaults.seed,
+            defaults.saturation_n_max, defaults.semigroup_samples) == (
+        (2, 3, 4, 5, 7), 1, 20260816, 3, 120)
+    assert repr(defaults).startswith("SweepConfig(cartan_type='A2', levi=(1,)")
+    for name in ("cartan_type", "levi", "max_height", "checks",
+                 "q_eval_points", "jobs", "seed", "saturation_n_max",
+                 "semigroup_samples"):
+        with pytest.raises(AttributeError):
+            setattr(defaults, name, getattr(defaults, name))
+        with pytest.raises(AttributeError):
+            delattr(defaults, name)
+    defaults.validate()
+
+
 def test_report_shape_and_all_green():
     cfg = SweepConfig("A1", (), 2, ALL, semigroup_samples=30)
     report = run_sweep(cfg)

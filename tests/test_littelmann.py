@@ -240,6 +240,33 @@ def test_path_sets_match_whole_crystal_scan(type_str, idx, height):
             littelmann_oracle.tensor_path_set(d, mu, nu, target), (mu, nu, lam)
 
 
+# the tier-1 path-set sweeps at Levi {1}
+_LEVI_ONE_SWEEPS = [(t, idx, h) for t, idx, h in _PATH_SET_SWEEPS
+                    if idx == (1,)]
+
+
+@pytest.mark.parametrize(
+    "type_str,height", [(t, h) for t, _, h in _LEVI_ONE_SWEEPS],
+    ids=[f"{t}-h{h}" for t, _, h in _LEVI_ONE_SWEEPS])
+def test_grid_path_sets_decode_to_the_public_ones(type_str, height):
+    # the sweep compares grid paths; decoded on the crystal's grid they are
+    # the Fraction path sets, and their sizes are r and n
+    d = root_datum(type_str)
+    lv = levi_view(d, (1,))
+    config = SweepConfig(type_str, (1,), height, ("multiplicity_identity",))
+    for mu, lam, nu in enumerate_instances(config):
+        target = vec_add(nu, lam)
+        grid = littelmann._crystal(d, mu).grid
+        r_paths = littelmann._branch_paths(d, lv, mu, lam)
+        n_paths = littelmann._tensor_paths(d, mu, nu, target)
+        assert {littelmann._decode(p, grid) for p in r_paths} == \
+            branch_path_set(d, lv, mu, lam), (mu, lam)
+        assert {littelmann._decode(p, grid) for p in n_paths} == \
+            tensor_path_set(d, mu, nu, target), (mu, nu, lam)
+        assert len(r_paths) == branch_multiplicity(d, lv, mu, lam)
+        assert len(n_paths) == tensor_multiplicity(d, nu, mu, target)
+
+
 def test_crystal_cap():
     d = root_datum("A1")
     with pytest.raises(FeasibilityError):

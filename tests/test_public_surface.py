@@ -3,7 +3,11 @@ README's library entry points."""
 
 import importlib
 import importlib.util
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import heckebranch
@@ -39,3 +43,26 @@ def test_readme_entry_points_are_exported():
     assert len(names) > 10
     assert sorted(set(names) - set(heckebranch.__all__)) == []
     assert all(hasattr(heckebranch, n) for n in heckebranch.__all__)
+
+
+def _modules_after(code: str) -> set:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         code + "\nimport json, sys; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, check=True)
+    return set(json.loads(proc.stdout.splitlines()[-1]))
+
+
+def test_import_and_path_sweep_load_no_dataclasses_or_fractions():
+    # a module the bare interpreter already loads at start-up says nothing
+    # about the package
+    heavy = {"dataclasses", "fractions"} - _modules_after("")
+    loaded = _modules_after(
+        "import heckebranch\n"
+        "heckebranch.run_sweep(heckebranch.SweepConfig('A2', (1,), 2, "
+        "('multiplicity_identity', 'crystal', 'hecke_paths')))")
+    assert "heckebranch.harness" in loaded
+    assert heavy & loaded == set()

@@ -133,6 +133,25 @@ def test_levi_view_validation():
     assert weyl_oracle.order(levi_view(d, (1, 2, 3))) == 24
 
 
+def test_root_data_are_read_only():
+    d = root_datum("A3")
+    assert root_datum("A3") is d
+    assert root_datum(" a3 ") is d
+    for obj in (d, d.full, levi_view(d, (1,)), levi_view(d, ())):
+        for name in type(obj).__annotations__:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, getattr(obj, name))
+            with pytest.raises(AttributeError):
+                delattr(obj, name)
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+    assert d.rank == 3 and d.full.indices == (1, 2, 3)
+    # equality is identity
+    assert levi_view(d, (1,)) == levi_view(d, (1,))
+    assert d != root_datum("A2")
+    assert d.full != levi_view(root_datum("A3"), (1, 2))
+
+
 def test_levi_view_roots_are_ambient_roots():
     d = root_datum("B3")
     lv = levi_view(d, (2, 3))
