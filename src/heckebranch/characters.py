@@ -12,7 +12,9 @@ Levi's, at highest weight 0 (Brauer's rule).  Everything here is integer
 arithmetic: the recursion orders weights by their pairing with the view's
 sum of positive roots and divides exactly by
 ``<mu - kappa, mu + kappa + 2 rho_hat>``, and the Klimyk step works in doubled
-coordinates.
+coordinates.  Its walk to the dominant chamber reflects a list in place and
+stops at the first point that a simple reflection fixes, since that term
+straightens to zero.
 """
 
 from __future__ import annotations
@@ -136,18 +138,34 @@ def dot_straighten(view: SubsystemView, top: Coweight,
     weight w of ``weights`` whose top + w + rho_hat is off the view's walls,
     yields the dominant highest weight it is carried to, the sign of the
     Weyl element carrying it, and w's coefficient.  Works in doubled
-    coordinates, which keep rho_hat integral on every view."""
+    coordinates, which keep rho_hat integral on every view.
+
+    Each point walks up one simple reflection at a time, reflected in place
+    through the nonzero entries of the simple coroot, and is dropped at the
+    first point of its walk with a zero coordinate at a view index: a simple
+    reflection fixes that point, so its orbit meets the dominant chamber on
+    a wall."""
     shift = view.two_rho_hat
     base = [2 * a + s for a, s in zip(top, shift)]
-    walls = [i - 1 for i in view.indices]
-    dominate = view.dominate_with_sign
+    coroots = view.simple_coroots
+    reflect = [(i - 1, tuple((j, c) for j, c in enumerate(coroots[i]) if c))
+               for i in view.indices]
     for w, m in weights.items():
-        dom, sign = dominate(tuple([b + 2 * a for b, a in zip(base, w)]))
-        for i in walls:
-            if not dom[i]:
+        x = [b + 2 * a for b, a in zip(base, w)]
+        sign = 1
+        while True:
+            for i, coroot in reflect:
+                c = x[i]
+                if c <= 0:
+                    break
+            else:
+                yield tuple([(d - s) // 2 for d, s in zip(x, shift)]), sign, m
                 break
-        else:
-            yield tuple([(d - s) // 2 for d, s in zip(dom, shift)]), sign, m
+            if not c:
+                break
+            for j, b in coroot:
+                x[j] -= c * b
+            sign = -sign
 
 
 def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:

@@ -8,9 +8,10 @@ Two subcommands:
   multiplicity, product structure constant, or constant-term coefficient)
   for one instance.
 
-Exit status: 0 when everything passed, 1 when any check failed or a
-feasibility cap was exceeded, 2 for configuration or domain errors, 3 when an
-internal invariant failed (a bug in this package, not in the input).
+Exit status: 0 when no check failed (``verify`` counts a check SKIPPED at a
+cap as no failure), 1 when a check failed or ``compute`` exceeded a
+feasibility cap, 2 for configuration or domain errors, 3 when an internal
+invariant failed (a bug in this package, not in the input).
 """
 
 from __future__ import annotations
@@ -186,9 +187,27 @@ def _cmd_compute(args) -> int:
     return 0
 
 
+_COORDINATE_OPTIONS = ("--mu", "--lambda", "--nu")
+
+
+def _attach_negative_coordinates(argv: Sequence[str]) -> list[str]:
+    """``--mu -1,2`` as ``--mu=-1,2``: argparse reads a value that starts
+    with a minus sign and is not a single number as an option, so a
+    coordinate list with a negative first entry is attached to its option."""
+    out: list[str] = []
+    for arg in argv:
+        if (out and out[-1] in _COORDINATE_OPTIONS and len(arg) > 1
+                and arg[0] == "-" and arg[1].isdigit()):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_coordinates(
+        sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "verify":
             return _cmd_verify(args)

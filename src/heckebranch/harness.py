@@ -345,14 +345,21 @@ def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
     skipped = 0
     failures = []
     attempts = 0
+    # multiplicity at each drawn pair of pool indices, None over the cap:
+    # a pair drawn again counts again but is evaluated once
+    seen: dict = {}
     while pool and checked < samples and attempts < 20 * samples:
         attempts += 1
-        mu1, lam1 = pool[rng.randrange(len(pool))]
-        mu2, lam2 = pool[rng.randrange(len(pool))]
-        try:
-            r12 = branch_multiplicity(datum, levi, vec_add(mu1, mu2),
-                                      vec_add(lam1, lam2))
-        except FeasibilityError:
+        pair = (rng.randrange(len(pool)), rng.randrange(len(pool)))
+        (mu1, lam1), (mu2, lam2) = pool[pair[0]], pool[pair[1]]
+        if pair not in seen:
+            try:
+                seen[pair] = branch_multiplicity(
+                    datum, levi, vec_add(mu1, mu2), vec_add(lam1, lam2))
+            except FeasibilityError:
+                seen[pair] = None
+        r12 = seen[pair]
+        if r12 is None:
             skipped += 1
             continue
         if r12 == 0:

@@ -17,7 +17,8 @@ numerator is expanded once per subsystem and zero set of mu, and each of its
 terms shifted by mu is straightened by the dot action
 (``characters.dot_straighten``, the step of the Klimyk tensor rule).  Its
 coefficients, polynomials in t, are packed into one integer each while they
-are multiplied out and summed.
+are multiplied out and summed, and so are its exponents while it is
+multiplied out.
 
 Structure constants and constant-term coefficients are computed one
 coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
@@ -270,7 +271,12 @@ def _numerator(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     roots pair nonzero with the view-dominant mu, as a read-only map
     exponent -> packed coefficient.  The factors depend on mu only through
     the view's simple roots that vanish on it, so the product is cached per
-    view and zero set."""
+    view and zero set.
+
+    While it is multiplied out, an exponent is packed into one integer: its
+    j-th coordinate, offset by B, is the j-th digit in base 2B + 1, where B
+    bounds every coordinate of a partial sum of the factors' coroots.  Digits
+    then never carry, so stepping down a coroot is one subtraction."""
     zeros = tuple(i for i in view.indices if not mu[i - 1])
     key = (view.key, zeros)
     cached = _numerator_cache.get(key)
@@ -278,16 +284,28 @@ def _numerator(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
         return cached
     if len(view.positive_roots) >= _T_BITS - 1:
         raise AssertionError("numerator coefficients overflow their digits")
-    terms = {tuple(0 for _ in range(view.ambient_rank)): 1}
-    for r, cv in zip(view.positive_roots, view.positive_coroots):
-        if not pairing(r, mu):
-            continue
+    coroots = [cv for r, cv in zip(view.positive_roots, view.positive_coroots)
+               if pairing(r, mu)]
+    n = view.ambient_rank
+    bound = max(sum(abs(cv[j]) for cv in coroots) for j in range(n))
+    base = 2 * bound + 1
+    terms = {sum(bound * base ** j for j in range(n)): 1}
+    for cv in coroots:
+        step = sum(c * base ** j for j, c in enumerate(cv))
         nxt = dict(terms)
         for k, p in terms.items():
-            k = vec_sub(k, cv)
+            k -= step
             nxt[k] = nxt.get(k, 0) - (p << _T_BITS)
         terms = nxt
-    cached = MappingProxyType({k: p for k, p in terms.items() if p})
+    out = {}
+    for k, p in terms.items():
+        if p:
+            digits = []
+            for _ in range(n):
+                k, d = divmod(k, base)
+                digits.append(d - bound)
+            out[tuple(digits)] = p
+    cached = MappingProxyType(out)
     _numerator_cache[key] = cached
     return cached
 

@@ -171,24 +171,16 @@ class SubsystemView(_ReadOnly):
 
     def dominate(self, x: Sequence) -> tuple:
         """The unique subsystem-dominant point of the orbit of x."""
-        return self.dominate_with_sign(x)[0]
-
-    def dominate_with_sign(self, x: Sequence) -> tuple[tuple, int]:
-        """The subsystem-dominant point of the orbit of x and the determinant
-        sign of the minimal-length subsystem Weyl element carrying x there.
-        The sign is only meaningful for subsystem-regular x."""
         x = tuple(x)
-        sign = 1
         coroots = self.simple_coroots
         while True:
             for i in self.indices:
                 c = x[i - 1]
                 if c < 0:
                     x = tuple([a - c * b for a, b in zip(x, coroots[i])])
-                    sign = -sign
                     break
             else:
-                return x, sign
+                return x
 
     def orbit(self, x: Sequence) -> frozenset:
         """The subsystem Weyl orbit of x, reached one simple reflection at a

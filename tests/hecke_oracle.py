@@ -17,6 +17,9 @@ whole Macdonald numerator divided by the stabilizer Poincare polynomial, and
 the Levi orbit sizes from the lengths of the group elements, both over the
 group enumerated by ``weyl_oracle``.
 
+``numerator`` multiplies out the library's singular numerator with tuple
+exponents, where the library packs each exponent into one integer.
+
 ``product_identity_sides`` gives the two sides of the structure-constant
 identity for one instance, after validating every precondition; the
 harness's ``product_identity`` check computes the same sides unvalidated,
@@ -25,6 +28,7 @@ since its instance enumeration guarantees them.
 
 from functools import lru_cache
 
+from heckebranch import hecke
 from heckebranch.characters import (
     dot_straighten,
     restrict_decompose,
@@ -265,6 +269,24 @@ def full_numerator(view):
                 acc[e - 2] = acc.get(e - 2, 0) - x
         terms = nxt
     return {k: p for k, p in terms.items() if any(p.values())}
+
+
+def numerator(view, zeros):
+    """The product of (1 - t x^(-coroot)) over the view's positive coroots
+    whose roots are supported off the simple roots in ``zeros`` (those that
+    pair nonzero with a view-dominant coweight vanishing exactly there), as
+    exponent tuple -> coefficient packed as ``hecke._numerator`` packs it."""
+    off = [i - 1 for i in view.indices if i not in zeros]
+    terms = {tuple(0 for _ in range(view.ambient_rank)): 1}
+    for r, cv in zip(view.positive_roots, view.positive_coroots):
+        if not any(r[i] for i in off):
+            continue
+        nxt = dict(terms)
+        for k, p in terms.items():
+            k = vec_sub(k, cv)
+            nxt[k] = nxt.get(k, 0) - (p << hecke._T_BITS)
+        terms = nxt
+    return {k: p for k, p in terms.items() if p}
 
 
 def divided_hall_littlewood_characters(view, mu):

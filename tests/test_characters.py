@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_oracle
+import weyl_oracle
 from peel_oracle import decompose_invariant_multiset, tensor_decompose_by_tables
 
 from heckebranch.characters import (
     branch_decompose,
     branch_multiplicity,
     dominant_weights,
+    dot_straighten,
     restrict_decompose,
     tensor_decompose,
     tensor_multiplicity,
@@ -224,3 +226,21 @@ def test_decompose_rejects_non_characters():
         decompose_invariant_multiset(d.full, short)
     with pytest.raises(DomainError, match="not dominant"):
         decompose_invariant_multiset(d.full, {(2, -1): 1})
+
+
+@settings(max_examples=60, derandomize=True)
+@given(st.sampled_from(["A2", "B2", "G2", "A3", "B3", "C3"]),
+       st.sets(st.integers(min_value=1, max_value=3)),
+       st.lists(st.integers(min_value=-3, max_value=3), min_size=3,
+                max_size=3),
+       st.lists(st.lists(st.integers(min_value=-5, max_value=3), min_size=3,
+                         max_size=3), min_size=1, max_size=12))
+def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
+    # small coordinates put many walked points on a wall; a Levi view also
+    # sees points with zero or negative coordinates off its indices
+    d = root_datum(type_str)
+    view = levi_view(d, (i for i in levi if i <= d.rank))
+    top = tuple(top[:d.rank])
+    table = {tuple(w[:d.rank]): k for k, w in enumerate(weights, 1)}
+    assert list(dot_straighten(view, top, table)) \
+        == list(weyl_oracle.dot_straighten(view, top, table))

@@ -1,8 +1,11 @@
 """Command line behaviour: outputs, report files, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+
+import pytest
 
 from heckebranch import characters
 from heckebranch.cli import main
@@ -148,6 +151,49 @@ def test_compute_negative_lambda(capsys):
          "--mu", "1,1", "--lambda=2,-1"], capsys)
     assert code == 0
     assert stdout.strip() == "1"
+
+
+@pytest.mark.parametrize("spaced", [True, False])
+def test_compute_coordinates_with_a_negative_first_entry(capsys, spaced):
+    def options(**values):
+        out = []
+        for name, value in values.items():
+            out += [f"--{name}", value] if spaced else [f"--{name}={value}"]
+        return out
+
+    code, stdout, _ = run_cli(
+        ["compute", "c", "--type", "A2", "--levi", "none",
+         *options(mu="1,1", **{"lambda": "-1,2"})], capsys)
+    assert (code, stdout.strip()) == (0, "1*v^4")
+    code, _, stderr = run_cli(
+        ["compute", "c", "--type", "A2", "--levi", "1",
+         *options(mu="-1,0", **{"lambda": "0,0"})], capsys)
+    assert code == 2
+    assert "not dominant" in stderr
+    # nu = (-1, 3) makes nu + lambda = (0, 2) dominant; nu itself is not,
+    # so it is no constituent of the tensor product
+    code, stdout, _ = run_cli(
+        ["compute", "n", "--type", "A2", "--levi", "2",
+         *options(mu="1,1", **{"lambda": "1,-1", "nu": "-1,3"})], capsys)
+    assert (code, stdout.strip()) == (0, "0")
+
+
+def test_compute_option_without_a_value(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", "c", "--type", "A2", "--levi", "none",
+              "--mu", "--lambda", "0,0"])
+    assert exc.value.code == 2
+    assert "argument --mu: expected one argument" in capsys.readouterr().err
+
+
+def test_package_runs_as_a_module():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "heckebranch", "compute", "r", "--type",
+         "A2", "--levi", "2", "--mu", "1,1", "--lambda", "-1,2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout.strip()) == (0, "1")
 
 
 def test_console_script_installed():

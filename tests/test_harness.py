@@ -9,6 +9,8 @@ import time
 
 import pytest
 
+import harness_oracle
+import weyl_oracle
 from heckebranch import characters, harness, hecke, littelmann
 from heckebranch.errors import ConfigurationError, FeasibilityError
 from heckebranch.harness import (
@@ -176,6 +178,80 @@ def test_seed_changes_semigroup_draws():
     assert r1["semigroup"] == r2["semigroup"]
     assert r3["semigroup"]["verdict"] == "PASS"
     assert r1["config"]["seed"] != r3["config"]["seed"]
+
+
+def _counting_branch_multiplicity(monkeypatch, fake=None):
+    # counts the harness's branch_multiplicity calls and those that hit a
+    # cap; a fake, when given, replaces it in the harness and the oracle
+    counts = {"calls": 0, "over_cap": 0}
+    inner = fake or harness.branch_multiplicity
+
+    def counted(*args):
+        counts["calls"] += 1
+        try:
+            return inner(*args)
+        except FeasibilityError:
+            counts["over_cap"] += 1
+            raise
+
+    monkeypatch.setattr(harness, "branch_multiplicity", counted)
+    if fake:
+        monkeypatch.setattr(harness_oracle, "branch_multiplicity", fake)
+    return counts
+
+
+def _semigroup_sections(monkeypatch, config):
+    # the section of the library's scan and of the oracle's, each from cold
+    # caches
+    out = []
+    for scan in (harness._semigroup_section, harness_oracle.semigroup_section):
+        _fresh_caches(monkeypatch)
+        monkeypatch.setattr(harness, "_semigroup_section", scan)
+        out.append(run_sweep(config)["semigroup"])
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260816])
+def test_semigroup_scan_counts_every_draw(monkeypatch, seed):
+    # A3 Levi {1} h2 pools 11 entries, so 600 samples draw each pair of
+    # them many times
+    counts = _counting_branch_multiplicity(monkeypatch)
+    got, want = _semigroup_sections(monkeypatch, SweepConfig(
+        "A3", (1,), 2, ("semigroup",), seed=seed, semigroup_samples=600))
+    assert got == want
+    assert got["pool_size"] == 11 and got["pairs_checked"] == 600
+    assert counts["calls"] <= 121
+
+
+@pytest.mark.parametrize("seed", [1, 7, 20260816])
+def test_semigroup_scan_counts_every_draw_over_the_cap(monkeypatch, seed):
+    # B2 Levi {1} h3 at cap 10: every swept module fits, but many sums do
+    # not, and a pair over the cap drawn again is skipped again
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    counts = _counting_branch_multiplicity(monkeypatch)
+    got, want = _semigroup_sections(monkeypatch, SweepConfig(
+        "B2", (1,), 3, ("semigroup",), seed=seed))
+    assert got == want
+    assert got["pairs_checked"] == 120
+    assert got["pairs_skipped"] > counts["over_cap"] > 0
+
+
+def test_semigroup_scan_records_every_failing_draw(monkeypatch):
+    # a fake multiplicity that vanishes on half of the sums and is over the
+    # cap on a third of them: failures are listed per draw, in draw order
+    def fake(datum, levi, mu, lam):
+        if mu[1] % 3 == 2:
+            raise FeasibilityError("fake cap", 0)
+        return (mu[0] + lam[1]) % 2
+
+    counts = _counting_branch_multiplicity(monkeypatch, fake)
+    got, want = _semigroup_sections(monkeypatch, SweepConfig(
+        "A2", (1,), 2, ("semigroup",), semigroup_samples=200))
+    assert got == want
+    assert got["verdict"] == "FAIL"
+    assert len(got["failures"]) > len({json.dumps(f, sort_keys=True)
+                                       for f in got["failures"]})
+    assert got["pairs_skipped"] > counts["over_cap"] > 0
 
 
 def test_skips_are_recorded_not_dropped(monkeypatch):
@@ -472,15 +548,21 @@ def _assert_all_pass(report, checks):
     assert report["summary"]["skipped"] == 0
 
 
-@pytest.mark.parametrize("type_str,height", [("A3", 2), ("B3", 3), ("C3", 3),
-                                             ("G2", 3), ("B4", 4), ("C4", 4),
-                                             ("A5", 3)])
+HECKE_SMOKE = [("A3", 2), ("B3", 3), ("C3", 3), ("G2", 3), ("B4", 4),
+               ("C4", 4), ("A5", 3)]
+HECKE_SMOKE_CHECKS = ("product_identity", "multiplicity_identity", "degrees",
+                      "ct_transitivity")
+PATH_SMOKE = [("A3", 3), ("B3", 3), ("C3", 3), ("G2", 3), ("B4", 4),
+              ("A4", 2)]
+PATH_SMOKE_CHECKS = ("crystal", "hecke_paths", "multiplicity_identity")
+
+
+@pytest.mark.parametrize("type_str,height", HECKE_SMOKE)
 def test_rank_three_hecke_smoke(type_str, height):
     # the lowest height with a nonzero coweight, Levi {1}
-    checks = ("product_identity", "multiplicity_identity", "degrees",
-              "ct_transitivity")
-    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height, checks)),
-                     checks)
+    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height,
+                                           HECKE_SMOKE_CHECKS)),
+                     HECKE_SMOKE_CHECKS)
 
 
 def test_rank_five_all_checks_smoke():
@@ -494,13 +576,36 @@ def test_rank_five_all_checks_smoke():
     assert (summary["pass"], summary["fail"], summary["skipped"]) == (80, 0, 0)
 
 
-@pytest.mark.parametrize("type_str,height", [("A3", 3), ("B3", 3), ("C3", 3),
-                                             ("G2", 3), ("B4", 4), ("A4", 2)])
+@pytest.mark.parametrize("type_str,height", PATH_SMOKE)
 def test_path_checks_smoke(type_str, height):
     # Levi {1}; rank 4 at the lowest height with a nonzero coweight
-    checks = ("crystal", "hecke_paths", "multiplicity_identity")
-    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height, checks)),
-                     checks)
+    _assert_all_pass(run_sweep(SweepConfig(type_str, (1,), height,
+                                           PATH_SMOKE_CHECKS)),
+                     PATH_SMOKE_CHECKS)
+
+
+@pytest.mark.parametrize("config", [
+    *(SweepConfig(t, (1,), h, HECKE_SMOKE_CHECKS) for t, h in HECKE_SMOKE),
+    *(SweepConfig(t, (1,), h, PATH_SMOKE_CHECKS) for t, h in PATH_SMOKE),
+    SweepConfig("D5", (1,), 4, ALL),
+], ids=lambda c: f"{c.cartan_type}-h{c.max_height}-{len(c.checks)}")
+def test_smoke_straightenings_match_the_full_walk(monkeypatch, config):
+    # every tensor and restriction straightening of a smoke sweep, from cold
+    # caches, against the walk that tests for a wall at its end only
+    calls = []
+    walk = characters.dot_straighten
+
+    def recording(view, top, weights):
+        calls.append((view, top, weights))
+        return walk(view, top, weights)
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "dot_straighten", recording)
+    run_sweep(config)
+    assert calls
+    for view, top, weights in calls:
+        assert list(walk(view, top, weights)) \
+            == list(weyl_oracle.dot_straighten(view, top, weights))
 
 
 # SHA-256 of each all-checks report's canonical JSON without its *_ms fields,

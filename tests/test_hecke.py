@@ -6,12 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hecke_oracle
+import weyl_oracle
 from hecke_oracle import product_identity_sides, satake_f, stabilizer_poincare
 from heckebranch import hecke
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_support,
     dominant_weights,
+    dot_straighten,
     tensor_decompose,
     tensor_multiplicity,
     weight_table,
@@ -95,6 +97,42 @@ def test_stabilizer_poincare():
     # full stabilizer of zero is the whole Weyl group
     w_poly = stabilizer_poincare(a2.full, (0, 0))
     assert _at_q_one(w_poly) == 6
+
+
+def _zero_sets_and_weights(view):
+    # every zero set of the view's simple roots, with a view-dominant
+    # coweight vanishing exactly there
+    for r in range(len(view.indices) + 1):
+        for zeros in itertools.combinations(view.indices, r):
+            yield zeros, tuple(0 if i in zeros else 1
+                               for i in range(1, view.ambient_rank + 1))
+
+
+@pytest.mark.parametrize("type_str", ["A3", "B3", "C3", "G2", "D4", "F4"])
+def test_packed_numerator_matches_the_tuple_product(type_str):
+    d = root_datum(type_str)
+    for view in (d.full, levi_view(d, (1,))):
+        for zeros, mu in _zero_sets_and_weights(view):
+            assert hecke._numerator(view, mu) \
+                == hecke_oracle.numerator(view, zeros)
+
+
+def test_numerator_digit_overflow_is_an_internal_error(monkeypatch):
+    # A3 has 6 positive roots: coefficients up to 2^6 overflow 6-bit digits
+    monkeypatch.setattr(hecke, "_numerator_cache", {})
+    monkeypatch.setattr(hecke, "_T_BITS", 6)
+    with pytest.raises(AssertionError, match="overflow"):
+        hecke._numerator(root_datum("A3").full, (1, 1, 1))
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_numerator_straightening_matches_the_full_walk(type_str):
+    d = root_datum(type_str)
+    for view in (d.full, levi_view(d, (1,))):
+        for _, mu in _zero_sets_and_weights(view):
+            terms = hecke._numerator(view, mu)
+            assert list(dot_straighten(view, mu, terms)) \
+                == list(weyl_oracle.dot_straighten(view, mu, terms))
 
 
 def test_hall_littlewood_a1():

@@ -200,9 +200,6 @@ def test_dominate_and_orbit():
     assert len(f.orbit((1, 1))) == 6
     assert len(f.orbit((1, 0))) == 3
     assert len(f.orbit((0, 0))) == 1
-    dom, sign = f.dominate_with_sign((-1, -1))
-    assert dom == f.dominate((-1, -1))
-    assert sign in (1, -1)
 
 
 @settings(max_examples=60, derandomize=True)

@@ -8,6 +8,10 @@ reflections as matrices from the Cartan matrix, closes the view's under
 products on coweight coordinates and, in parallel, on simple-root
 coordinates (where each simple reflection acts by the transposed matrix),
 and counts for each element the subsystem positive roots it makes negative.
+
+The dot-action straightening here walks every point to the dominant chamber
+with its sign and only then tests the final point for a wall; the library's
+walk stops at the first point of its walk that a simple reflection fixes.
 """
 
 from functools import lru_cache
@@ -96,3 +100,35 @@ def longest_element(datum):
     """The element of the full group inverting every positive root."""
     g = group(datum.full)
     return g.elements[g.lengths.index(len(datum.positive_roots))]
+
+
+def dominate_with_sign(view, x):
+    """The view-dominant point of the orbit of x and the determinant sign of
+    the minimal-length view Weyl element carrying x there.  The sign is only
+    meaningful for view-regular x."""
+    x = tuple(x)
+    sign = 1
+    coroots = view.simple_coroots
+    while True:
+        for i in view.indices:
+            c = x[i - 1]
+            if c < 0:
+                x = tuple([a - c * b for a, b in zip(x, coroots[i])])
+                sign = -sign
+                break
+        else:
+            return x, sign
+
+
+def dot_straighten(view, top, weights):
+    """Klimyk's dot-action straightening by the full walk: the terms
+    (highest weight, sign, coefficient) of ``weights`` whose walked point
+    top + w + rho_hat, in doubled coordinates, ends off the view's walls."""
+    shift = view.two_rho_hat
+    base = [2 * a + s for a, s in zip(top, shift)]
+    walls = [i - 1 for i in view.indices]
+    for w, m in weights.items():
+        dom, sign = dominate_with_sign(
+            view, tuple([b + 2 * a for b, a in zip(base, w)]))
+        if all(dom[i] for i in walls):
+            yield tuple([(d - s) // 2 for d, s in zip(dom, shift)]), sign, m
