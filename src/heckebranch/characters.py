@@ -15,12 +15,26 @@ sum of positive roots and divides exactly by
 coordinates.  Its walk to the dominant chamber reflects a list in place and
 stops at the first point that a simple reflection fixes, since that term
 straightens to zero.
+
+Each point is walked once per view.  Weight tables are ``PackedWeights``:
+besides the plain map they hold every weight w packed into one integer, 2w
+in signed digits of one base per view, so the doubled point
+2(top + w) + 2 rho_hat of a term is the packed 2(top + rho_hat) plus the
+packed 2w, one integer addition.  ``dot_straighten`` keeps one memo per view
+from that integer to the walk's result, its dominant highest weight and
+sign or a wall, and decodes and walks a point only on a miss.  The memo is
+shared by every caller under the view: tensor products, restrictions and
+``hecke``'s Hall-Littlewood numerators, which are built packed in the same
+base.  The base grows, and the memo starts afresh, whenever a call brings a
+coordinate its digits cannot hold, so packing never aliases two points.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Optional, Sequence
 
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
@@ -39,6 +53,115 @@ DIMENSION_CAP = 200_000
 _table_cache: dict = {}
 _tensor_cache: dict = {}
 _branch_cache: dict = {}
+_straighten_cache: dict = {}   # view key -> _Walks
+
+
+def _pack(x: Sequence[int], bits: int) -> int:
+    """x as one integer, its j-th coordinate the j-th signed base-2^bits
+    digit.  Linear in x, and one to one on points whose coordinates all lie
+    in [-2^(bits-1), 2^(bits-1))."""
+    p = 0
+    for a in reversed(x):
+        p = (p << bits) + a
+    return p
+
+
+def _offset(bits: int, n: int) -> int:
+    """Half the base in each of n digits: added to a packed point whose
+    coordinates ``_pack`` holds, it makes every digit nonnegative."""
+    return _pack([1 << (bits - 1)] * n, bits)
+
+
+def _unpack(k: int, bits: int, n: int) -> list:
+    """The n coordinates of the point packed as k - ``_offset(bits, n)``."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    return [((k >> s) & mask) - half for s in range(0, bits * n, bits)]
+
+
+class PackedWeights(Mapping):
+    """A read-only map weight -> coefficient that also holds each weight w
+    packed as ``_pack(2w, bits)``, the form ``dot_straighten`` reads.  The
+    packed pairs are kept for the last digit width asked for and rebuilt
+    when a view asks for another.  ``reach`` bounds every coordinate of
+    every weight.  Weights built packed (``hecke``'s numerators) are decoded
+    into the plain map only when it is first read."""
+
+    __slots__ = ("rank", "reach", "_plain", "_bits", "_packed")
+
+    def __init__(self, rank: int, reach: int, plain: Optional[Mapping] = None,
+                 bits: int = 0, packed: list = ()):
+        self.rank, self.reach = rank, reach
+        self._plain, self._bits, self._packed = plain, bits, packed
+
+    @classmethod
+    def of(cls, weights: Mapping) -> "PackedWeights":
+        """A map with tuple keys, read in place (not copied)."""
+        return cls(len(next(iter(weights), ())),
+                   max(map(abs, chain.from_iterable(weights)), default=0),
+                   weights)
+
+    def packed(self, bits: int) -> list:
+        """The pairs (``_pack(2w, bits)``, coefficient)."""
+        if bits != self._bits:
+            self._packed = [(_pack(w, bits) << 1, m)
+                            for w, m in self._table().items()]
+            self._bits = bits
+        return self._packed
+
+    def _table(self) -> dict:
+        if self._plain is None:
+            bits, n = self._bits, self.rank
+            offset = _offset(bits, n)
+            self._plain = {tuple(_unpack((k >> 1) + offset, bits, n)): m
+                           for k, m in self._packed}
+        return self._plain
+
+    def __getitem__(self, w):
+        return self._table()[w]
+
+    def __iter__(self):
+        return iter(self._table())
+
+    def __len__(self) -> int:
+        return len(self._packed if self._plain is None else self._plain)
+
+    def items(self):
+        return self._table().items()
+
+    def __repr__(self) -> str:
+        return f"PackedWeights({self._table()!r})"
+
+
+class _Walks:
+    """One view's straightening state: the digit width of its packed
+    points, and the memo from a packed doubled point to its walk's result,
+    (dominant highest weight, sign) or () on a wall.  Equal results share one
+    tuple.  Memo keys carry ``_offset``, so a miss decodes by shifts and
+    masks."""
+
+    __slots__ = ("bits", "offset", "memo", "results", "reflect")
+
+    def __init__(self, view: SubsystemView, bits: int):
+        self.bits = bits
+        self.offset = _offset(bits, view.ambient_rank)
+        self.memo: dict = {}
+        self.results: dict = {}
+        coroots = view.simple_coroots
+        self.reflect = tuple(
+            (i - 1, tuple((j, c) for j, c in enumerate(coroots[i]) if c))
+            for i in view.indices)
+
+
+def _walks(view: SubsystemView, reach: int) -> _Walks:
+    """The view's straightening state, with digits that hold every
+    coordinate of absolute value at most reach.  A wider reach than the
+    digits hold replaces the state by one with at least twice the width and
+    an empty memo."""
+    walks = _straighten_cache.get(view.key)
+    if walks is None or reach >> (walks.bits - 1):
+        bits = max(2 * walks.bits if walks else 0, 2 * reach.bit_length() + 2)
+        walks = _straighten_cache[view.key] = _Walks(view, bits)
+    return walks
 
 
 def _check_cap(view: SubsystemView, mu: Coweight) -> None:
@@ -115,10 +238,10 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
     return MappingProxyType(mults)
 
 
-def weight_table(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
+def weight_table(view: SubsystemView, mu: Coweight) -> PackedWeights:
     """Every weight of the irreducible module with highest weight mu, with
-    multiplicity (the view-orbit expansion of ``dominant_weights``).
-    Read-only."""
+    multiplicity (the view-orbit expansion of ``dominant_weights``), as a
+    read-only ``PackedWeights`` that keeps its packed form with the table."""
     mu = tuple(mu)
     key = (view.key, mu)
     if key in _table_cache:
@@ -127,7 +250,7 @@ def weight_table(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     for kappa, m in dominant_weights(view, mu).items():
         for y in view.orbit(kappa):
             table[y] = m
-    result = MappingProxyType(table)
+    result = PackedWeights.of(table)
     _table_cache[key] = result
     return result
 
@@ -140,32 +263,47 @@ def dot_straighten(view: SubsystemView, top: Coweight,
     Weyl element carrying it, and w's coefficient.  Works in doubled
     coordinates, which keep rho_hat integral on every view.
 
-    Each point walks up one simple reflection at a time, reflected in place
-    through the nonzero entries of the simple coroot, and is dropped at the
-    first point of its walk with a zero coordinate at a view index: a simple
-    reflection fixes that point, so its orbit meets the dominant chamber on
-    a wall."""
+    A ``PackedWeights`` is read in its packed form; any other map is packed
+    first.  Each doubled point is looked up in the view's memo by its packed
+    integer and walked only on a miss: up one simple reflection at a time,
+    reflected in place through the nonzero entries of the simple coroot, and
+    dropped at the first point of its walk with a zero coordinate at a view
+    index, where a simple reflection fixes it and its orbit meets the
+    dominant chamber on a wall."""
+    if not isinstance(weights, PackedWeights):
+        weights = PackedWeights.of(weights)
     shift = view.two_rho_hat
-    base = [2 * a + s for a, s in zip(top, shift)]
-    coroots = view.simple_coroots
-    reflect = [(i - 1, tuple((j, c) for j, c in enumerate(coroots[i]) if c))
-               for i in view.indices]
-    for w, m in weights.items():
-        x = [b + 2 * a for b, a in zip(base, w)]
-        sign = 1
-        while True:
-            for i, coroot in reflect:
-                c = x[i]
-                if c <= 0:
+    start = [2 * a + s for a, s in zip(top, shift)]
+    walks = _walks(view, max(map(abs, start), default=0) + 2 * weights.reach)
+    memo, results, reflect, bits = (walks.memo, walks.results, walks.reflect,
+                                    walks.bits)
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = range(0, bits * len(shift), bits)
+    base = _pack(start, bits) + walks.offset
+    for k, m in weights.packed(bits):
+        k += base
+        hit = memo.get(k)
+        if hit is None:
+            x = [((k >> d) & mask) - half for d in digits]   # _unpack, inline
+            sign = 1
+            while True:
+                for i, coroot in reflect:
+                    c = x[i]
+                    if c <= 0:
+                        break
+                else:
+                    kappa = tuple([(d - s) // 2 for d, s in zip(x, shift)])
+                    hit = results.setdefault((kappa, sign), (kappa, sign))
                     break
-            else:
-                yield tuple([(d - s) // 2 for d, s in zip(x, shift)]), sign, m
-                break
-            if not c:
-                break
-            for j, b in coroot:
-                x[j] -= c * b
-            sign = -sign
+                if not c:
+                    hit = ()
+                    break
+                for j, b in coroot:
+                    x[j] -= c * b
+                sign = -sign
+            memo[k] = hit
+        if hit:
+            yield hit[0], hit[1], m
 
 
 def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:

@@ -17,8 +17,12 @@ numerator is expanded once per subsystem and zero set of mu, and each of its
 terms shifted by mu is straightened by the dot action
 (``characters.dot_straighten``, the step of the Klimyk tensor rule).  Its
 coefficients, polynomials in t, are packed into one integer each while they
-are multiplied out and summed, and so are its exponents while it is
-multiplied out.
+are multiplied out and summed.  Its exponents are packed too, and stay
+packed: the numerator is multiplied out straight into the view's
+straightening base (``characters.PackedWeights``), so a term shifted by mu
+is one integer addition, and a point that another weight's numerator, a
+tensor product or a restriction under the same view already reached is read
+from the view's straightening memo instead of walked again.
 
 Structure constants and constant-term coefficients are computed one
 coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
@@ -79,6 +83,9 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from .characters import (
+    PackedWeights,
+    _pack,
+    _walks,
     dominant_support,
     dominant_weights,
     dot_straighten,
@@ -266,17 +273,18 @@ def _unpack_t(p: int) -> dict:
     return out
 
 
-def _numerator(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
+def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
     """The product of (1 - t x^(-a)) over the view's positive coroots a whose
-    roots pair nonzero with the view-dominant mu, as a read-only map
-    exponent -> packed coefficient.  The factors depend on mu only through
-    the view's simple roots that vanish on it, so the product is cached per
-    view and zero set.
+    roots pair nonzero with the view-dominant mu, as a read-only
+    ``PackedWeights`` of exponent -> packed coefficient.  The factors depend
+    on mu only through the view's simple roots that vanish on it, so the
+    product is cached per view and zero set.
 
-    While it is multiplied out, an exponent is packed into one integer: its
-    j-th coordinate, offset by B, is the j-th digit in base 2B + 1, where B
-    bounds every coordinate of a partial sum of the factors' coroots.  Digits
-    then never carry, so stepping down a coroot is one subtraction."""
+    It is multiplied out in the packed form ``dot_straighten`` reads: each
+    exponent w is the integer 2w in the signed digits of the view's
+    straightening base, so stepping down a coroot is one subtraction and no
+    exponent is decoded.  The digits are wide enough for every partial sum,
+    whose coordinates are bounded by the coroots' coordinates summed."""
     zeros = tuple(i for i in view.indices if not mu[i - 1])
     key = (view.key, zeros)
     cached = _numerator_cache.get(key)
@@ -287,25 +295,19 @@ def _numerator(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
     coroots = [cv for r, cv in zip(view.positive_roots, view.positive_coroots)
                if pairing(r, mu)]
     n = view.ambient_rank
-    bound = max(sum(abs(cv[j]) for cv in coroots) for j in range(n))
-    base = 2 * bound + 1
-    terms = {sum(bound * base ** j for j in range(n)): 1}
+    reach = max(sum(abs(cv[j]) for cv in coroots) for j in range(n))
+    bits = _walks(view, 2 * reach).bits
+    terms = {0: 1}
     for cv in coroots:
-        step = sum(c * base ** j for j, c in enumerate(cv))
+        step = _pack(cv, bits) << 1
         nxt = dict(terms)
+        get = nxt.get
         for k, p in terms.items():
             k -= step
-            nxt[k] = nxt.get(k, 0) - (p << _T_BITS)
+            nxt[k] = get(k, 0) - (p << _T_BITS)
         terms = nxt
-    out = {}
-    for k, p in terms.items():
-        if p:
-            digits = []
-            for _ in range(n):
-                k, d = divmod(k, base)
-                digits.append(d - bound)
-            out[tuple(digits)] = p
-    cached = MappingProxyType(out)
+    cached = PackedWeights(n, reach, bits=bits,
+                           packed=[(k, p) for k, p in terms.items() if p])
     _numerator_cache[key] = cached
     return cached
 
@@ -315,7 +317,8 @@ def hall_littlewood_characters(view: SubsystemView,
     """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
     Weyl characters, by Macdonald's formula taken over the cosets of the
     stabilizer of mu: the characters of x^mu times ``_numerator(view, mu)``,
-    straightened by ``dot_straighten`` and summed as packed coefficients.
+    straightened by ``dot_straighten`` through the view's memo and summed as
+    packed coefficients.
     Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
     the coroots off it, so nothing is divided.  Read-only, keyed by
     subsystem-dominant coweights in sorted order, monic at mu; coefficients

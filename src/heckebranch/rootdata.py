@@ -37,7 +37,8 @@ from __future__ import annotations
 from functools import lru_cache
 from math import lcm
 from operator import add, mul, sub
-from typing import TYPE_CHECKING, Iterable, Sequence
+from types import MappingProxyType
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ConfigurationError, DomainError
 
@@ -150,7 +151,8 @@ class SubsystemView(_ReadOnly):
 
     ``indices`` are the 1-based simple-root indices generating the subsystem;
     ``simple_coroots`` maps every ambient 1-based index to its simple coroot,
-    the column of the Cartan matrix.
+    the column of the Cartan matrix; it is read-only and shared by every
+    view of the datum.
     """
 
     key: tuple
@@ -158,7 +160,7 @@ class SubsystemView(_ReadOnly):
     ambient_rank: int
     positive_roots: tuple[Root, ...]
     positive_coroots: tuple[Coweight, ...]
-    simple_coroots: dict
+    simple_coroots: Mapping[int, Coweight]
     two_rho_hat: Coweight      # sum of the subsystem's positive coroots
     two_rho: Root              # sum of the subsystem's positive roots
     form: tuple[tuple[int, ...], ...]
@@ -238,7 +240,7 @@ class RootDatum(_ReadOnly):
 
 
 def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
-                positive: list[tuple[Root, Coweight]], coroots: dict,
+                positive: list[tuple[Root, Coweight]], coroots: Mapping,
                 form) -> SubsystemView:
     sub_pos = [(r, c) for (r, c) in positive
                if all(r[i] == 0 for i in range(ambient_rank) if (i + 1) not in indices)]
@@ -261,7 +263,8 @@ def _build(letter: str, rank: int) -> RootDatum:
             f"unsupported type {letter}{rank}; "
             "supported: A1-A6, B2-B5, C2-C5, D4-D5, F4, G2")
     cm = cartan_matrix(letter, rank)
-    coroots = {j + 1: tuple(row[j] for row in cm) for j in range(rank)}
+    coroots = MappingProxyType({j + 1: tuple(row[j] for row in cm)
+                                for j in range(rank)})
 
     # the simple reflection at coordinate j (0-based) with coroot c:
     # x -> x - x[j] c on a coroot and r -> r - <r, c> e_j on a root

@@ -14,6 +14,12 @@ polytope cut by the Levi-dominant cone exactly, by Gauss-Jordan elimination
 (``solve_exact``) over every choice of facets, and ``hull_conditions`` reads
 the parabolic comparison off them in two more ways, to check against the
 pairing criterion ``parabolic.geq_parabolic``.
+
+The offset box search: ``minimal_offset_by_box`` takes each requirement of
+a root outside the Levi as the minimum of its pairing over the Weyl orbit of
+mu, and tries every central coweight nu >= 0 whose pairing with the sum of
+positive roots is at most that of the all-maximal requirement point, which
+is feasible, to check the closed form ``parabolic.minimal_offset`` against.
 """
 
 from __future__ import annotations
@@ -240,3 +246,37 @@ def hull_conditions(datum: RootDatum, levi: SubsystemView, nu: Coweight,
         "shifted_vertices_dominant": cond2,
         "vertex_pairing_bound": cond3,
     }
+
+
+def minimal_offset_by_box(datum: RootDatum, levi: SubsystemView,
+                          mu: Coweight) -> Coweight:
+    """The M-central dominant nu with geq_parabolic(nu, mu), minimizing the
+    pairing with the sum of positive roots (ties broken lexicographically),
+    searched over every central nu >= 0 whose pairing is at most that of
+    the all-maximal requirement point, which is always feasible."""
+    mu = tuple(mu)
+    off = [i for i in range(datum.rank) if (i + 1) not in levi.indices]
+    orbit = datum.full.orbit(mu)
+    requirements = [(alpha, -min(pairing(alpha, w) for w in orbit))
+                    for alpha in nilradical_roots(datum, levi)]
+    two_rho = datum.full.two_rho
+    star = max((q for _, q in requirements), default=0)
+    h_star = star * sum(two_rho[i] for i in off)
+    best: Optional[tuple] = None
+
+    def search(nu: list, k: int, h: int) -> None:
+        nonlocal best
+        if k == len(off):
+            if all(pairing(alpha, nu) >= q for alpha, q in requirements):
+                if best is None or (h, tuple(nu)) < best:
+                    best = (h, tuple(nu))
+            return
+        i = off[k]
+        while h <= h_star:
+            search(nu, k + 1, h)
+            nu[i] += 1
+            h += two_rho[i]
+        nu[i] = 0
+
+    search([0] * datum.rank, 0, 0)
+    return best[1]

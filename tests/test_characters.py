@@ -10,7 +10,9 @@ import fraction_oracle
 import weyl_oracle
 from peel_oracle import decompose_invariant_multiset, tensor_decompose_by_tables
 
+from heckebranch import characters
 from heckebranch.characters import (
+    PackedWeights,
     branch_decompose,
     branch_multiplicity,
     dominant_weights,
@@ -244,3 +246,37 @@ def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
     table = {tuple(w[:d.rank]): k for k, w in enumerate(weights, 1)}
     assert list(dot_straighten(view, top, table)) \
         == list(weyl_oracle.dot_straighten(view, top, table))
+
+
+def test_packing_never_aliases(monkeypatch):
+    # coordinates far past any digit width a sweep needs: the view's digits
+    # must grow to hold them, not wrap around onto other points
+    monkeypatch.setattr(characters, "_tensor_cache", {})
+    monkeypatch.setattr(characters, "_straighten_cache", {})
+    d = root_datum("A2")
+    big, huge = 2 ** 40, 2 ** 70
+    # a small product first, so the view starts with narrow digits
+    assert tensor_decompose(d, (1, 0), (1, 0)) == {(0, 1): 1, (2, 0): 1}
+    assert tensor_decompose(d, (big, 0), (1, 0)) \
+        == {(big - 1, 1): 1, (big + 1, 0): 1}
+    assert tensor_decompose(d, (huge, 3), (1, 1)) == {
+        (huge - 2, 4): 1, (huge - 1, 2): 1, (huge - 1, 5): 1, (huge, 3): 2,
+        (huge + 1, 1): 1, (huge + 1, 4): 1, (huge + 2, 2): 1}
+    # and the narrow products still come out right after the widening
+    monkeypatch.setattr(characters, "_tensor_cache", {})
+    assert tensor_decompose(d, (1, 1), (1, 1)) == tensor_decompose_by_tables(
+        d, (1, 1), (1, 1))
+
+
+def test_packed_weights_read_as_a_plain_map():
+    d = root_datum("B2")
+    table = weight_table(d.full, (1, 1))
+    plain = dict(table.items())
+    assert isinstance(table, PackedWeights)
+    assert table == plain and len(table) == len(plain)
+    assert all(table[w] == m and w in table for w, m in plain.items())
+    # repacked at each width asked for, and decoded back from it
+    for bits in (8, 20, 8):
+        packed = PackedWeights(2, table.reach, bits=bits,
+                               packed=table.packed(bits))
+        assert dict(packed.items()) == plain

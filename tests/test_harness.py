@@ -608,6 +608,40 @@ def test_smoke_straightenings_match_the_full_walk(monkeypatch, config):
             == list(weyl_oracle.dot_straighten(view, top, weights))
 
 
+def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
+    # the tensor, restriction and numerator straightenings of two smoke
+    # sweeps, replayed from empty memos with the Levi views' calls first and
+    # then with the full views' first, against the walk that tests for a
+    # wall at its end only
+    calls = []
+    walk = characters.dot_straighten
+
+    def recorder(source):
+        def recording(view, top, weights):
+            calls.append((source, view, top, weights))
+            return walk(view, top, weights)
+        return recording
+
+    _fresh_caches(monkeypatch)
+    monkeypatch.setattr(characters, "dot_straighten", recorder("characters"))
+    monkeypatch.setattr(hecke, "dot_straighten", recorder("hecke"))
+    run_sweep(SweepConfig("B3", (1,), 3, HECKE_SMOKE_CHECKS))
+    run_sweep(SweepConfig("A3", (1,), 3, PATH_SMOKE_CHECKS))
+    kinds = {(source, len(view.indices) == view.ambient_rank)
+             for source, view, _, _ in calls}
+    assert kinds == {("characters", True), ("characters", False),
+                     ("hecke", True), ("hecke", False)}
+    want = [list(weyl_oracle.dot_straighten(view, top, weights))
+            for _, view, top, weights in calls]
+    for full_first in (False, True):
+        monkeypatch.setattr(characters, "_straighten_cache", {})
+        order = sorted(range(len(calls)), key=lambda i: full_first != (
+            len(calls[i][1].indices) == calls[i][1].ambient_rank))
+        for i in order:
+            _, view, top, weights = calls[i]
+            assert list(walk(view, top, weights)) == want[i]
+
+
 # SHA-256 of each all-checks report's canonical JSON without its *_ms fields,
 # as ``perfbench/child.py`` digests it; recorded from the program before the
 # integer lattice kernels and the per-character Hecke partial sums

@@ -21,7 +21,7 @@ from heckebranch.rootdata import (
     vec_add,
     vec_scale,
 )
-from peel_oracle import hull_conditions, hull_vertices
+from peel_oracle import hull_conditions, hull_vertices, minimal_offset_by_box
 
 
 def test_nilradical_roots():
@@ -89,6 +89,35 @@ def test_minimal_offset_is_valid_and_minimal():
             for cand in itertools.product(*(range(b + 1) for b in bound)):
                 if (rho_height(d, cand), cand) < (h, nu):
                     assert not geq_parabolic(d, lv, cand, mu)
+
+
+RANK_UP_TO_FIVE = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "B5", "C2",
+                   "C3", "C4", "C5", "D4", "D5", "F4", "G2"]
+
+
+@pytest.mark.parametrize("type_str", RANK_UP_TO_FIVE)
+def test_minimal_offset_matches_the_box_search(type_str):
+    # every Levi, at every fundamental coweight and, up to rank 3, at their
+    # sum; the search's simplex grows with the requirements, which these
+    # keep small
+    d = root_datum(type_str)
+    mus = [tuple(int(i == j) for i in range(d.rank)) for j in range(d.rank)]
+    if d.rank <= 3:
+        mus.append((1,) * d.rank)
+    for r in range(d.rank + 1):
+        for idx in itertools.combinations(range(1, d.rank + 1), r):
+            lv = levi_view(d, idx)
+            for mu in mus:
+                assert minimal_offset(d, lv, mu) \
+                    == minimal_offset_by_box(d, lv, mu), (idx, mu)
+
+
+def test_minimal_offset_matches_the_box_search_on_a6():
+    d = root_datum("A6")
+    lv = levi_view(d, (1,))
+    for mu in [tuple(int(i == j) for i in range(6)) for j in range(6)] \
+            + [(1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0)]:
+        assert minimal_offset(d, lv, mu) == minimal_offset_by_box(d, lv, mu)
 
 
 def test_offset_pair():

@@ -152,6 +152,18 @@ def test_root_data_are_read_only():
     assert d.full != levi_view(root_datum("A3"), (1, 2))
 
 
+def test_simple_coroots_are_read_only():
+    # every view of a datum shares the one map, so a write would reach all
+    d = root_datum("A2")
+    lv = levi_view(d, (1,))
+    assert lv.simple_coroots is d.full.simple_coroots
+    with pytest.raises(TypeError):
+        d.full.simple_coroots[1] = (0, 0)
+    with pytest.raises(TypeError):
+        del lv.simple_coroots[2]
+    assert dict(d.full.simple_coroots) == {1: (2, -1), 2: (-1, 2)}
+
+
 def test_levi_view_roots_are_ambient_roots():
     d = root_datum("B3")
     lv = levi_view(d, (2, 3))
