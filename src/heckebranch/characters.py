@@ -16,16 +16,19 @@ coordinates.  Its walk to the dominant chamber reflects a list in place and
 stops at the first point that a simple reflection fixes, since that term
 straightens to zero.
 
-Each point is walked once per view.  Weight tables are ``PackedWeights``:
-besides the plain map they hold every weight w packed into one integer, 2w
-in signed digits of one base per view, so the doubled point
-2(top + w) + 2 rho_hat of a term is the packed 2(top + rho_hat) plus the
-packed 2w, one integer addition.  ``dot_straighten`` keeps one memo per view
-from that integer to the walk's result, its dominant highest weight and
-sign or a wall, and decodes and walks a point only on a miss.  The memo is
-shared by every caller under the view: tensor products, restrictions and
-``hecke``'s Hall-Littlewood numerators, which are built packed in the same
-base.  The base grows, and the memo starts afresh, whenever a call brings a
+Each orbit, table and point is walked once per view.  One cached
+Freudenthal pass gives both ``dominant_weights`` and ``weight_table``,
+expanding each dominant weight's orbit into the table as it goes.  Weight
+tables are ``PackedWeights``: besides the plain map they hold every weight w
+packed into one integer, 2w in signed digits of one base per view, so the
+doubled point 2(top + w) + 2 rho_hat of a term is the packed
+2(top + rho_hat) plus the packed 2w, one integer addition.  ``klimyk`` keeps
+one memo per view from that integer to the walk's result, its dominant
+highest weight and sign or a wall, decodes and walks a point only on a
+miss, and adds each term into its sum in place.  The memo is shared by
+every caller under the view: tensor products, restrictions and ``hecke``'s
+Hall-Littlewood numerators, which are built packed in the same base.  The
+base grows, and the memo starts afresh, whenever a call brings a
 coordinate its digits cannot hold, so packing never aliases two points.
 """
 
@@ -34,7 +37,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from itertools import chain
 from types import MappingProxyType
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import DomainError, FeasibilityError
 from .rootdata import (
@@ -80,18 +83,18 @@ def _unpack(k: int, bits: int, n: int) -> list:
 
 class PackedWeights(Mapping):
     """A read-only map weight -> coefficient that also holds each weight w
-    packed as ``_pack(2w, bits)``, the form ``dot_straighten`` reads.  The
+    packed as ``_pack(2w, bits)``, the form ``klimyk`` reads.  The
     packed pairs are kept for the last digit width asked for and rebuilt
-    when a view asks for another.  ``reach`` bounds every coordinate of
+    when a view asks for another.  ``_reach`` bounds every coordinate of
     every weight.  Weights built packed (``hecke``'s numerators) are decoded
     into the plain map only when it is first read."""
 
-    __slots__ = ("rank", "reach", "_plain", "_bits", "_packed")
+    __slots__ = ("_rank", "_reach", "_plain", "_bits", "_packed")
 
     def __init__(self, rank: int, reach: int, plain: Optional[Mapping] = None,
-                 bits: int = 0, packed: list = ()):
-        self.rank, self.reach = rank, reach
-        self._plain, self._bits, self._packed = plain, bits, packed
+                 bits: int = 0, packed: Sequence = ()):
+        self._rank, self._reach = rank, reach
+        self._plain, self._bits, self._packed = plain, bits, tuple(packed)
 
     @classmethod
     def of(cls, weights: Mapping) -> "PackedWeights":
@@ -100,17 +103,17 @@ class PackedWeights(Mapping):
                    max(map(abs, chain.from_iterable(weights)), default=0),
                    weights)
 
-    def packed(self, bits: int) -> list:
-        """The pairs (``_pack(2w, bits)``, coefficient)."""
+    def packed(self, bits: int) -> tuple:
+        """The pairs (``_pack(2w, bits)``, coefficient), read-only."""
         if bits != self._bits:
-            self._packed = [(_pack(w, bits) << 1, m)
-                            for w, m in self._table().items()]
+            self._packed = tuple([(_pack(w, bits) << 1, m)
+                                  for w, m in self._table().items()])
             self._bits = bits
         return self._packed
 
     def _table(self) -> dict:
         if self._plain is None:
-            bits, n = self._bits, self.rank
+            bits, n = self._bits, self._rank
             offset = _offset(bits, n)
             self._plain = {tuple(_unpack((k >> 1) + offset, bits, n)): m
                            for k, m in self._packed}
@@ -192,10 +195,15 @@ def dominant_support(view: SubsystemView, mu: Coweight) -> frozenset:
     return frozenset(found)
 
 
-def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
-    """Multiplicities of the view-dominant weights of the irreducible module
-    with highest weight mu, by the Freudenthal recursion.  Read-only."""
-    mu = tuple(mu)
+def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
+    """The view-dominant multiplicities and the full weight table of the
+    irreducible module with highest weight mu, from one Freudenthal pass
+    that expands each dominant weight's orbit into the table as it goes.
+    Cached per view and mu; the dimension cap is checked on a miss."""
+    key = (view.key, mu)
+    cached = _table_cache.get(key)
+    if cached is not None:
+        return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
     _check_cap(view, mu)
@@ -207,61 +215,58 @@ def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int
     ordered = sorted(found, key=lambda x: (-pairing(two_rho, x), x))
     shift = vec_add(mu, view.two_rho_hat)
     mults: dict[Coweight, int] = {}
-    orbit_mult: dict[Coweight, int] = {}
+    table: dict[Coweight, int] = {}
     for kappa in ordered:
         if kappa == mu:
-            mults[kappa] = 1
-            for y in view.orbit(kappa):
-                orbit_mult[y] = 1
-            continue
-        acc = 0
-        for cv in view.positive_coroots:
-            k = 1
-            while True:
-                y = vec_add(kappa, vec_scale(k, cv))
-                m = orbit_mult.get(y)
-                if m is None:
-                    dom = view.dominate(y)
-                    if dom not in mults:
+            val = 1
+        else:
+            acc = 0
+            for cv in view.positive_coroots:
+                k = 1
+                while True:
+                    y = vec_add(kappa, vec_scale(k, cv))
+                    # the table holds every weight above kappa, and the
+                    # weights on a coroot string through kappa have no gap
+                    m = table.get(y)
+                    if m is None:
                         break
-                    m = mults[dom]
-                acc += m * view.bilinear(y, cv)
-                k += 1
-        # |mu + rho_hat|^2 - |kappa + rho_hat|^2, in integers
-        denom = view.bilinear(vec_sub(mu, kappa), vec_add(shift, kappa))
-        val, rem = divmod(2 * acc, denom)
-        if rem:
-            raise AssertionError("Freudenthal produced a non-integer multiplicity")
+                    acc += m * view.bilinear(y, cv)
+                    k += 1
+            # |mu + rho_hat|^2 - |kappa + rho_hat|^2, in integers
+            denom = view.bilinear(vec_sub(mu, kappa), vec_add(shift, kappa))
+            val, rem = divmod(2 * acc, denom)
+            if rem:
+                raise AssertionError(
+                    "Freudenthal produced a non-integer multiplicity")
         mults[kappa] = val
         for y in view.orbit(kappa):
-            orbit_mult[y] = val
-    return MappingProxyType(mults)
+            table[y] = val
+    cached = _table_cache[key] = (MappingProxyType(mults),
+                                  PackedWeights.of(table))
+    return cached
+
+
+def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
+    """Multiplicities of the view-dominant weights of the irreducible module
+    with highest weight mu, by the Freudenthal recursion.  Read-only."""
+    return _freudenthal(view, tuple(mu))[0]
 
 
 def weight_table(view: SubsystemView, mu: Coweight) -> PackedWeights:
     """Every weight of the irreducible module with highest weight mu, with
     multiplicity (the view-orbit expansion of ``dominant_weights``), as a
     read-only ``PackedWeights`` that keeps its packed form with the table."""
-    mu = tuple(mu)
-    key = (view.key, mu)
-    if key in _table_cache:
-        return _table_cache[key]
-    table: dict[Coweight, int] = {}
-    for kappa, m in dominant_weights(view, mu).items():
-        for y in view.orbit(kappa):
-            table[y] = m
-    result = PackedWeights.of(table)
-    _table_cache[key] = result
-    return result
+    return _freudenthal(view, tuple(mu))[1]
 
 
-def dot_straighten(view: SubsystemView, top: Coweight,
-                   weights: Mapping) -> Iterator[tuple[Coweight, int, object]]:
-    """The dot-action straightening of Klimyk's rule, term by term: for each
-    weight w of ``weights`` whose top + w + rho_hat is off the view's walls,
-    yields the dominant highest weight it is carried to, the sign of the
-    Weyl element carrying it, and w's coefficient.  Works in doubled
-    coordinates, which keep rho_hat integral on every view.
+def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
+    """Sum over the weights w of ``weights`` of their integer coefficient
+    times the view's Weyl character at top + w, straightened by the dot
+    action (Klimyk's rule): top + w + rho_hat is carried into the dominant
+    chamber, taking the sign of the Weyl element, and dropped when it lies
+    on a wall.  Returns ``{highest weight: coefficient}`` without zero
+    coefficients.  Works in doubled coordinates, which keep rho_hat integral
+    on every view.
 
     A ``PackedWeights`` is read in its packed form; any other map is packed
     first.  Each doubled point is looked up in the view's memo by its packed
@@ -274,12 +279,14 @@ def dot_straighten(view: SubsystemView, top: Coweight,
         weights = PackedWeights.of(weights)
     shift = view.two_rho_hat
     start = [2 * a + s for a, s in zip(top, shift)]
-    walks = _walks(view, max(map(abs, start), default=0) + 2 * weights.reach)
+    walks = _walks(view, max(map(abs, start), default=0) + 2 * weights._reach)
     memo, results, reflect, bits = (walks.memo, walks.results, walks.reflect,
                                     walks.bits)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     digits = range(0, bits * len(shift), bits)
     base = _pack(start, bits) + walks.offset
+    out: dict = {}
+    get = out.get
     for k, m in weights.packed(bits):
         k += base
         hit = memo.get(k)
@@ -303,19 +310,8 @@ def dot_straighten(view: SubsystemView, top: Coweight,
                 sign = -sign
             memo[k] = hit
         if hit:
-            yield hit[0], hit[1], m
-
-
-def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
-    """Sum over the weights w of ``weights`` of their integer coefficient
-    times the view's Weyl character at top + w, straightened by the dot
-    action (Klimyk's rule, through ``dot_straighten``): top + w + rho_hat is
-    carried into the dominant chamber, taking the sign of the Weyl element,
-    and dropped when it lies on a wall.  Returns ``{highest weight:
-    coefficient}`` without zero coefficients."""
-    out: dict = {}
-    for k, sign, m in dot_straighten(view, top, weights):
-        out[k] = out.get(k, 0) + (m if sign > 0 else -m)
+            kappa, sign = hit
+            out[kappa] = get(kappa, 0) + (m if sign > 0 else -m)
     return {k: m for k, m in out.items() if m}
 
 

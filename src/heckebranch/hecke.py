@@ -13,9 +13,9 @@ with mu, so
     P_mu = sum_w w(x^mu prod_{<a,mu> != 0} (1 - t x^(-a)) / Delta)
 
 over the whole Weyl group, and no division is needed.  That singular
-numerator is expanded once per subsystem and zero set of mu, and each of its
-terms shifted by mu is straightened by the dot action
-(``characters.dot_straighten``, the step of the Klimyk tensor rule).  Its
+numerator is expanded once per subsystem and zero set of mu, and its terms
+shifted by mu are straightened by the dot action and summed by
+``characters.klimyk``, the step of the Klimyk tensor rule.  Its
 coefficients, polynomials in t, are packed into one integer each while they
 are multiplied out and summed.  Its exponents are packed too, and stay
 packed: the numerator is multiplied out straight into the view's
@@ -88,7 +88,7 @@ from .characters import (
     _walks,
     dominant_support,
     dominant_weights,
-    dot_straighten,
+    klimyk,
     restrict_decompose,
     tensor_decompose,
 )
@@ -280,7 +280,7 @@ def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
     on mu only through the view's simple roots that vanish on it, so the
     product is cached per view and zero set.
 
-    It is multiplied out in the packed form ``dot_straighten`` reads: each
+    It is multiplied out in the packed form ``klimyk`` reads: each
     exponent w is the integer 2w in the signed digits of the view's
     straightening base, so stepping down a coroot is one subtraction and no
     exponent is decoded.  The digits are wide enough for every partial sum,
@@ -317,8 +317,8 @@ def hall_littlewood_characters(view: SubsystemView,
     """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
     Weyl characters, by Macdonald's formula taken over the cosets of the
     stabilizer of mu: the characters of x^mu times ``_numerator(view, mu)``,
-    straightened by ``dot_straighten`` through the view's memo and summed as
-    packed coefficients.
+    straightened and summed as packed coefficients by ``klimyk`` through the
+    view's memo.
     Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
     the coroots off it, so nothing is divided.  Read-only, keyed by
     subsystem-dominant coweights in sorted order, monic at mu; coefficients
@@ -330,11 +330,9 @@ def hall_littlewood_characters(view: SubsystemView,
         return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
-    chars: dict = {}
-    for kappa, sign, p in dot_straighten(view, mu, _numerator(view, mu)):
-        chars[kappa] = chars.get(kappa, 0) + (p if sign > 0 else -p)
+    chars = klimyk(view, mu, _numerator(view, mu))
     result = MappingProxyType({kappa: LaurentPoly(_unpack_t(p))
-                               for kappa, p in sorted(chars.items()) if p})
+                               for kappa, p in sorted(chars.items())})
     _hl_cache[key] = result
     return result
 

@@ -15,10 +15,11 @@ Conventions, fixed once here and relied on everywhere else:
 * Weyl orbits and dominant representatives are walked one simple
   reflection at a time, each written through its simple coroot,
   ``x -> x - x[i-1] * (i-th simple coroot)``, skipping any reflection that
-  fixes the point; a root is reflected by ``r -> r - <r, c_j> e_j``.  No Weyl
-  group element is stored: the only trace of the longest one, ``w_0``, is
-  the diagram involution ``star``, the permutation of the simple roots by
-  ``-w_0``.
+  fixes the point; a root is reflected by ``r -> r - <r, c_j> e_j``.  Each
+  orbit is walked once per view and cached under its dominant point.  No
+  Weyl group element is stored: the only trace of the longest one, ``w_0``,
+  is the diagram involution ``star``, the permutation of the simple roots
+  by ``-w_0``.
 
 Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
@@ -185,11 +186,14 @@ class SubsystemView(_ReadOnly):
                 return x
 
     def orbit(self, x: Sequence) -> frozenset:
-        """The subsystem Weyl orbit of x, reached one simple reflection at a
-        time; a reflection that fixes a point is skipped."""
-        x = tuple(x)
-        seen = {x}
-        frontier = [x]
+        """The subsystem Weyl orbit of x, cached: walked once per view from
+        its dominant point, skipping any reflection that fixes a point."""
+        top = self.dominate(x)
+        key = (self.key, top)
+        if key in _orbit_cache:
+            return _orbit_cache[key]
+        seen = {top}
+        frontier = [top]
         coroots = self.simple_coroots
         while frontier:
             nxt = []
@@ -203,7 +207,8 @@ class SubsystemView(_ReadOnly):
                         seen.add(z)
                         nxt.append(z)
             frontier = nxt
-        return frozenset(seen)
+        cached = _orbit_cache[key] = frozenset(seen)
+        return cached
 
     def bilinear(self, x: Sequence, y: Sequence):
         """Weyl-invariant form on coweight coordinates (sum over positive roots
@@ -317,6 +322,7 @@ def root_datum(type_str: str) -> RootDatum:
 
 
 _view_cache: dict = {}
+_orbit_cache: dict = {}   # (view key, dominant point) -> orbit
 
 
 def levi_view(datum: RootDatum, indices: Iterable[int]) -> SubsystemView:

@@ -29,11 +29,7 @@ since its instance enumeration guarantees them.
 from functools import lru_cache
 
 from heckebranch import hecke
-from heckebranch.characters import (
-    dot_straighten,
-    restrict_decompose,
-    tensor_decompose,
-)
+from heckebranch.characters import restrict_decompose, tensor_decompose
 from heckebranch.errors import DomainError
 from heckebranch.hecke import (
     LaurentPoly,
@@ -53,7 +49,7 @@ from heckebranch.rootdata import (
     vec_sub,
 )
 from peel_oracle import peel, peel_height
-from weyl_oracle import group
+from weyl_oracle import dot_straighten, group
 
 ONE = LaurentPoly.one()
 T = LaurentPoly({-2: 1})

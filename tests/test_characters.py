@@ -16,7 +16,7 @@ from heckebranch.characters import (
     branch_decompose,
     branch_multiplicity,
     dominant_weights,
-    dot_straighten,
+    klimyk,
     restrict_decompose,
     tensor_decompose,
     tensor_multiplicity,
@@ -243,9 +243,9 @@ def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
     d = root_datum(type_str)
     view = levi_view(d, (i for i in levi if i <= d.rank))
     top = tuple(top[:d.rank])
-    table = {tuple(w[:d.rank]): k for k, w in enumerate(weights, 1)}
-    assert list(dot_straighten(view, top, table)) \
-        == list(weyl_oracle.dot_straighten(view, top, table))
+    table = weyl_oracle.tagged(tuple(w[:d.rank]) for w in weights)
+    assert list(klimyk(view, top, table).items()) \
+        == list(weyl_oracle.klimyk(view, top, table).items())
 
 
 def test_packing_never_aliases(monkeypatch):
@@ -277,6 +277,52 @@ def test_packed_weights_read_as_a_plain_map():
     assert all(table[w] == m and w in table for w, m in plain.items())
     # repacked at each width asked for, and decoded back from it
     for bits in (8, 20, 8):
-        packed = PackedWeights(2, table.reach, bits=bits,
+        packed = PackedWeights(2, table._reach, bits=bits,
                                packed=table.packed(bits))
         assert dict(packed.items()) == plain
+
+
+def test_packed_weights_cannot_be_mutated(monkeypatch):
+    # the packed pairs are the cached table's own: appending to them once
+    # changed every later decomposition that read the table, and a smaller
+    # coordinate bound made its packed points alias
+    for name in ("_table_cache", "_tensor_cache", "_straighten_cache"):
+        monkeypatch.setattr(characters, name, {})
+    d = root_datum("A2")
+    want = {(0, 1): 1, (2, 0): 1}
+    assert tensor_decompose(d, (1, 0), (1, 0)) == want
+    bits = characters._straighten_cache[d.full.key].bits
+    packed = weight_table(d.full, (1, 0)).packed(bits)
+    with pytest.raises(AttributeError):
+        packed.append((0, 99))
+    with pytest.raises(TypeError):
+        packed[0] = (0, 99)
+    for name in ("rank", "reach"):
+        with pytest.raises(AttributeError):
+            setattr(weight_table(d.full, (1, 0)), name, 0)
+    monkeypatch.setattr(characters, "_tensor_cache", {})
+    assert tensor_decompose(d, (1, 0), (1, 0)) == want
+
+
+@pytest.mark.parametrize("type_str", [
+    "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3",
+    "C4", "C5", "D4", "D5", "F4", "G2"])
+def test_one_pass_tables_match_the_two_pass_oracle(monkeypatch, type_str):
+    # every highest weight of height at most 2 on the full view, at most 1
+    # above rank 4, of dimension at most 2,000; up to rank 3 also on every
+    # Levi, with highest weights that are negative off the Levi
+    monkeypatch.setattr(characters, "_table_cache", {})
+    d = root_datum(type_str)
+    top = 2 if d.rank <= 4 else 1
+    views = [d.full] if d.rank > 3 else [
+        levi_view(d, idx) for r in range(d.rank + 1)
+        for idx in itertools.combinations(range(1, d.rank + 1), r)]
+    for view in views:
+        for mu in itertools.product(range(-1, top + 1), repeat=d.rank):
+            if not view.is_dominant(mu) or sum(map(abs, mu)) > top \
+                    or weyl_dim(view, mu) > 2_000:
+                continue
+            table = weight_table(view, mu)
+            assert table == weyl_oracle.weight_table(view, mu), (view.key, mu)
+            assert dominant_weights(view, mu) == {
+                w: m for w, m in table.items() if view.is_dominant(w)}

@@ -590,22 +590,30 @@ def test_path_checks_smoke(type_str, height):
     SweepConfig("D5", (1,), 4, ALL),
 ], ids=lambda c: f"{c.cartan_type}-h{c.max_height}-{len(c.checks)}")
 def test_smoke_straightenings_match_the_full_walk(monkeypatch, config):
-    # every tensor and restriction straightening of a smoke sweep, from cold
-    # caches, against the walk that tests for a wall at its end only
+    # every tensor, restriction and numerator straightening of a smoke
+    # sweep, from cold caches, against the walk that tests for a wall at its
+    # end only
     calls = []
-    walk = characters.dot_straighten
+    walk = characters.klimyk
 
     def recording(view, top, weights):
         calls.append((view, top, weights))
         return walk(view, top, weights)
 
     _fresh_caches(monkeypatch)
-    monkeypatch.setattr(characters, "dot_straighten", recording)
+    monkeypatch.setattr(characters, "klimyk", recording)
+    monkeypatch.setattr(hecke, "klimyk", recording)
     run_sweep(config)
     assert calls
     for view, top, weights in calls:
-        assert list(walk(view, top, weights)) \
-            == list(weyl_oracle.dot_straighten(view, top, weights))
+        _assert_sums_match_the_full_walk(walk, view, top, weights)
+
+
+def _assert_sums_match_the_full_walk(walk, view, top, weights):
+    # the sums as the sweep made them, and again term by term
+    for table in (weights, weyl_oracle.tagged(weights)):
+        assert list(walk(view, top, table).items()) \
+            == list(weyl_oracle.klimyk(view, top, table).items())
 
 
 def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
@@ -614,7 +622,7 @@ def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
     # then with the full views' first, against the walk that tests for a
     # wall at its end only
     calls = []
-    walk = characters.dot_straighten
+    walk = characters.klimyk
 
     def recorder(source):
         def recording(view, top, weights):
@@ -623,23 +631,21 @@ def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
         return recording
 
     _fresh_caches(monkeypatch)
-    monkeypatch.setattr(characters, "dot_straighten", recorder("characters"))
-    monkeypatch.setattr(hecke, "dot_straighten", recorder("hecke"))
+    monkeypatch.setattr(characters, "klimyk", recorder("characters"))
+    monkeypatch.setattr(hecke, "klimyk", recorder("hecke"))
     run_sweep(SweepConfig("B3", (1,), 3, HECKE_SMOKE_CHECKS))
     run_sweep(SweepConfig("A3", (1,), 3, PATH_SMOKE_CHECKS))
     kinds = {(source, len(view.indices) == view.ambient_rank)
              for source, view, _, _ in calls}
     assert kinds == {("characters", True), ("characters", False),
                      ("hecke", True), ("hecke", False)}
-    want = [list(weyl_oracle.dot_straighten(view, top, weights))
-            for _, view, top, weights in calls]
     for full_first in (False, True):
         monkeypatch.setattr(characters, "_straighten_cache", {})
         order = sorted(range(len(calls)), key=lambda i: full_first != (
             len(calls[i][1].indices) == calls[i][1].ambient_rank))
         for i in order:
             _, view, top, weights = calls[i]
-            assert list(walk(view, top, weights)) == want[i]
+            _assert_sums_match_the_full_walk(walk, view, top, weights)
 
 
 # SHA-256 of each all-checks report's canonical JSON without its *_ms fields,

@@ -13,7 +13,7 @@ from heckebranch.characters import (
     branch_multiplicity,
     dominant_support,
     dominant_weights,
-    dot_straighten,
+    klimyk,
     tensor_decompose,
     tensor_multiplicity,
     weight_table,
@@ -131,8 +131,9 @@ def test_numerator_straightening_matches_the_full_walk(type_str):
     for view in (d.full, levi_view(d, (1,))):
         for _, mu in _zero_sets_and_weights(view):
             terms = hecke._numerator(view, mu)
-            assert list(dot_straighten(view, mu, terms)) \
-                == list(weyl_oracle.dot_straighten(view, mu, terms))
+            for table in (terms, weyl_oracle.tagged(terms)):
+                assert list(klimyk(view, mu, table).items()) \
+                    == list(weyl_oracle.klimyk(view, mu, table).items())
 
 
 def test_hall_littlewood_a1():

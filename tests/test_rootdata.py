@@ -214,6 +214,43 @@ def test_dominate_and_orbit():
     assert len(f.orbit((0, 0))) == 1
 
 
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
+def test_cached_orbits_match_the_uncached_search(monkeypatch, type_str):
+    # singular and regular points, dominant or not, on every Levi from the
+    # torus up to the full view: each orbit equals the breadth-first search
+    # from the point itself, and is the one entry cached under the view and
+    # the point's dominant representative
+    monkeypatch.setattr(rootdata, "_orbit_cache", {})
+    d = root_datum(type_str)
+    views = [levi_view(d, idx) for r in range(d.rank + 1)
+             for idx in itertools.combinations(range(1, d.rank + 1), r)]
+    for view in views:
+        for x in _box(d.rank, -2, 2):
+            got = view.orbit(x)
+            assert got == weyl_oracle.orbit(view, x), (view.key, x)
+            top = view.dominate(x)
+            assert rootdata._orbit_cache[(view.key, top)] is got
+            assert view.orbit(top) is got
+    # one entry per view and dominant point: no two views share one
+    assert len(rootdata._orbit_cache) == sum(
+        len({view.dominate(x) for x in _box(d.rank, -2, 2)}) for view in views)
+    assert {key for key, _ in rootdata._orbit_cache} \
+        == {view.key for view in views}
+
+
+def test_full_and_levi_orbits_are_cached_apart(monkeypatch):
+    # the same point, walked first under a Levi and then under the full
+    # view, and the other way round
+    d = root_datum("B2")
+    levi = levi_view(d, (1,))
+    for order in ((levi, d.full), (d.full, levi)):
+        monkeypatch.setattr(rootdata, "_orbit_cache", {})
+        got = {view.key: view.orbit((1, 1)) for view in order}
+        assert got[levi.key] == {(1, 1), (-1, 2)}
+        assert len(got[d.full.key]) == 8
+        assert len(rootdata._orbit_cache) == 2
+
+
 @settings(max_examples=60, derandomize=True)
 @given(st.sampled_from(["A2", "B2", "G2", "A3"]),
        st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4))

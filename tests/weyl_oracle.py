@@ -10,14 +10,29 @@ coordinates (where each simple reflection acts by the transposed matrix),
 and counts for each element the subsystem positive roots it makes negative.
 
 The dot-action straightening here walks every point to the dominant chamber
-with its sign and only then tests the final point for a wall; the library's
-walk stops at the first point of its walk that a simple reflection fixes.
+with its sign and only then tests the final point for a wall, term by term;
+the library's ``klimyk`` stops at the first point of its walk that a simple
+reflection fixes, reads each point from a memo, and sums as it goes.
+
+Orbits here are searched breadth first from the given point, uncached, and
+weight tables take two passes: Freudenthal's recursion over the dominant
+weights, then a second walk of every orbit to expand them.  The library
+walks each orbit once per view from its dominant point, and builds the table
+within its Freudenthal pass.
 """
 
 from functools import lru_cache
 from typing import NamedTuple
 
-from heckebranch.rootdata import mat_apply, root_datum
+from heckebranch.characters import dominant_support
+from heckebranch.rootdata import (
+    mat_apply,
+    pairing,
+    root_datum,
+    vec_add,
+    vec_scale,
+    vec_sub,
+)
 
 
 def mat_mul(x, y):
@@ -132,3 +147,83 @@ def dot_straighten(view, top, weights):
             view, tuple([b + 2 * a for b, a in zip(base, w)]))
         if all(dom[i] for i in walls):
             yield tuple([(d - s) // 2 for d, s in zip(dom, shift)]), sign, m
+
+
+def klimyk(view, top, weights):
+    """The terms of ``dot_straighten``, each coefficient summed with its
+    sign into its highest weight's, without zero sums."""
+    out = {}
+    for kappa, sign, m in dot_straighten(view, top, weights):
+        out[kappa] = out.get(kappa, 0) + sign * m
+    return {kappa: m for kappa, m in out.items() if m}
+
+
+def tagged(weights):
+    """The weights of ``weights`` with distinct powers of 3 as coefficients.
+    A signed sum of distinct powers of 3 names its terms and their signs
+    (balanced ternary is unique), so ``klimyk`` of this table equals the
+    oracle's only if every term reaches the same highest weight with the
+    same sign."""
+    out, p = {}, 1
+    for w in weights:
+        out[w] = p
+        p *= 3
+    return out
+
+
+def orbit(view, x):
+    """The view orbit of x, searched breadth first from x under every simple
+    reflection of the view, fixing ones included.  Not cached."""
+    x = tuple(x)
+    seen = {x}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for i in view.indices:
+                z = tuple(a - y[i - 1] * b
+                          for a, b in zip(y, view.simple_coroots[i]))
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(seen)
+
+
+def weight_table(view, mu):
+    """The weight table of the module at the view-dominant mu in two passes:
+    Freudenthal's recursion over the dominant weights, reading the weights
+    above each one from the orbits of those already done, then every
+    dominant weight's orbit walked again to expand the table."""
+    mu = tuple(mu)
+    ordered = sorted(dominant_support(view, mu),
+                     key=lambda x: (-pairing(view.two_rho, x), x))
+    shift = vec_add(mu, view.two_rho_hat)
+    mults, orbit_mult = {}, {}
+    for kappa in ordered:
+        val = 1
+        if kappa != mu:
+            acc = 0
+            for cv in view.positive_coroots:
+                k = 1
+                while True:
+                    y = vec_add(kappa, vec_scale(k, cv))
+                    m = orbit_mult.get(y)
+                    if m is None:
+                        dom = view.dominate(y)
+                        if dom not in mults:
+                            break
+                        m = mults[dom]
+                    acc += m * view.bilinear(y, cv)
+                    k += 1
+            denom = view.bilinear(vec_sub(mu, kappa), vec_add(shift, kappa))
+            val, rem = divmod(2 * acc, denom)
+            assert not rem
+        mults[kappa] = val
+        for y in orbit(view, kappa):
+            orbit_mult[y] = val
+    table = {}
+    for kappa, m in mults.items():
+        for y in orbit(view, kappa):
+            table[y] = m
+    return table
