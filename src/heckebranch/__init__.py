@@ -8,7 +8,6 @@ from .rootdata import (
     SubsystemView,
     dual_star,
     k_phi,
-    leq_dominance,
     levi_view,
     pairing,
     parse_coweight,
@@ -31,12 +30,10 @@ from .parabolic import (
     offset_pair,
 )
 from .littelmann import (
-    crystal_fibers,
     endpoint_weight,
     f_op,
     generate_crystal,
     is_hecke_path,
-    straight_path,
 )
 from .hecke import (
     LaurentPoly,
@@ -66,7 +63,6 @@ __all__ = [
     "branch_multiplicity",
     "constant_term",
     "constant_term_coefficient",
-    "crystal_fibers",
     "dominant_weights",
     "dual_star",
     "endpoint_weight",
@@ -79,7 +75,6 @@ __all__ = [
     "hecke_product",
     "is_hecke_path",
     "k_phi",
-    "leq_dominance",
     "levi_view",
     "minimal_offset",
     "nilradical_roots",
@@ -91,7 +86,6 @@ __all__ = [
     "root_datum",
     "run_sweep",
     "satake_expand",
-    "straight_path",
     "structure_constant",
     "tensor_decompose",
     "tensor_multiplicity",

@@ -279,7 +279,7 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     }
 
 
-def _mu_record(datum: RootDatum, levi, mu: Coweight, checks, q_points) -> dict:
+def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
     start = time.perf_counter()
     verdicts: dict = {}
     notes: list[str] = []
@@ -584,8 +584,7 @@ def run_sweep(config: SweepConfig) -> dict:
     if mu_checks:
         for mu in mus:
             by_mu[mu].append(len(tasks))
-            tasks.append(partial(_mu_record, datum, levi, mu, mu_checks,
-                                 q_points))
+            tasks.append(partial(_mu_record, datum, levi, mu, mu_checks))
     if inst_checks:
         for mu, lam, nu in instances:
             by_mu[mu].append(len(tasks))
@@ -677,7 +676,3 @@ def run_sweep(config: SweepConfig) -> dict:
         "total_time_ms": (time.perf_counter() - start) * 1000.0,
     }
     return report
-
-
-def report_failed(report: dict) -> bool:
-    return report["summary"]["fail"] > 0

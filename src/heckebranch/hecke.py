@@ -44,6 +44,9 @@ expansions of the Hall-Littlewood polynomials at alpha and beta,
 with n from the cached ``tensor_decompose``, r from the cached
 ``restrict_decompose`` (so the constant-term coefficients come from the
 branching multiplicities), and K^M taken over the Levi's positive coroots.
+Each coefficient has one body: ``structure_constant`` for m and
+``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
+over their supports and cache no result of their own.
 The partial sum G is memoized on (type, a, beta, gamma) and leaves out the
 characters b with a + b not at or above gamma, on whose constituents
 K_{c,gamma} vanishes; the sum over a leaves out, by the same test, the
@@ -52,7 +55,9 @@ beta.  The instances of a sweep that share mu share
 beta = mu* and gamma = nu, so they reuse G across their first factors, and
 ``hecke_product`` reads the same G at each gamma of its support.  The
 restricted characters sum_kappa A_kappa r_kappa(l) are memoized per
-(upper, lower, mu).
+(upper, lower, mu).  They and ``hall_littlewood``'s orbit sums are one loop,
+``_expand``, which pushes a character expansion through a decomposition of
+each character: by ``restrict_decompose`` or by ``dominant_weights``.
 
 K is evaluated in the view's simple-coroot coordinates of
 w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
@@ -63,20 +68,18 @@ walk reaches every contributing Weyl element without enumerating the Weyl
 group.  P_t is one memoized table per view.  Sums accumulate in flat
 {v-exponent: int} maps; ``LaurentPoly`` is built at the public boundary only.
 
-``hecke_product`` and ``satake_expand`` give the full expansions from the
-same K, over the dominant weights below the characters they expand.  Nothing
-here peels: the triangular peels against the Hall-Littlewood characters are
-kept in ``tests/hecke_oracle.py`` as oracles, and the branching
-multiplicities come from Brauer's rule through ``characters.klimyk``, the
-same straightening step.
-``hall_littlewood`` gives the orbit-sum form, keyed by dominant coweights,
-through ``dominant_weights``.
+Nothing here peels: the triangular peels against the Hall-Littlewood
+characters are kept in ``tests/hecke_oracle.py`` as oracles, and the
+branching multiplicities come from Brauer's rule through
+``characters.klimyk``, the same straightening step.
+``hall_littlewood`` gives the orbit-sum form, keyed by dominant coweights.
 
 Maps are handed out read-only, cached or not.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -233,21 +236,14 @@ class LaurentPoly:
 # table's running size, so a verdict does not depend on what ran before.
 PARTITION_CAP = 20_000
 
-_ZERO = LaurentPoly.zero()
-
 InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
 _numerator_cache: dict = {}
 _hl_cache: dict = {}
-_ct_cache: dict = {}
 _partition_cache: dict = {}
 _kf_cache: dict = {}
 _partial_cache: dict = {}
 _restricted_cache: dict = {}
-
-
-def _add_scaled(out: dict, k: Coweight, p: LaurentPoly, n: int) -> None:
-    out[k] = out.get(k, _ZERO) + (p if n == 1 else p.scale(n))
 
 
 # A numerator coefficient is a polynomial in t, packed into one integer: the
@@ -337,17 +333,29 @@ def hall_littlewood_characters(view: SubsystemView,
     return result
 
 
+def _expand(chars: Mapping[Coweight, LaurentPoly], decompose) -> dict:
+    """sum over kappa of chars[kappa] times decompose(kappa): a character
+    expansion pushed through a decomposition of each character, as
+    {key: flat {v-exponent: int} map}."""
+    out: dict = {}
+    for kappa, p in chars.items():
+        for lam, r in decompose(kappa).items():
+            acc = out.setdefault(lam, {})
+            for e, x in p._c.items():
+                acc[e] = acc.get(e, 0) + r * x
+    return out
+
+
 def hall_littlewood(datum: RootDatum, view: SubsystemView,
                     mu: Coweight) -> InvariantElement:
     """Hall-Littlewood orbit polynomial for the subsystem: the character
     expansion of ``hall_littlewood_characters`` written in orbit sums through
     ``dominant_weights``.  Exact; returns a read-only map of orbit sums keyed
     by subsystem-dominant coweights, monic at mu."""
-    out: dict = {}
-    for kappa, p in hall_littlewood_characters(view, mu).items():
-        for lam, m in dominant_weights(view, kappa).items():
-            _add_scaled(out, lam, p, m)
-    return MappingProxyType({lam: p for lam, p in sorted(out.items()) if p})
+    out = _expand(hall_littlewood_characters(view, mu),
+                  partial(dominant_weights, view))
+    polys = ((lam, LaurentPoly(p)) for lam, p in sorted(out.items()))
+    return MappingProxyType({lam: p for lam, p in polys if p})
 
 
 def _view_coordinates(datum: RootDatum, view: SubsystemView,
@@ -456,33 +464,6 @@ def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
     return result
 
 
-def kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
-                   gamma: Coweight) -> LaurentPoly:
-    """Kostka-Foulkes polynomial of the view, in v with t = v^(-2): the
-    coefficient of the Hall-Littlewood polynomial at gamma in the Weyl
-    character at lam.  Zero unless gamma lies below lam in the view's
-    dominance order; raises ``FeasibilityError`` over ``PARTITION_CAP``."""
-    lam, gamma = tuple(lam), tuple(gamma)
-    if not (view.is_dominant(lam) and view.is_dominant(gamma)):
-        raise DomainError(f"{lam} and {gamma} must be dominant for {view.key}")
-    return LaurentPoly({-2 * e: c for e, c in
-                        enumerate(_kostka_foulkes(datum, view, lam, gamma))})
-
-
-def _kf_sum(datum: RootDatum, view: SubsystemView, chars: dict,
-            gamma: Coweight, shift: int) -> dict:
-    """v^shift times the sum over c of chars[c] K_{c,gamma}(v^-2), as a flat
-    {v-exponent: int} map; chars maps view-dominant c to flat maps."""
-    out: dict[int, int] = {}
-    for c, p in chars.items():
-        for deg, k in enumerate(_kostka_foulkes(datum, view, c, gamma)):
-            if k:
-                base = shift - 2 * deg
-                for e, x in p.items():
-                    out[e + base] = out.get(e + base, 0) + k * x
-    return out
-
-
 def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
                  gamma: Coweight) -> dict:
     """G(a, beta, gamma) = sum over b of B_b sum over c of n_{ab}^c
@@ -521,12 +502,34 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     return out
 
 
-def _structure_sum(datum: RootDatum, alpha: Coweight, beta: Coweight,
-                   gamma: Coweight) -> dict:
-    """m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum over a of A_a
+def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
+                           mu: Coweight) -> dict:
+    """The upper view's Hall-Littlewood polynomial at mu restricted to the
+    lower view's Weyl characters, through the cached branching
+    multiplicities: {l: flat map}.  Cached; callers only read it."""
+    key = (upper.key, lower.key, mu)
+    cached = _restricted_cache.get(key)
+    if cached is not None:
+        return cached
+    out = _expand(hall_littlewood_characters(upper, mu),
+                  partial(restrict_decompose, upper, lower))
+    _restricted_cache[key] = out
+    return out
+
+
+def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
+                       gamma: Coweight) -> LaurentPoly:
+    """The structure constant at gamma of the convolution product of the
+    basis elements at alpha and beta, zero when gamma is not dominant:
+    m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum over a of A_a
     G(a, beta, gamma), with A the character expansion of the
-    Hall-Littlewood polynomial at alpha, as a flat {v-exponent: int} map.
-    Characters a with a + beta not at or above gamma are left out."""
+    Hall-Littlewood polynomial at alpha.  Characters a with a + beta not at
+    or above gamma are left out."""
+    alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
+    if not (is_dominant(alpha) and is_dominant(beta)):
+        raise DomainError("product arguments must be dominant")
+    if not is_dominant(gamma):
+        return LaurentPoly.zero()
     view = datum.full
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
     adj = datum.cartan_adjugate
@@ -542,83 +545,60 @@ def _structure_sum(datum: RootDatum, alpha: Coweight, beta: Coweight,
             e1 += shift
             for e2, x2 in g.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2
-    return out
-
-
-def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
-                           mu: Coweight) -> dict:
-    """The upper view's Hall-Littlewood polynomial at mu restricted to the
-    lower view's Weyl characters, through the cached branching
-    multiplicities: {l: flat map}.  Cached; callers only read it."""
-    key = (upper.key, lower.key, mu)
-    cached = _restricted_cache.get(key)
-    if cached is not None:
-        return cached
-    out: dict = {}
-    for kappa, p in hall_littlewood_characters(upper, mu).items():
-        for lam, r in restrict_decompose(upper, lower, kappa).items():
-            acc = out.setdefault(lam, {})
-            for e, x in p._c.items():
-                acc[e] = acc.get(e, 0) + r * x
-    _restricted_cache[key] = out
-    return out
-
-
-def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
-                       gamma: Coweight) -> LaurentPoly:
-    """The structure constant at gamma of the convolution product of the
-    basis elements at alpha and beta, on its own: the coefficient of
-    ``hecke_product(datum, alpha, beta)`` at gamma, zero when gamma is not
-    dominant."""
-    alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
-    if not (is_dominant(alpha) and is_dominant(beta)):
-        raise DomainError("product arguments must be dominant")
-    if not is_dominant(gamma):
-        return LaurentPoly.zero()
-    return LaurentPoly(_structure_sum(datum, alpha, beta, gamma))
+    return LaurentPoly(out)
 
 
 def hecke_product(datum: RootDatum, alpha: Coweight,
                   beta: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Structure constants of the convolution product of the basis elements
     at alpha and beta: the expansion of their product in the triangular
-    basis, keyed by dominant coweight."""
-    alpha, beta = tuple(alpha), tuple(beta)
-    if not (is_dominant(alpha) and is_dominant(beta)):
-        raise DomainError("product arguments must be dominant")
+    basis, keyed by dominant coweight, one ``structure_constant`` at each
+    dominant weight below alpha + beta."""
     out = {}
     for gamma in sorted(dominant_support(datum.full, vec_add(alpha, beta))):
-        m = LaurentPoly(_structure_sum(datum, alpha, beta, gamma))
+        m = structure_constant(datum, alpha, beta, gamma)
         if m:
             out[gamma] = m
     return MappingProxyType(out)
+
+
+def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
+                    lower: SubsystemView, mu: Coweight,
+                    lam: Coweight) -> LaurentPoly:
+    """The coefficient at the lower view's lam of the upper view's basis
+    element at mu: v^(<2rho, mu> - <2rho_M, lam>) times the sum over l of
+    the restricted characters at l times K^M_{l,lam}(v^-2)."""
+    shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
+    out: dict[int, int] = {}
+    for l, p in _restricted_characters(upper, lower, mu).items():
+        for deg, k in enumerate(_kostka_foulkes(datum, lower, l, lam)):
+            if k:
+                base = shift - 2 * deg
+                for e, x in p.items():
+                    out[e + base] = out.get(e + base, 0) + k * x
+    return LaurentPoly(out)
 
 
 def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
                   mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Expand the basis element of the upper subsystem at mu into the basis
     of the lower subsystem (lower simple roots a subset of upper's):
-    the coefficient map of the constant-term homomorphism.  Each upper
-    character is restricted by ``restrict_decompose``, so the coefficients
-    come from the branching multiplicities of the dual groups."""
+    the coefficient map of the constant-term homomorphism, one
+    ``_ct_coefficient`` at each lower-dominant weight below the restricted
+    characters.  Each upper character is restricted by
+    ``restrict_decompose``, so the coefficients come from the branching
+    multiplicities of the dual groups."""
     mu = tuple(mu)
-    key = (upper.key, lower.key, mu)
-    if key in _ct_cache:
-        return _ct_cache[key]
     if not set(lower.indices) <= set(upper.indices):
         raise DomainError(f"{lower.key} is not a subsystem of {upper.key}")
     chars = _restricted_characters(upper, lower, mu)
-    shift = pairing(upper.two_rho, mu)
     out = {}
     for lam in sorted(set().union(*(dominant_support(lower, l)
                                     for l in chars))):
-        c = LaurentPoly(_kf_sum(datum, lower, chars, lam,
-                                shift - pairing(lower.two_rho, lam)))
+        c = _ct_coefficient(datum, upper, lower, mu, lam)
         if c:
             out[lam] = c
-    result = MappingProxyType(out)
-    _ct_cache[key] = result
-    return result
+    return MappingProxyType(out)
 
 
 def _check_ct_support(datum: RootDatum, mu: Coweight, lam: Coweight) -> None:
@@ -651,10 +631,7 @@ def constant_term_coefficient(datum: RootDatum, levi: SubsystemView,
         raise DomainError(f"{mu} is not dominant")
     if not levi.is_dominant(lam):
         return LaurentPoly.zero()
-    shift = pairing(datum.full.two_rho, mu) - pairing(levi.two_rho, lam)
-    c = LaurentPoly(_kf_sum(datum, levi,
-                            _restricted_characters(datum.full, levi, mu),
-                            lam, shift))
+    c = _ct_coefficient(datum, datum.full, levi, mu, lam)
     if c:
         _check_ct_support(datum, mu, lam)
     return c

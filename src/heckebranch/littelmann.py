@@ -39,8 +39,7 @@ load ``fractions``.
 from __future__ import annotations
 
 from math import lcm
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from . import characters
 from .errors import DomainError, FeasibilityError
@@ -181,20 +180,6 @@ def _decode(path: GridPath, grid: int, scale: int = 1) -> Path:
                  for d, t in path)
 
 
-def canonical(segments: Iterable[Segment], rank: int) -> Path:
-    """Drop zero-duration segments and merge adjacent equal directions; the
-    empty result becomes the constant path at the origin."""
-    path, grid, scale = _encode(segments)
-    path = _canonical(path)
-    if not path:
-        return _decode((((0,) * rank, 1),), 1)
-    return _decode(path, grid, scale)
-
-
-def straight_path(datum: RootDatum, mu: Coweight) -> Path:
-    return _decode(((tuple(mu), 1),), 1)
-
-
 def path_points(path: Path) -> list[RatVec]:
     """Breakpoint positions, starting at the origin."""
     from fractions import Fraction
@@ -282,22 +267,6 @@ def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:
                      for fiber in crystal.fibers.values() for p, _ in fiber)
 
 
-def crystal_fibers(datum: RootDatum, mu: Coweight) -> Mapping:
-    """The crystal at mu indexed by endpoint: a read-only map from each
-    endpoint weight to the tuple of ``(path, breakpoints)`` ending there,
-    the breakpoints being the path's positions from the origin on.  Raises
-    as ``generate_crystal`` does."""
-    from fractions import Fraction
-
-    crystal = _crystal(datum, tuple(mu))
-    grid = crystal.grid
-    return MappingProxyType({
-        w: tuple((_decode(p, grid), tuple(tuple(Fraction(c, grid) for c in x)
-                                          for x in points))
-                 for p, points in fiber)
-        for w, fiber in crystal.fibers.items()})
-
-
 def _branch_paths(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                   lam: Coweight) -> frozenset:
     """Grid paths of the crystal at mu that stay Levi-dominant at every
@@ -382,9 +351,13 @@ def is_hecke_path(datum: RootDatum, path: Path) -> bool:
     """Validity of a folded path: at every interior breakpoint the incoming
     direction must reach the outgoing one by reflecting it in integral walls
     through the breakpoint, one wall at a time, each reflection applied to
-    a direction it pairs strictly negatively with."""
-    ipath, grid, scale = _encode(canonical(path, datum.rank))
-    return _folds_connected(datum, ipath, _points(ipath), grid * scale)
+    a direction it pairs strictly negatively with.  The path is first put
+    in canonical form, without zero-duration segments and with adjacent
+    equal directions merged; the empty path is valid."""
+    ipath, grid, scale = _encode(path)
+    ipath = _canonical(ipath)
+    return not ipath or _folds_connected(datum, ipath, _points(ipath),
+                                         grid * scale)
 
 
 def _folds_connected(datum: RootDatum, path: GridPath,

@@ -24,13 +24,15 @@ Conventions, fixed once here and relied on everywhere else:
 Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
 each datum carries the integer adjugate of its Cartan matrix and its
-determinant, so the hull, coroot-lattice and dominance tests read signs and
-residues of ``adj @ x``, and heights are compared through the integer
-pairing with the sum of positive roots.  Half-sums are kept doubled, as the
-integer sums ``two_rho`` and ``two_rho_hat``.  ``RootDatum`` and
-``SubsystemView`` are plain read-only classes, and ``rho_height``, the one
-function here that returns a ``Fraction``, imports it when called, so
-importing this module loads neither ``dataclasses`` nor ``fractions``.
+determinant, so the hull and coroot-lattice tests read signs and residues
+of ``adj @ x``, and heights are compared through the integer pairing with
+the sum of positive roots.  The dominance order on dominant coweights, which
+no sweep reads, lives in the test oracle ``tests/fraction_oracle.py``.
+Half-sums are kept doubled, as the integer sums ``two_rho`` and
+``two_rho_hat``.  ``RootDatum`` and ``SubsystemView`` are plain read-only
+classes, and ``rho_height``, the one function here that returns a
+``Fraction``, imports it when called, so importing this module loads
+neither ``dataclasses`` nor ``fractions``.
 """
 
 from __future__ import annotations
@@ -368,33 +370,16 @@ def dual_star(datum: RootDatum, x: Sequence) -> tuple:
     return tuple([x[j] for j in datum.star])
 
 
-def _coroot_numerators(datum: RootDatum, x: Sequence) -> tuple:
-    """``cartan_det`` times the coefficients of x over the simple coroots:
-    the integer adjugate of the Cartan matrix applied to x (x may be
-    rational)."""
-    return mat_apply(datum.cartan_adjugate, x)
-
-
-def leq_dominance(datum: RootDatum, lower: Sequence, upper: Sequence) -> bool:
-    """Dominance order on dominant coweights: upper - lower a nonnegative
-    integer combination of simple coroots."""
-    if not (is_dominant(lower) and is_dominant(upper)):
-        raise DomainError("dominance order compares dominant coweights")
-    det = datum.cartan_det
-    return all(n >= 0 and n % det == 0
-               for n in _coroot_numerators(datum, vec_sub(upper, lower)))
-
-
 def in_coroot_lattice(datum: RootDatum, x: Sequence) -> bool:
     det = datum.cartan_det
-    return all(n % det == 0 for n in _coroot_numerators(datum, x))
+    return all(n % det == 0 for n in mat_apply(datum.cartan_adjugate, x))
 
 
 def in_hull(datum: RootDatum, x: Sequence, mu: Sequence) -> bool:
     """Membership of x (rational allowed) in the convex hull of the Weyl orbit
     of the dominant coweight mu."""
-    return all(n >= 0 for n in _coroot_numerators(
-        datum, vec_sub(mu, datum.full.dominate(x))))
+    return all(n >= 0 for n in mat_apply(
+        datum.cartan_adjugate, vec_sub(mu, datum.full.dominate(x))))
 
 
 _dim_cache: dict = {}

@@ -17,6 +17,9 @@ whole Macdonald numerator divided by the stabilizer Poincare polynomial, and
 the Levi orbit sizes from the lengths of the group elements, both over the
 group enumerated by ``weyl_oracle``.
 
+``kostka_foulkes`` reads one of the library's cached Kostka-Foulkes
+polynomials on its own, as a ``LaurentPoly`` in v.
+
 ``numerator`` multiplies out the library's singular numerator with tuple
 exponents, where the library packs each exponent into one integer.
 
@@ -315,6 +318,20 @@ def enumerated_orbit_size(levi, lam):
     for l in best.values():
         coeffs[2 * l] = coeffs.get(2 * l, 0) + 1
     return LaurentPoly(coeffs).shift(2 * (sh - d))
+
+
+def kostka_foulkes(datum, view, lam, gamma):
+    """Kostka-Foulkes polynomial of the view, in v with t = v^(-2): the
+    coefficient of the Hall-Littlewood polynomial at gamma in the Weyl
+    character at lam.  Zero unless gamma lies below lam in the view's
+    dominance order; raises ``FeasibilityError`` over
+    ``hecke.PARTITION_CAP``."""
+    lam, gamma = tuple(lam), tuple(gamma)
+    if not (view.is_dominant(lam) and view.is_dominant(gamma)):
+        raise DomainError(f"{lam} and {gamma} must be dominant for {view.key}")
+    return LaurentPoly({-2 * e: c for e, c in
+                        enumerate(hecke._kostka_foulkes(datum, view, lam,
+                                                        gamma))})
 
 
 def product_identity_sides(datum, levi, mu, lam, nu):

@@ -7,7 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import hecke_oracle
 import weyl_oracle
-from hecke_oracle import product_identity_sides, satake_f, stabilizer_poincare
+from hecke_oracle import (
+    kostka_foulkes,
+    product_identity_sides,
+    satake_f,
+    stabilizer_poincare,
+)
 from heckebranch import hecke
 from heckebranch.characters import (
     branch_multiplicity,
@@ -26,7 +31,6 @@ from heckebranch.hecke import (
     hall_littlewood,
     hall_littlewood_characters,
     hecke_product,
-    kostka_foulkes,
     orbit_size,
     satake_expand,
     structure_constant,

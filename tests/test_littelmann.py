@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import littelmann_oracle
-from littelmann_oracle import e_op
+from littelmann_oracle import canonical, e_op, straight_path
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_weights,
@@ -18,15 +18,12 @@ from heckebranch.errors import DomainError, FeasibilityError
 from heckebranch import characters, littelmann
 from heckebranch.harness import SweepConfig, enumerate_instances
 from heckebranch.littelmann import (
-    canonical,
     branch_path_set,
-    crystal_fibers,
     endpoint_weight,
     f_op,
     generate_crystal,
     is_hecke_path,
     path_points,
-    straight_path,
     tensor_path_set,
 )
 from heckebranch.parabolic import offset_pair
@@ -41,16 +38,6 @@ from heckebranch.rootdata import (
 
 def F(*args):
     return Fraction(*args)
-
-
-def test_canonical():
-    z = canonical([], 2)
-    assert z == (((F(0), F(0)), F(1)),)
-    merged = canonical([((F(1), F(0)), F(1, 3)), ((F(1), F(0)), F(1, 6)),
-                        ((F(0), F(1)), F(1, 2))], 2)
-    assert merged == (((F(1), F(0)), F(1, 2)), ((F(0), F(1)), F(1, 2)))
-    with pytest.raises(DomainError):
-        canonical([((F(1),), F(-1, 2))], 1)
 
 
 def test_straight_path_and_endpoint():
@@ -108,9 +95,11 @@ def test_lowering_crystal_matches_closure(type_str, mus):
     for mu in mus:
         crystal = generate_crystal(d, mu)
         assert crystal == littelmann_oracle.closure_crystal(d, mu), mu
-        fibers = crystal_fibers(d, mu)
+        indexed = littelmann._crystal(d, mu)
+        fibers = indexed.fibers
         assert {w: len(f) for w, f in fibers.items()} == weight_table(d.full, mu)
-        assert {p for f in fibers.values() for p, _ in f} == crystal
+        assert {littelmann._decode(p, indexed.grid)
+                for f in fibers.values() for p, _ in f} == crystal
 
 
 @pytest.mark.parametrize("type_str,mus", _CLOSURE_CASES)
@@ -142,8 +131,6 @@ def test_root_operators_match_fraction_oracle_off_the_crystal(type_str,
     d = root_datum(type_str)
     start = canonical([(tuple(F(c) for c in dd), t) for dd, t in segments],
                       d.rank)
-    assert start == littelmann_oracle.canonical(
-        [(tuple(F(c) for c in dd), t) for dd, t in segments], d.rank)
     seen = {start}
     frontier = [start]
     for _ in range(3):
@@ -197,21 +184,6 @@ def test_crystal_cap_holds_on_a_warm_cache(monkeypatch):
     monkeypatch.setattr(characters, "DIMENSION_CAP", 5)
     with pytest.raises(FeasibilityError, match=r"crystal at \(2, 1\) exceeds 5"):
         generate_crystal(d, (2, 1))
-    with pytest.raises(FeasibilityError):
-        crystal_fibers(d, (2, 1))
-
-
-def test_crystal_fibers_are_read_only():
-    d = root_datum("A2")
-    fibers = crystal_fibers(d, (1, 1))
-    before = dict(fibers)
-    key = next(iter(fibers))
-    with pytest.raises(TypeError):
-        fibers[key] = ()
-    with pytest.raises(TypeError):
-        del fibers[key]
-    assert isinstance(fibers[key], tuple)
-    assert crystal_fibers(d, (1, 1)) == before
 
 
 def _levis(d):
@@ -382,4 +354,30 @@ def test_folded_validity_examples():
     assert is_hecke_path(a1, good)
     # straight paths have no interior breakpoints
     assert is_hecke_path(a1, straight_path(a1, (5,)))
+
+
+def test_is_hecke_path_normalises_its_input():
+    # zero-duration segments, a direction split in two and the empty path
+    # get the verdict of their canonical forms
+    a1, b2 = root_datum("A1"), root_datum("B2")
+    cases = [
+        (a1, [((F(-2),), F(1, 2)), ((F(5),), F(0)), ((F(2),), F(1, 2))]),
+        (a1, [((F(-1),), F(1, 3)), ((F(1),), F(2, 3)), ((F(3),), F(0))]),
+        (a1, [((F(-2),), F(1, 4)), ((F(-2),), F(1, 4)), ((F(2),), F(1, 2))]),
+        (a1, [((F(-1),), F(1, 6)), ((F(-1),), F(1, 3)), ((F(1),), F(1, 2))]),
+        (b2, [((F(1), F(1)), F(1, 3)), ((F(1), F(1)), F(1, 6)),
+              ((F(0), F(0)), F(0)), ((F(-1), F(2)), F(1, 2))]),
+        (a1, []),
+        (b2, [((F(1), F(0)), F(0))]),
+    ]
+    verdicts = set()
+    for d, segments in cases:
+        form = canonical(segments, d.rank)
+        assert form != tuple(segments)
+        verdict = is_hecke_path(d, segments)
+        assert verdict == is_hecke_path(d, form), segments
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+    with pytest.raises(DomainError):
+        is_hecke_path(a1, [((F(1),), F(3, 2)), ((F(-1),), F(-1, 2))])
 
