@@ -18,7 +18,10 @@ straightens to zero.
 
 Each orbit, table and point is walked once per view.  One cached
 Freudenthal pass gives both ``dominant_weights`` and ``weight_table``,
-expanding each dominant weight's orbit into the table as it goes.  Weight
+expanding each dominant weight's orbit into the table as it goes.  It walks
+each coroot string kappa + k cv on forms built once per view, the vector
+form(., cv) and the number (cv, cv): the pairing (kappa + k cv, cv) is
+(kappa, cv) + k (cv, cv), and each step adds cv to the point.  Weight
 tables are ``PackedWeights``: besides the plain map they hold every weight w
 packed into one integer, 2w in signed digits of one base per view, so the
 doubled point 2(top + w) + 2 rho_hat of a term is the packed
@@ -46,7 +49,6 @@ from .rootdata import (
     SubsystemView,
     pairing,
     vec_add,
-    vec_scale,
     vec_sub,
     weyl_dim,
 )
@@ -57,6 +59,7 @@ _table_cache: dict = {}
 _tensor_cache: dict = {}
 _branch_cache: dict = {}
 _straighten_cache: dict = {}   # view key -> _Walks
+_string_cache: dict = {}       # view key -> _coroot_strings
 
 
 def _pack(x: Sequence[int], bits: int) -> int:
@@ -195,6 +198,20 @@ def dominant_support(view: SubsystemView, mu: Coweight) -> frozenset:
     return frozenset(found)
 
 
+def _coroot_strings(view: SubsystemView) -> tuple:
+    """The view's positive coroots cv, each with the vector form(., cv) and
+    the number (cv, cv), so that (y, cv) is ``pairing(y, form(., cv))``.
+    Built once per view."""
+    strings = _string_cache.get(view.key)
+    if strings is None:
+        strings = []
+        for cv in view.positive_coroots:
+            form_cv = tuple([pairing(row, cv) for row in view.form])
+            strings.append((cv, form_cv, pairing(cv, form_cv)))
+        strings = _string_cache[view.key] = tuple(strings)
+    return strings
+
+
 def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
     """The view-dominant multiplicities and the full weight table of the
     irreducible module with highest weight mu, from one Freudenthal pass
@@ -214,6 +231,7 @@ def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
     two_rho = view.two_rho
     ordered = sorted(found, key=lambda x: (-pairing(two_rho, x), x))
     shift = vec_add(mu, view.two_rho_hat)
+    strings = _coroot_strings(view)
     mults: dict[Coweight, int] = {}
     table: dict[Coweight, int] = {}
     for kappa in ordered:
@@ -221,17 +239,18 @@ def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
             val = 1
         else:
             acc = 0
-            for cv in view.positive_coroots:
-                k = 1
-                while True:
-                    y = vec_add(kappa, vec_scale(k, cv))
-                    # the table holds every weight above kappa, and the
-                    # weights on a coroot string through kappa have no gap
+            for cv, form_cv, step in strings:
+                # y = kappa + k cv for k = 1, 2, ..., and b = (y, cv); the
+                # table holds every weight above kappa, and the weights on a
+                # coroot string through kappa have no gap
+                y = vec_add(kappa, cv)
+                b = pairing(kappa, form_cv) + step
+                m = table.get(y)
+                while m is not None:
+                    acc += m * b
+                    y = vec_add(y, cv)
+                    b += step
                     m = table.get(y)
-                    if m is None:
-                        break
-                    acc += m * view.bilinear(y, cv)
-                    k += 1
             # |mu + rho_hat|^2 - |kappa + rho_hat|^2, in integers
             denom = view.bilinear(vec_sub(mu, kappa), vec_add(shift, kappa))
             val, rem = divmod(2 * acc, denom)
@@ -318,7 +337,8 @@ def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
 def tensor_decompose(datum: RootDatum, a: Coweight,
                      b: Coweight) -> Mapping[Coweight, int]:
     """Decomposition of the tensor product of the irreducibles with highest
-    weights a and b, as a read-only map highest weight -> multiplicity.
+    weights a and b, as a read-only map highest weight -> multiplicity
+    whose order is unspecified.
 
     Runs ``klimyk`` over the weights of the smaller factor.  Cached on the
     ordered pair, so (a, b) and (b, a) are computed independently."""
@@ -331,8 +351,7 @@ def tensor_decompose(datum: RootDatum, a: Coweight,
     if not (view.is_dominant(a) and view.is_dominant(b)):
         raise DomainError("tensor factors must be dominant")
     big, small = (b, a) if weyl_dim(view, b) > weyl_dim(view, a) else (a, b)
-    out = klimyk(view, big, weight_table(view, small))
-    result = MappingProxyType(dict(sorted(out.items())))
+    result = MappingProxyType(klimyk(view, big, weight_table(view, small)))
     _tensor_cache[key] = result
     return result
 

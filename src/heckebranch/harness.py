@@ -340,29 +340,47 @@ def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
     for mu in mus:
         for lam in sorted(branch_decompose(datum, levi, mu)):
             pool.append((mu, lam))
-    rng = random.Random(seed)
+    n = len(pool)
+    k = n.bit_length()
+    getrandbits = random.Random(seed).getrandbits
     checked = 0
     skipped = 0
     failures = []
     attempts = 0
-    # multiplicity at each drawn pair of pool indices, None over the cap:
-    # a pair drawn again counts again but is evaluated once
+    # the restriction at each drawn sum of two pool mu, and the multiplicity
+    # at each drawn pair of pool indices i, j (keyed i * n + j), both None
+    # over the cap: a sum is decomposed once, and a pair drawn again counts
+    # again from one lookup
+    sums: dict = {}
     seen: dict = {}
     while pool and checked < samples and attempts < 20 * samples:
         attempts += 1
-        pair = (rng.randrange(len(pool)), rng.randrange(len(pool)))
-        (mu1, lam1), (mu2, lam2) = pool[pair[0]], pool[pair[1]]
-        if pair not in seen:
-            try:
-                seen[pair] = branch_multiplicity(
-                    datum, levi, vec_add(mu1, mu2), vec_add(lam1, lam2))
-            except FeasibilityError:
-                seen[pair] = None
-        r12 = seen[pair]
+        # two rng.randrange(n), drawn as Random._randbelow_with_getrandbits
+        # does without its per-call argument handling
+        i = getrandbits(k)
+        while i >= n:
+            i = getrandbits(k)
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        pair = i * n + j
+        r12 = seen.get(pair, -1)
+        if r12 == -1:
+            (mu1, lam1), (mu2, lam2) = pool[i], pool[j]
+            mu = vec_add(mu1, mu2)
+            if mu not in sums:
+                try:
+                    sums[mu] = branch_decompose(datum, levi, mu)
+                except FeasibilityError:
+                    sums[mu] = None
+            br = sums[mu]
+            r12 = seen[pair] = (None if br is None
+                                else br.get(vec_add(lam1, lam2), 0))
         if r12 is None:
             skipped += 1
             continue
         if r12 == 0:
+            (mu1, lam1), (mu2, lam2) = pool[i], pool[j]
             failures.append({"mu1": list(mu1), "lambda1": list(lam1),
                              "mu2": list(mu2), "lambda2": list(lam2)})
         checked += 1

@@ -1,14 +1,17 @@
 """Reference route for the harness's randomized semigroup scan.
 
-The library evaluates each drawn pair of pool entries once and counts a
-pair drawn again from its stored multiplicity.  The scan here evaluates
-every draw through ``branch_multiplicity`` afresh, so the tests compare the
-two sections whole.
+The library draws each pool index as ``randrange`` does, straight from
+``getrandbits``.  It decomposes each drawn sum of two pool mu once (or
+finds it over the cap once), looks a pair's multiplicity up in that
+decomposition on the pair's first draw, and counts a pair drawn again from
+its stored multiplicity.  The scan here draws through ``randrange`` and
+decomposes the sum of every draw afresh, so the tests compare the two
+sections whole.
 """
 
 import random
 
-from heckebranch.characters import branch_decompose, branch_multiplicity
+from heckebranch.characters import branch_decompose
 from heckebranch.errors import FeasibilityError
 from heckebranch.harness import FAIL, PASS
 from heckebranch.rootdata import vec_add
@@ -29,8 +32,8 @@ def semigroup_section(datum, levi, mus, seed, samples):
         mu1, lam1 = pool[rng.randrange(len(pool))]
         mu2, lam2 = pool[rng.randrange(len(pool))]
         try:
-            r12 = branch_multiplicity(datum, levi, vec_add(mu1, mu2),
-                                      vec_add(lam1, lam2))
+            r12 = branch_decompose(datum, levi, vec_add(mu1, mu2)).get(
+                vec_add(lam1, lam2), 0)
         except FeasibilityError:
             skipped += 1
             continue

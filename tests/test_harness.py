@@ -5,6 +5,7 @@ import hashlib
 import json
 import operator
 import os
+import random
 import time
 
 import pytest
@@ -179,24 +180,27 @@ def test_seed_changes_semigroup_draws():
     assert r1["config"]["seed"] != r3["config"]["seed"]
 
 
-def _counting_branch_multiplicity(monkeypatch, fake=None):
-    # counts the harness's branch_multiplicity calls and those that hit a
-    # cap; a fake, when given, replaces it in the harness and the oracle
-    counts = {"calls": 0, "over_cap": 0}
-    inner = fake or harness.branch_multiplicity
+def _counting_decompositions(monkeypatch, fake=None):
+    # records the mu of each branch_decompose call that the library's scan
+    # and the oracle's make, and the library's calls over the cap; a fake,
+    # when given, replaces the decomposition in both
+    calls = {"library": [], "oracle": [], "over_cap": []}
+    inner = fake or characters.branch_decompose
 
-    def counted(*args):
-        counts["calls"] += 1
-        try:
-            return inner(*args)
-        except FeasibilityError:
-            counts["over_cap"] += 1
-            raise
+    def counting(who):
+        def counted(datum, levi, mu):
+            calls[who].append(mu)
+            try:
+                return inner(datum, levi, mu)
+            except FeasibilityError:
+                if who == "library":
+                    calls["over_cap"].append(mu)
+                raise
+        return counted
 
-    monkeypatch.setattr(harness, "branch_multiplicity", counted)
-    if fake:
-        monkeypatch.setattr(harness_oracle, "branch_multiplicity", fake)
-    return counts
+    monkeypatch.setattr(harness, "branch_decompose", counting("library"))
+    monkeypatch.setattr(harness_oracle, "branch_decompose", counting("oracle"))
+    return calls
 
 
 def _semigroup_sections(monkeypatch, config):
@@ -210,47 +214,87 @@ def _semigroup_sections(monkeypatch, config):
     return out
 
 
+def _sum_decompositions(calls, want):
+    # the library's decompositions of drawn mu sums, and the distinct sums
+    # drawn: the oracle decomposes each swept mu once to build the pool,
+    # then the sum of every draw, and the library builds the same pool first
+    draws = want["pairs_checked"] + want["pairs_skipped"]
+    swept = calls["oracle"][:len(calls["oracle"]) - draws]
+    drawn = set(calls["oracle"][len(swept):])
+    assert calls["library"][:len(swept)] == swept
+    return calls["library"][len(swept):], drawn
+
+
 @pytest.mark.parametrize("seed", [1, 7, 20260816])
 def test_semigroup_scan_counts_every_draw(monkeypatch, seed):
     # A3 Levi {1} h2 pools 11 entries, so 600 samples draw each pair of
-    # them many times
-    counts = _counting_branch_multiplicity(monkeypatch)
+    # them, and each of their 10 sums, many times
+    calls = _counting_decompositions(monkeypatch)
     got, want = _semigroup_sections(monkeypatch, SweepConfig(
         "A3", (1,), 2, ("semigroup",), seed=seed, semigroup_samples=600))
     assert got == want
     assert got["pool_size"] == 11 and got["pairs_checked"] == 600
-    assert counts["calls"] <= 121
+    sums, drawn = _sum_decompositions(calls, want)
+    # each drawn sum is decomposed once
+    assert sorted(sums) == sorted(drawn) and len(drawn) <= 10
 
 
 @pytest.mark.parametrize("seed", [1, 7, 20260816])
 def test_semigroup_scan_counts_every_draw_over_the_cap(monkeypatch, seed):
     # B2 Levi {1} h3 at cap 10: every swept module fits, but many sums do
-    # not, and a pair over the cap drawn again is skipped again
+    # not, and a pair over the cap drawn again is skipped again, while its
+    # sum is tried once
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
-    counts = _counting_branch_multiplicity(monkeypatch)
+    calls = _counting_decompositions(monkeypatch)
     got, want = _semigroup_sections(monkeypatch, SweepConfig(
         "B2", (1,), 3, ("semigroup",), seed=seed))
     assert got == want
     assert got["pairs_checked"] == 120
-    assert got["pairs_skipped"] > counts["over_cap"] > 0
+    sums, drawn = _sum_decompositions(calls, want)
+    assert sorted(sums) == sorted(drawn)
+    assert len(calls["over_cap"]) == len(set(calls["over_cap"]))
+    assert got["pairs_skipped"] > len(calls["over_cap"]) > 0
 
 
 def test_semigroup_scan_records_every_failing_draw(monkeypatch):
-    # a fake multiplicity that vanishes on half of the sums and is over the
-    # cap on a third of them: failures are listed per draw, in draw order
-    def fake(datum, levi, mu, lam):
-        if mu[1] % 3 == 2:
-            raise FeasibilityError("fake cap", 0)
-        return (mu[0] + lam[1]) % 2
+    # a fake decomposition whose multiplicity vanishes on half of the sums
+    # and that is over the cap on a third of the mu outside the sweep:
+    # failures are listed per draw, in draw order
+    swept = set(dominant_coweights_up_to(root_datum("A2"), 2))
 
-    counts = _counting_branch_multiplicity(monkeypatch, fake)
+    def fake(datum, levi, mu):
+        if mu[1] % 3 == 2 and mu not in swept:
+            raise FeasibilityError("fake cap", 0)
+        return {lam: (mu[0] + lam[1]) % 2
+                for lam in characters.branch_decompose(datum, levi, mu)}
+
+    calls = _counting_decompositions(monkeypatch, fake)
     got, want = _semigroup_sections(monkeypatch, SweepConfig(
         "A2", (1,), 2, ("semigroup",), semigroup_samples=200))
     assert got == want
     assert got["verdict"] == "FAIL"
     assert len(got["failures"]) > len({json.dumps(f, sort_keys=True)
                                        for f in got["failures"]})
-    assert got["pairs_skipped"] > counts["over_cap"] > 0
+    assert got["pairs_skipped"] > len(calls["over_cap"]) > 0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 20260816])
+def test_semigroup_draws_match_randrange(monkeypatch, seed):
+    # a pool of n entries, every one of whose sums fails, so the failures
+    # list the scan's index pairs; they must be randrange(n)'s draws, for
+    # n from 1 up, powers of two and their neighbours among them
+    samples = 40
+    for n in range(1, 301):
+        pool = dict.fromkeys([(i,) for i in range(n)], 0)
+        monkeypatch.setattr(harness, "branch_decompose",
+                            lambda datum, levi, mu: pool)
+        section = harness._semigroup_section(None, None, [(0,)], seed,
+                                             samples)
+        got = [(f["lambda1"][0], f["lambda2"][0])
+               for f in section["failures"]]
+        rng = random.Random(seed)
+        want = [(rng.randrange(n), rng.randrange(n)) for _ in range(samples)]
+        assert got == want, n
 
 
 def test_skips_are_recorded_not_dropped(monkeypatch):
