@@ -118,28 +118,41 @@ def dominant_coweights_up_to(datum: RootDatum, max_height) -> list[Coweight]:
     return sorted(out, key=lambda m: (pairing(two_rho, m), m))
 
 
+def _levi_dominant_weights(datum: RootDatum, levi, max_height) -> dict:
+    """Each dominant mu within the height bound, in enumeration order, with
+    the sorted Levi-dominant weights of its module.  These carry the hull and
+    coroot-lattice congruence conditions automatically."""
+    full = datum.full
+    # the weight set needs no multiplicities, so no module cap applies
+    return {mu: sorted(w for kappa in dominant_support(full, mu)
+                       for w in full.orbit(kappa) if levi.is_dominant(w))
+            for mu in dominant_coweights_up_to(datum, max_height)}
+
+
+def _instances(datum: RootDatum, levi,
+               lams_by_mu: dict) -> list[tuple[Coweight, Coweight, Coweight]]:
+    """(mu, lambda, nu) for each mu and lambda of ``lams_by_mu`` and each
+    offset nu of ``offset_pair``, the minimal one first and the larger one
+    when it is distinct."""
+    out = []
+    for mu, lams in lams_by_mu.items():
+        nu0, nu1 = offset_pair(datum, levi, mu)
+        nus = (nu0,) if nu1 == nu0 else (nu0, nu1)
+        out += [(mu, lam, nu) for lam in lams for nu in nus]
+    return out
+
+
 def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, Coweight]]:
     """The sweep's (mu, lambda, nu) triples: dominant mu within the height
-    bound; Levi-dominant weights lambda of the module at mu (these carry the
-    hull and coroot-lattice congruence conditions automatically); the minimal
+    bound; Levi-dominant weights lambda of the module at mu; the minimal
     offset nu and, when distinct, one strictly larger offset."""
     config.validate()
     if not config.checks:
         return []
     datum = root_datum(config.cartan_type)
     levi = levi_view(datum, config.levi)
-    out = []
-    full = datum.full
-    for mu in dominant_coweights_up_to(datum, config.max_height):
-        # the weight set needs no multiplicities, so no module cap applies
-        lams = sorted(w for kappa in dominant_support(full, mu)
-                      for w in full.orbit(kappa) if levi.is_dominant(w))
-        nu0, nu1 = offset_pair(datum, levi, mu)
-        nus = (nu0,) if nu1 == nu0 else (nu0, nu1)
-        for lam in lams:
-            for nu in nus:
-                out.append((mu, lam, nu))
-    return out
+    return _instances(datum, levi, _levi_dominant_weights(
+        datum, levi, config.max_height))
 
 
 def _verdict_all(flags: Sequence[bool]) -> str:
@@ -584,14 +597,13 @@ def run_sweep(config: SweepConfig) -> dict:
     levi = levi_view(datum, config.levi)
     checks = tuple(c for c in CHECK_NAMES if c in config.checks)
 
-    instances = enumerate_instances(config)
-    # each mu's Levi-dominant weights, sorted, as the enumeration lists them
-    lams_by_mu: dict = {}
-    for mu, lam, _ in instances:
-        lams = lams_by_mu.setdefault(mu, [])
-        if not lams or lams[-1] != lam:
-            lams.append(lam)
+    lams_by_mu = (_levi_dominant_weights(datum, levi, config.max_height)
+                  if checks else {})
     mus = list(lams_by_mu)
+    # offset_pair bumps every coordinate off the Levi, so each lambda has two
+    # offsets unless the Levi is the whole system
+    offsets = 1 if len(levi.indices) == datum.rank else 2
+    instance_count = offsets * sum(map(len, lams_by_mu.values()))
 
     mu_checks = tuple(c for c in checks if c in _MU_CHECKS)
     inst_checks = tuple(c for c in checks if c in _INSTANCE_CHECKS)
@@ -604,7 +616,8 @@ def run_sweep(config: SweepConfig) -> dict:
             by_mu[mu].append(len(tasks))
             tasks.append(partial(_mu_record, datum, levi, mu, mu_checks))
     if inst_checks:
-        for mu, lam, nu in instances:
+        # only the instance checks read the offsets
+        for mu, lam, nu in _instances(datum, levi, lams_by_mu):
             by_mu[mu].append(len(tasks))
             tasks.append(partial(_instance_record, datum, levi, mu, lam, nu,
                                  inst_checks, q_points))
@@ -679,7 +692,7 @@ def run_sweep(config: SweepConfig) -> dict:
             "saturation_n_max": config.saturation_n_max,
             "semigroup_samples": config.semigroup_samples,
         },
-        "instance_count": len(instances),
+        "instance_count": instance_count,
         "per_mu": per_mu,
         "instances": inst_records,
         "semigroup": semigroup,

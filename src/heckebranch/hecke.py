@@ -236,6 +236,11 @@ class LaurentPoly:
 # table's running size, so a verdict does not depend on what ran before.
 PARTITION_CAP = 20_000
 
+# Terms of one Hall-Littlewood numerator, counted as it is multiplied out.
+# A regular weight needs 51,936 on C5, 50,574 on B5, 36,961 on A6, 15,145 on
+# F4 and 13,213 on D5; D6, A7 and E6 need 0.37-0.74M.
+NUMERATOR_CAP = 60_000
+
 InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
 _numerator_cache: dict = {}
@@ -280,7 +285,9 @@ def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
     exponent w is the integer 2w in the signed digits of the view's
     straightening base, so stepping down a coroot is one subtraction and no
     exponent is decoded.  The digits are wide enough for every partial sum,
-    whose coordinates are bounded by the coroots' coordinates summed."""
+    whose coordinates are bounded by the coroots' coordinates summed.  A
+    product past ``NUMERATOR_CAP`` terms raises ``FeasibilityError`` before
+    anything is cached."""
     zeros = tuple(i for i in view.indices if not mu[i - 1])
     key = (view.key, zeros)
     cached = _numerator_cache.get(key)
@@ -302,6 +309,11 @@ def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
             k -= step
             nxt[k] = get(k, 0) - (p << _T_BITS)
         terms = nxt
+        # the map only grows, so a build that passes the cap here ends over it
+        if len(terms) > NUMERATOR_CAP:
+            raise FeasibilityError(
+                f"Hall-Littlewood numerator of {view.key} at {mu} has more "
+                f"than {NUMERATOR_CAP} terms", NUMERATOR_CAP)
     cached = PackedWeights(n, reach, bits=bits,
                            packed=[(k, p) for k, p in terms.items() if p])
     _numerator_cache[key] = cached

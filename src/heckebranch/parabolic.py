@@ -107,8 +107,10 @@ def minimal_offset(datum: RootDatum, levi: SubsystemView, mu: Coweight) -> Cowei
 
 def offset_pair(datum: RootDatum, levi: SubsystemView,
                 mu: Coweight) -> tuple[Coweight, Coweight]:
-    """The minimal offset and a strictly larger one (every coordinate off the
-    Levi bumped by one), both comparing above mu for the parabolic."""
+    """The minimal offset and a larger one (every coordinate off the Levi
+    bumped by one), both comparing above mu for the parabolic.  The two are
+    equal exactly when the Levi is the whole system, so a proper Levi gives
+    every mu two distinct offsets and the whole system gives it one."""
     nu0 = minimal_offset(datum, levi, mu)
     nu1 = tuple(v + (0 if (i + 1) in levi.indices else 1)
                 for i, v in enumerate(nu0))

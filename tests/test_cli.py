@@ -197,10 +197,13 @@ def test_package_runs_as_a_module():
 
 
 def test_console_script_installed():
+    # the child imports the package this test imported, installed or not
+    src = os.path.dirname(os.path.dirname(characters.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "heckebranch.cli", "compute", "r", "--type",
          "A1", "--levi", "none", "--mu", "2", "--lambda", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert proc.stdout.strip() == "1"
 

@@ -79,6 +79,28 @@ def test_empty_checks_yield_empty_sweep():
     assert report["summary"]["fail"] == 0
 
 
+SCANS = ("semigroup", "saturation")
+
+
+@pytest.mark.parametrize("config", [
+    *(SweepConfig(t, levi, 3, SCANS) for t in ("A2", "B2", "G2")
+      for levi in ((), (1,), (2,), (1, 2))),
+    SweepConfig("A3", (1,), 2, SCANS),
+    SweepConfig("A3", (1, 2, 3), 2, SCANS),
+], ids=lambda c: f"{c.cartan_type}-levi{''.join(map(str, c.levi))}")
+def test_scan_only_sweep_counts_and_scans_as_with_instances(config):
+    # a sweep without instance checks builds no offsets, but counts the
+    # triples the enumeration lists and scans the same pairs
+    report = run_sweep(config)
+    assert report["instances"] == []
+    assert report["instance_count"] == len(enumerate_instances(config))
+    with_instances = run_sweep(config._replace(
+        checks=config.checks + ("multiplicity_identity",)))
+    assert with_instances["instance_count"] == report["instance_count"]
+    for name in SCANS:
+        assert report[name] == with_instances[name]
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         run_sweep(SweepConfig("A2", (1,), -1, IDENTITY_CHECKS))
@@ -389,6 +411,32 @@ def test_partition_cap_hit_skips_the_saturation_constant_term(monkeypatch):
                                   "reason": "k-scaled constant term over "
                                             "the cap"}]
     assert capped["verdict"] == full["verdict"] == "PASS"
+
+
+def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
+    # a regular A3 weight's numerator has up to 2^6 terms, while (0, 0, 1)
+    # needs 2^3: a cap of 10 stops the first and lets the second through
+    _fresh_caches(monkeypatch)
+    d = root_datum("A3")
+    cap = hecke.NUMERATOR_CAP
+    monkeypatch.setattr(hecke, "NUMERATOR_CAP", 10)
+    with pytest.raises(FeasibilityError) as hit:
+        hecke.hall_littlewood_characters(d.full, (1, 1, 1))
+    assert hit.value.cap == 10 and "10 terms" in str(hit.value)
+    report = run_sweep(SweepConfig("A3", (1,), 2, ("product_identity",)))
+    verdicts = [rec["checks"]["product_identity"]
+                for rec in report["instances"]]
+    assert set(verdicts) == {"PASS", "SKIPPED"}
+    assert all(rec["notes"] == [] if v == "PASS" else
+               len(rec["notes"]) == 1 and "10 terms" in rec["notes"][0]
+               for rec, v in zip(report["instances"], verdicts))
+    monkeypatch.setattr(hecke, "NUMERATOR_CAP", cap)
+    got = hecke.hall_littlewood_characters(d.full, (1, 1, 1))
+    want = hecke_oracle.divided_hall_littlewood_characters(d.full, (1, 1, 1))
+    assert list(got.items()) == list(want.items())
+    again = run_sweep(SweepConfig("A3", (1,), 2, ("product_identity",)))
+    assert {rec["checks"]["product_identity"]
+            for rec in again["instances"]} == {"PASS"}
 
 
 def _recording_runner(workers: list):
