@@ -47,15 +47,20 @@ branching multiplicities), and K^M taken over the Levi's positive coroots.
 Each coefficient has one body: ``structure_constant`` for m and
 ``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
 over their supports and cache no result of their own.
-The partial sum G is memoized on (type, a, beta, gamma) and leaves out the
-characters b with a + b not at or above gamma, on whose constituents
-K_{c,gamma} vanishes; the sum over a leaves out, by the same test, the
-characters a with a + beta not at or above gamma, since every b lies below
-beta.  The instances of a sweep that share mu share
-beta = mu* and gamma = nu, so they reuse G across their first factors, and
-``hecke_product`` reads the same G at each gamma of its support.  The
-restricted characters sum_kappa A_kappa r_kappa(l) are memoized per
-(upper, lower, mu).  They and ``hall_littlewood``'s orbit sums are one loop,
+K is evaluated only where it can be nonzero: K_{c,gamma} on the
+constituents c at or above gamma, and K^M_{l,lam} where l - lam is a
+nonnegative integer combination of the Levi's simple coroots (on the torus,
+at l = lam alone).  The partial sum G is memoized on (type, a, beta, gamma)
+and leaves out the characters b with a + b not at or above gamma, on whose
+constituents K_{c,gamma} vanishes; the sum over a leaves out, by the same
+test, the characters a with a + beta not at or above gamma, since every b
+lies below beta.  Every such dominance test reads the datum's memo of
+integer coroot numerators adj @ x (``rootdata.coroot_numerators``): by
+linearity, those of x - y are those of x minus those of y.  The instances
+of a sweep that share mu share beta = mu* and gamma = nu, so they reuse G
+across their first factors, and ``hecke_product`` reads the same G at each
+gamma of its support.  The restricted characters sum_kappa A_kappa r_kappa(l)
+are memoized per (upper, lower, mu).  They and ``hall_littlewood``'s orbit sums are one loop,
 ``_expand``, which pushes a character expansion through a decomposition of
 each character: by ``restrict_decompose`` or by ``dominant_weights``.
 
@@ -100,10 +105,10 @@ from .rootdata import (
     Coweight,
     RootDatum,
     SubsystemView,
+    coroot_numerators,
     in_hull,
     in_coroot_lattice,
     is_dominant,
-    mat_apply,
     pairing,
     vec_add,
     vec_sub,
@@ -371,13 +376,13 @@ def hall_littlewood(datum: RootDatum, view: SubsystemView,
 
 
 def _view_coordinates(datum: RootDatum, view: SubsystemView,
-                      x: Coweight) -> Optional[tuple]:
-    """Coefficients of x over the view's simple coroots, read from the
-    integer Cartan adjugate, or None when x is not an integer combination of
-    them."""
+                      nums: tuple) -> Optional[tuple]:
+    """Coefficients over the view's simple coroots of the coweight whose
+    coroot numerators (``coroot_numerators``) are nums, or None when it is
+    not an integer combination of them."""
     det = datum.cartan_det
     out = []
-    for i, n in enumerate(mat_apply(datum.cartan_adjugate, x), 1):
+    for i, n in enumerate(nums, 1):
         if i in view.indices:
             q, r = divmod(n, det)
             if r:
@@ -386,6 +391,20 @@ def _view_coordinates(datum: RootDatum, view: SubsystemView,
         elif n:
             return None
     return tuple(out)
+
+
+def _offset_above(datum: RootDatum, view: SubsystemView, lam: Coweight,
+                  gamma: Coweight) -> Optional[tuple]:
+    """Coefficients of lam - gamma over the view's simple coroots when they
+    are nonnegative integers, else None: K_{lam,gamma} of the view is zero
+    unless they are.  The numerators of lam - gamma are those of lam minus
+    those of gamma, so both are read from the memo.  On the torus only
+    lam = gamma passes."""
+    top = _view_coordinates(datum, view, tuple(map(
+        sub, coroot_numerators(datum, lam), coroot_numerators(datum, gamma))))
+    if top is None or min(top, default=0) < 0:
+        return None
+    return top
 
 
 def _tadd(p: tuple, q: tuple) -> tuple:
@@ -400,7 +419,7 @@ def _partition_table(datum: RootDatum, view: SubsystemView) -> tuple:
     and its memo of partition-function values keyed by (level, point)."""
     cached = _partition_cache.get(view.key)
     if cached is None:
-        coords = (_view_coordinates(datum, view, cv)
+        coords = (_view_coordinates(datum, view, coroot_numerators(datum, cv))
                   for cv in view.positive_coroots)
         cached = (tuple(a for a in coords if sum(a) > 1), {})
         _partition_cache[view.key] = cached
@@ -443,9 +462,9 @@ def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
     cached = _kf_cache.get(key)
     if cached is not None:
         return cached
-    top = _view_coordinates(datum, view, vec_sub(lam, gamma))
+    top = _offset_above(datum, view, lam, gamma)
     acc: dict[int, int] = {}
-    if top is not None and min(top, default=0) >= 0:
+    if top is not None:
         box = prod(v + 1 for v in top)
         if box > PARTITION_CAP:
             raise FeasibilityError(
@@ -481,9 +500,13 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     """G(a, beta, gamma) = sum over b of B_b sum over c of n_{ab}^c
     K_{c,gamma}(v^-2), with B the character expansion of the
     Hall-Littlewood polynomial at beta and n from the cached
-    ``tensor_decompose``, as a flat {v-exponent: int} map.  Characters b
-    with a + b not at or above gamma in dominance are left out: every
-    constituent c of a x b lies below a + b, so K_{c,gamma} is zero.
+    ``tensor_decompose``, as a flat {v-exponent: int} map.  K_{c,gamma} is
+    zero unless c is at or above gamma in dominance, so it is evaluated only
+    on those constituents c, and characters b with a + b not at or above
+    gamma are left out: every constituent of a x b lies below a + b.  Both
+    tests read adj @ (x - gamma) >= 0, at x = c and at x = a + b, from the
+    numerator memo; x - gamma lies in the coroot lattice whenever
+    K_{c,gamma} can be nonzero, so the sign alone decides.
     Cached on (type, a, beta, gamma), so every product whose first factor
     has a in its expansion reuses it."""
     key = (datum.cartan_type, a, beta, gamma)
@@ -491,17 +514,17 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     if cached is not None:
         return cached
     view = datum.full
-    # a + b >= gamma reads as adj @ (a + b - gamma) >= 0: a + b - gamma lies
-    # in the coroot lattice whenever K_{c,gamma} can be nonzero
-    adj = datum.cartan_adjugate
-    rest = mat_apply(adj, vec_sub(a, gamma))
+    low = coroot_numerators(datum, gamma)
+    rest = tuple(map(sub, coroot_numerators(datum, a), low))
     out: dict[int, int] = {}
     for b, pb in hall_littlewood_characters(view, beta).items():
-        if min(map(add, rest, mat_apply(adj, b))) < 0:
+        if min(map(add, rest, coroot_numerators(datum, b))) < 0:
             continue
         # sum over c of n_{ab}^c K_{c,gamma}, by power of t
         kf: dict[int, int] = {}
         for c, n in tensor_decompose(datum, a, b).items():
+            if min(map(sub, coroot_numerators(datum, c), low)) < 0:
+                continue
             for deg, k in enumerate(_kostka_foulkes(datum, view, c, gamma)):
                 if k:
                     kf[deg] = kf.get(deg, 0) + n * k
@@ -544,13 +567,13 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         return LaurentPoly.zero()
     view = datum.full
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
-    adj = datum.cartan_adjugate
-    rest = mat_apply(adj, vec_sub(beta, gamma))
+    rest = tuple(map(sub, coroot_numerators(datum, beta),
+                     coroot_numerators(datum, gamma)))
     out: dict[int, int] = {}
     for a, pa in hall_littlewood_characters(view, alpha).items():
         # every b of P_beta lies below beta, so G(a, beta, gamma) is zero
         # unless a + beta is at or above gamma
-        if min(map(add, rest, mat_apply(adj, a))) < 0:
+        if min(map(add, rest, coroot_numerators(datum, a))) < 0:
             continue
         g = _partial_sum(datum, a, beta, gamma)
         for e1, x1 in pa._c.items():
@@ -579,10 +602,16 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
                     lam: Coweight) -> LaurentPoly:
     """The coefficient at the lower view's lam of the upper view's basis
     element at mu: v^(<2rho, mu> - <2rho_M, lam>) times the sum over l of
-    the restricted characters at l times K^M_{l,lam}(v^-2)."""
+    the restricted characters at l times K^M_{l,lam}(v^-2), over the l with
+    l - lam a nonnegative integer combination of the lower view's simple
+    coroots, the only ones where K^M can be nonzero."""
     shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
     out: dict[int, int] = {}
     for l, p in _restricted_characters(upper, lower, mu).items():
+        # on the torus the only such l is lam
+        if l != lam and (not lower.indices
+                         or _offset_above(datum, lower, l, lam) is None):
+            continue
         for deg, k in enumerate(_kostka_foulkes(datum, lower, l, lam)):
             if k:
                 base = shift - 2 * deg

@@ -25,9 +25,11 @@ Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
 each datum carries the integer adjugate of its Cartan matrix and its
 determinant, so the hull and coroot-lattice tests read signs and residues
-of ``adj @ x``, and heights are compared through the integer pairing with
-the sum of positive roots.  The dominance order on dominant coweights, which
-no sweep reads, lives in the test oracle ``tests/fraction_oracle.py``.
+of ``adj @ x``.  ``coroot_numerators`` memoizes ``adj @ x`` per datum for
+the Hecke layer's dominance tests.  Heights are compared through the
+integer pairing with the sum of positive roots.  The dominance order on
+dominant coweights, which no sweep reads, lives in the test oracle
+``tests/fraction_oracle.py``.
 Half-sums are kept doubled, as the integer sums ``two_rho`` and
 ``two_rho_hat``.  ``RootDatum`` and ``SubsystemView`` are plain read-only
 classes, and ``rho_height``, the one function here that returns a
@@ -368,6 +370,24 @@ def dual_star(datum: RootDatum, x: Sequence) -> tuple:
     """x* = -w_0(x); an involution permuting dominant coweights, which reads
     coordinates through the diagram involution ``datum.star``."""
     return tuple([x[j] for j in datum.star])
+
+
+_coroot_numerator_cache: dict = {}   # cartan type -> {coweight: adj @ x}
+
+
+def coroot_numerators(datum: RootDatum, x: Coweight) -> tuple:
+    """The integer coroot numerators ``adj @ x`` of the integer coweight x:
+    det times its coefficients over the simple coroots.  By linearity x is
+    at or above y in dominance exactly when the numerators of x minus those
+    of y are nonnegative and divisible by det.  Memoized per root datum; the
+    tuples handed out are read-only."""
+    memo = _coroot_numerator_cache.get(datum.cartan_type)
+    if memo is None:
+        memo = _coroot_numerator_cache[datum.cartan_type] = {}
+    n = memo.get(x)
+    if n is None:
+        n = memo[x] = mat_apply(datum.cartan_adjugate, x)
+    return n
 
 
 def in_coroot_lattice(datum: RootDatum, x: Sequence) -> bool:

@@ -2,10 +2,12 @@
 
 import functools
 import hashlib
+import importlib.util
 import json
 import operator
 import os
 import random
+import sys
 import time
 
 import pytest
@@ -768,3 +770,36 @@ def test_reports_match_golden_digests(type_str, levi, height):
                       separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() \
         == GOLDEN_DIGESTS[type_str, levi, height]
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench")
+
+
+def _perfbench_module(name):
+    """``perfbench/<name>.py`` loaded under its own module name, so it does
+    not shadow a module of the tests."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.skipif(not os.path.isdir(PERFBENCH),
+                    reason="no perfbench/ in this checkout")
+def test_benchmark_workloads_match_their_recorded_digests():
+    # the benchmark's output check, in-process: a report that moves fails
+    # here before a benchmark run marks it incorrect
+    run = _perfbench_module("run")
+    child = _perfbench_module("child")
+    recorded = run.load_digests()
+    for name, w in run.WORKLOADS.items():
+        entry = recorded[name]
+        assert (entry["seed"], entry["max_height"]) \
+            == (run.DEFAULT_SEED, w.max_height), name
+        report = run_sweep(SweepConfig(
+            w.cartan_type, w.levi, w.max_height, w.checks, jobs=w.jobs,
+            seed=run.DEFAULT_SEED, semigroup_samples=w.semigroup_samples))
+        assert child.report_digest(report) == entry["digest"], name

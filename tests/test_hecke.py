@@ -1,10 +1,12 @@
 """Laurent arithmetic, triangular bases, products, and constant terms."""
 
 import itertools
+from operator import sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fraction_oracle
 import hecke_oracle
 import weyl_oracle
 from hecke_oracle import (
@@ -24,6 +26,11 @@ from heckebranch.characters import (
     weight_table,
 )
 from heckebranch.errors import DomainError
+from heckebranch.harness import (
+    SweepConfig,
+    dominant_coweights_up_to,
+    enumerate_instances,
+)
 from heckebranch.hecke import (
     LaurentPoly,
     constant_term,
@@ -37,6 +44,7 @@ from heckebranch.hecke import (
 )
 from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
+    coroot_numerators,
     dual_star,
     in_coroot_lattice,
     levi_view,
@@ -576,3 +584,62 @@ def test_kostka_foulkes_at_t_one_and_zero(type_str):
                 assert sum(c for _, c in k.items()) == mults[gamma], \
                     (view.key, lam, gamma)
                 assert k.coeff(0) == (gamma == lam), (view.key, lam, gamma)
+
+
+@pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3"])
+def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
+    # _partial_sum evaluates K_{c,gamma} only where the coroot numerators of
+    # c - gamma are nonnegative, and _ct_coefficient K^M_{l,lam} only where
+    # _offset_above finds l - lam in the lower view's cone (on the torus,
+    # l = lam).  Wherever a test skips, K is zero, and gamma is not even a
+    # weight of the module at c: K at t = 1 is the weight multiplicity.
+    d = root_datum(type_str)
+    mus = dominant_coweights_up_to(d, 3)
+    skipped = kept = 0
+    for c, gamma in itertools.product(mus, repeat=2):
+        if min(map(sub, coroot_numerators(d, c),
+                   coroot_numerators(d, gamma))) < 0:
+            assert hecke._kostka_foulkes(d, d.full, c, gamma) == (), (c, gamma)
+            assert gamma not in dominant_weights(d.full, c), (c, gamma)
+            skipped += 1
+        else:
+            kept += 1
+    for lv in _views(d)[:-1]:   # every proper Levi, the torus first
+        lams = sorted({w for mu in mus for w in d.full.orbit(mu)
+                       if lv.is_dominant(w)})
+        for l, lam in itertools.product(lams, repeat=2):
+            rejected = hecke._offset_above(d, lv, l, lam) is None
+            coeffs = fraction_oracle.view_coroot_coefficients(
+                lv, vec_sub(l, lam))
+            assert rejected == (coeffs is None or any(
+                x < 0 or x.denominator != 1 for x in coeffs)), (lv.key, l, lam)
+            if not lv.indices:
+                assert rejected == (l != lam), (l, lam)
+            if rejected:
+                assert hecke._kostka_foulkes(d, lv, l, lam) == (), \
+                    (lv.key, l, lam)
+                assert lam not in dominant_weights(lv, l), (lv.key, l, lam)
+                skipped += 1
+            else:
+                kept += 1
+    assert skipped and kept
+
+
+def test_structure_constants_agree_under_triangle_rotation():
+    # rotating the triangle (alpha, mu*, nu) of an instance:
+    # N_nu m_{alpha,mu*}^nu = N_alpha m_{nu,mu}^alpha, with N the full orbit
+    # size; a second route to m with its arguments swapped
+    count = 0
+    for type_str, levi, height in (("A2", (), 2), ("B2", (1,), 4),
+                                   ("G2", (2,), 4), ("A3", (1,), 3)):
+        d = root_datum(type_str)
+        config = SweepConfig(type_str, levi, height, ("product_identity",))
+        for mu, lam, nu in enumerate_instances(config):
+            alpha = vec_add(nu, lam)
+            lhs = orbit_size(d, d.full, nu) \
+                * structure_constant(d, alpha, dual_star(d, mu), nu)
+            rhs = orbit_size(d, d.full, alpha) \
+                * structure_constant(d, nu, mu, alpha)
+            assert lhs == rhs, (type_str, levi, mu, lam, nu)
+            count += 1
+    assert count == 184

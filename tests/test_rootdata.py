@@ -17,6 +17,7 @@ from heckebranch.errors import ConfigurationError, DomainError
 from heckebranch.hecke import LaurentPoly, orbit_size
 from heckebranch.rootdata import (
     cartan_matrix,
+    coroot_numerators,
     dual_star,
     in_coroot_lattice,
     in_hull,
@@ -316,6 +317,12 @@ def test_coroot_predicates_match_fraction_oracle(type_str):
     else:
         mus = ([(0,) * n, (1,) * n, (2,) * n]
                + [tuple(int(k == i) for k in range(n)) for i in range(n)])
+    for x in points:
+        # the memo hands out the same read-only tuple on every call
+        nums = coroot_numerators(d, x)
+        assert type(nums) is tuple and coroot_numerators(d, x) is nums
+        assert tuple(Fraction(v, d.cartan_det) for v in nums) \
+            == fraction_oracle.coroot_coefficients(d, x)
     for x in points + rational:
         assert in_coroot_lattice(d, x) == fraction_oracle.in_coroot_lattice(d, x)
         for mu in mus:
