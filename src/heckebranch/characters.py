@@ -16,28 +16,31 @@ coordinates.  Its walk to the dominant chamber reflects a list in place and
 stops at the first point that a simple reflection fixes, since that term
 straightens to zero.
 
-Each orbit, table and point is walked once per view.  One cached
-Freudenthal pass gives both ``dominant_weights`` and ``weight_table``,
-expanding each dominant weight's orbit into the table as it goes.  It walks
-each coroot string kappa + k cv on forms built once per view, the vector
-form(., cv) and the number (cv, cv): the pairing (kappa + k cv, cv) is
-(kappa, cv) + k (cv, cv), and each step adds cv to the point.  Weight
-tables are ``PackedWeights``: besides the plain map they hold every weight w
-packed into one integer, 2w in signed digits of one base per view, so the
-doubled point 2(top + w) + 2 rho_hat of a term is the packed
-2(top + rho_hat) plus the packed 2w, one integer addition.  ``klimyk`` keeps
-one memo per view from that integer to the walk's result, its dominant
-highest weight and sign or a wall, decodes and walks a point only on a
-miss, and adds each term into its sum in place.  The memo is shared by
-every caller under the view: tensor products, restrictions and ``hecke``'s
-Hall-Littlewood numerators, which are built packed in the same base.  The
-base grows, and the memo starts afresh, whenever a call brings a
-coordinate its digits cannot hold, so packing never aliases two points.
+Each orbit, table and point is walked once per view.  Tables, tensor
+products, restrictions and coroot strings are memoized by
+``functools.cache`` on private functions keyed by the view or datum
+object.  One cached Freudenthal pass gives both ``dominant_weights`` and
+``weight_table``, expanding each dominant weight's orbit into the table as
+it goes.  It walks each coroot string kappa + k cv on forms built once per
+view, the vector form(., cv) and the number (cv, cv): the pairing
+(kappa + k cv, cv) is (kappa, cv) + k (cv, cv), and each step adds cv to
+the point.  Weight tables are ``PackedWeights``: besides the plain map they
+hold every weight w packed into one integer, 2w in signed digits of one
+base per view, so the doubled point 2(top + w) + 2 rho_hat of a term is
+the packed 2(top + rho_hat) plus the packed 2w, one integer addition.
+``klimyk`` keeps one memo per view from that integer to the walk's result,
+its dominant highest weight and sign or a wall, decodes and walks a point
+only on a miss, and adds each term into its sum in place.  The memo is
+shared by every caller under the view: tensor products, restrictions and
+``hecke``'s Hall-Littlewood numerators, which are built packed in the same
+base.  The base grows, and the memo starts afresh, whenever a call brings
+a coordinate its digits cannot hold, so packing never aliases two points.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
+from functools import cache
 from itertools import chain
 from types import MappingProxyType
 from typing import Optional, Sequence
@@ -55,11 +58,9 @@ from .rootdata import (
 
 DIMENSION_CAP = 200_000
 
-_table_cache: dict = {}
-_tensor_cache: dict = {}
-_branch_cache: dict = {}
-_straighten_cache: dict = {}   # view key -> _Walks
-_string_cache: dict = {}       # view key -> _coroot_strings
+# view key -> _Walks: per-view walk state, replaced when the digits widen,
+# so not a memo of a pure function
+_straighten_cache: dict = {}
 
 
 def _pack(x: Sequence[int], bits: int) -> int:
@@ -198,29 +199,24 @@ def dominant_support(view: SubsystemView, mu: Coweight) -> frozenset:
     return frozenset(found)
 
 
+@cache
 def _coroot_strings(view: SubsystemView) -> tuple:
     """The view's positive coroots cv, each with the vector form(., cv) and
     the number (cv, cv), so that (y, cv) is ``pairing(y, form(., cv))``.
     Built once per view."""
-    strings = _string_cache.get(view.key)
-    if strings is None:
-        strings = []
-        for cv in view.positive_coroots:
-            form_cv = tuple([pairing(row, cv) for row in view.form])
-            strings.append((cv, form_cv, pairing(cv, form_cv)))
-        strings = _string_cache[view.key] = tuple(strings)
-    return strings
+    strings = []
+    for cv in view.positive_coroots:
+        form_cv = tuple([pairing(row, cv) for row in view.form])
+        strings.append((cv, form_cv, pairing(cv, form_cv)))
+    return tuple(strings)
 
 
+@cache
 def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
     """The view-dominant multiplicities and the full weight table of the
     irreducible module with highest weight mu, from one Freudenthal pass
     that expands each dominant weight's orbit into the table as it goes.
     Cached per view and mu; the dimension cap is checked on a miss."""
-    key = (view.key, mu)
-    cached = _table_cache.get(key)
-    if cached is not None:
-        return cached
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
     _check_cap(view, mu)
@@ -260,9 +256,7 @@ def _freudenthal(view: SubsystemView, mu: Coweight) -> tuple:
         mults[kappa] = val
         for y in view.orbit(kappa):
             table[y] = val
-    cached = _table_cache[key] = (MappingProxyType(mults),
-                                  PackedWeights.of(table))
-    return cached
+    return MappingProxyType(mults), PackedWeights.of(table)
 
 
 def dominant_weights(view: SubsystemView, mu: Coweight) -> Mapping[Coweight, int]:
@@ -342,18 +336,16 @@ def tensor_decompose(datum: RootDatum, a: Coweight,
 
     Runs ``klimyk`` over the weights of the smaller factor.  Cached on the
     ordered pair, so (a, b) and (b, a) are computed independently."""
-    a, b = tuple(a), tuple(b)
-    key = (datum.cartan_type, a, b)
-    cached = _tensor_cache.get(key)
-    if cached is not None:
-        return cached
+    return _tensor(datum, tuple(a), tuple(b))
+
+
+@cache
+def _tensor(datum: RootDatum, a: Coweight, b: Coweight) -> Mapping:
     view = datum.full
     if not (view.is_dominant(a) and view.is_dominant(b)):
         raise DomainError("tensor factors must be dominant")
     big, small = (b, a) if weyl_dim(view, b) > weyl_dim(view, a) else (a, b)
-    result = MappingProxyType(klimyk(view, big, weight_table(view, small)))
-    _tensor_cache[key] = result
-    return result
+    return MappingProxyType(klimyk(view, big, weight_table(view, small)))
 
 
 def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,
@@ -371,17 +363,16 @@ def restrict_decompose(upper: SubsystemView, lower: SubsystemView,
     Brauer's rule: the upper weight table is invariant under the lower Weyl
     group, so ``klimyk`` at highest weight 0 straightens it into lower
     characters."""
-    mu = tuple(mu)
-    key = (upper.key, lower.key, mu)
-    cached = _branch_cache.get(key)
-    if cached is not None:
-        return cached
+    return _restrict(upper, lower, tuple(mu))
+
+
+@cache
+def _restrict(upper: SubsystemView, lower: SubsystemView,
+              mu: Coweight) -> Mapping:
     out = klimyk(lower, (0,) * len(mu), weight_table(upper, mu))
     if any(m < 0 for m in out.values()):
         raise AssertionError("restriction has a negative multiplicity")
-    result = MappingProxyType(dict(sorted(out.items())))
-    _branch_cache[key] = result
-    return result
+    return MappingProxyType(dict(sorted(out.items())))
 
 
 def branch_decompose(datum: RootDatum, levi: SubsystemView,

@@ -475,8 +475,8 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
                                  "reason": "saturation witness but zero "
                                            "branching at factor k^2"})
         if datum.letter in ("B", "C", "G"):
-            r2 = scaled_branch(2, mu, lam)
-            hit["factor_two_r"] = SKIPPED if r2 is None else r2
+            # the scan starts at n = 2 and passed it only where r was 0
+            hit["factor_two_r"] = witness[1] if witness[0] == 2 else 0
         hits.append(hit)
     return {
         "zero_pairs_scanned": len(zero_pairs),

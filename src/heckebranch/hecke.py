@@ -50,7 +50,7 @@ over their supports and cache no result of their own.
 K is evaluated only where it can be nonzero: K_{c,gamma} on the
 constituents c at or above gamma, and K^M_{l,lam} where l - lam is a
 nonnegative integer combination of the Levi's simple coroots (on the torus,
-at l = lam alone).  The partial sum G is memoized on (type, a, beta, gamma)
+at l = lam alone).  The partial sum G is memoized on (datum, a, beta, gamma)
 and leaves out the characters b with a + b not at or above gamma, on whose
 constituents K_{c,gamma} vanishes; the sum over a leaves out, by the same
 test, the characters a with a + beta not at or above gamma, since every b
@@ -70,8 +70,10 @@ goes down the orbit one simple reflection at a time, flipping the sign at each
 and keeping only points at or above gamma + rho in dominance.  Every such point
 that is not dominant reflects up to lam + rho through such points, so the
 walk reaches every contributing Weyl element without enumerating the Weyl
-group.  P_t is one memoized table per view.  Sums accumulate in flat
-{v-exponent: int} maps; ``LaurentPoly`` is built at the public boundary only.
+group.  P_t is one memoized table per view.  Every memo here is
+``functools.cache`` on a private function, keyed by the datum or view
+object itself.  Sums accumulate in flat {v-exponent: int} maps;
+``LaurentPoly`` is built at the public boundary only.
 
 Nothing here peels: the triangular peels against the Hall-Littlewood
 characters are kept in ``tests/hecke_oracle.py`` as oracles, and the
@@ -84,7 +86,7 @@ Maps are handed out read-only, cached or not.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -106,8 +108,6 @@ from .rootdata import (
     RootDatum,
     SubsystemView,
     coroot_numerators,
-    in_hull,
-    in_coroot_lattice,
     is_dominant,
     pairing,
     vec_add,
@@ -248,14 +248,6 @@ NUMERATOR_CAP = 60_000
 
 InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
-_numerator_cache: dict = {}
-_hl_cache: dict = {}
-_partition_cache: dict = {}
-_kf_cache: dict = {}
-_partial_cache: dict = {}
-_restricted_cache: dict = {}
-
-
 # A numerator coefficient is a polynomial in t, packed into one integer: the
 # coefficient of t^j is the j-th signed base-2^64 digit.  Every coefficient
 # of a Hall-Littlewood numerator and of its straightening is bounded by
@@ -279,12 +271,14 @@ def _unpack_t(p: int) -> dict:
     return out
 
 
-def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
+@cache
+def _numerator(view: SubsystemView, zeros: tuple[int, ...]) -> PackedWeights:
     """The product of (1 - t x^(-a)) over the view's positive coroots a whose
-    roots pair nonzero with the view-dominant mu, as a read-only
-    ``PackedWeights`` of exponent -> packed coefficient.  The factors depend
-    on mu only through the view's simple roots that vanish on it, so the
-    product is cached per view and zero set.
+    roots have support on a view index outside zeros, as a read-only
+    ``PackedWeights`` of exponent -> packed coefficient.  With zeros the
+    view indices where a view-dominant mu vanishes, these are the roots
+    that pair nonzero with mu, so the product is cached per view and zero
+    set.
 
     It is multiplied out in the packed form ``klimyk`` reads: each
     exponent w is the integer 2w in the signed digits of the view's
@@ -293,15 +287,11 @@ def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
     whose coordinates are bounded by the coroots' coordinates summed.  A
     product past ``NUMERATOR_CAP`` terms raises ``FeasibilityError`` before
     anything is cached."""
-    zeros = tuple(i for i in view.indices if not mu[i - 1])
-    key = (view.key, zeros)
-    cached = _numerator_cache.get(key)
-    if cached is not None:
-        return cached
     if len(view.positive_roots) >= _T_BITS - 1:
         raise AssertionError("numerator coefficients overflow their digits")
+    off = [i - 1 for i in view.indices if i not in zeros]
     coroots = [cv for r, cv in zip(view.positive_roots, view.positive_coroots)
-               if pairing(r, mu)]
+               if any(r[j] for j in off)]
     n = view.ambient_rank
     reach = max(sum(abs(cv[j]) for cv in coroots) for j in range(n))
     bits = _walks(view, 2 * reach).bits
@@ -317,37 +307,34 @@ def _numerator(view: SubsystemView, mu: Coweight) -> PackedWeights:
         # the map only grows, so a build that passes the cap here ends over it
         if len(terms) > NUMERATOR_CAP:
             raise FeasibilityError(
-                f"Hall-Littlewood numerator of {view.key} at {mu} has more "
-                f"than {NUMERATOR_CAP} terms", NUMERATOR_CAP)
-    cached = PackedWeights(n, reach, bits=bits,
-                           packed=[(k, p) for k, p in terms.items() if p])
-    _numerator_cache[key] = cached
-    return cached
+                f"Hall-Littlewood numerator of {view.key} with zero set "
+                f"{zeros} has more than {NUMERATOR_CAP} terms", NUMERATOR_CAP)
+    return PackedWeights(n, reach, bits=bits,
+                         packed=[(k, p) for k, p in terms.items() if p])
 
 
 def hall_littlewood_characters(view: SubsystemView,
                                mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
     Weyl characters, by Macdonald's formula taken over the cosets of the
-    stabilizer of mu: the characters of x^mu times ``_numerator(view, mu)``,
-    straightened and summed as packed coefficients by ``klimyk`` through the
-    view's memo.
+    stabilizer of mu: the characters of x^mu times ``_numerator`` at the
+    view indices where mu vanishes, straightened and summed as packed
+    coefficients by ``klimyk`` through the view's memo.
     Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
     the coroots off it, so nothing is divided.  Read-only, keyed by
     subsystem-dominant coweights in sorted order, monic at mu; coefficients
     lie in Z[t]."""
-    mu = tuple(mu)
-    key = (view.key, mu)
-    cached = _hl_cache.get(key)
-    if cached is not None:
-        return cached
+    return _hl_characters(view, tuple(mu))
+
+
+@cache
+def _hl_characters(view: SubsystemView, mu: Coweight) -> Mapping:
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
-    chars = klimyk(view, mu, _numerator(view, mu))
-    result = MappingProxyType({kappa: LaurentPoly(_unpack_t(p))
-                               for kappa, p in sorted(chars.items())})
-    _hl_cache[key] = result
-    return result
+    zeros = tuple(i for i in view.indices if not mu[i - 1])
+    chars = klimyk(view, mu, _numerator(view, zeros))
+    return MappingProxyType({kappa: LaurentPoly(_unpack_t(p))
+                             for kappa, p in sorted(chars.items())})
 
 
 def _expand(chars: Mapping[Coweight, LaurentPoly], decompose) -> dict:
@@ -414,16 +401,13 @@ def _tadd(p: tuple, q: tuple) -> tuple:
     return tuple(map(add, p, q)) + p[len(q):]
 
 
+@cache
 def _partition_table(datum: RootDatum, view: SubsystemView) -> tuple:
     """The view's non-simple positive coroots in simple-coroot coordinates,
     and its memo of partition-function values keyed by (level, point)."""
-    cached = _partition_cache.get(view.key)
-    if cached is None:
-        coords = (_view_coordinates(datum, view, coroot_numerators(datum, cv))
-                  for cv in view.positive_coroots)
-        cached = (tuple(a for a in coords if sum(a) > 1), {})
-        _partition_cache[view.key] = cached
-    return cached
+    coords = (_view_coordinates(datum, view, coroot_numerators(datum, cv))
+              for cv in view.positive_coroots)
+    return tuple(a for a in coords if sum(a) > 1), {}
 
 
 def _partition(roots: tuple, table: dict, k: int, d: tuple) -> tuple:
@@ -454,14 +438,11 @@ def _partition(roots: tuple, table: dict, k: int, d: tuple) -> tuple:
     return below
 
 
+@cache
 def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
                     gamma: Coweight) -> tuple:
     """K_{lam,gamma}(t) of the view as coefficients by power of t, () when
     zero; lam and gamma are view-dominant.  Cached."""
-    key = (view.key, lam, gamma)
-    cached = _kf_cache.get(key)
-    if cached is not None:
-        return cached
     top = _offset_above(datum, view, lam, gamma)
     acc: dict[int, int] = {}
     if top is not None:
@@ -490,11 +471,10 @@ def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
                         below.add(d[:pos] + (d[pos] - step,) + d[pos + 1:])
             level, sign = below, -sign
     degree = max((e for e, c in acc.items() if c), default=-1)
-    result = tuple(acc.get(e, 0) for e in range(degree + 1))
-    _kf_cache[key] = result
-    return result
+    return tuple(acc.get(e, 0) for e in range(degree + 1))
 
 
+@cache
 def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
                  gamma: Coweight) -> dict:
     """G(a, beta, gamma) = sum over b of B_b sum over c of n_{ab}^c
@@ -507,12 +487,8 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     tests read adj @ (x - gamma) >= 0, at x = c and at x = a + b, from the
     numerator memo; x - gamma lies in the coroot lattice whenever
     K_{c,gamma} can be nonzero, so the sign alone decides.
-    Cached on (type, a, beta, gamma), so every product whose first factor
-    has a in its expansion reuses it."""
-    key = (datum.cartan_type, a, beta, gamma)
-    cached = _partial_cache.get(key)
-    if cached is not None:
-        return cached
+    Cached on (datum, a, beta, gamma), so every product whose first factor
+    has a in its expansion reuses it; callers only read it."""
     view = datum.full
     low = coroot_numerators(datum, gamma)
     rest = tuple(map(sub, coroot_numerators(datum, a), low))
@@ -533,23 +509,17 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
                 for e, x in pb._c.items():
                     e -= 2 * deg
                     out[e] = out.get(e, 0) + k * x
-    _partial_cache[key] = out
     return out
 
 
+@cache
 def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
                            mu: Coweight) -> dict:
     """The upper view's Hall-Littlewood polynomial at mu restricted to the
     lower view's Weyl characters, through the cached branching
     multiplicities: {l: flat map}.  Cached; callers only read it."""
-    key = (upper.key, lower.key, mu)
-    cached = _restricted_cache.get(key)
-    if cached is not None:
-        return cached
-    out = _expand(hall_littlewood_characters(upper, mu),
-                  partial(restrict_decompose, upper, lower))
-    _restricted_cache[key] = out
-    return out
+    return _expand(hall_littlewood_characters(upper, mu),
+                   partial(restrict_decompose, upper, lower))
 
 
 def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
@@ -643,8 +613,11 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
 
 
 def _check_ct_support(datum: RootDatum, mu: Coweight, lam: Coweight) -> None:
-    if not (in_hull(datum, lam, mu)
-            and in_coroot_lattice(datum, vec_sub(mu, lam))):
+    """lam lies in the hull of the orbit of mu and in mu's coroot-lattice
+    coset exactly when mu minus the dominant point of lam's orbit is a
+    nonnegative integer combination of the simple coroots."""
+    full = datum.full
+    if _offset_above(datum, full, mu, full.dominate(lam)) is None:
         raise AssertionError("constant-term support escaped the weight hull")
 
 

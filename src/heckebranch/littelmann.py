@@ -38,6 +38,7 @@ load ``fractions``.
 
 from __future__ import annotations
 
+from functools import cache
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
@@ -61,9 +62,6 @@ Segment = tuple[RatVec, "Fraction"]
 Path = tuple[Segment, ...]
 # a path on an integer grid: (direction, duration) with integer entries
 GridPath = tuple[tuple[Coweight, int], ...]
-
-_crystal_cache: dict = {}
-
 
 # --- the integer routine --------------------------------------------------
 
@@ -242,6 +240,9 @@ class _Crystal:
         self.fibers = {w: tuple(f) for w, f in sorted(fibers.items())}
 
 
+_crystal_of = cache(_Crystal)
+
+
 def _crystal(datum: RootDatum, mu: Coweight) -> _Crystal:
     """The crystal at mu, cached.  Its size, the Weyl dimension at mu, is
     tested against ``characters.DIMENSION_CAP`` on every call, so a crystal
@@ -251,11 +252,7 @@ def _crystal(datum: RootDatum, mu: Coweight) -> _Crystal:
     cap = characters.DIMENSION_CAP
     if weyl_dim(datum.full, mu) > cap:
         raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
-    key = (datum.cartan_type, mu)
-    cached = _crystal_cache.get(key)
-    if cached is None:
-        cached = _crystal_cache[key] = _Crystal(datum, mu)
-    return cached
+    return _crystal_of(datum, mu)
 
 
 def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:

@@ -16,17 +16,19 @@ Conventions, fixed once here and relied on everywhere else:
   reflection at a time, each written through its simple coroot,
   ``x -> x - x[i-1] * (i-th simple coroot)``, skipping any reflection that
   fixes the point; a root is reflected by ``r -> r - <r, c_j> e_j``.  Each
-  orbit is walked once per view and cached under its dominant point.  No
-  Weyl group element is stored: the only trace of the longest one, ``w_0``,
-  is the diagram involution ``star``, the permutation of the simple roots
-  by ``-w_0``.
+  orbit is walked once per view and memoized under the view and its
+  dominant point.  No Weyl group element is stored: the only trace of the
+  longest one, ``w_0``, is the diagram involution ``star``, the permutation
+  of the simple roots by ``-w_0``.
 
 Supported type/rank pairs: A1..A6, B2..B5, C2..C5, D4, D5, F4, G2.  Everything
 is exact, and no floats appear anywhere.  Coroot coordinates are integer:
 each datum carries the integer adjugate of its Cartan matrix and its
-determinant, so the hull and coroot-lattice tests read signs and residues
-of ``adj @ x``.  ``coroot_numerators`` memoizes ``adj @ x`` per datum for
-the Hecke layer's dominance tests.  Heights are compared through the
+determinant, and ``coroot_numerators`` memoizes ``adj @ x`` per datum for
+the Hecke layer's dominance tests, which read its signs and residues.
+``root_datum`` and ``levi_view`` hand out one object per type and per
+Levi, and every memo here is ``functools.cache`` keyed by those objects,
+whose equality and hash are identity.  Heights are compared through the
 integer pairing with the sum of positive roots.  The dominance order on
 dominant coweights, which no sweep reads, lives in the test oracle
 ``tests/fraction_oracle.py``.
@@ -39,7 +41,7 @@ neither ``dataclasses`` nor ``fractions``.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 from math import lcm
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -192,27 +194,7 @@ class SubsystemView(_ReadOnly):
     def orbit(self, x: Sequence) -> frozenset:
         """The subsystem Weyl orbit of x, cached: walked once per view from
         its dominant point, skipping any reflection that fixes a point."""
-        top = self.dominate(x)
-        key = (self.key, top)
-        if key in _orbit_cache:
-            return _orbit_cache[key]
-        seen = {top}
-        frontier = [top]
-        coroots = self.simple_coroots
-        while frontier:
-            nxt = []
-            for y in frontier:
-                for i in self.indices:
-                    c = y[i - 1]
-                    if not c:
-                        continue
-                    z = tuple([a - c * b for a, b in zip(y, coroots[i])])
-                    if z not in seen:
-                        seen.add(z)
-                        nxt.append(z)
-            frontier = nxt
-        cached = _orbit_cache[key] = frozenset(seen)
-        return cached
+        return _orbit(self, self.dominate(x))
 
     def bilinear(self, x: Sequence, y: Sequence):
         """Weyl-invariant form on coweight coordinates (sum over positive roots
@@ -265,7 +247,27 @@ def _build_view(key: tuple, ambient_rank: int, indices: tuple[int, ...],
     )
 
 
-@lru_cache(maxsize=None)
+@cache
+def _orbit(view: SubsystemView, top: Coweight) -> frozenset:
+    seen = {top}
+    frontier = [top]
+    coroots = view.simple_coroots
+    while frontier:
+        nxt = []
+        for y in frontier:
+            for i in view.indices:
+                c = y[i - 1]
+                if not c:
+                    continue
+                z = tuple([a - c * b for a, b in zip(y, coroots[i])])
+                if z not in seen:
+                    seen.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    return frozenset(seen)
+
+
+@cache
 def _build(letter: str, rank: int) -> RootDatum:
     if letter not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[letter]:
         raise ConfigurationError(
@@ -325,22 +327,20 @@ def root_datum(type_str: str) -> RootDatum:
     return _build(s[0], int(s[1:]))
 
 
-_view_cache: dict = {}
-_orbit_cache: dict = {}   # (view key, dominant point) -> orbit
-
-
 def levi_view(datum: RootDatum, indices: Iterable[int]) -> SubsystemView:
     idx = tuple(sorted(set(int(i) for i in indices)))
     if any(i < 1 or i > datum.rank for i in idx):
         raise ConfigurationError(f"Levi indices {idx} out of range 1..{datum.rank}")
     if idx == tuple(range(1, datum.rank + 1)):
         return datum.full
-    key = (datum.cartan_type, idx)
-    if key not in _view_cache:
-        positive = list(zip(datum.positive_roots, datum.positive_coroots))
-        _view_cache[key] = _build_view(key, datum.rank, idx, positive,
-                                       datum.full.simple_coroots, datum.form)
-    return _view_cache[key]
+    return _levi_view(datum, idx)
+
+
+@cache
+def _levi_view(datum: RootDatum, idx: tuple[int, ...]) -> SubsystemView:
+    positive = list(zip(datum.positive_roots, datum.positive_coroots))
+    return _build_view((datum.cartan_type, idx), datum.rank, idx, positive,
+                       datum.full.simple_coroots, datum.form)
 
 
 def pairing(root: Sequence, coweight: Sequence):
@@ -372,37 +372,14 @@ def dual_star(datum: RootDatum, x: Sequence) -> tuple:
     return tuple([x[j] for j in datum.star])
 
 
-_coroot_numerator_cache: dict = {}   # cartan type -> {coweight: adj @ x}
-
-
+@cache
 def coroot_numerators(datum: RootDatum, x: Coweight) -> tuple:
     """The integer coroot numerators ``adj @ x`` of the integer coweight x:
     det times its coefficients over the simple coroots.  By linearity x is
     at or above y in dominance exactly when the numerators of x minus those
     of y are nonnegative and divisible by det.  Memoized per root datum; the
     tuples handed out are read-only."""
-    memo = _coroot_numerator_cache.get(datum.cartan_type)
-    if memo is None:
-        memo = _coroot_numerator_cache[datum.cartan_type] = {}
-    n = memo.get(x)
-    if n is None:
-        n = memo[x] = mat_apply(datum.cartan_adjugate, x)
-    return n
-
-
-def in_coroot_lattice(datum: RootDatum, x: Sequence) -> bool:
-    det = datum.cartan_det
-    return all(n % det == 0 for n in mat_apply(datum.cartan_adjugate, x))
-
-
-def in_hull(datum: RootDatum, x: Sequence, mu: Sequence) -> bool:
-    """Membership of x (rational allowed) in the convex hull of the Weyl orbit
-    of the dominant coweight mu."""
-    return all(n >= 0 for n in mat_apply(
-        datum.cartan_adjugate, vec_sub(mu, datum.full.dominate(x))))
-
-
-_dim_cache: dict = {}
+    return mat_apply(datum.cartan_adjugate, x)
 
 
 def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
@@ -411,12 +388,13 @@ def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
     half-sum of positive coroots as the shift).  Evaluated in doubled integer
     coordinates: prod <a, 2mu + 2rho_hat> divided exactly by
     prod <a, 2rho_hat>, and memoized per view and mu."""
+    return _weyl_dim(view, tuple(mu))
+
+
+@cache
+def _weyl_dim(view: SubsystemView, mu: Coweight) -> int:
     if not view.is_dominant(mu):
-        raise DomainError(f"{tuple(mu)} is not dominant for {view.key}")
-    key = (view.key, tuple(mu))
-    d = _dim_cache.get(key)
-    if d is not None:
-        return d
+        raise DomainError(f"{mu} is not dominant for {view.key}")
     shift = view.two_rho_hat
     shifted = tuple(2 * v + s for v, s in zip(mu, shift))
     num = den = 1
@@ -426,7 +404,6 @@ def weyl_dim(view: SubsystemView, mu: Sequence) -> int:
     d, rem = divmod(num, den)
     if rem:
         raise AssertionError("Weyl dimension came out non-integral")
-    _dim_cache[key] = d
     return d
 
 

@@ -44,13 +44,13 @@ from heckebranch.hecke import (
 from heckebranch.parabolic import geq_parabolic
 from heckebranch.rootdata import (
     dual_star,
-    in_coroot_lattice,
     is_dominant,
     mat_apply,
     pairing,
     vec_add,
     vec_sub,
 )
+from fraction_oracle import in_coroot_lattice
 from peel_oracle import peel, peel_height
 from weyl_oracle import dot_straighten, group
 

@@ -251,7 +251,7 @@ def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
 def test_packing_never_aliases(monkeypatch):
     # coordinates far past any digit width a sweep needs: the view's digits
     # must grow to hold them, not wrap around onto other points
-    monkeypatch.setattr(characters, "_tensor_cache", {})
+    characters._tensor.cache_clear()
     monkeypatch.setattr(characters, "_straighten_cache", {})
     d = root_datum("A2")
     big, huge = 2 ** 40, 2 ** 70
@@ -263,7 +263,7 @@ def test_packing_never_aliases(monkeypatch):
         (huge - 2, 4): 1, (huge - 1, 2): 1, (huge - 1, 5): 1, (huge, 3): 2,
         (huge + 1, 1): 1, (huge + 1, 4): 1, (huge + 2, 2): 1}
     # and the narrow products still come out right after the widening
-    monkeypatch.setattr(characters, "_tensor_cache", {})
+    characters._tensor.cache_clear()
     assert tensor_decompose(d, (1, 1), (1, 1)) == tensor_decompose_by_tables(
         d, (1, 1), (1, 1))
 
@@ -286,8 +286,9 @@ def test_packed_weights_cannot_be_mutated(monkeypatch):
     # the packed pairs are the cached table's own: appending to them once
     # changed every later decomposition that read the table, and a smaller
     # coordinate bound made its packed points alias
-    for name in ("_table_cache", "_tensor_cache", "_straighten_cache"):
-        monkeypatch.setattr(characters, name, {})
+    characters._freudenthal.cache_clear()
+    characters._tensor.cache_clear()
+    monkeypatch.setattr(characters, "_straighten_cache", {})
     d = root_datum("A2")
     want = {(0, 1): 1, (2, 0): 1}
     assert tensor_decompose(d, (1, 0), (1, 0)) == want
@@ -300,18 +301,35 @@ def test_packed_weights_cannot_be_mutated(monkeypatch):
     for name in ("rank", "reach"):
         with pytest.raises(AttributeError):
             setattr(weight_table(d.full, (1, 0)), name, 0)
-    monkeypatch.setattr(characters, "_tensor_cache", {})
+    characters._tensor.cache_clear()
     assert tensor_decompose(d, (1, 0), (1, 0)) == want
+
+
+def test_dimension_cap_hit_caches_no_table(monkeypatch):
+    # the cap is checked on a miss and raises before the table is stored:
+    # the same call under the restored cap computes the table afresh
+    view = levi_view(root_datum("B3"), (2, 3))
+    mu = (-1, 1, 1)
+    characters._freudenthal.cache_clear()
+    size = characters._freudenthal.cache_info().currsize
+    cap = characters.DIMENSION_CAP
+    monkeypatch.setattr(characters, "DIMENSION_CAP", weyl_dim(view, mu) - 1)
+    with pytest.raises(FeasibilityError):
+        weight_table(view, mu)
+    assert characters._freudenthal.cache_info().currsize == size
+    monkeypatch.setattr(characters, "DIMENSION_CAP", cap)
+    assert weight_table(view, mu) == weyl_oracle.weight_table(view, mu)
+    assert characters._freudenthal.cache_info().currsize == size + 1
 
 
 @pytest.mark.parametrize("type_str", [
     "A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "C2", "C3",
     "C4", "C5", "D4", "D5", "F4", "G2"])
-def test_one_pass_tables_match_the_two_pass_oracle(monkeypatch, type_str):
+def test_one_pass_tables_match_the_two_pass_oracle(type_str):
     # every highest weight of height at most 2 on the full view, at most 1
     # above rank 4, of dimension at most 2,000; up to rank 3 also on every
     # Levi, with highest weights that are negative off the Levi
-    monkeypatch.setattr(characters, "_table_cache", {})
+    characters._freudenthal.cache_clear()
     d = root_datum(type_str)
     top = 2 if d.rank <= 4 else 1
     views = [d.full] if d.rank > 3 else [

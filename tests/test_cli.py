@@ -214,7 +214,7 @@ def test_internal_error_exit_status(monkeypatch, capsys):
     monkeypatch.setattr(characters, "weight_table",
                         lambda view, mu: {(-2, 0): 1})
     # an earlier test's cached restriction would skip the straightening
-    monkeypatch.setattr(characters, "_branch_cache", {})
+    characters._restrict.cache_clear()
     code, stdout, stderr = run_cli(
         ["compute", "r", "--type", "A2", "--levi", "1",
          "--mu", "1,1", "--lambda", "1,1"], capsys)

@@ -337,8 +337,10 @@ def test_skips_are_recorded_not_dropped(monkeypatch):
 def _fresh_caches(monkeypatch):
     # caps are checked on cache misses only, so start from empty caches
     for module in (characters, hecke, littelmann):
-        for name in [n for n in vars(module) if n.endswith("_cache")]:
-            monkeypatch.setattr(module, name, {})
+        for fn in vars(module).values():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()
+    monkeypatch.setattr(characters, "_straighten_cache", {})
 
 
 PER_MU_AND_INSTANCE = ("crystal", "hecke_paths", "ct_transitivity",

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle
 import hecke_oracle
 import weyl_oracle
+from fraction_oracle import in_coroot_lattice
 from hecke_oracle import (
     kostka_foulkes,
     product_identity_sides,
@@ -25,7 +26,7 @@ from heckebranch.characters import (
     tensor_multiplicity,
     weight_table,
 )
-from heckebranch.errors import DomainError
+from heckebranch.errors import DomainError, FeasibilityError
 from heckebranch.harness import (
     SweepConfig,
     dominant_coweights_up_to,
@@ -46,7 +47,6 @@ from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
     coroot_numerators,
     dual_star,
-    in_coroot_lattice,
     levi_view,
     pairing,
     rho_height,
@@ -125,24 +125,58 @@ def test_packed_numerator_matches_the_tuple_product(type_str):
     d = root_datum(type_str)
     for view in (d.full, levi_view(d, (1,))):
         for zeros, mu in _zero_sets_and_weights(view):
-            assert hecke._numerator(view, mu) \
+            assert hecke._numerator(view, zeros) \
                 == hecke_oracle.numerator(view, zeros)
 
 
 def test_numerator_digit_overflow_is_an_internal_error(monkeypatch):
     # A3 has 6 positive roots: coefficients up to 2^6 overflow 6-bit digits
-    monkeypatch.setattr(hecke, "_numerator_cache", {})
+    hecke._numerator.cache_clear()
     monkeypatch.setattr(hecke, "_T_BITS", 6)
     with pytest.raises(AssertionError, match="overflow"):
-        hecke._numerator(root_datum("A3").full, (1, 1, 1))
+        hecke._numerator(root_datum("A3").full, ())
+
+
+def test_numerator_cap_hit_caches_nothing(monkeypatch):
+    # a regular A3 weight's numerator has up to 2^6 terms: a cap of 10 stops
+    # it before it is stored, and the restored cap builds it afresh
+    view = root_datum("A3").full
+    hecke._numerator.cache_clear()
+    size = hecke._numerator.cache_info().currsize
+    cap = hecke.NUMERATOR_CAP
+    monkeypatch.setattr(hecke, "NUMERATOR_CAP", 10)
+    with pytest.raises(FeasibilityError, match=r"zero set \(\) has more than 10"):
+        hecke._numerator(view, ())
+    assert hecke._numerator.cache_info().currsize == size
+    monkeypatch.setattr(hecke, "NUMERATOR_CAP", cap)
+    assert hecke._numerator(view, ()) == hecke_oracle.numerator(view, ())
+    assert hecke._numerator.cache_info().currsize == size + 1
+
+
+def test_partition_cap_hit_caches_nothing(monkeypatch):
+    # (1, 1) - (0, 0) on A2 is one simple coroot of each kind, a box of 4
+    # partition-table points: a cap of 3 stops the polynomial before it is
+    # stored, and the restored cap computes it afresh
+    d = root_datum("A2")
+    hecke._kostka_foulkes.cache_clear()
+    size = hecke._kostka_foulkes.cache_info().currsize
+    cap = hecke.PARTITION_CAP
+    monkeypatch.setattr(hecke, "PARTITION_CAP", 3)
+    with pytest.raises(FeasibilityError):
+        hecke._kostka_foulkes(d, d.full, (1, 1), (0, 0))
+    assert hecke._kostka_foulkes.cache_info().currsize == size
+    monkeypatch.setattr(hecke, "PARTITION_CAP", cap)
+    # K_{theta,0} is t + t^2, t to the exponents of A2
+    assert hecke._kostka_foulkes(d, d.full, (1, 1), (0, 0)) == (0, 1, 1)
+    assert hecke._kostka_foulkes.cache_info().currsize == size + 1
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_numerator_straightening_matches_the_full_walk(type_str):
     d = root_datum(type_str)
     for view in (d.full, levi_view(d, (1,))):
-        for _, mu in _zero_sets_and_weights(view):
-            terms = hecke._numerator(view, mu)
+        for zeros, mu in _zero_sets_and_weights(view):
+            terms = hecke._numerator(view, zeros)
             for table in (terms, weyl_oracle.tagged(terms)):
                 assert list(klimyk(view, mu, table).items()) \
                     == list(weyl_oracle.klimyk(view, mu, table).items())
@@ -533,13 +567,12 @@ def test_pointwise_coefficients_match_the_peels(type_str):
 
 @pytest.mark.parametrize("type_str", ["A3", "B3"])
 @pytest.mark.parametrize("product_first", [False, True])
-def test_partial_sums_do_not_depend_on_call_order(monkeypatch, type_str,
-                                                  product_first):
+def test_partial_sums_do_not_depend_on_call_order(type_str, product_first):
     # from empty partial-sum and Kostka-Foulkes memos, point-wise structure
     # constants asked for before any product and after one both match the
     # peel: what the memos hold does not depend on which call filled them
-    for name in ("_partial_cache", "_kf_cache"):
-        monkeypatch.setattr(hecke, name, {})
+    hecke._partial_sum.cache_clear()
+    hecke._kostka_foulkes.cache_clear()
     d = root_datum(type_str)
     pairs, _ = _pairs_and_levis(d)
     for a, b in pairs:

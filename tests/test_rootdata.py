@@ -14,13 +14,11 @@ from peel_oracle import peel, solve_exact
 
 from heckebranch import rootdata
 from heckebranch.errors import ConfigurationError, DomainError
-from heckebranch.hecke import LaurentPoly, orbit_size
+from heckebranch.hecke import LaurentPoly, _check_ct_support, orbit_size
 from heckebranch.rootdata import (
     cartan_matrix,
     coroot_numerators,
     dual_star,
-    in_coroot_lattice,
-    in_hull,
     k_phi,
     levi_view,
     pairing,
@@ -215,12 +213,12 @@ def test_dominate_and_orbit():
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
-def test_cached_orbits_match_the_uncached_search(monkeypatch, type_str):
+def test_cached_orbits_match_the_uncached_search(type_str):
     # singular and regular points, dominant or not, on every Levi from the
     # torus up to the full view: each orbit equals the breadth-first search
     # from the point itself, and is the one entry cached under the view and
     # the point's dominant representative
-    monkeypatch.setattr(rootdata, "_orbit_cache", {})
+    rootdata._orbit.cache_clear()
     d = root_datum(type_str)
     views = [levi_view(d, idx) for r in range(d.rank + 1)
              for idx in itertools.combinations(range(1, d.rank + 1), r)]
@@ -229,26 +227,24 @@ def test_cached_orbits_match_the_uncached_search(monkeypatch, type_str):
             got = view.orbit(x)
             assert got == weyl_oracle.orbit(view, x), (view.key, x)
             top = view.dominate(x)
-            assert rootdata._orbit_cache[(view.key, top)] is got
+            assert rootdata._orbit(view, top) is got
             assert view.orbit(top) is got
     # one entry per view and dominant point: no two views share one
-    assert len(rootdata._orbit_cache) == sum(
+    assert rootdata._orbit.cache_info().currsize == sum(
         len({view.dominate(x) for x in _box(d.rank, -2, 2)}) for view in views)
-    assert {key for key, _ in rootdata._orbit_cache} \
-        == {view.key for view in views}
 
 
-def test_full_and_levi_orbits_are_cached_apart(monkeypatch):
+def test_full_and_levi_orbits_are_cached_apart():
     # the same point, walked first under a Levi and then under the full
     # view, and the other way round
     d = root_datum("B2")
     levi = levi_view(d, (1,))
     for order in ((levi, d.full), (d.full, levi)):
-        monkeypatch.setattr(rootdata, "_orbit_cache", {})
+        rootdata._orbit.cache_clear()
         got = {view.key: view.orbit((1, 1)) for view in order}
         assert got[levi.key] == {(1, 1), (-1, 2)}
         assert len(got[d.full.key]) == 8
-        assert len(rootdata._orbit_cache) == 2
+        assert rootdata._orbit.cache_info().currsize == 2
 
 
 @settings(max_examples=60, derandomize=True)
@@ -277,18 +273,18 @@ def test_coroot_coefficients():
     d = root_datum("A2")
     # highest coroot = alpha1^ + alpha2^ has coweight coordinates (1, 1)
     assert fraction_oracle.coroot_coefficients(d, (1, 1)) == (1, 1)
-    assert in_coroot_lattice(d, (1, 1))
-    assert not in_coroot_lattice(d, (1, 0))
-    assert in_coroot_lattice(d, (2, -1))
+    assert fraction_oracle.in_coroot_lattice(d, (1, 1))
+    assert not fraction_oracle.in_coroot_lattice(d, (1, 0))
+    assert fraction_oracle.in_coroot_lattice(d, (2, -1))
 
 
 def test_in_hull():
     d = root_datum("A2")
     table_mu = (1, 1)
-    assert in_hull(d, (0, 0), table_mu)
-    assert in_hull(d, (-1, 2), table_mu)
-    assert not in_hull(d, (2, 2), table_mu)
-    assert in_hull(d, (1, 1), table_mu)
+    assert fraction_oracle.in_hull(d, (0, 0), table_mu)
+    assert fraction_oracle.in_hull(d, (-1, 2), table_mu)
+    assert not fraction_oracle.in_hull(d, (2, 2), table_mu)
+    assert fraction_oracle.in_hull(d, (1, 1), table_mu)
 
 
 def _box(rank: int, lo: int, hi: int) -> list:
@@ -309,9 +305,6 @@ def test_coroot_predicates_match_fraction_oracle(type_str):
     d = root_datum(type_str)
     n = d.rank
     points = _points(d)
-    # rational points: a half and a third of every other box point
-    rational = [tuple(Fraction(v, den) for v in x)
-                for den in (2, 3) for x in points[::2]]
     if n <= 3:
         mus = _box(n, 0, 1) + [(2,) * n]
     else:
@@ -323,12 +316,16 @@ def test_coroot_predicates_match_fraction_oracle(type_str):
         assert type(nums) is tuple and coroot_numerators(d, x) is nums
         assert tuple(Fraction(v, d.cartan_det) for v in nums) \
             == fraction_oracle.coroot_coefficients(d, x)
-    for x in points + rational:
-        assert in_coroot_lattice(d, x) == fraction_oracle.in_coroot_lattice(d, x)
+    # the constant-term support check passes exactly on the points of the
+    # orbit hull of mu in mu's coroot-lattice coset
+    for x in points:
         for mu in mus:
-            assert in_hull(d, x, mu) == fraction_oracle.in_hull(d, x, mu), (x, mu)
-    assert not any(in_coroot_lattice(d, x) for x in rational
-                   if any(v.denominator != 1 for v in x))
+            if fraction_oracle.in_hull(d, x, mu) and \
+                    fraction_oracle.in_coroot_lattice(d, vec_sub(mu, x)):
+                _check_ct_support(d, mu, x)
+            else:
+                with pytest.raises(AssertionError):
+                    _check_ct_support(d, mu, x)
 
 
 def test_coroot_adjugate():
@@ -390,12 +387,12 @@ def test_weyl_dim_matches_fraction_formula(type_str):
 
 
 @pytest.mark.parametrize("type_str", sorted(WEYL_ORDERS))
-def test_lattice_kernels_match_the_group_elements(monkeypatch, type_str):
+def test_lattice_kernels_match_the_group_elements(type_str):
     # orbits walked by simple coroots against the images under every Weyl
     # element's matrix, at dominant and non-dominant points, on the full view
     # and every Levi; the dimension memo still rejects non-dominant weights
     # once it holds dominant ones
-    monkeypatch.setattr(rootdata, "_dim_cache", {})
+    rootdata._weyl_dim.cache_clear()
     d = root_datum(type_str)
     n = d.rank
     points = _box(n, -1, 1)
@@ -411,16 +408,19 @@ def test_lattice_kernels_match_the_group_elements(monkeypatch, type_str):
             dominant = [x for x in points if view.is_dominant(x)]
             off = [x for x in points if not view.is_dominant(x)]
             assert dominant and (off or not idx)
-            assert not any(k[0] == view.key for k in rootdata._dim_cache)
+            size = rootdata._weyl_dim.cache_info().currsize
             for x in off:
                 with pytest.raises(DomainError):
                     weyl_dim(view, x)
+            assert rootdata._weyl_dim.cache_info().currsize == size
             for x in dominant:
                 assert weyl_dim(view, x) == _weyl_dim_by_fractions(view, x)
-            assert all((view.key, x) in rootdata._dim_cache for x in dominant)
+            size += len(set(dominant))
+            assert rootdata._weyl_dim.cache_info().currsize == size
             for x in off:
                 with pytest.raises(DomainError):
                     weyl_dim(view, x)
+            assert rootdata._weyl_dim.cache_info().currsize == size
 
 
 def test_weyl_dim_dual_side_values():
