@@ -16,25 +16,27 @@ coordinates.  Its walk to the dominant chamber reflects a list in place and
 stops at the first point that a simple reflection fixes, since that term
 straightens to zero.
 
-Each orbit, table and point is walked once per view.  Tables, tensor
-products, restrictions and coroot strings are memoized by
-``functools.cache`` on private functions keyed by the view or datum
-object.  One cached Freudenthal pass gives both ``dominant_weights`` and
-``weight_table``, expanding each dominant weight's orbit into the table as
-it goes.  It walks each coroot string kappa + k cv on forms built once per
-view, the vector form(., cv) and the number (cv, cv): the pairing
-(kappa + k cv, cv) is (kappa, cv) + k (cv, cv), and each step adds cv to
-the point.  Weight tables are ``PackedWeights``: besides the plain map they
-hold every weight w packed into one integer, 2w in signed digits of one
-base per view, so the doubled point 2(top + w) + 2 rho_hat of a term is
-the packed 2(top + rho_hat) plus the packed 2w, one integer addition.
-``klimyk`` keeps one memo per view from that integer to the walk's result,
-its dominant highest weight and sign or a wall, decodes and walks a point
-only on a miss, and adds each term into its sum in place.  The memo is
-shared by every caller under the view: tensor products, restrictions and
-``hecke``'s Hall-Littlewood numerators, which are built packed in the same
-base.  The base grows, and the memo starts afresh, whenever a call brings
-a coordinate its digits cannot hold, so packing never aliases two points.
+Each orbit and table is built once per view, and each point walked once per
+view and digit width.  Tables, tensor products, restrictions, coroot
+strings and walk states are memoized by ``functools.cache`` on private
+functions keyed by the view or datum object.  One cached Freudenthal pass
+gives both ``dominant_weights`` and ``weight_table``, expanding each
+dominant weight's orbit into the table as it goes.  It walks each coroot
+string kappa + k cv on forms built once per view, the vector form(., cv)
+and the number (cv, cv): the pairing (kappa + k cv, cv) is (kappa, cv) + k
+(cv, cv), and each step adds cv to the point.  Weight tables are
+``PackedWeights``: besides the plain map they hold every weight w packed
+into one integer, 2w in signed digits of a given width, so the doubled
+point 2(top + w) + 2 rho_hat of a term is the packed 2(top + rho_hat) plus
+the packed 2w, one integer addition.  The width of a call is ``_width`` of
+the largest coordinate it can reach: the least power of two, at least 8,
+whose signed digits hold it, so packing never aliases two points.
+``klimyk`` keeps one memo per view and width, ``_walks``, from that integer
+to the walk's result, its dominant highest weight and sign or a wall,
+decodes and walks a point only on a miss, and adds each term into its sum
+in place.  The memo is shared by every caller under the view: tensor
+products, restrictions and ``hecke``'s Hall-Littlewood numerators, which
+are built packed at their own ``_width``.
 """
 
 from __future__ import annotations
@@ -57,10 +59,6 @@ from .rootdata import (
 )
 
 DIMENSION_CAP = 200_000
-
-# view key -> _Walks: per-view walk state, replaced when the digits widen,
-# so not a memo of a pure function
-_straighten_cache: dict = {}
 
 
 def _pack(x: Sequence[int], bits: int) -> int:
@@ -87,18 +85,18 @@ def _unpack(k: int, bits: int, n: int) -> list:
 
 class PackedWeights(Mapping):
     """A read-only map weight -> coefficient that also holds each weight w
-    packed as ``_pack(2w, bits)``, the form ``klimyk`` reads.  The
-    packed pairs are kept for the last digit width asked for and rebuilt
-    when a view asks for another.  ``_reach`` bounds every coordinate of
-    every weight.  Weights built packed (``hecke``'s numerators) are decoded
-    into the plain map only when it is first read."""
+    packed as ``_pack(2w, bits)``, the form ``klimyk`` reads, once for each
+    digit width asked for.  ``_reach`` bounds every coordinate of every
+    weight.  Weights built packed (``hecke``'s numerators) are decoded from
+    the width they were built at into the plain map only when it is first
+    read."""
 
-    __slots__ = ("_rank", "_reach", "_plain", "_bits", "_packed")
+    __slots__ = ("_rank", "_reach", "_plain", "_packed")
 
     def __init__(self, rank: int, reach: int, plain: Optional[Mapping] = None,
                  bits: int = 0, packed: Sequence = ()):
-        self._rank, self._reach = rank, reach
-        self._plain, self._bits, self._packed = plain, bits, tuple(packed)
+        self._rank, self._reach, self._plain = rank, reach, plain
+        self._packed = {bits: tuple(packed)} if plain is None else {}
 
     @classmethod
     def of(cls, weights: Mapping) -> "PackedWeights":
@@ -109,18 +107,19 @@ class PackedWeights(Mapping):
 
     def packed(self, bits: int) -> tuple:
         """The pairs (``_pack(2w, bits)``, coefficient), read-only."""
-        if bits != self._bits:
-            self._packed = tuple([(_pack(w, bits) << 1, m)
-                                  for w, m in self._table().items()])
-            self._bits = bits
-        return self._packed
+        pairs = self._packed.get(bits)
+        if pairs is None:
+            pairs = self._packed[bits] = tuple([
+                (_pack(w, bits) << 1, m) for w, m in self._table().items()])
+        return pairs
 
     def _table(self) -> dict:
         if self._plain is None:
-            bits, n = self._bits, self._rank
+            (bits, pairs), = self._packed.items()
+            n = self._rank
             offset = _offset(bits, n)
             self._plain = {tuple(_unpack((k >> 1) + offset, bits, n)): m
-                           for k, m in self._packed}
+                           for k, m in pairs}
         return self._plain
 
     def __getitem__(self, w):
@@ -130,7 +129,7 @@ class PackedWeights(Mapping):
         return iter(self._table())
 
     def __len__(self) -> int:
-        return len(self._packed if self._plain is None else self._plain)
+        return len(self._table())
 
     def items(self):
         return self._table().items()
@@ -139,36 +138,27 @@ class PackedWeights(Mapping):
         return f"PackedWeights({self._table()!r})"
 
 
-class _Walks:
-    """One view's straightening state: the digit width of its packed
-    points, and the memo from a packed doubled point to its walk's result,
-    (dominant highest weight, sign) or () on a wall.  Equal results share one
-    tuple.  Memo keys carry ``_offset``, so a miss decodes by shifts and
-    masks."""
-
-    __slots__ = ("bits", "offset", "memo", "results", "reflect")
-
-    def __init__(self, view: SubsystemView, bits: int):
-        self.bits = bits
-        self.offset = _offset(bits, view.ambient_rank)
-        self.memo: dict = {}
-        self.results: dict = {}
-        coroots = view.simple_coroots
-        self.reflect = tuple(
-            (i - 1, tuple((j, c) for j, c in enumerate(coroots[i]) if c))
-            for i in view.indices)
+def _width(reach: int) -> int:
+    """The least power of two, at least 8, whose signed digits hold every
+    coordinate of absolute value at most reach."""
+    bits = 8
+    while reach >> (bits - 1):
+        bits *= 2
+    return bits
 
 
-def _walks(view: SubsystemView, reach: int) -> _Walks:
-    """The view's straightening state, with digits that hold every
-    coordinate of absolute value at most reach.  A wider reach than the
-    digits hold replaces the state by one with at least twice the width and
-    an empty memo."""
-    walks = _straighten_cache.get(view.key)
-    if walks is None or reach >> (walks.bits - 1):
-        bits = max(2 * walks.bits if walks else 0, 2 * reach.bit_length() + 2)
-        walks = _straighten_cache[view.key] = _Walks(view, bits)
-    return walks
+@cache
+def _walks(view: SubsystemView, bits: int) -> tuple:
+    """The view's straightening state at a digit width: the ``_offset`` that
+    memo keys carry, so a miss decodes by shifts and masks; the memo from a
+    packed doubled point to its walk's result, (dominant highest weight,
+    sign) or () on a wall; the pool in which equal results share one tuple;
+    and the simple reflections as (index, nonzero coroot entries)."""
+    coroots = view.simple_coroots
+    reflect = tuple(
+        (i - 1, tuple((j, c) for j, c in enumerate(coroots[i]) if c))
+        for i in view.indices)
+    return _offset(bits, view.ambient_rank), {}, {}, reflect
 
 
 def _check_cap(view: SubsystemView, mu: Coweight) -> None:
@@ -281,23 +271,23 @@ def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
     coefficients.  Works in doubled coordinates, which keep rho_hat integral
     on every view.
 
-    A ``PackedWeights`` is read in its packed form; any other map is packed
-    first.  Each doubled point is looked up in the view's memo by its packed
-    integer and walked only on a miss: up one simple reflection at a time,
-    reflected in place through the nonzero entries of the simple coroot, and
-    dropped at the first point of its walk with a zero coordinate at a view
-    index, where a simple reflection fixes it and its orbit meets the
-    dominant chamber on a wall."""
+    A ``PackedWeights`` is read in its packed form at the call's ``_width``;
+    any other map is packed first.  Each doubled point is looked up in the
+    view's memo at that width by its packed integer and walked only on a
+    miss: up one simple reflection at a time, reflected in place through
+    the nonzero entries of the simple coroot, and dropped at the first point
+    of its walk with a zero coordinate at a view index, where a simple
+    reflection fixes it and its orbit meets the dominant chamber on a
+    wall."""
     if not isinstance(weights, PackedWeights):
         weights = PackedWeights.of(weights)
     shift = view.two_rho_hat
     start = [2 * a + s for a, s in zip(top, shift)]
-    walks = _walks(view, max(map(abs, start), default=0) + 2 * weights._reach)
-    memo, results, reflect, bits = (walks.memo, walks.results, walks.reflect,
-                                    walks.bits)
+    bits = _width(max(map(abs, start), default=0) + 2 * weights._reach)
+    offset, memo, results, reflect = _walks(view, bits)
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     digits = range(0, bits * len(shift), bits)
-    base = _pack(start, bits) + walks.offset
+    base = _pack(start, bits) + offset
     out: dict = {}
     get = out.get
     for k, m in weights.packed(bits):

@@ -332,7 +332,6 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
                         composed[tau] = cur
                     else:
                         composed.pop(tau, None)
-            direct = {kk: pp for kk, pp in direct.items() if pp}
             verdicts["ct_transitivity"] = _verdict_all([composed == direct])
         except FeasibilityError as e:
             verdicts["ct_transitivity"] = SKIPPED

@@ -18,11 +18,12 @@ shifted by mu are straightened by the dot action and summed by
 ``characters.klimyk``, the step of the Klimyk tensor rule.  Its
 coefficients, polynomials in t, are packed into one integer each while they
 are multiplied out and summed.  Its exponents are packed too, and stay
-packed: the numerator is multiplied out straight into the view's
-straightening base (``characters.PackedWeights``), so a term shifted by mu
-is one integer addition, and a point that another weight's numerator, a
-tensor product or a restriction under the same view already reached is read
-from the view's straightening memo instead of walked again.
+packed: the numerator is multiplied out straight into signed digits of the
+width ``characters._width`` gives it (``characters.PackedWeights``), so a
+term shifted by mu is one integer addition, and a point that another
+weight's numerator, a tensor product or a restriction under the same view
+already reached at that width is read from the view's straightening memo
+instead of walked again.
 
 Structure constants and constant-term coefficients are computed one
 coefficient at a time through Kostka-Foulkes polynomials, which expand a Weyl
@@ -95,7 +96,7 @@ from typing import Mapping, Optional
 from .characters import (
     PackedWeights,
     _pack,
-    _walks,
+    _width,
     dominant_support,
     dominant_weights,
     klimyk,
@@ -281,12 +282,12 @@ def _numerator(view: SubsystemView, zeros: tuple[int, ...]) -> PackedWeights:
     set.
 
     It is multiplied out in the packed form ``klimyk`` reads: each
-    exponent w is the integer 2w in the signed digits of the view's
-    straightening base, so stepping down a coroot is one subtraction and no
-    exponent is decoded.  The digits are wide enough for every partial sum,
-    whose coordinates are bounded by the coroots' coordinates summed.  A
-    product past ``NUMERATOR_CAP`` terms raises ``FeasibilityError`` before
-    anything is cached."""
+    exponent w is the integer 2w in signed digits of the width
+    ``characters._width`` gives twice the reach, so stepping down a coroot
+    is one subtraction and no exponent is decoded.  The digits are wide
+    enough for every partial sum, whose coordinates are bounded by the
+    coroots' coordinates summed.  A product past ``NUMERATOR_CAP`` terms
+    raises ``FeasibilityError`` before anything is cached."""
     if len(view.positive_roots) >= _T_BITS - 1:
         raise AssertionError("numerator coefficients overflow their digits")
     off = [i - 1 for i in view.indices if i not in zeros]
@@ -294,7 +295,7 @@ def _numerator(view: SubsystemView, zeros: tuple[int, ...]) -> PackedWeights:
                if any(r[j] for j in off)]
     n = view.ambient_rank
     reach = max(sum(abs(cv[j]) for cv in coroots) for j in range(n))
-    bits = _walks(view, 2 * reach).bits
+    bits = _width(2 * reach)
     terms = {0: 1}
     for cv in coroots:
         step = _pack(cv, bits) << 1
@@ -323,21 +324,24 @@ def hall_littlewood_characters(view: SubsystemView,
     Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
     the coroots off it, so nothing is divided.  Read-only, keyed by
     subsystem-dominant coweights in sorted order, monic at mu; coefficients
-    lie in Z[t]."""
-    return _hl_characters(view, tuple(mu))
+    lie in Z[t], built afresh from the cached flat maps on each call."""
+    return MappingProxyType({kappa: LaurentPoly(p) for kappa, p
+                             in _hl_characters(view, tuple(mu)).items()})
 
 
 @cache
 def _hl_characters(view: SubsystemView, mu: Coweight) -> Mapping:
+    """``hall_littlewood_characters`` as {kappa: flat {v-exponent: int}
+    map}.  Cached; callers only read it."""
     if not view.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant for {view.key}")
     zeros = tuple(i for i in view.indices if not mu[i - 1])
     chars = klimyk(view, mu, _numerator(view, zeros))
-    return MappingProxyType({kappa: LaurentPoly(_unpack_t(p))
+    return MappingProxyType({kappa: _unpack_t(p)
                              for kappa, p in sorted(chars.items())})
 
 
-def _expand(chars: Mapping[Coweight, LaurentPoly], decompose) -> dict:
+def _expand(chars: Mapping[Coweight, dict], decompose) -> dict:
     """sum over kappa of chars[kappa] times decompose(kappa): a character
     expansion pushed through a decomposition of each character, as
     {key: flat {v-exponent: int} map}."""
@@ -345,7 +349,7 @@ def _expand(chars: Mapping[Coweight, LaurentPoly], decompose) -> dict:
     for kappa, p in chars.items():
         for lam, r in decompose(kappa).items():
             acc = out.setdefault(lam, {})
-            for e, x in p._c.items():
+            for e, x in p.items():
                 acc[e] = acc.get(e, 0) + r * x
     return out
 
@@ -356,7 +360,7 @@ def hall_littlewood(datum: RootDatum, view: SubsystemView,
     expansion of ``hall_littlewood_characters`` written in orbit sums through
     ``dominant_weights``.  Exact; returns a read-only map of orbit sums keyed
     by subsystem-dominant coweights, monic at mu."""
-    out = _expand(hall_littlewood_characters(view, mu),
+    out = _expand(_hl_characters(view, tuple(mu)),
                   partial(dominant_weights, view))
     polys = ((lam, LaurentPoly(p)) for lam, p in sorted(out.items()))
     return MappingProxyType({lam: p for lam, p in polys if p})
@@ -493,7 +497,7 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     low = coroot_numerators(datum, gamma)
     rest = tuple(map(sub, coroot_numerators(datum, a), low))
     out: dict[int, int] = {}
-    for b, pb in hall_littlewood_characters(view, beta).items():
+    for b, pb in _hl_characters(view, beta).items():
         if min(map(add, rest, coroot_numerators(datum, b))) < 0:
             continue
         # sum over c of n_{ab}^c K_{c,gamma}, by power of t
@@ -506,7 +510,7 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
                     kf[deg] = kf.get(deg, 0) + n * k
         for deg, k in kf.items():
             if k:
-                for e, x in pb._c.items():
+                for e, x in pb.items():
                     e -= 2 * deg
                     out[e] = out.get(e, 0) + k * x
     return out
@@ -518,7 +522,7 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
     """The upper view's Hall-Littlewood polynomial at mu restricted to the
     lower view's Weyl characters, through the cached branching
     multiplicities: {l: flat map}.  Cached; callers only read it."""
-    return _expand(hall_littlewood_characters(upper, mu),
+    return _expand(_hl_characters(upper, mu),
                    partial(restrict_decompose, upper, lower))
 
 
@@ -540,13 +544,13 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
     rest = tuple(map(sub, coroot_numerators(datum, beta),
                      coroot_numerators(datum, gamma)))
     out: dict[int, int] = {}
-    for a, pa in hall_littlewood_characters(view, alpha).items():
+    for a, pa in _hl_characters(view, alpha).items():
         # every b of P_beta lies below beta, so G(a, beta, gamma) is zero
         # unless a + beta is at or above gamma
         if min(map(add, rest, coroot_numerators(datum, a))) < 0:
             continue
         g = _partial_sum(datum, a, beta, gamma)
-        for e1, x1 in pa._c.items():
+        for e1, x1 in pa.items():
             e1 += shift
             for e2, x2 in g.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2

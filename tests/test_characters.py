@@ -248,11 +248,11 @@ def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
         == list(weyl_oracle.klimyk(view, top, table).items())
 
 
-def test_packing_never_aliases(monkeypatch):
-    # coordinates far past any digit width a sweep needs: the view's digits
-    # must grow to hold them, not wrap around onto other points
+def test_packing_never_aliases():
+    # coordinates far past any digit width a sweep needs: each call's digits
+    # must be wide enough to hold them, not wrap around onto other points
     characters._tensor.cache_clear()
-    monkeypatch.setattr(characters, "_straighten_cache", {})
+    characters._walks.cache_clear()
     d = root_datum("A2")
     big, huge = 2 ** 40, 2 ** 70
     # a small product first, so the view starts with narrow digits
@@ -262,7 +262,7 @@ def test_packing_never_aliases(monkeypatch):
     assert tensor_decompose(d, (huge, 3), (1, 1)) == {
         (huge - 2, 4): 1, (huge - 1, 2): 1, (huge - 1, 5): 1, (huge, 3): 2,
         (huge + 1, 1): 1, (huge + 1, 4): 1, (huge + 2, 2): 1}
-    # and the narrow products still come out right after the widening
+    # and the narrow products still come out right after the wide ones
     characters._tensor.cache_clear()
     assert tensor_decompose(d, (1, 1), (1, 1)) == tensor_decompose_by_tables(
         d, (1, 1), (1, 1))
@@ -275,24 +275,47 @@ def test_packed_weights_read_as_a_plain_map():
     assert isinstance(table, PackedWeights)
     assert table == plain and len(table) == len(plain)
     assert all(table[w] == m and w in table for w, m in plain.items())
-    # repacked at each width asked for, and decoded back from it
+    # packed once at each width asked for, and decoded back from it
+    narrow = table.packed(8)
     for bits in (8, 20, 8):
         packed = PackedWeights(2, table._reach, bits=bits,
                                packed=table.packed(bits))
         assert dict(packed.items()) == plain
+    assert table.packed(8) is narrow
 
 
-def test_packed_weights_cannot_be_mutated(monkeypatch):
+def test_wide_call_keeps_the_narrow_state():
+    # a call with coordinates past the narrow digits gets a state of its
+    # own width: the narrow memo and packed table are kept, not rebuilt
+    characters._freudenthal.cache_clear()
+    characters._tensor.cache_clear()
+    characters._walks.cache_clear()
+    d = root_datum("A2")
+    narrow = tensor_decompose(d, (1, 1), (1, 0))
+    table = weight_table(d.full, (1, 0))
+    packed = table.packed(8)
+    big = 2 ** 40
+    assert tensor_decompose(d, (big, 0), (1, 0)) \
+        == {(big - 1, 1): 1, (big + 1, 0): 1}
+    characters._tensor.cache_clear()
+    assert tensor_decompose(d, (1, 1), (1, 0)) == narrow
+    assert table.packed(8) is packed
+    info = characters._walks.cache_info()
+    assert (info.currsize, info.misses) == (2, 2)
+
+
+def test_packed_weights_cannot_be_mutated():
     # the packed pairs are the cached table's own: appending to them once
     # changed every later decomposition that read the table, and a smaller
     # coordinate bound made its packed points alias
     characters._freudenthal.cache_clear()
     characters._tensor.cache_clear()
-    monkeypatch.setattr(characters, "_straighten_cache", {})
+    characters._walks.cache_clear()
     d = root_datum("A2")
     want = {(0, 1): 1, (2, 0): 1}
     assert tensor_decompose(d, (1, 0), (1, 0)) == want
-    bits = characters._straighten_cache[d.full.key].bits
+    # the width klimyk read: 2(top + rho_hat) reaches 4, the doubled weights 2
+    bits = characters._width(4 + 2)
     packed = weight_table(d.full, (1, 0)).packed(bits)
     with pytest.raises(AttributeError):
         packed.append((0, 99))

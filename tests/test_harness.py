@@ -232,7 +232,7 @@ def _semigroup_sections(monkeypatch, config):
     # caches
     out = []
     for scan in (harness._semigroup_section, harness_oracle.semigroup_section):
-        _fresh_caches(monkeypatch)
+        _fresh_caches()
         monkeypatch.setattr(harness, "_semigroup_section", scan)
         out.append(run_sweep(config)["semigroup"])
     return out
@@ -324,7 +324,7 @@ def test_semigroup_draws_match_randrange(monkeypatch, seed):
 def test_skips_are_recorded_not_dropped(monkeypatch):
     # a tiny cap forces the crystal check to skip while oracles still run
     cfg = SweepConfig("B2", (1,), 3, ("crystal", "multiplicity_identity"))
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 4)
     report = run_sweep(cfg)
     assert report["summary"]["skipped"] > 0
@@ -334,13 +334,12 @@ def test_skips_are_recorded_not_dropped(monkeypatch):
     assert skipped_mu and all(rec["notes"] for rec in skipped_mu)
 
 
-def _fresh_caches(monkeypatch):
+def _fresh_caches():
     # caps are checked on cache misses only, so start from empty caches
     for module in (characters, hecke, littelmann):
         for fn in vars(module).values():
             if hasattr(fn, "cache_clear"):
                 fn.cache_clear()
-    monkeypatch.setattr(characters, "_straighten_cache", {})
 
 
 PER_MU_AND_INSTANCE = ("crystal", "hecke_paths", "ct_transitivity",
@@ -351,7 +350,7 @@ PER_MU_AND_INSTANCE = ("crystal", "hecke_paths", "ct_transitivity",
 def test_dimension_cap_hit_skips_checks(monkeypatch):
     # (1, 2) and (2, 1) have dimension 15, over a cap of 10; everything
     # below it still runs
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     report = run_sweep(SweepConfig("A2", (1,), 3, PER_MU_AND_INSTANCE))
     over = ([1, 2], [2, 1])
@@ -377,7 +376,7 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
 
 
 def test_partition_cap_hit_skips_checks(monkeypatch):
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     d = root_datum("A2")
     # (1, 1) - (0, 0) is one simple coroot of each kind: a box of 4 points
     cached = hecke_oracle.kostka_foulkes(d, d.full, (1, 1), (0, 0))
@@ -403,9 +402,9 @@ def test_partition_cap_hit_skips_the_saturation_constant_term(monkeypatch):
     # constant term at k mu = (0, 2) needs more than two partition-table
     # points: the hit records c_at_k as SKIPPED and the scan goes on
     config = SweepConfig("B2", (1,), 3, ("saturation",))
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     full = run_sweep(config)["saturation"]
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(hecke, "PARTITION_CAP", 2)
     capped = run_sweep(config)["saturation"]
     assert [h["c_at_k"] for h in full["hits"]] == [True]
@@ -420,7 +419,7 @@ def test_partition_cap_hit_skips_the_saturation_constant_term(monkeypatch):
 def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
     # a regular A3 weight's numerator has up to 2^6 terms, while (0, 0, 1)
     # needs 2^3: a cap of 10 stops the first and lets the second through
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     d = root_datum("A3")
     cap = hecke.NUMERATOR_CAP
     monkeypatch.setattr(hecke, "NUMERATOR_CAP", 10)
@@ -501,7 +500,7 @@ def test_forked_sweep_is_jobs_independent(monkeypatch):
     # fits, so the sections run, but modules at 2 mu do not: nonvanishing,
     # saturation and semigroup record skips
     def sweep(jobs):
-        _fresh_caches(monkeypatch)
+        _fresh_caches()
         return strip_timing(run_sweep(SweepConfig(
             "B2", (1,), 3, ALL, semigroup_samples=30, jobs=jobs)))
 
@@ -584,7 +583,7 @@ def test_parent_error_kills_and_reaps_children(monkeypatch):
 def test_section_cap_hit_escapes_the_sweep(monkeypatch, jobs):
     # the semigroup section records no skipped mu: a cap hit on a swept
     # module aborts
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(FeasibilityError):
@@ -595,7 +594,7 @@ def test_section_cap_hit_escapes_the_sweep(monkeypatch, jobs):
 def test_saturation_records_a_swept_module_over_the_cap(monkeypatch, jobs):
     # (1, 2) and (2, 1) have dimension 15, over a cap of 10: each of their
     # Levi-dominant weights gets one skip entry at n = 1, and the scan goes on
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     sat = run_sweep(SweepConfig("A2", (1,), 3, ("saturation",),
@@ -695,7 +694,7 @@ def test_smoke_straightenings_match_the_full_walk(monkeypatch, config):
         calls.append((view, top, weights))
         return walk(view, top, weights)
 
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "klimyk", recording)
     monkeypatch.setattr(hecke, "klimyk", recording)
     run_sweep(config)
@@ -725,7 +724,7 @@ def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
             return walk(view, top, weights)
         return recording
 
-    _fresh_caches(monkeypatch)
+    _fresh_caches()
     monkeypatch.setattr(characters, "klimyk", recorder("characters"))
     monkeypatch.setattr(hecke, "klimyk", recorder("hecke"))
     run_sweep(SweepConfig("B3", (1,), 3, HECKE_SMOKE_CHECKS))
@@ -735,12 +734,21 @@ def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
     assert kinds == {("characters", True), ("characters", False),
                      ("hecke", True), ("hecke", False)}
     for full_first in (False, True):
-        monkeypatch.setattr(characters, "_straighten_cache", {})
+        characters._walks.cache_clear()
         order = sorted(range(len(calls)), key=lambda i: full_first != (
             len(calls[i][1].indices) == calls[i][1].ambient_rank))
         for i in order:
             _, view, top, weights = calls[i]
             _assert_sums_match_the_full_walk(walk, view, top, weights)
+
+
+def test_sweep_builds_one_walk_state_per_view_and_width():
+    # the full view, the Levi view and the torus each get one width for the
+    # whole sweep, so no state is built twice or thrown away
+    _fresh_caches()
+    run_sweep(SweepConfig("A3", (1,), 5, ALL))
+    info = characters._walks.cache_info()
+    assert (info.currsize, info.misses) == (3, 3)
 
 
 # SHA-256 of each all-checks report's canonical JSON without its *_ms fields,

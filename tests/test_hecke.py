@@ -452,6 +452,7 @@ def test_cached_results_are_read_only():
         lambda: kostka_foulkes(d, d.full, (2, 2), (0, 0)),
         lambda: structure_constant(d, (1, 1), (1, 1), (0, 0)),
         lambda: constant_term_coefficient(d, lv, (1, 1), (0, 0)),
+        lambda: hall_littlewood_characters(d.full, (1, 1))[(1, 1)],
     ]
     for call in single:
         value = call()

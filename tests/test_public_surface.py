@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -42,6 +43,21 @@ def test_readme_entry_points_are_exported():
     names = re.findall(r"\w+", re.sub(r"#.*", "", imports))
     assert sorted(names) == sorted(heckebranch.__all__)
     assert all(hasattr(heckebranch, n) for n in heckebranch.__all__)
+
+
+def test_memos_are_cached_functions():
+    # every memo is functools.cache on a private function, so the only
+    # module-level container is a constant table
+    containers = []
+    for info in pkgutil.iter_modules(heckebranch.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"heckebranch.{info.name}")
+        containers += [f"{info.name}.{name}"
+                       for name, value in vars(module).items()
+                       if not name.startswith("__")
+                       and isinstance(value, (dict, list, set))]
+    assert containers == ["rootdata._SUPPORTED_RANKS"]
 
 
 def _modules_after(code: str) -> set:
