@@ -20,8 +20,8 @@ import time
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
+from . import characters
 from .characters import (
-    DIMENSION_CAP,
     branch_decompose,
     branch_multiplicity,
     dominant_support,
@@ -269,10 +269,11 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         if c_poly:
             kmu = vec_scale(k, mu)
             klam = vec_scale(k, lam)
+            cap = characters.DIMENSION_CAP
             try:
-                if weyl_dim(datum.full, kmu) > DIMENSION_CAP:
+                if weyl_dim(datum.full, kmu) > cap:
                     raise FeasibilityError(
-                        f"scaled module at {kmu} exceeds the cap", DIMENSION_CAP)
+                        f"scaled module at {kmu} exceeds the cap", cap)
                 flags.append(branch_multiplicity(datum, levi, kmu, klam) != 0)
                 verdicts["nonvanishing"] = _verdict_all(flags)
             except FeasibilityError as e:
@@ -446,7 +447,7 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
         kmu = vec_scale(k, mu)
         ck = None
         # the dimension test spares a Hall-Littlewood expansion at kmu
-        if weyl_dim(datum.full, kmu) <= DIMENSION_CAP:
+        if weyl_dim(datum.full, kmu) <= characters.DIMENSION_CAP:
             try:
                 ck = constant_term_coefficient(datum, levi, kmu,
                                                vec_scale(k, lam))
@@ -517,8 +518,10 @@ def _child_exit(tasks: list, units: list, claims: int, out: int) -> None:
             payload = pickle.dumps((None, done), pickle.HIGHEST_PROTOCOL)
         except Exception as exc:
             import traceback
-            exc.add_note("raised in a sweep worker:\n"
-                         + "".join(traceback.format_exception(exc)))
+            # what ``add_note`` does; Python 3.10 has no ``add_note``
+            exc.__notes__ = [*getattr(exc, "__notes__", ()),
+                             "raised in a sweep worker:\n"
+                             + "".join(traceback.format_exception(exc))]
             payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
         with os.fdopen(out, "wb") as fh:
             fh.write(payload)

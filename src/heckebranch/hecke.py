@@ -49,10 +49,12 @@ Each coefficient has one body: ``structure_constant`` for m and
 ``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
 over their supports and cache no result of their own.
 K is evaluated only where it can be nonzero: K_{c,gamma} on the
-constituents c at or above gamma, and K^M_{l,lam} where l - lam is a
-nonnegative integer combination of the Levi's simple coroots (on the torus,
-at l = lam alone).  The partial sum G is memoized on (datum, a, beta, gamma)
-and leaves out the characters b with a + b not at or above gamma, on whose
+constituents c at or above gamma, and K^M_{l,lam} on the torus at l = lam
+alone.  On a proper Levi K^M decides its own support: it is () at once
+unless l - lam is a nonnegative integer combination of the Levi's simple
+coroots, the one test ``_kostka_foulkes`` makes before its walk.  The
+partial sum G is memoized on (datum, a, beta, gamma) and leaves out the
+characters b with a + b not at or above gamma, on whose
 constituents K_{c,gamma} vanishes; the sum over a leaves out, by the same
 test, the characters a with a + beta not at or above gamma, since every b
 lies below beta.  Every such dominance test reads the datum's memo of
@@ -398,13 +400,6 @@ def _offset_above(datum: RootDatum, view: SubsystemView, lam: Coweight,
     return top
 
 
-def _tadd(p: tuple, q: tuple) -> tuple:
-    """Sum of two polynomials given as coefficient tuples by power of t."""
-    if len(p) < len(q):
-        p, q = q, p
-    return tuple(map(add, p, q)) + p[len(q):]
-
-
 @cache
 def _partition_table(datum: RootDatum, view: SubsystemView) -> tuple:
     """The view's non-simple positive coroots in simple-coroot coordinates,
@@ -436,8 +431,11 @@ def _partition(roots: tuple, table: dict, k: int, d: tuple) -> tuple:
         if min(d) < 0:
             break
     for d in reversed(chain):
-        below = _tadd(_partition(roots, table, k - 1, d),
-                      (0,) + below if below else ())
+        # level k at d is level k - 1 at d plus t times level k at d - a.
+        # Level k - 1 at d is the longer: its top term, t^sum(d), uses the
+        # simple coroots alone, and sum(a) >= 2 for a non-simple coroot
+        p = _partition(roots, table, k - 1, d)
+        below = (p[0],) + tuple(map(add, p[1:], below)) + p[len(below) + 1:]
         table[(k, d)] = below
     return below
 
@@ -576,15 +574,14 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
                     lam: Coweight) -> LaurentPoly:
     """The coefficient at the lower view's lam of the upper view's basis
     element at mu: v^(<2rho, mu> - <2rho_M, lam>) times the sum over l of
-    the restricted characters at l times K^M_{l,lam}(v^-2), over the l with
-    l - lam a nonnegative integer combination of the lower view's simple
-    coroots, the only ones where K^M can be nonzero."""
+    the restricted characters at l times K^M_{l,lam}(v^-2).  On the torus
+    K^M is zero unless l = lam, so only lam is read; on a proper Levi K^M
+    decides its own support, as ``_kostka_foulkes`` is () unless l - lam is
+    a nonnegative integer combination of the lower view's simple coroots."""
     shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
     out: dict[int, int] = {}
     for l, p in _restricted_characters(upper, lower, mu).items():
-        # on the torus the only such l is lam
-        if l != lam and (not lower.indices
-                         or _offset_above(datum, lower, l, lam) is None):
+        if not lower.indices and l != lam:
             continue
         for deg, k in enumerate(_kostka_foulkes(datum, lower, l, lam)):
             if k:

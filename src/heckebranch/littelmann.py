@@ -20,7 +20,9 @@ break time ``a`` of a Lakshmibai-Seshadri path of shape mu satisfies
 because theta dominates every positive root and mu is dominant.  So every
 cut a lowering operator makes lands on the grid, which the exact ``divmod``
 by the slope checks: a remainder raises ``AssertionError``, as Freudenthal's
-non-integer check does.
+non-integer check does.  A lowering operator finds its cut on the
+breakpoints' heights and takes it by index: the cut starts at a breakpoint
+and ends at one or inside the segment before it, which alone is split.
 
 The crystal at a dominant mu is generated from the straight path by the
 lowering operators alone (every path of Littelmann's crystal is a string of
@@ -100,43 +102,19 @@ def _lattice_point(x: Coweight, unit: int) -> Coweight:
     return tuple(out)
 
 
-def _cut_and_reflect(coroot: Coweight, j: int, path: GridPath, t0: int,
-                     t1: int) -> GridPath:
-    """Reflect the directions of the sub-path on [t0, t1] by the simple
-    reflection ``x -> x - x[j] * coroot``, splitting segments at t0 and t1
-    when they fall inside one."""
-    out = []
-    end = 0
-    for d, t in path:
-        start, end = end, end + t
-        if end <= t0 or start >= t1:
-            out.append((d, t))
-            continue
-        if start < t0:
-            out.append((d, t0 - start))
-        c = d[j]
-        out.append((tuple(a - c * b for a, b in zip(d, coroot)),
-                    min(end, t1) - max(start, t0)))
-        if end > t1:
-            out.append((d, end - t1))
-    return _canonical(out)
-
-
-def _slope_steps(rise: int, slope: int) -> int:
-    """Time for a segment of the given slope to climb ``rise``: an exact
-    division, or the cut is off the grid."""
-    steps, rem = divmod(rise, slope)
-    if rem:
-        raise AssertionError("root operator cut falls off the time grid")
-    return steps
-
-
 def _lower(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
            unit: int) -> Optional[GridPath]:
     """The lowering operator for the simple root with coroot ``coroot`` and
     coordinate ``j``, by the cut-and-reflect rule on the height function
     ``t -> path(t)[j]``, on a path whose breakpoints are given and whose
-    height 1 is ``unit``.  None when undefined."""
+    height 1 is ``unit``.  None when undefined.
+
+    The cut runs from breakpoint k0, the last minimum of the height, to
+    the first time the height reaches ``top``, one unit above it.  So it
+    starts at a breakpoint, and ends at breakpoint k1 or inside the segment
+    before it, where the time to climb the rest is an exact division by that
+    segment's slope, or the cut is off the grid.  The segments between are
+    reflected by ``x -> x - x[j] * coroot``."""
     heights = [x[j] for x in points]
     low = min(heights)
     top = low + unit
@@ -146,11 +124,18 @@ def _lower(coroot: Coweight, j: int, path: GridPath, points: Sequence[Coweight],
     k1 = k0 + 1
     while heights[k1] < top:
         k1 += 1
-    t0 = sum(t for _, t in path[:k0])
-    t1 = t0 + sum(t for _, t in path[k0:k1])
+    out = list(path[:k0])
+    out += ((tuple(a - d[j] * b for a, b in zip(d, coroot)), t)
+            for d, t in path[k0:k1])
     if heights[k1] > top:
-        t1 -= _slope_steps(heights[k1] - top, path[k1 - 1][0][j])
-    return _cut_and_reflect(coroot, j, path, t0, t1)
+        d, t = path[k1 - 1]
+        steps, rem = divmod(heights[k1] - top, d[j])
+        if rem:
+            raise AssertionError("root operator cut falls off the time grid")
+        out[-1] = (out[-1][0], t - steps)
+        out.append((d, steps))
+    out += path[k1:]
+    return _canonical(out)
 
 
 # --- Fraction paths at the API --------------------------------------------
@@ -317,9 +302,8 @@ def _directions_connected(datum: RootDatum, point: Coweight,
     the point (``unit`` times the position): each step reflects the current
     direction in a positive root whose pairing with the position is
     integral and with the direction strictly negative.  Directions live in
-    a finite Weyl orbit, so the search halts."""
-    if incoming == outgoing:
-        return True
+    a finite Weyl orbit, so the search halts.  The directions differ: the
+    path is canonical."""
     integral_walls = [
         (root, cv) for root, cv in zip(datum.positive_roots,
                                        datum.positive_coroots)

@@ -375,6 +375,20 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
         for mu in over]
 
 
+def test_nonvanishing_reads_the_dimension_cap_at_call_time(monkeypatch):
+    # at cap 10 the scaled modules at (0, 2) and (4, 0), of dimensions 14
+    # and 35, are over it: the harness's own test skips them before the
+    # branching is asked for
+    _fresh_caches()
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    report = run_sweep(SweepConfig("B2", (1,), 3, ("nonvanishing",)))
+    notes = [note for rec in report["instances"] for note in rec["notes"]]
+    assert len(notes) == 16
+    assert set(notes) == {f"nonvanishing: scaled module at {kmu} exceeds "
+                          "the cap" for kmu in ((0, 2), (4, 0))}
+    assert (report["summary"]["skipped"], report["summary"]["fail"]) == (16, 0)
+
+
 def test_partition_cap_hit_skips_checks(monkeypatch):
     _fresh_caches()
     d = root_datum("A2")
@@ -522,6 +536,29 @@ def test_forked_sweep_is_jobs_independent(monkeypatch):
     assert sweep(2) == serial
     assert sweep(3) == serial
     assert runs == [(2, 8), (3, 6)]
+
+
+def test_failed_checks_are_reported_as_counterexamples(monkeypatch):
+    # a wrong weight table at (0, 1) fails its crystal check, and a zero
+    # orbit size at lambda (1, -1) fails the product identity of both
+    # instances there, whose m is nonzero
+    real_table, real_orbit = harness.weight_table, harness.orbit_size
+    monkeypatch.setattr(harness, "weight_table", lambda view, mu: (
+        {} if mu == (0, 1) else real_table(view, mu)))
+    monkeypatch.setattr(harness, "orbit_size", lambda datum, levi, lam: (
+        hecke.LaurentPoly.zero() if lam == (1, -1)
+        else real_orbit(datum, levi, lam)))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    serial, forked = (strip_timing(run_sweep(SweepConfig(
+        "A2", (1,), 1, ("crystal", "product_identity"), jobs=jobs)))
+        for jobs in (1, 2))
+    assert forked == serial
+    summary = serial["summary"]
+    assert summary["counterexamples"] == [
+        {"where": "mu", "check": "crystal", "mu": [0, 1]},
+        *({"where": "instance", "check": "product_identity", "mu": [0, 1],
+           "lambda": [1, -1], "nu": nu} for nu in ([0, 1], [0, 2]))]
+    assert (summary["pass"], summary["fail"]) == (10, 3)
 
 
 def test_units_past_the_claim_pipe_still_run():
@@ -770,6 +807,10 @@ GOLDEN_DIGESTS = {
         "3fe75006555b98ef62900e88cd204ef0218eb8ba4bec4ab51971e951ebb0961e",
     ("G2", (2,), 6):
         "69b821bdd0296bae4d9ea19acc7372f9728be2b634ee8f60a448a49b220ebcd0",
+    # a rank-two Levi, where K^M is read off the torus; recorded while
+    # _ct_coefficient still tested each l against the Levi's cone itself
+    ("A3", (1, 2), 4):
+        "2228f30c6e38a5be02927394f4dca045a2ec063d4c1d5966bbab301915d2b72b",
 }
 
 

@@ -623,10 +623,11 @@ def test_kostka_foulkes_at_t_one_and_zero(type_str):
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3"])
 def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
     # _partial_sum evaluates K_{c,gamma} only where the coroot numerators of
-    # c - gamma are nonnegative, and _ct_coefficient K^M_{l,lam} only where
-    # _offset_above finds l - lam in the lower view's cone (on the torus,
-    # l = lam).  Wherever a test skips, K is zero, and gamma is not even a
-    # weight of the module at c: K at t = 1 is the weight multiplicity.
+    # c - gamma are nonnegative, and _ct_coefficient, on the torus, K^M_{l,lam}
+    # only at l = lam.  On a proper Levi _kostka_foulkes itself returns ()
+    # wherever _offset_above does not find l - lam in the lower view's cone.
+    # Wherever a test skips, K is zero, and gamma is not even a weight of the
+    # module at c: K at t = 1 is the weight multiplicity.
     d = root_datum(type_str)
     mus = dominant_coweights_up_to(d, 3)
     skipped = kept = 0
