@@ -162,6 +162,9 @@ def _walks(view: SubsystemView, bits: int) -> tuple:
 
 
 def _check_cap(view: SubsystemView, mu: Coweight) -> None:
+    """The one test of ``DIMENSION_CAP``, made where a weight table or a
+    crystal is built, before any other work: ``FeasibilityError`` when the
+    module at mu is over it."""
     d = weyl_dim(view, mu)
     if d > DIMENSION_CAP:
         raise FeasibilityError(

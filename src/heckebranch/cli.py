@@ -84,15 +84,19 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma separated subset of: "
                           + ",".join(CHECK_NAMES) + " (or 'all')")
     ver.add_argument("--out", default=None, help="path for the JSON report")
-    ver.add_argument("--jobs", type=int, default=1,
+    default = SweepConfig._field_defaults
+    ver.add_argument("--jobs", type=int, default=default["jobs"],
                      help="processes, this one included (1 = serial)")
-    ver.add_argument("--seed", type=int, default=20260816,
+    ver.add_argument("--seed", type=int, default=default["seed"],
                      help="seed for the randomized semigroup sampling")
-    ver.add_argument("--n-max", type=int, default=3, dest="n_max",
+    ver.add_argument("--n-max", type=int, dest="n_max",
+                     default=default["saturation_n_max"],
                      help="largest stretch factor in the saturation scan")
-    ver.add_argument("--q-points", default="2,3,4,5,7", dest="q_points",
+    ver.add_argument("--q-points", dest="q_points",
+                     default=",".join(map(str, default["q_eval_points"])),
                      help="comma separated prime powers for spot evaluation")
-    ver.add_argument("--semigroup-samples", type=int, default=120,
+    ver.add_argument("--semigroup-samples", type=int,
+                     default=default["semigroup_samples"],
                      dest="semigroup_samples",
                      help="random pairs drawn by the semigroup check")
 

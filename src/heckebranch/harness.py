@@ -20,7 +20,6 @@ import time
 from functools import partial
 from typing import NamedTuple, Optional, Sequence
 
-from . import characters
 from .characters import (
     branch_decompose,
     branch_multiplicity,
@@ -267,14 +266,9 @@ def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         if r != 0:
             flags.append(bool(c_poly))
         if c_poly:
-            kmu = vec_scale(k, mu)
-            klam = vec_scale(k, lam)
-            cap = characters.DIMENSION_CAP
             try:
-                if weyl_dim(datum.full, kmu) > cap:
-                    raise FeasibilityError(
-                        f"scaled module at {kmu} exceeds the cap", cap)
-                flags.append(branch_multiplicity(datum, levi, kmu, klam) != 0)
+                flags.append(branch_multiplicity(
+                    datum, levi, vec_scale(k, mu), vec_scale(k, lam)) != 0)
                 verdicts["nonvanishing"] = _verdict_all(flags)
             except FeasibilityError as e:
                 notes.append(f"nonvanishing: {e}")
@@ -445,14 +439,10 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
         hit = {"mu": list(mu), "lambda": list(lam),
                "witness_n": witness[0], "witness_r": witness[1]}
         kmu = vec_scale(k, mu)
-        ck = None
-        # the dimension test spares a Hall-Littlewood expansion at kmu
-        if weyl_dim(datum.full, kmu) <= characters.DIMENSION_CAP:
-            try:
-                ck = constant_term_coefficient(datum, levi, kmu,
-                                               vec_scale(k, lam))
-            except FeasibilityError:
-                pass
+        try:
+            ck = constant_term_coefficient(datum, levi, kmu, vec_scale(k, lam))
+        except FeasibilityError:
+            ck = None
         if ck is None:
             hit["c_at_k"] = SKIPPED
             skips.append({"mu": list(mu), "lambda": list(lam), "n": k,

@@ -111,7 +111,6 @@ from .rootdata import (
     RootDatum,
     SubsystemView,
     coroot_numerators,
-    is_dominant,
     pairing,
     vec_add,
     vec_sub,
@@ -520,6 +519,8 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
     """The upper view's Hall-Littlewood polynomial at mu restricted to the
     lower view's Weyl characters, through the cached branching
     multiplicities: {l: flat map}.  Cached; callers only read it."""
+    # mu is a character of P_mu: over the cap, fail before expanding P_mu
+    restrict_decompose(upper, lower, mu)
     return _expand(_hl_characters(upper, mu),
                    partial(restrict_decompose, upper, lower))
 
@@ -533,11 +534,11 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
     Hall-Littlewood polynomial at alpha.  Characters a with a + beta not at
     or above gamma are left out."""
     alpha, beta, gamma = tuple(alpha), tuple(beta), tuple(gamma)
-    if not (is_dominant(alpha) and is_dominant(beta)):
-        raise DomainError("product arguments must be dominant")
-    if not is_dominant(gamma):
-        return LaurentPoly.zero()
     view = datum.full
+    if not (view.is_dominant(alpha) and view.is_dominant(beta)):
+        raise DomainError("product arguments must be dominant")
+    if not view.is_dominant(gamma):
+        return LaurentPoly.zero()
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
     rest = tuple(map(sub, coroot_numerators(datum, beta),
                      coroot_numerators(datum, gamma)))
@@ -628,7 +629,7 @@ def constant_term(datum: RootDatum, levi: SubsystemView,
     the Levi, keyed by Levi-dominant coweight.  Support lies inside the orbit
     hull of mu in the coroot-lattice coset of mu."""
     mu = tuple(mu)
-    if not is_dominant(mu):
+    if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     result = satake_expand(datum, datum.full, levi, mu)
     for lam in result:
@@ -642,7 +643,7 @@ def constant_term_coefficient(datum: RootDatum, levi: SubsystemView,
     Levi's lam, on its own: the coefficient of ``constant_term(datum, levi,
     mu)`` at lam, zero when lam is not Levi-dominant."""
     mu, lam = tuple(mu), tuple(lam)
-    if not is_dominant(mu):
+    if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     if not levi.is_dominant(lam):
         return LaurentPoly.zero()

@@ -31,7 +31,8 @@ path's breakpoints computed once, and holds grid paths only; the restriction
 and tensor path filters, ``_branch_paths`` and ``_tensor_paths``, read only
 the fiber at the endpoint they can match and return grid paths, which is
 what the sweep compares.  Its size is the Weyl dimension at mu, so it runs
-under the module cap, ``characters.DIMENSION_CAP``.  ``Fraction`` paths
+under the module cap: ``characters._check_cap`` tests it, the same rule as
+for a weight table.  ``Fraction`` paths
 exist at the public path functions alone: they encode their input on a grid
 that its denominators fix, run the integer routine and decode the result on
 each call, importing ``Fraction`` there, so importing this module does not
@@ -44,8 +45,8 @@ from functools import cache
 from math import lcm
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
-from . import characters
-from .errors import DomainError, FeasibilityError
+from .characters import _check_cap
+from .errors import DomainError
 from .rootdata import (
     Coweight,
     RatVec,
@@ -54,7 +55,6 @@ from .rootdata import (
     pairing,
     vec_scale,
     vec_sub,
-    weyl_dim,
 )
 
 if TYPE_CHECKING:
@@ -229,14 +229,12 @@ _crystal_of = cache(_Crystal)
 
 
 def _crystal(datum: RootDatum, mu: Coweight) -> _Crystal:
-    """The crystal at mu, cached.  Its size, the Weyl dimension at mu, is
-    tested against ``characters.DIMENSION_CAP`` on every call, so a crystal
-    cached under a larger cap is not handed out."""
+    """The crystal at mu, cached.  Its size is the Weyl dimension at mu, so
+    ``_check_cap`` tests the module at mu on every call, before the cache is
+    read: a crystal cached under a larger cap is not handed out."""
     if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
-    cap = characters.DIMENSION_CAP
-    if weyl_dim(datum.full, mu) > cap:
-        raise FeasibilityError(f"crystal at {mu} exceeds {cap} paths", cap)
+    _check_cap(datum.full, mu)
     return _crystal_of(datum, mu)
 
 

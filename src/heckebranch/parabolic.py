@@ -24,7 +24,6 @@ from .rootdata import (
     Root,
     RootDatum,
     SubsystemView,
-    is_dominant,
     pairing,
 )
 
@@ -69,7 +68,7 @@ def geq_parabolic(datum: RootDatum, levi: SubsystemView, nu: Coweight,
     """nu is M-central and <alpha, nu + w mu> >= 0 for every Weyl element w
     and every positive root alpha outside the Levi."""
     nu, mu = tuple(nu), tuple(mu)
-    if not is_dominant(mu):
+    if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     if not is_levi_central(levi, nu):
         return False
@@ -89,7 +88,7 @@ def minimal_offset(datum: RootDatum, levi: SubsystemView, mu: Coweight) -> Cowei
     feasible nu in every coordinate, so the unique minimizer; a miss raises
     ``AssertionError``."""
     mu = tuple(mu)
-    if not is_dominant(mu):
+    if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     requirements = _requirements(datum, levi, mu)
     nu = [0] * datum.rank

@@ -270,9 +270,11 @@ def _orbit(view: SubsystemView, top: Coweight) -> frozenset:
 @cache
 def _build(letter: str, rank: int) -> RootDatum:
     if letter not in _SUPPORTED_RANKS or rank not in _SUPPORTED_RANKS[letter]:
+        supported = ", ".join(
+            f"{t}{r[0]}" + (f"-{t}{r[-1]}" if len(r) > 1 else "")
+            for t, r in _SUPPORTED_RANKS.items())
         raise ConfigurationError(
-            f"unsupported type {letter}{rank}; "
-            "supported: A1-A6, B2-B5, C2-C5, D4-D5, F4, G2")
+            f"unsupported type {letter}{rank}; supported: {supported}")
     cm = cartan_matrix(letter, rank)
     coroots = MappingProxyType({j + 1: tuple(row[j] for row in cm)
                                 for j in range(rank)})
@@ -360,10 +362,6 @@ def rho_height(datum: RootDatum, coweight: Sequence) -> Fraction:
 def k_phi(datum: RootDatum) -> int:
     """lcm of the highest root's coefficients over the simple roots."""
     return lcm(*datum.highest_root)
-
-
-def is_dominant(coweight: Sequence) -> bool:
-    return all(v >= 0 for v in coweight)
 
 
 def dual_star(datum: RootDatum, x: Sequence) -> tuple:

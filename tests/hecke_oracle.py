@@ -44,7 +44,6 @@ from heckebranch.hecke import (
 from heckebranch.parabolic import geq_parabolic
 from heckebranch.rootdata import (
     dual_star,
-    is_dominant,
     mat_apply,
     pairing,
     vec_add,
@@ -198,7 +197,7 @@ def hecke_product(datum, alpha, beta):
                                satake_f(datum, view, beta))
 
     def basis(gamma):
-        if not is_dominant(gamma):
+        if not view.is_dominant(gamma):
             raise AssertionError("peak of the product expansion is not dominant")
         return hall_littlewood(datum, view, gamma)
 
@@ -233,7 +232,7 @@ def peeled_hecke_product(datum, alpha, beta):
                 _add_scaled(prod, gamma, p, n)
 
     def basis(gamma):
-        if not is_dominant(gamma):
+        if not view.is_dominant(gamma):
             raise AssertionError("peak of the product expansion is not dominant")
         return hall_littlewood_characters(view, gamma)
 
@@ -347,7 +346,7 @@ def product_identity_sides(datum, levi, mu, lam, nu):
     if not geq_parabolic(datum, levi, nu, mu):
         raise DomainError("nu does not dominate mu for this parabolic")
     alpha = vec_add(nu, lam)
-    if not is_dominant(alpha):
+    if not datum.full.is_dominant(alpha):
         raise DomainError("nu + lam left the dominant cone")
     c = constant_term_coefficient(datum, levi, mu, lam)
     shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)

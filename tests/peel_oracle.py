@@ -39,7 +39,6 @@ from heckebranch.rootdata import (
     RatVec,
     RootDatum,
     SubsystemView,
-    is_dominant,
     mat_apply,
     pairing,
     vec_add,
@@ -175,7 +174,7 @@ def hull_vertices(datum: RootDatum, levi: SubsystemView,
     weight functionals bounded by their value at mu; the cone contributes one
     facet per Levi simple root."""
     mu = tuple(mu)
-    if not is_dominant(mu):
+    if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
     n = datum.rank
     constraints: list[tuple[RatVec, Fraction]] = []

@@ -7,8 +7,9 @@ import sys
 
 import pytest
 
-from heckebranch import characters
+from heckebranch import characters, cli
 from heckebranch.cli import main
+from heckebranch.harness import CHECK_NAMES, SweepConfig, run_sweep
 
 
 def run_cli(argv, capsys):
@@ -29,6 +30,21 @@ def test_verify_writes_report(tmp_path, capsys):
     assert report["schema"] == 1
     assert report["summary"]["fail"] == 0
     assert report["config"]["cartan_type"] == "A2"
+
+
+def test_verify_defaults_are_the_sweep_config_defaults(tmp_path, monkeypatch,
+                                                      capsys):
+    # with no optional flag, verify runs SweepConfig's own defaults
+    seen = []
+    monkeypatch.setattr(cli, "run_sweep",
+                        lambda config: seen.append(config) or run_sweep(config))
+    out = tmp_path / "report.json"
+    code, _, _ = run_cli(["verify", "--type", "A2", "--levi", "1",
+                          "--max-height", "2", "--out", str(out)], capsys)
+    assert code == 0
+    config = SweepConfig("A2", (1,), 2, CHECK_NAMES)
+    assert seen == [config]
+    assert json.loads(out.read_text())["config"] == run_sweep(config)["config"]
 
 
 def test_verify_subset_of_checks(capsys):

@@ -371,21 +371,22 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
     # asked for alone, a check's note names that check
     alone = run_sweep(SweepConfig("A2", (1,), 3, ("hecke_paths",)))
     assert [rec["notes"] for rec in alone["per_mu"] if rec["mu"] in over] == [
-        [f"hecke_paths: crystal at {tuple(mu)} exceeds 10 paths"]
-        for mu in over]
+        [f"hecke_paths: module of dimension 15 at highest weight {tuple(mu)} "
+         "exceeds the cap"] for mu in over]
 
 
 def test_nonvanishing_reads_the_dimension_cap_at_call_time(monkeypatch):
     # at cap 10 the scaled modules at (0, 2) and (4, 0), of dimensions 14
-    # and 35, are over it: the harness's own test skips them before the
-    # branching is asked for
+    # and 35, are over it: the branching at them stops where their weight
+    # tables would be built
     _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     report = run_sweep(SweepConfig("B2", (1,), 3, ("nonvanishing",)))
     notes = [note for rec in report["instances"] for note in rec["notes"]]
     assert len(notes) == 16
-    assert set(notes) == {f"nonvanishing: scaled module at {kmu} exceeds "
-                          "the cap" for kmu in ((0, 2), (4, 0))}
+    assert set(notes) == {f"nonvanishing: module of dimension {dim} at "
+                          f"highest weight {kmu} exceeds the cap"
+                          for kmu, dim in (((0, 2), 14), ((4, 0), 35))}
     assert (report["summary"]["skipped"], report["summary"]["fail"]) == (16, 0)
 
 

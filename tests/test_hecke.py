@@ -16,7 +16,7 @@ from hecke_oracle import (
     satake_f,
     stabilizer_poincare,
 )
-from heckebranch import hecke
+from heckebranch import characters, hecke
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_support,
@@ -169,6 +169,23 @@ def test_partition_cap_hit_caches_nothing(monkeypatch):
     # K_{theta,0} is t + t^2, t to the exponents of A2
     assert hecke._kostka_foulkes(d, d.full, (1, 1), (0, 0)) == (0, 1, 1)
     assert hecke._kostka_foulkes.cache_info().currsize == size + 1
+
+
+def test_constant_term_over_the_dimension_cap_expands_nothing(monkeypatch):
+    # the module at mu is tested against the cap before P_mu is expanded, so
+    # a cap just under its dimension leaves no Hall-Littlewood miss behind
+    d = root_datum("B2")
+    levi = levi_view(d, (1,))
+    mu = (2, 2)
+    for memo in (characters._freudenthal, characters._restrict,
+                 hecke._restricted_characters, hecke._hl_characters):
+        memo.cache_clear()
+    dim = weyl_dim(d.full, mu)
+    monkeypatch.setattr(characters, "DIMENSION_CAP", dim - 1)
+    with pytest.raises(FeasibilityError, match=rf"module of dimension {dim} "
+                       r"at highest weight \(2, 2\) exceeds the cap"):
+        constant_term_coefficient(d, levi, mu, mu)
+    assert hecke._hl_characters.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])

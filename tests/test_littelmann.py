@@ -182,7 +182,8 @@ def test_crystal_cap_holds_on_a_warm_cache(monkeypatch):
     d = root_datum("A2")
     assert len(generate_crystal(d, (2, 1))) == 15
     monkeypatch.setattr(characters, "DIMENSION_CAP", 5)
-    with pytest.raises(FeasibilityError, match=r"crystal at \(2, 1\) exceeds 5"):
+    with pytest.raises(FeasibilityError, match=r"module of dimension 15 at "
+                       r"highest weight \(2, 1\) exceeds the cap"):
         generate_crystal(d, (2, 1))
 
 

@@ -1,6 +1,7 @@
 """The names other code looks up: the benchmark tracer's tables and the
 README's library entry points."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -58,6 +59,20 @@ def test_memos_are_cached_functions():
                        if not name.startswith("__")
                        and isinstance(value, (dict, list, set))]
     assert containers == ["rootdata._SUPPORTED_RANKS"]
+
+
+def test_only_characters_names_the_dimension_cap():
+    # the cap is tested once, by characters._check_cap where a module is
+    # built; a name in the syntax tree counts, a docstring does not
+    naming = set()
+    for path in (ROOT / "src" / "heckebranch").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "DIMENSION_CAP":
+                naming.add(path.stem)
+    assert naming == {"characters"}
 
 
 def _modules_after(code: str) -> set:

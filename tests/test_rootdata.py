@@ -104,6 +104,18 @@ def test_unsupported_types_rejected(bad):
         root_datum(bad)
 
 
+def test_unsupported_type_message_names_every_supported_type():
+    with pytest.raises(ConfigurationError) as e:
+        root_datum("E6")
+    named = set()
+    for span in str(e.value).split("supported: ", 1)[1].split(", "):
+        first, _, last = span.partition("-")
+        named |= {(first[0], r)
+                  for r in range(int(first[1:]), int((last or first)[1:]) + 1)}
+    assert named == {(letter, r) for letter, ranks
+                     in rootdata._SUPPORTED_RANKS.items() for r in ranks}
+
+
 def test_highest_root_and_heights():
     d = root_datum("A2")
     assert d.highest_root == (1, 1)
