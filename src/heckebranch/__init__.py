@@ -40,7 +40,6 @@ from .hecke import (
     constant_term,
     constant_term_coefficient,
     hall_littlewood,
-    hall_littlewood_characters,
     hecke_product,
     orbit_size,
     satake_expand,
@@ -71,7 +70,6 @@ __all__ = [
     "generate_crystal",
     "geq_parabolic",
     "hall_littlewood",
-    "hall_littlewood_characters",
     "hecke_product",
     "is_hecke_path",
     "k_phi",

@@ -49,10 +49,12 @@ Each coefficient has one body: ``structure_constant`` for m and
 ``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
 over their supports and cache no result of their own.
 K is evaluated only where it can be nonzero: K_{c,gamma} on the
-constituents c at or above gamma, and K^M_{l,lam} on the torus at l = lam
-alone.  On a proper Levi K^M decides its own support: it is () at once
-unless l - lam is a nonnegative integer combination of the Levi's simple
-coroots, the one test ``_kostka_foulkes`` makes before its walk.  The
+constituents c at or above gamma, and ``structure_constant`` evaluates none
+unless alpha + beta is at or above gamma.  On the torus K^M is the identity,
+so the torus constant term at lam reads the one restricted character at lam
+and evaluates no K.  On a proper Levi K^M decides its own support: it is ()
+at once unless l - lam is a nonnegative integer combination of the Levi's
+simple coroots, the one test ``_kostka_foulkes`` makes before its walk.  The
 partial sum G is memoized on (datum, a, beta, gamma) and leaves out the
 characters b with a + b not at or above gamma, on whose
 constituents K_{c,gamma} vanishes; the sum over a leaves out, by the same
@@ -63,9 +65,10 @@ linearity, those of x - y are those of x minus those of y.  The instances
 of a sweep that share mu share beta = mu* and gamma = nu, so they reuse G
 across their first factors, and ``hecke_product`` reads the same G at each
 gamma of its support.  The restricted characters sum_kappa A_kappa r_kappa(l)
-are memoized per (upper, lower, mu).  They and ``hall_littlewood``'s orbit sums are one loop,
-``_expand``, which pushes a character expansion through a decomposition of
-each character: by ``restrict_decompose`` or by ``dominant_weights``.
+are memoized per (upper, lower, mu).  On the torus they are the monomial
+coefficients of P_mu, and on dominant weights those are its orbit-sum
+coefficients: ``hall_littlewood`` is the view-dominant part of the torus
+constant term, so orbit sums take the same route as c.
 
 K is evaluated in the view's simple-coroot coordinates of
 w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
@@ -82,14 +85,13 @@ Nothing here peels: the triangular peels against the Hall-Littlewood
 characters are kept in ``tests/hecke_oracle.py`` as oracles, and the
 branching multiplicities come from Brauer's rule through
 ``characters.klimyk``, the same straightening step.
-``hall_littlewood`` gives the orbit-sum form, keyed by dominant coweights.
 
 Maps are handed out read-only, cached or not.
 """
 
 from __future__ import annotations
 
-from functools import cache, partial
+from functools import cache
 from math import prod
 from operator import add, mul, sub
 from types import MappingProxyType
@@ -100,7 +102,6 @@ from .characters import (
     _pack,
     _width,
     dominant_support,
-    dominant_weights,
     klimyk,
     restrict_decompose,
     tensor_decompose,
@@ -111,6 +112,7 @@ from .rootdata import (
     RootDatum,
     SubsystemView,
     coroot_numerators,
+    levi_view,
     pairing,
     vec_add,
     vec_sub,
@@ -342,68 +344,33 @@ def _hl_characters(view: SubsystemView, mu: Coweight) -> Mapping:
                              for kappa, p in sorted(chars.items())})
 
 
-def _expand(chars: Mapping[Coweight, dict], decompose) -> dict:
-    """sum over kappa of chars[kappa] times decompose(kappa): a character
-    expansion pushed through a decomposition of each character, as
-    {key: flat {v-exponent: int} map}."""
-    out: dict = {}
-    for kappa, p in chars.items():
-        for lam, r in decompose(kappa).items():
-            acc = out.setdefault(lam, {})
-            for e, x in p.items():
-                acc[e] = acc.get(e, 0) + r * x
-    return out
-
-
-def hall_littlewood(datum: RootDatum, view: SubsystemView,
-                    mu: Coweight) -> InvariantElement:
-    """Hall-Littlewood orbit polynomial for the subsystem: the character
-    expansion of ``hall_littlewood_characters`` written in orbit sums through
-    ``dominant_weights``.  Exact; returns a read-only map of orbit sums keyed
-    by subsystem-dominant coweights, monic at mu."""
-    out = _expand(_hl_characters(view, tuple(mu)),
-                  partial(dominant_weights, view))
-    polys = ((lam, LaurentPoly(p)) for lam, p in sorted(out.items()))
-    return MappingProxyType({lam: p for lam, p in polys if p})
-
-
-def _view_coordinates(datum: RootDatum, view: SubsystemView,
-                      nums: tuple) -> Optional[tuple]:
-    """Coefficients over the view's simple coroots of the coweight whose
-    coroot numerators (``coroot_numerators``) are nums, or None when it is
-    not an integer combination of them."""
-    det = datum.cartan_det
-    out = []
-    for i, n in enumerate(nums, 1):
-        if i in view.indices:
-            q, r = divmod(n, det)
-            if r:
-                return None
-            out.append(q)
-        elif n:
-            return None
-    return tuple(out)
-
-
 def _offset_above(datum: RootDatum, view: SubsystemView, lam: Coweight,
                   gamma: Coweight) -> Optional[tuple]:
     """Coefficients of lam - gamma over the view's simple coroots when they
     are nonnegative integers, else None: K_{lam,gamma} of the view is zero
-    unless they are.  The numerators of lam - gamma are those of lam minus
-    those of gamma, so both are read from the memo.  On the torus only
-    lam = gamma passes."""
-    top = _view_coordinates(datum, view, tuple(map(
-        sub, coroot_numerators(datum, lam), coroot_numerators(datum, gamma))))
-    if top is None or min(top, default=0) < 0:
-        return None
-    return top
+    unless they are.  They are the coroot numerators of lam minus those of
+    gamma, both read from the memo, divided by det; off the view the
+    difference must be zero.  On the torus only lam = gamma passes."""
+    det = datum.cartan_det
+    top = []
+    for i, n in enumerate(map(sub, coroot_numerators(datum, lam),
+                              coroot_numerators(datum, gamma)), 1):
+        if i in view.indices:
+            q, r = divmod(n, det)
+            if r or q < 0:
+                return None
+            top.append(q)
+        elif n:
+            return None
+    return tuple(top)
 
 
 @cache
 def _partition_table(datum: RootDatum, view: SubsystemView) -> tuple:
     """The view's non-simple positive coroots in simple-coroot coordinates,
     and its memo of partition-function values keyed by (level, point)."""
-    coords = (_view_coordinates(datum, view, coroot_numerators(datum, cv))
+    zero = (0,) * datum.rank
+    coords = (_offset_above(datum, view, cv, zero)
               for cv in view.positive_coroots)
     return tuple(a for a in coords if sum(a) > 1), {}
 
@@ -521,8 +488,13 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
     multiplicities: {l: flat map}.  Cached; callers only read it."""
     # mu is a character of P_mu: over the cap, fail before expanding P_mu
     restrict_decompose(upper, lower, mu)
-    return _expand(_hl_characters(upper, mu),
-                   partial(restrict_decompose, upper, lower))
+    out: dict = {}
+    for kappa, p in _hl_characters(upper, mu).items():
+        for l, r in restrict_decompose(upper, lower, kappa).items():
+            acc = out.setdefault(l, {})
+            for e, x in p.items():
+                acc[e] = acc.get(e, 0) + r * x
+    return out
 
 
 def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
@@ -538,6 +510,10 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
     if not (view.is_dominant(alpha) and view.is_dominant(beta)):
         raise DomainError("product arguments must be dominant")
     if not view.is_dominant(gamma):
+        return LaurentPoly.zero()
+    # m is zero unless alpha + beta is at or above gamma: answer that before
+    # any Hall-Littlewood polynomial is expanded
+    if _offset_above(datum, view, vec_add(alpha, beta), gamma) is None:
         return LaurentPoly.zero()
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
     rest = tuple(map(sub, coroot_numerators(datum, beta),
@@ -576,14 +552,16 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
     """The coefficient at the lower view's lam of the upper view's basis
     element at mu: v^(<2rho, mu> - <2rho_M, lam>) times the sum over l of
     the restricted characters at l times K^M_{l,lam}(v^-2).  On the torus
-    K^M is zero unless l = lam, so only lam is read; on a proper Levi K^M
-    decides its own support, as ``_kostka_foulkes`` is () unless l - lam is
-    a nonnegative integer combination of the lower view's simple coroots."""
+    K^M is the identity, so the coefficient is the restricted character at
+    lam and no K is evaluated; on a proper Levi K^M decides its own
+    support, as ``_kostka_foulkes`` is () unless l - lam is a nonnegative
+    integer combination of the lower view's simple coroots."""
     shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
+    chars = _restricted_characters(upper, lower, mu)
+    if not lower.indices:
+        return LaurentPoly(chars.get(lam, {})).shift(shift)
     out: dict[int, int] = {}
-    for l, p in _restricted_characters(upper, lower, mu).items():
-        if not lower.indices and l != lam:
-            continue
+    for l, p in chars.items():
         for deg, k in enumerate(_kostka_foulkes(datum, lower, l, lam)):
             if k:
                 base = shift - 2 * deg
@@ -612,6 +590,19 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
         if c:
             out[lam] = c
     return MappingProxyType(out)
+
+
+def hall_littlewood(datum: RootDatum, view: SubsystemView,
+                    mu: Coweight) -> InvariantElement:
+    """Hall-Littlewood orbit polynomial for the subsystem.  Its orbit-sum
+    coefficient at a view-dominant lam is its monomial coefficient there,
+    the torus constant term ``satake_expand(datum, view, torus, mu)`` at lam
+    shifted by -<2rho_view, mu>.  Exact; returns a read-only map of orbit
+    sums keyed by subsystem-dominant coweights, monic at mu."""
+    shift = -pairing(view.two_rho, mu)
+    ct = satake_expand(datum, view, levi_view(datum, ()), mu)
+    return MappingProxyType({lam: c.shift(shift) for lam, c in ct.items()
+                             if view.is_dominant(lam)})
 
 
 def _check_ct_support(datum: RootDatum, mu: Coweight, lam: Coweight) -> None:

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from heckebranch import characters, cli
+from heckebranch import characters, cli, hecke
 from heckebranch.cli import main
 from heckebranch.harness import CHECK_NAMES, SweepConfig, run_sweep
 
@@ -125,6 +125,18 @@ def test_compute_m_and_n_with_auto_offset(capsys):
          "--mu", "1", "--lambda", "-1"], capsys)
     assert code == 0
     assert stdout.strip() == "1"
+
+
+def test_compute_m_off_the_coroot_lattice_expands_nothing(capsys):
+    # mu - lambda is off the coroot lattice, so alpha + beta is not at or
+    # above gamma and m is zero before any Hall-Littlewood polynomial is built
+    hecke._hl_characters.cache_clear()
+    code, stdout, _ = run_cli(
+        ["compute", "m", "--type", "A5", "--levi", "1",
+         "--mu", "1,1,1,1,1", "--lambda", "0,0,0,0,0"], capsys)
+    assert code == 0
+    assert stdout.strip() == "0"
+    assert hecke._hl_characters.cache_info().misses == 0
 
 
 def test_compute_json_output(capsys):

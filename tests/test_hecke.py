@@ -188,6 +188,18 @@ def test_constant_term_over_the_dimension_cap_expands_nothing(monkeypatch):
     assert hecke._hl_characters.cache_info().misses == 0
 
 
+def test_torus_constant_term_evaluates_no_kostka_foulkes():
+    # K^T is the identity: the torus coefficient is the restricted character
+    # at lam, read without a Kostka-Foulkes lookup
+    d = root_datum("A2")
+    torus = levi_view(d, ())
+    hecke._kostka_foulkes.cache_clear()
+    assert constant_term_coefficient(d, torus, (1, 1), (0, 0)) \
+        == LaurentPoly({4: 2, 2: -1, 0: -1})
+    info = hecke._kostka_foulkes.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
+
+
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_numerator_straightening_matches_the_full_walk(type_str):
     d = root_datum(type_str)
@@ -640,8 +652,8 @@ def test_kostka_foulkes_at_t_one_and_zero(type_str):
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3"])
 def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
     # _partial_sum evaluates K_{c,gamma} only where the coroot numerators of
-    # c - gamma are nonnegative, and _ct_coefficient, on the torus, K^M_{l,lam}
-    # only at l = lam.  On a proper Levi _kostka_foulkes itself returns ()
+    # c - gamma are nonnegative, and _ct_coefficient evaluates no K^T on the
+    # torus.  On a proper Levi _kostka_foulkes itself returns ()
     # wherever _offset_above does not find l - lam in the lower view's cone.
     # Wherever a test skips, K is zero, and gamma is not even a weight of the
     # module at c: K at t = 1 is the weight multiplicity.
