@@ -52,7 +52,7 @@ K is evaluated only where it can be nonzero: K_{c,gamma} on the
 constituents c at or above gamma, and ``structure_constant`` evaluates none
 unless alpha + beta is at or above gamma.  On the torus K^M is the identity,
 so the torus constant term at lam reads the one restricted character at lam
-and evaluates no K.  On a proper Levi K^M decides its own support: it is ()
+and evaluates no K.  On a proper Levi K^M decides its own support: it is {}
 at once unless l - lam is a nonnegative integer combination of the Levi's
 simple coroots, the one test ``_kostka_foulkes`` makes before its walk.  The
 partial sum G is memoized on (datum, a, beta, gamma) and leaves out the
@@ -67,8 +67,8 @@ across their first factors, and ``hecke_product`` reads the same G at each
 gamma of its support.  The restricted characters sum_kappa A_kappa r_kappa(l)
 are memoized per (upper, lower, mu).  On the torus they are the monomial
 coefficients of P_mu, and on dominant weights those are its orbit-sum
-coefficients: ``hall_littlewood`` is the view-dominant part of the torus
-constant term, so orbit sums take the same route as c.
+coefficients: ``hall_littlewood`` reads them at view-dominant keys, so
+orbit sums take the same route as the torus constant term.
 
 K is evaluated in the view's simple-coroot coordinates of
 w(lam + rho) - (gamma + rho): the walk starts at lam - gamma (w = 1) and
@@ -76,10 +76,16 @@ goes down the orbit one simple reflection at a time, flipping the sign at each
 and keeping only points at or above gamma + rho in dominance.  Every such point
 that is not dominant reflects up to lam + rho through such points, so the
 walk reaches every contributing Weyl element without enumerating the Weyl
-group.  P_t is one memoized table per view.  Every memo here is
-``functools.cache`` on a private function, keyed by the datum or view
-object itself.  Sums accumulate in flat {v-exponent: int} maps;
-``LaurentPoly`` is built at the public boundary only.
+group.  P_t is one memoized table per view, its entries tuples by power
+of t.  Every memo here is ``functools.cache`` on a private function, keyed
+by the datum or view object itself.
+
+Between ``_unpack_t`` and the public boundary every polynomial is one flat
+{v-exponent: int} map: the Hall-Littlewood characters, the restricted
+characters, the partial sums G, and K itself, whose t^j sits at exponent
+-2j with no zero coefficient kept.  ``_add_product`` is the one product of
+two such maps, and ``LaurentPoly``, built at the public boundary only,
+multiplies through it too.
 
 Nothing here peels: the triangular peels against the Hall-Littlewood
 characters are kept in ``tests/hecke_oracle.py`` as oracles, and the
@@ -161,14 +167,8 @@ class LaurentPoly:
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self._c)
         for e, c in other._c.items():
-            n = out.get(e, 0) + c
-            if n:
-                out[e] = n
-            else:
-                out.pop(e, None)
-        r = LaurentPoly.zero()
-        r._c = out
-        return r
+            out[e] = out.get(e, 0) + c
+        return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
         r = LaurentPoly.zero()
@@ -179,18 +179,7 @@ class LaurentPoly:
         return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self._c.items():
-            for e2, c2 in other._c.items():
-                e = e1 + e2
-                n = out.get(e, 0) + c1 * c2
-                if n:
-                    out[e] = n
-                else:
-                    out.pop(e, None)
-        r = LaurentPoly.zero()
-        r._c = out
-        return r
+        return LaurentPoly(_add_product({}, self._c, other._c))
 
     def scale(self, k: int) -> "LaurentPoly":
         return LaurentPoly({e: k * c for e, c in self._c.items()})
@@ -260,6 +249,18 @@ InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 _T_BITS = 64
 _T_MASK = (1 << _T_BITS) - 1
 _T_HALF = 1 << (_T_BITS - 1)
+
+
+def _add_product(out: dict, p: Mapping, q: Mapping, shift: int = 0) -> dict:
+    """Add v^shift p q into the flat map out in place and return out, which
+    must not be p or q.  Zero coefficients may remain in out."""
+    get = out.get
+    for e1, x1 in p.items():
+        e1 += shift
+        for e2, x2 in q.items():
+            e = e1 + e2
+            out[e] = get(e, 0) + x1 * x2
+    return out
 
 
 def _unpack_t(p: int) -> dict:
@@ -408,9 +409,10 @@ def _partition(roots: tuple, table: dict, k: int, d: tuple) -> tuple:
 
 @cache
 def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
-                    gamma: Coweight) -> tuple:
-    """K_{lam,gamma}(t) of the view as coefficients by power of t, () when
-    zero; lam and gamma are view-dominant.  Cached."""
+                    gamma: Coweight) -> dict:
+    """K_{lam,gamma}(t) of the view as a flat {v-exponent: int} map, t^j at
+    -2j, with no zero coefficient: {} when K is zero.  lam and gamma are
+    view-dominant.  Cached; callers only read it."""
     top = _offset_above(datum, view, lam, gamma)
     acc: dict[int, int] = {}
     if top is not None:
@@ -430,16 +432,15 @@ def _kostka_foulkes(datum: RootDatum, view: SubsystemView, lam: Coweight,
         while level:
             below = set()
             for d in level:
-                for e, c in enumerate(_partition(roots, table, len(roots), d)):
+                for j, c in enumerate(_partition(roots, table, len(roots), d)):
                     if c:
-                        acc[e] = acc.get(e, 0) + sign * c
+                        acc[-2 * j] = acc.get(-2 * j, 0) + sign * c
                 for pos, row, base in rows:
                     step = base + sum(map(mul, row, d))
                     if 0 < step <= d[pos]:
                         below.add(d[:pos] + (d[pos] - step,) + d[pos + 1:])
             level, sign = below, -sign
-    degree = max((e for e, c in acc.items() if c), default=-1)
-    return tuple(acc.get(e, 0) for e in range(degree + 1))
+    return {e: c for e, c in acc.items() if c}
 
 
 @cache
@@ -464,19 +465,14 @@ def _partial_sum(datum: RootDatum, a: Coweight, beta: Coweight,
     for b, pb in _hl_characters(view, beta).items():
         if min(map(add, rest, coroot_numerators(datum, b))) < 0:
             continue
-        # sum over c of n_{ab}^c K_{c,gamma}, by power of t
+        # sum over c of n_{ab}^c K_{c,gamma}
         kf: dict[int, int] = {}
         for c, n in tensor_decompose(datum, a, b).items():
             if min(map(sub, coroot_numerators(datum, c), low)) < 0:
                 continue
-            for deg, k in enumerate(_kostka_foulkes(datum, view, c, gamma)):
-                if k:
-                    kf[deg] = kf.get(deg, 0) + n * k
-        for deg, k in kf.items():
-            if k:
-                for e, x in pb.items():
-                    e -= 2 * deg
-                    out[e] = out.get(e, 0) + k * x
+            for e, k in _kostka_foulkes(datum, view, c, gamma).items():
+                kf[e] = kf.get(e, 0) + n * k
+        _add_product(out, kf, pb)
     return out
 
 
@@ -524,11 +520,7 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         # unless a + beta is at or above gamma
         if min(map(add, rest, coroot_numerators(datum, a))) < 0:
             continue
-        g = _partial_sum(datum, a, beta, gamma)
-        for e1, x1 in pa.items():
-            e1 += shift
-            for e2, x2 in g.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + x1 * x2
+        _add_product(out, pa, _partial_sum(datum, a, beta, gamma), shift)
     return LaurentPoly(out)
 
 
@@ -554,7 +546,7 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
     the restricted characters at l times K^M_{l,lam}(v^-2).  On the torus
     K^M is the identity, so the coefficient is the restricted character at
     lam and no K is evaluated; on a proper Levi K^M decides its own
-    support, as ``_kostka_foulkes`` is () unless l - lam is a nonnegative
+    support, as ``_kostka_foulkes`` is {} unless l - lam is a nonnegative
     integer combination of the lower view's simple coroots."""
     shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
     chars = _restricted_characters(upper, lower, mu)
@@ -562,11 +554,7 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
         return LaurentPoly(chars.get(lam, {})).shift(shift)
     out: dict[int, int] = {}
     for l, p in chars.items():
-        for deg, k in enumerate(_kostka_foulkes(datum, lower, l, lam)):
-            if k:
-                base = shift - 2 * deg
-                for e, x in p.items():
-                    out[e + base] = out.get(e + base, 0) + k * x
+        _add_product(out, _kostka_foulkes(datum, lower, l, lam), p, shift)
     return LaurentPoly(out)
 
 
@@ -596,13 +584,17 @@ def hall_littlewood(datum: RootDatum, view: SubsystemView,
                     mu: Coweight) -> InvariantElement:
     """Hall-Littlewood orbit polynomial for the subsystem.  Its orbit-sum
     coefficient at a view-dominant lam is its monomial coefficient there,
-    the torus constant term ``satake_expand(datum, view, torus, mu)`` at lam
-    shifted by -<2rho_view, mu>.  Exact; returns a read-only map of orbit
+    the restriction of P_mu to the torus's characters at lam, which the
+    torus constant term reads too.  Exact; returns a read-only map of orbit
     sums keyed by subsystem-dominant coweights, monic at mu."""
-    shift = -pairing(view.two_rho, mu)
-    ct = satake_expand(datum, view, levi_view(datum, ()), mu)
-    return MappingProxyType({lam: c.shift(shift) for lam, c in ct.items()
-                             if view.is_dominant(lam)})
+    chars = _restricted_characters(view, levi_view(datum, ()), tuple(mu))
+    out = {}
+    for lam in sorted(chars):
+        if view.is_dominant(lam):
+            c = LaurentPoly(chars[lam])
+            if c:
+                out[lam] = c
+    return MappingProxyType(out)
 
 
 def _check_ct_support(datum: RootDatum, mu: Coweight, lam: Coweight) -> None:

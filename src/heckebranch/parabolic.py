@@ -8,10 +8,13 @@ pairing form: <alpha, nu> must reach the requirement
 q_alpha = -min_w <alpha, w mu> of every root alpha outside the Levi.  No
 orbit is walked for it: the orbit of alpha holds -alpha and one dominant
 root theta, the highest root of alpha's length, and every root of the orbit
-lies below theta, so q_alpha = <theta, mu>.  The polytope and facet forms,
-computed from the exact hull vertices, and the box search for the minimal
-offset are reference routes in ``tests/peel_oracle.py``, and the tests check
-that they agree.
+lies below theta, so q_alpha = <theta, mu>.  The Weyl group carries coroots
+as it carries roots, so theta is the root whose coroot
+``SubsystemView.dominate`` reaches from alpha's coroot, and that is the one
+upward Weyl walk here.  The polytope and facet forms, computed from the
+exact hull vertices, and the box search for the minimal offset are
+reference routes in ``tests/peel_oracle.py``, and the tests check that they
+agree.
 """
 
 from __future__ import annotations
@@ -39,27 +42,15 @@ def is_levi_central(levi: SubsystemView, nu: Sequence) -> bool:
     return all(nu[i - 1] == 0 for i in levi.indices)
 
 
-def _dominant_root(datum: RootDatum, root: Root) -> Root:
-    """The dominant root of the Weyl orbit of root, reached by reflecting up
-    through every simple root it pairs negatively with."""
-    coroots = datum.full.simple_coroots
-    r = list(root)
-    while True:
-        for j, c in coroots.items():
-            p = pairing(r, c)
-            if p < 0:
-                r[j - 1] -= p
-                break
-        else:
-            return tuple(r)
-
-
 def _requirements(datum: RootDatum, levi: SubsystemView,
                   mu: Coweight) -> list:
     """(alpha, q_alpha) for every root alpha outside the Levi, where
     q_alpha = -min_w <alpha, w mu> = <theta, mu>, theta the dominant root
-    of alpha's orbit."""
-    return [(alpha, pairing(_dominant_root(datum, alpha), mu))
+    of alpha's orbit: its coroot is the dominant point of the orbit of
+    alpha's coroot."""
+    coroot = dict(zip(datum.positive_roots, datum.positive_coroots))
+    root = {cv: r for r, cv in coroot.items()}
+    return [(alpha, pairing(root[datum.full.dominate(coroot[alpha])], mu))
             for alpha in nilradical_roots(datum, levi)]
 
 

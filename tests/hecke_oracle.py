@@ -328,9 +328,7 @@ def kostka_foulkes(datum, view, lam, gamma):
     lam, gamma = tuple(lam), tuple(gamma)
     if not (view.is_dominant(lam) and view.is_dominant(gamma)):
         raise DomainError(f"{lam} and {gamma} must be dominant for {view.key}")
-    return LaurentPoly({-2 * e: c for e, c in
-                        enumerate(hecke._kostka_foulkes(datum, view, lam,
-                                                        gamma))})
+    return LaurentPoly(hecke._kostka_foulkes(datum, view, lam, gamma))
 
 
 def product_identity_sides(datum, levi, mu, lam, nu):

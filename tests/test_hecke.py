@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import fraction_oracle
 import hecke_oracle
+import kostka_oracle
 import weyl_oracle
 from fraction_oracle import in_coroot_lattice
 from hecke_oracle import (
@@ -16,7 +17,7 @@ from hecke_oracle import (
     satake_f,
     stabilizer_poincare,
 )
-from heckebranch import characters, hecke
+from heckebranch import characters, hecke, rootdata
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_support,
@@ -167,7 +168,7 @@ def test_partition_cap_hit_caches_nothing(monkeypatch):
     assert hecke._kostka_foulkes.cache_info().currsize == size
     monkeypatch.setattr(hecke, "PARTITION_CAP", cap)
     # K_{theta,0} is t + t^2, t to the exponents of A2
-    assert hecke._kostka_foulkes(d, d.full, (1, 1), (0, 0)) == (0, 1, 1)
+    assert hecke._kostka_foulkes(d, d.full, (1, 1), (0, 0)) == {-2: 1, -4: 1}
     assert hecke._kostka_foulkes.cache_info().currsize == size + 1
 
 
@@ -632,14 +633,21 @@ def test_pointwise_coefficients_off_the_support():
         kostka_foulkes(d, lv, (1, 0), (-1, 1))
 
 
-@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "B2", "B3", "C2",
-                                      "C3", "G2"])
+@pytest.mark.parametrize("type_str", ["A1", "A2", "A3", "A4", "A5", "B2",
+                                      "B3", "B4", "C2", "C3", "C4", "D4",
+                                      "F4", "G2"])
 def test_kostka_foulkes_at_t_one_and_zero(type_str):
     # K(1) is the weight multiplicity (Kostant's formula) and K(0) the
-    # Kronecker delta, on every view
+    # Kronecker delta, on every view.  Every coefficient is nonnegative
+    # (Lusztig 1983; Kato 1982), and K is monic of degree the height of
+    # lam - gamma over the view's simple coroots.  The weight multiplicities
+    # are read under the dimension cap, which of these modules only F4's
+    # (0, 0, 2, 0) exceeds
     d = root_datum(type_str)
     for view in _views(d):
         for lam in _small_dominant(view):
+            if weyl_dim(view, lam) > characters.DIMENSION_CAP:
+                continue
             mults = dominant_weights(view, lam)
             for gamma in sorted(mults):
                 k = kostka_foulkes(d, view, lam, gamma)
@@ -647,13 +655,62 @@ def test_kostka_foulkes_at_t_one_and_zero(type_str):
                 assert sum(c for _, c in k.items()) == mults[gamma], \
                     (view.key, lam, gamma)
                 assert k.coeff(0) == (gamma == lam), (view.key, lam, gamma)
+                assert all(c > 0 for _, c in k.items()), (view.key, lam, gamma)
+                height = sum(fraction_oracle.view_coroot_coefficients(
+                    view, vec_sub(lam, gamma)))
+                assert k.min_exponent() == -2 * height, (view.key, lam, gamma)
+                assert k.coeff(-2 * height) == 1, (view.key, lam, gamma)
+
+
+def _exponents(letter, rank):
+    """The exponents of the Weyl group of the type."""
+    if letter == "A":
+        return range(1, rank + 1)
+    if letter in "BC":
+        return range(1, 2 * rank, 2)
+    if letter == "D":
+        return [*range(1, 2 * rank - 2, 2), rank - 1]
+    return {"F": (1, 5, 7, 11), "G": (1, 5)}[letter]
+
+
+@pytest.mark.parametrize("type_str", [
+    f"{letter}{r}" for letter, ranks in rootdata._SUPPORTED_RANKS.items()
+    for r in ranks])
+def test_kostka_foulkes_at_the_highest_coroot_gives_the_exponents(type_str):
+    # Kostant (Amer. J. Math. 85, 1963): K_{theta,0}(t) = sum_i t^(m_i) over
+    # the exponents m_i of W, with theta the highest weight of the dual
+    # group's adjoint module: the dominant positive coroot highest by 2rho
+    d = root_datum(type_str)
+    theta = max((cv for cv in d.positive_coroots if d.full.is_dominant(cv)),
+                key=lambda cv: pairing(d.full.two_rho, cv))
+    expected = {}
+    for m in _exponents(d.letter, d.rank):
+        expected[-2 * m] = expected.get(-2 * m, 0) + 1
+    assert kostka_foulkes(d, d.full, theta, (0,) * d.rank) \
+        == LaurentPoly(expected)
+
+
+@pytest.mark.parametrize("type_str,height", [("A1", 12), ("A2", 8), ("A3", 8),
+                                             ("A4", 8), ("A5", 6)])
+def test_kostka_foulkes_equals_the_charge_statistic_in_type_a(type_str,
+                                                              height):
+    # a second route to K with nothing shared: Lascoux-Schützenberger charge
+    # over semistandard tableaux, on every pair of dominant coweights
+    d = root_datum(type_str)
+    weights = dominant_coweights_up_to(d, height)
+    nonzero = 0
+    for lam, gamma in itertools.product(weights, repeat=2):
+        k = kostka_oracle.kostka_foulkes(lam, gamma)
+        assert hecke._kostka_foulkes(d, d.full, lam, gamma) == k, (lam, gamma)
+        nonzero += bool(k)
+    assert nonzero > len(weights)
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3"])
 def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
     # _partial_sum evaluates K_{c,gamma} only where the coroot numerators of
     # c - gamma are nonnegative, and _ct_coefficient evaluates no K^T on the
-    # torus.  On a proper Levi _kostka_foulkes itself returns ()
+    # torus.  On a proper Levi _kostka_foulkes itself returns {}
     # wherever _offset_above does not find l - lam in the lower view's cone.
     # Wherever a test skips, K is zero, and gamma is not even a weight of the
     # module at c: K at t = 1 is the weight multiplicity.
@@ -663,7 +720,7 @@ def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
     for c, gamma in itertools.product(mus, repeat=2):
         if min(map(sub, coroot_numerators(d, c),
                    coroot_numerators(d, gamma))) < 0:
-            assert hecke._kostka_foulkes(d, d.full, c, gamma) == (), (c, gamma)
+            assert hecke._kostka_foulkes(d, d.full, c, gamma) == {}, (c, gamma)
             assert gamma not in dominant_weights(d.full, c), (c, gamma)
             skipped += 1
         else:
@@ -680,7 +737,7 @@ def test_kostka_foulkes_is_skipped_only_where_it_is_zero(type_str):
             if not lv.indices:
                 assert rejected == (l != lam), (l, lam)
             if rejected:
-                assert hecke._kostka_foulkes(d, lv, l, lam) == (), \
+                assert hecke._kostka_foulkes(d, lv, l, lam) == {}, \
                     (lv.key, l, lam)
                 assert lam not in dominant_weights(lv, l), (lv.key, l, lam)
                 skipped += 1
