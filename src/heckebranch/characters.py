@@ -21,22 +21,19 @@ view and digit width.  Tables, tensor products, restrictions, coroot
 strings and walk states are memoized by ``functools.cache`` on private
 functions keyed by the view or datum object.  One cached Freudenthal pass
 gives both ``dominant_weights`` and ``weight_table``, expanding each
-dominant weight's orbit into the table as it goes.  It walks each coroot
-string kappa + k cv on forms built once per view, the vector form(., cv)
-and the number (cv, cv): the pairing (kappa + k cv, cv) is (kappa, cv) + k
-(cv, cv), and each step adds cv to the point.  Weight tables are
-``PackedWeights``: besides the plain map they hold every weight w packed
-into one integer, 2w in signed digits of a given width, so the doubled
-point 2(top + w) + 2 rho_hat of a term is the packed 2(top + rho_hat) plus
-the packed 2w, one integer addition.  The width of a call is ``_width`` of
-the largest coordinate it can reach: the least power of two, at least 8,
-whose signed digits hold it, so packing never aliases two points.
-``klimyk`` keeps one memo per view and width, ``_walks``, from that integer
-to the walk's result, its dominant highest weight and sign or a wall,
-decodes and walks a point only on a miss, and adds each term into its sum
-in place.  The memo is shared by every caller under the view: tensor
-products, restrictions and ``hecke``'s Hall-Littlewood numerators, which
-are built packed at their own ``_width``.
+dominant weight's orbit into the table as it goes.  It steps along each
+coroot string kappa + k cv by adding cv to the point and (cv, cv) to its
+pairing with cv, on forms built once per view.  Weight tables are
+``PackedWeights``: they also hold each weight w packed into one integer, 2w
+in signed digits of the width ``_width`` picks so that no two points share
+one, so the doubled point 2(top + w) + 2 rho_hat of a term is one integer
+addition.  ``klimyk`` keeps one memo per view and width, ``_walks``, from
+that integer to the walk's result, its dominant highest weight and sign or
+a wall, and walks a point only on a miss.  Tensor products, restrictions to
+a Levi and ``hecke``'s Hall-Littlewood numerators share it.  The torus has
+no simple roots, so it straightens nothing and builds no walk state: a
+restriction to it (every orbit sum and torus constant term) is the weight
+table itself.
 """
 
 from __future__ import annotations
@@ -281,7 +278,13 @@ def klimyk(view: SubsystemView, top: Coweight, weights: Mapping) -> dict:
     the nonzero entries of the simple coroot, and dropped at the first point
     of its walk with a zero coordinate at a view index, where a simple
     reflection fixes it and its orbit meets the dominant chamber on a
-    wall."""
+    wall.  A view with no simple roots, the torus, straightens nothing: the
+    sum is the weights translated by top, at top 0 the table itself, read
+    unpacked and with no walk state."""
+    if not view.indices:
+        if any(top):
+            weights = {vec_add(top, w): m for w, m in weights.items()}
+        return {w: m for w, m in weights.items() if m}
     if not isinstance(weights, PackedWeights):
         weights = PackedWeights.of(weights)
     shift = view.two_rho_hat

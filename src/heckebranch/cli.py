@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from typing import Optional, Sequence
 
 from .characters import branch_multiplicity, tensor_multiplicity
@@ -137,23 +138,20 @@ def _cmd_verify(args) -> int:
         with open(args.out, "w", encoding="utf-8") as fh:
             json.dump(report, fh, indent=2, sort_keys=True)
             fh.write("\n")
-    per_check: dict[str, dict[str, int]] = {}
-    for rec in report["per_mu"] + report["instances"]:
-        for name, verdict in rec["checks"].items():
-            per_check.setdefault(name, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-            per_check[name][verdict] += 1
-    for section in ("semigroup", "saturation"):
-        if report[section] is not None:
-            per_check.setdefault(section, {"PASS": 0, "FAIL": 0, "SKIPPED": 0})
-            per_check[section][report[section]["verdict"]] += 1
+    # (check, verdict) -> count
+    counts = Counter((name, verdict)
+                     for rec in report["per_mu"] + report["instances"]
+                     for name, verdict in rec["checks"].items())
+    counts.update((name, report[name]["verdict"])
+                  for name in ("semigroup", "saturation") if report[name])
     print(f"{config.cartan_type} levi={list(config.levi)} "
           f"max_height={config.max_height}: "
           f"{report['instance_count']} instances")
     for name in CHECK_NAMES:
-        if name in per_check:
-            c = per_check[name]
-            print(f"  {name}: {c['PASS']} pass, {c['FAIL']} fail, "
-                  f"{c['SKIPPED']} skipped")
+        if any(n == name for n, _ in counts):
+            print(f"  {name}: {counts[name, 'PASS']} pass, "
+                  f"{counts[name, 'FAIL']} fail, "
+                  f"{counts[name, 'SKIPPED']} skipped")
     s = report["summary"]
     print(f"summary: pass={s['pass']} fail={s['fail']} "
           f"skipped={s['skipped']} "
@@ -181,13 +179,11 @@ def _cmd_compute(args) -> int:
         value = structure_constant(datum, alpha, mustar, nu)
     else:
         value = constant_term_coefficient(datum, levi, mu, lam)
+    poly = isinstance(value, LaurentPoly)
     if args.json:
-        if isinstance(value, LaurentPoly):
-            print(json.dumps(value.to_json(), sort_keys=True))
-        else:
-            print(json.dumps(value))
+        print(json.dumps(value.to_json() if poly else value, sort_keys=True))
     else:
-        print(repr(value) if isinstance(value, LaurentPoly) else value)
+        print(repr(value) if poly else value)
     return 0
 
 

@@ -5,10 +5,13 @@ for saturation behaviour, and assemble a machine-readable report.
 Reports are deterministic for a fixed configuration: instance order follows
 the enumeration order, randomized sections draw from a seeded generator, and
 timing lives in dedicated ``*_ms`` fields so two runs differ at most there.
-With ``jobs`` > 1 the sweep forks its workers after enumeration, so they
-start from the parent's warm caches, and the parent works as one of them.
-Records are placed by task index, so results are independent of the worker
-count.
+One task makes the records of a (mu, lambda) at both its offsets nu, and
+computes what reads no nu once: r, c, the branch paths, f with its degree
+flags and orbit-size product, and the nonvanishing verdict; the first
+offset's ``time_ms`` carries that work.  With ``jobs`` > 1 the sweep forks
+its workers after enumeration, so they start from the parent's warm caches,
+and the parent works as one of them.  Records are placed by task index, so
+results are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -128,17 +131,14 @@ def _levi_dominant_weights(datum: RootDatum, levi, max_height) -> dict:
             for mu in dominant_coweights_up_to(datum, max_height)}
 
 
-def _instances(datum: RootDatum, levi,
-               lams_by_mu: dict) -> list[tuple[Coweight, Coweight, Coweight]]:
-    """(mu, lambda, nu) for each mu and lambda of ``lams_by_mu`` and each
-    offset nu of ``offset_pair``, the minimal one first and the larger one
-    when it is distinct."""
-    out = []
+def _instances(datum: RootDatum, levi, lams_by_mu: dict):
+    """(mu, lambda, offsets) for each mu and lambda of ``lams_by_mu``, the
+    offsets nu those of ``offset_pair``: the minimal one first and the
+    larger one when it is distinct."""
     for mu, lams in lams_by_mu.items():
         nu0, nu1 = offset_pair(datum, levi, mu)
         nus = (nu0,) if nu1 == nu0 else (nu0, nu1)
-        out += [(mu, lam, nu) for lam in lams for nu in nus]
-    return out
+        yield from ((mu, lam, nus) for lam in lams)
 
 
 def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, Coweight]]:
@@ -150,8 +150,9 @@ def enumerate_instances(config: SweepConfig) -> list[tuple[Coweight, Coweight, C
         return []
     datum = root_datum(config.cartan_type)
     levi = levi_view(datum, config.levi)
-    return _instances(datum, levi, _levi_dominant_weights(
-        datum, levi, config.max_height))
+    return [(mu, lam, nu) for mu, lam, nus in _instances(
+        datum, levi, _levi_dominant_weights(datum, levi, config.max_height))
+        for nu in nus]
 
 
 def _verdict_all(flags: Sequence[bool]) -> str:
@@ -174,117 +175,132 @@ def _skip(checks: tuple, names: tuple, err: FeasibilityError, verdicts: dict,
     return tuple(c for c in checks if c not in names)
 
 
-def _instance_record(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
-                     nu: Coweight, checks, q_points) -> dict:
+def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
+                      nus, checks, q_points) -> list[dict]:
+    """The records of (mu, lam, nu) at the offsets ``nus``, in order; what
+    reads no nu is computed once, at the first offset that needs it."""
     start = time.perf_counter()
-    values: dict = {"r": None, "n": None, "m": None, "c": None}
-    verdicts: dict = {}
-    notes: list[str] = []
-    m_negative = False
-
-    alpha = vec_add(nu, lam)
+    head: dict = {}     # the verdicts and notes of a cap hit on r or c
+    head_notes: list[str] = []
     mustar = dual_star(datum, mu)
-    k = k_phi(datum)
+    two_rho = datum.full.two_rho
 
     r = None
     try:
         r = branch_multiplicity(datum, levi, mu, lam)
-        values["r"] = r
     except FeasibilityError as e:
-        checks = _skip(checks, _NEED_R, e, verdicts, notes)
+        checks = _skip(checks, _NEED_R, e, head, head_notes)
 
-    m_poly = c_poly = None
+    c_poly = None
     if any(c in checks for c in _NEED_HECKE):
         try:
             c_poly = constant_term_coefficient(datum, levi, mu, lam)
-            m_poly = structure_constant(datum, alpha, mustar, nu)
-            values["m"] = m_poly.to_json()
-            values["c"] = c_poly.to_json()
-            m_negative = any(cf < 0 for _, cf in m_poly.items())
+            # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
+            # orbit size; its top v-exponent, doubled, is bounded by
+            # 2 <rho, mu + lam> - 2 <2rho_M, lam>
+            levi_lam = pairing(levi.two_rho, lam)
+            f_poly = c_poly.shift(pairing(two_rho, lam) - levi_lam)
+            f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
+            f_ok = f_poly.has_even_exponents() and (
+                bool(f_poly) and f_poly.max_exponent() == f_bound
+                and f_poly.leading() == r if r != 0
+                else not f_poly or f_poly.max_exponent() < f_bound)
         except FeasibilityError as e:
-            checks = _skip(checks, _NEED_HECKE, e, verdicts, notes)
+            checks = _skip(checks, _NEED_HECKE, e, head, head_notes)
+    r_paths = lhs = nonvanishing = None
 
-    if "multiplicity_identity" in checks:
-        try:
-            n2 = tensor_multiplicity(datum, alpha, mustar, nu)
-            values["n"] = n2
-            # grid paths of one crystal: equal exactly when their Fraction
-            # forms are
-            r_paths = _branch_paths(datum, levi, mu, lam)
-            n_paths = _tensor_paths(datum, mu, nu, alpha)
-            n1 = tensor_multiplicity(datum, nu, mu, alpha)
-            verdicts["multiplicity_identity"] = _verdict_all([
-                len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
-                r_paths == n_paths])
-        except FeasibilityError as e:
-            verdicts["multiplicity_identity"] = SKIPPED
-            notes.append(f"multiplicity_identity: {e}")
+    records = []
+    for nu in nus:
+        values: dict = {"r": r, "n": None, "m": None, "c": None}
+        verdicts, notes = dict(head), list(head_notes)
+        todo = checks
+        m_negative = False
+        alpha = vec_add(nu, lam)
 
-    two_rho = datum.full.two_rho
-    if "product_identity" in checks or "degrees" in checks:
-        # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
-        # orbit size
-        levi_lam = pairing(levi.two_rho, lam)
-        f_poly = c_poly.shift(pairing(two_rho, lam) - levi_lam)
-
-    if "product_identity" in checks:
-        lhs = f_poly * orbit_size(datum, levi, lam)
-        verdicts["product_identity"] = _verdict_all([lhs == m_poly])
-
-    if "degrees" in checks:
-        n2 = values["n"]
-        if n2 is None:
-            n2 = tensor_multiplicity(datum, alpha, mustar, nu)
-            values["n"] = n2
-        # degree bounds doubled, as top v-exponents: 2 <rho, alpha + mu* - nu>
-        # for m and 2 <rho, mu + lam> - 2 <2rho_M, lam> for f
-        even = m_poly.has_even_exponents()
-        flags = [even]
-        m_bound = pairing(two_rho, vec_sub(vec_add(alpha, mustar), nu))
-        if n2 != 0:
-            flags.append(bool(m_poly) and m_poly.max_exponent() == m_bound)
-            flags.append(m_poly.leading() == n2)
-        elif m_poly:
-            flags.append(m_poly.max_exponent() < m_bound)
-        flags.append(f_poly.has_even_exponents())
-        f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
-        if r != 0:
-            flags.append(bool(f_poly) and f_poly.max_exponent() == f_bound)
-            flags.append(f_poly.leading() == r)
-        elif f_poly:
-            flags.append(f_poly.max_exponent() < f_bound)
-        terms = m_poly.items()
-        low = min([0, *(e // 2 for e, _ in terms)])
-        for q in q_points:
-            # m(q) = num / q^(-low), a nonnegative integer or not
-            num = sum(c * q ** (e // 2 - low) for e, c in terms)
-            flags.append(even and num >= 0 and num % q ** -low == 0)
-        verdicts["degrees"] = _verdict_all(flags)
-
-    if "nonvanishing" in checks:
-        flags = []
-        if r != 0:
-            flags.append(bool(c_poly))
-        if c_poly:
+        if c_poly is not None:
             try:
-                flags.append(branch_multiplicity(
-                    datum, levi, vec_scale(k, mu), vec_scale(k, lam)) != 0)
-                verdicts["nonvanishing"] = _verdict_all(flags)
+                m_poly = structure_constant(datum, alpha, mustar, nu)
+                values["m"] = m_poly.to_json()
+                values["c"] = c_poly.to_json()
+                m_negative = any(cf < 0 for _, cf in m_poly.items())
             except FeasibilityError as e:
-                notes.append(f"nonvanishing: {e}")
-                verdicts["nonvanishing"] = (
-                    SKIPPED if all(flags) else FAIL)
-        else:
-            verdicts["nonvanishing"] = _verdict_all(flags)
+                todo = _skip(todo, _NEED_HECKE, e, verdicts, notes)
 
-    return {
-        "mu": list(mu), "lambda": list(lam), "nu": list(nu),
-        "values": values,
-        "checks": verdicts,
-        "notes": notes,
-        "m_has_negative_coefficient": m_negative,
-        "time_ms": (time.perf_counter() - start) * 1000.0,
-    }
+        if "multiplicity_identity" in todo:
+            try:
+                n2 = tensor_multiplicity(datum, alpha, mustar, nu)
+                values["n"] = n2
+                # grid paths of one crystal: equal exactly when their
+                # Fraction forms are
+                if r_paths is None:
+                    r_paths = _branch_paths(datum, levi, mu, lam)
+                n_paths = _tensor_paths(datum, mu, nu, alpha)
+                n1 = tensor_multiplicity(datum, nu, mu, alpha)
+                verdicts["multiplicity_identity"] = _verdict_all([
+                    len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
+                    r_paths == n_paths])
+            except FeasibilityError as e:
+                verdicts["multiplicity_identity"] = SKIPPED
+                notes.append(f"multiplicity_identity: {e}")
+
+        if "product_identity" in todo:
+            if lhs is None:
+                lhs = f_poly * orbit_size(datum, levi, lam)
+            verdicts["product_identity"] = _verdict_all([lhs == m_poly])
+
+        if "degrees" in todo:
+            if values["n"] is None:
+                values["n"] = tensor_multiplicity(datum, alpha, mustar, nu)
+            n2 = values["n"]
+            # the top v-exponent of m, doubled: 2 <rho, alpha + mu* - nu>
+            even = m_poly.has_even_exponents()
+            flags = [even, f_ok]
+            m_bound = pairing(two_rho, vec_sub(vec_add(alpha, mustar), nu))
+            if n2 != 0:
+                flags.append(bool(m_poly) and m_poly.max_exponent() == m_bound)
+                flags.append(m_poly.leading() == n2)
+            elif m_poly:
+                flags.append(m_poly.max_exponent() < m_bound)
+            terms = m_poly.items()
+            low = min([0, *(e // 2 for e, _ in terms)])
+            for q in q_points:
+                # m(q) = num / q^(-low), a nonnegative integer or not
+                num = sum(c * q ** (e // 2 - low) for e, c in terms)
+                flags.append(even and num >= 0 and num % q ** -low == 0)
+            verdicts["degrees"] = _verdict_all(flags)
+
+        if "nonvanishing" in todo:
+            if nonvanishing is None:
+                nonvanishing = _nonvanishing(datum, levi, mu, lam, r, c_poly)
+            verdicts["nonvanishing"], note = nonvanishing
+            notes += note
+
+        now = time.perf_counter()
+        records.append({
+            "mu": list(mu), "lambda": list(lam), "nu": list(nu),
+            "values": values,
+            "checks": verdicts,
+            "notes": notes,
+            "m_has_negative_coefficient": m_negative,
+            "time_ms": (now - start) * 1000.0,
+        })
+        start = now
+    return records
+
+
+def _nonvanishing(datum: RootDatum, levi, mu: Coweight, lam: Coweight, r,
+                  c_poly) -> tuple[str, list]:
+    """The nonvanishing verdict at (mu, lam) and its notes: r != 0 forces
+    c != 0, and c != 0 forces r != 0 at (k mu, k lam)."""
+    flags = [bool(c_poly)] if r != 0 else []
+    if c_poly:
+        k = k_phi(datum)
+        try:
+            flags.append(branch_multiplicity(
+                datum, levi, vec_scale(k, mu), vec_scale(k, lam)) != 0)
+        except FeasibilityError as e:
+            return SKIPPED if all(flags) else FAIL, [f"nonvanishing: {e}"]
+    return _verdict_all(flags), []
 
 
 def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
@@ -322,12 +338,10 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
             composed: dict = {}
             for lam, outer in through.items():
                 for tau, inner in satake_expand(datum, levi, torus, lam).items():
-                    cur = composed.get(tau, LaurentPoly.zero()) + outer * inner
-                    if cur:
-                        composed[tau] = cur
-                    else:
-                        composed.pop(tau, None)
-            verdicts["ct_transitivity"] = _verdict_all([composed == direct])
+                    composed[tau] = (composed.get(tau, LaurentPoly.zero())
+                                     + outer * inner)
+            verdicts["ct_transitivity"] = _verdict_all([
+                {t: p for t, p in composed.items() if p} == direct])
         except FeasibilityError as e:
             verdicts["ct_transitivity"] = SKIPPED
             notes.append(f"ct_transitivity: {e}")
@@ -344,8 +358,14 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
 def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
                        samples: int) -> dict:
     pool = []
+    over_cap = []
     for mu in mus:
-        for lam in sorted(branch_decompose(datum, levi, mu)):
+        try:
+            lams = sorted(branch_decompose(datum, levi, mu))
+        except FeasibilityError:
+            over_cap.append({"mu": list(mu), "reason": "module over the cap"})
+            continue
+        for lam in lams:
             pool.append((mu, lam))
     n = len(pool)
     k = n.bit_length()
@@ -391,13 +411,16 @@ def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
             failures.append({"mu1": list(mu1), "lambda1": list(lam1),
                              "mu2": list(mu2), "lambda2": list(lam2)})
         checked += 1
-    return {
+    section = {
         "pool_size": len(pool),
         "pairs_checked": checked,
         "pairs_skipped": skipped,
         "failures": failures,
         "verdict": PASS if not failures else FAIL,
     }
+    if over_cap:
+        section["mus_over_cap"] = over_cap
+    return section
 
 
 def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
@@ -438,21 +461,18 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
             continue
         hit = {"mu": list(mu), "lambda": list(lam),
                "witness_n": witness[0], "witness_r": witness[1]}
-        kmu = vec_scale(k, mu)
         try:
-            ck = constant_term_coefficient(datum, levi, kmu, vec_scale(k, lam))
-        except FeasibilityError:
-            ck = None
-        if ck is None:
-            hit["c_at_k"] = SKIPPED
-            skips.append({"mu": list(mu), "lambda": list(lam), "n": k,
-                          "reason": "k-scaled constant term over the cap"})
-        else:
+            ck = constant_term_coefficient(datum, levi, vec_scale(k, mu),
+                                           vec_scale(k, lam))
             hit["c_at_k"] = bool(ck)
             if not ck:
                 failures.append({"mu": list(mu), "lambda": list(lam),
                                  "reason": "saturation witness but zero "
                                            "constant term at factor k"})
+        except FeasibilityError:
+            hit["c_at_k"] = SKIPPED
+            skips.append({"mu": list(mu), "lambda": list(lam), "n": k,
+                          "reason": "k-scaled constant term over the cap"})
         rk2 = scaled_branch(k * k, mu, lam)
         if rk2 is None:
             hit["r_at_k_squared"] = SKIPPED
@@ -600,7 +620,6 @@ def run_sweep(config: SweepConfig) -> dict:
     mu_checks = tuple(c for c in checks if c in _MU_CHECKS)
     inst_checks = tuple(c for c in checks if c in _INSTANCE_CHECKS)
 
-    q_points = config.q_eval_points
     tasks: list = []
     by_mu: dict = {mu: [] for mu in mus}
     if mu_checks:
@@ -609,10 +628,10 @@ def run_sweep(config: SweepConfig) -> dict:
             tasks.append(partial(_mu_record, datum, levi, mu, mu_checks))
     if inst_checks:
         # only the instance checks read the offsets
-        for mu, lam, nu in _instances(datum, levi, lams_by_mu):
+        for mu, lam, nus in _instances(datum, levi, lams_by_mu):
             by_mu[mu].append(len(tasks))
-            tasks.append(partial(_instance_record, datum, levi, mu, lam, nu,
-                                 inst_checks, q_points))
+            tasks.append(partial(_instance_records, datum, levi, mu, lam, nus,
+                                 inst_checks, config.q_eval_points))
     records = len(tasks)
     sections = {}
     if "semigroup" in checks and mus:
@@ -630,8 +649,8 @@ def run_sweep(config: SweepConfig) -> dict:
         # a unit is one section, or one mu with its tasks; the largest come
         # first: the sections, then mu from the highest down.  A mu with more
         # than 1/(2 workers) of the tasks is cut into chunks of that many, or
-        # it outlasts the rest of the sweep (B4 Levi {1} h6: one mu has 32 of
-        # the 46 instances)
+        # it outlasts the rest of the sweep (B4 Levi {1} h6: one mu has 16 of
+        # the 23 (mu, lambda) tasks)
         size = -(-len(tasks) // (2 * workers))
         units = [[i] for i in range(records, len(tasks))]
         units += [ids[k:k + size] for ids in mu_units
@@ -642,37 +661,24 @@ def run_sweep(config: SweepConfig) -> dict:
 
     n_mu = len(mus) if mu_checks else 0
     per_mu = results[:n_mu]
-    inst_records = results[n_mu:records]
+    inst_records = list(itertools.chain.from_iterable(results[n_mu:records]))
     done = dict(zip(sections, results[records:]))
-    semigroup = done.get("semigroup")
-    saturation = done.get("saturation")
 
     counts = {PASS: 0, FAIL: 0, SKIPPED: 0}
     counterexamples = []
-    for rec in per_mu:
-        for name, verdict in rec["checks"].items():
-            counts[verdict] += 1
-            if verdict == FAIL:
-                counterexamples.append({"where": "mu", "check": name,
-                                        "mu": rec["mu"]})
-    for rec in inst_records:
-        for name, verdict in rec["checks"].items():
-            counts[verdict] += 1
-            if verdict == FAIL:
-                counterexamples.append({"where": "instance", "check": name,
-                                        "mu": rec["mu"],
-                                        "lambda": rec["lambda"],
-                                        "nu": rec["nu"]})
-    for name, section in (("semigroup", semigroup), ("saturation", saturation)):
-        if section is not None:
-            counts[section["verdict"]] += 1
-            if section["verdict"] == FAIL:
-                counterexamples.append({"where": name, "check": name})
+    for where, recs in (("mu", per_mu), ("instance", inst_records)):
+        for rec in recs:
+            for name, verdict in rec["checks"].items():
+                counts[verdict] += 1
+                if verdict == FAIL:
+                    counterexamples.append({"where": where, "check": name, **{
+                        k: rec[k] for k in ("mu", "lambda", "nu") if k in rec}})
+    for name, section in done.items():
+        counts[section["verdict"]] += 1
+        if section["verdict"] == FAIL:
+            counterexamples.append({"where": name, "check": name})
 
-    m_nonneg_violations = sum(
-        1 for rec in inst_records if rec.get("m_has_negative_coefficient"))
-
-    report = {
+    return {
         "schema": 1,
         "config": {
             "cartan_type": config.cartan_type,
@@ -687,15 +693,15 @@ def run_sweep(config: SweepConfig) -> dict:
         "instance_count": instance_count,
         "per_mu": per_mu,
         "instances": inst_records,
-        "semigroup": semigroup,
-        "saturation": saturation,
+        "semigroup": done.get("semigroup"),
+        "saturation": done.get("saturation"),
         "summary": {
             "pass": counts[PASS],
             "fail": counts[FAIL],
             "skipped": counts[SKIPPED],
             "counterexamples": counterexamples,
-            "m_nonneg_violations": m_nonneg_violations,
+            "m_nonneg_violations": sum(
+                rec["m_has_negative_coefficient"] for rec in inst_records),
         },
         "total_time_ms": (time.perf_counter() - start) * 1000.0,
     }
-    return report

@@ -219,13 +219,8 @@ class LaurentPoly:
     def __repr__(self) -> str:
         if not self._c:
             return "0"
-        parts = []
-        for e, c in sorted(self._c.items(), reverse=True):
-            if e == 0:
-                parts.append(f"{c}")
-            else:
-                parts.append(f"{c}*v^{e}")
-        return " + ".join(parts)
+        return " + ".join(f"{c}*v^{e}" if e else f"{c}"
+                          for e, c in sorted(self._c.items(), reverse=True))
 
 
 # Lattice points in the box below lam - gamma, in simple-coroot coordinates:

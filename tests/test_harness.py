@@ -510,8 +510,9 @@ def test_no_fork_runs_serially(monkeypatch):
 
 
 def test_forked_sweep_is_jobs_independent(monkeypatch):
-    # B2 Levi {1} h3: 32 tasks, of which (2, 0) has 13, cut into units of
-    # at most 8 at jobs 2 and 6 at jobs 3.  At cap 10 every module at mu
+    # B2 Levi {1} h3: 19 tasks, one per mu, one per (mu, lambda) and one
+    # per section, of which (2, 0) has 7, cut into units of at most 5 at
+    # jobs 2 and 4 at jobs 3.  At cap 10 every module at mu
     # fits, so the sections run, but modules at 2 mu do not: nonvanishing,
     # saturation and semigroup record skips
     def sweep(jobs):
@@ -536,7 +537,48 @@ def test_forked_sweep_is_jobs_independent(monkeypatch):
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert sweep(2) == serial
     assert sweep(3) == serial
-    assert runs == [(2, 8), (3, 6)]
+    assert runs == [(2, 5), (3, 4)]
+
+
+FIXTURE_CHECKS = ("multiplicity_identity", "product_identity", "degrees",
+                  "nonvanishing", "semigroup", "saturation")
+
+
+def test_torus_fixture_sweep_is_jobs_independent(monkeypatch):
+    # A2 torus h2, the acceptance check set: 26 (mu, lambda) tasks of two
+    # offsets each, whose records share their nu-free values
+    def sweep(jobs):
+        _fresh_caches()
+        return strip_timing(run_sweep(SweepConfig("A2", (), 2, FIXTURE_CHECKS,
+                                                  jobs=jobs)))
+
+    monkeypatch.setattr(harness.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2})
+    serial = sweep(1)
+    assert len(serial["instances"]) == serial["instance_count"] == 52
+    assert serial["summary"]["fail"] == serial["summary"]["skipped"] == 0
+    assert sweep(2) == serial
+    assert sweep(3) == serial
+
+
+def test_nu_free_values_are_computed_once_per_mu_and_lambda(monkeypatch):
+    # the torus fixture sweep's 52 instances are 26 (mu, lambda) at two
+    # offsets: the orbit size and the constant term are read once for both
+    calls = {"orbit_size": 0, "constant_term_coefficient": 0}
+
+    def counting(name):
+        real = getattr(harness, name)
+
+        def count(*args):
+            calls[name] += 1
+            return real(*args)
+        return count
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counting(name))
+    report = run_sweep(SweepConfig("A2", (), 2, FIXTURE_CHECKS))
+    assert len(report["instances"]) == 52
+    assert calls == {"orbit_size": 26, "constant_term_coefficient": 26}
 
 
 def test_failed_checks_are_reported_as_counterexamples(monkeypatch):
@@ -571,11 +613,11 @@ def test_units_past_the_claim_pipe_still_run():
 
 
 def _raising_in(where: str, exc: Exception, delay: float):
-    """An ``_instance_record`` that raises ``exc`` in the parent or in a
+    """An ``_instance_records`` that raises ``exc`` in the parent or in a
     forked child, and sleeps ``delay`` seconds before running the real one
     in the other process."""
     parent = os.getpid()
-    real = harness._instance_record
+    real = harness._instance_records
 
     def record(*args):
         if (os.getpid() == parent) == (where == "parent"):
@@ -590,7 +632,7 @@ def _raising_in(where: str, exc: Exception, delay: float):
                          ids=["AssertionError", "FeasibilityError"])
 def test_child_error_raises_in_the_parent(monkeypatch, exc):
     # the parent's instances are slow, so the child claims some
-    monkeypatch.setattr(harness, "_instance_record",
+    monkeypatch.setattr(harness, "_instance_records",
                         _raising_in("child", exc, 0.01))
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     with pytest.raises(type(exc)) as info:
@@ -603,10 +645,10 @@ def test_child_error_raises_in_the_parent(monkeypatch, exc):
 
 
 def test_parent_error_kills_and_reaps_children(monkeypatch):
-    # A1 h1 at jobs 3: twelve instances in units of two; children that
-    # sleep 5 s per instance would keep a parent that waits for them 10 s
-    # or more
-    monkeypatch.setattr(harness, "_instance_record",
+    # A1 h1 at jobs 3: six (mu, lambda) tasks of two instances each, in
+    # units of one; children that sleep 5 s per task would keep a parent
+    # that waits for them 10 s or more
+    monkeypatch.setattr(harness, "_instance_records",
                         _raising_in("parent", RuntimeError("parent"), 5.0))
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     start = time.monotonic()
@@ -618,14 +660,25 @@ def test_parent_error_kills_and_reaps_children(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_section_cap_hit_escapes_the_sweep(monkeypatch, jobs):
-    # the semigroup section records no skipped mu: a cap hit on a swept
-    # module aborts
+def test_semigroup_records_a_swept_module_over_the_cap(monkeypatch, jobs):
+    # (1, 2) and (2, 1) have dimension 15, over a cap of 10: they stay out
+    # of the pool, each listed once, and the draws among the rest go on
     _fresh_caches()
     monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
-    with pytest.raises(FeasibilityError):
-        run_sweep(SweepConfig("A2", (1,), 3, ("semigroup",), jobs=jobs))
+    semi = run_sweep(SweepConfig("A2", (1,), 3, ("semigroup",),
+                                 jobs=jobs))["semigroup"]
+    assert semi["mus_over_cap"] == [
+        {"mu": [1, 2], "reason": "module over the cap"},
+        {"mu": [2, 1], "reason": "module over the cap"}]
+    assert semi["pool_size"] == 23 and semi["pairs_checked"] == 120
+    assert semi["failures"] == [] and semi["verdict"] == "PASS"
+    # below the cap the key is left out
+    _fresh_caches()
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 200_000)
+    full = run_sweep(SweepConfig("A2", (1,), 3, ("semigroup",),
+                                 jobs=jobs))["semigroup"]
+    assert "mus_over_cap" not in full and full["pool_size"] == 35
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -781,12 +834,13 @@ def test_straightening_memo_does_not_depend_on_call_order(monkeypatch):
 
 
 def test_sweep_builds_one_walk_state_per_view_and_width():
-    # the full view, the Levi view and the torus each get one width for the
-    # whole sweep, so no state is built twice or thrown away
+    # the full view and the Levi view each get one width for the whole
+    # sweep, so no state is built twice or thrown away; the torus, which
+    # the sweep restricts to as well, straightens nothing and builds none
     _fresh_caches()
     run_sweep(SweepConfig("A3", (1,), 5, ALL))
     info = characters._walks.cache_info()
-    assert (info.currsize, info.misses) == (3, 3)
+    assert (info.currsize, info.misses) == (2, 2)
 
 
 # SHA-256 of each all-checks report's canonical JSON without its *_ms fields,

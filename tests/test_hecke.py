@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import fraction_oracle
 import hecke_oracle
 import kostka_oracle
+import lattice_oracle
 import weyl_oracle
 from fraction_oracle import in_coroot_lattice
 from hecke_oracle import (
@@ -199,6 +200,26 @@ def test_torus_constant_term_evaluates_no_kostka_foulkes():
         == LaurentPoly({4: 2, 2: -1, 0: -1})
     info = hecke._kostka_foulkes.cache_info()
     assert (info.hits, info.misses) == (0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_torus_constant_term_counts_lattices(p):
+    # the lattices between p^6 Z_p^2 and Z_p^2, counted by relative position
+    # mu, position lam on the Borel's flag and a + b, are the library's
+    # f = v^<2rho, lam> c_mu(lam) at v = sqrt(p) at every mu <= 6 and every
+    # a + b whose lattices all lie there: 84 positions for each p
+    d = root_datum("A1")
+    torus = levi_view(d, ())
+    want = {}
+    for mu in range(7):
+        for (lam,), c in constant_term(d, torus, (mu,)).items():
+            f = c.shift(pairing(d.full.two_rho, (lam,)))
+            assert all(e >= 0 and e % 2 == 0 for e, _ in f.items())
+            for size in range(mu, 13 - mu, 2):
+                want[mu, lam, size] = sum(cf * p ** (e // 2)
+                                          for e, cf in f.items())
+    assert len(want) == 84
+    assert lattice_oracle.torus_counts(p, 6) == want
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
