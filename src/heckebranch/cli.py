@@ -36,14 +36,18 @@ from .rootdata import (
 )
 
 
+def _parse_ints(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"cannot parse {what} {text!r}")
+
+
 def _parse_levi(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "none"):
         return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"cannot parse Levi subset {text!r}")
+    parts = _parse_ints(text, "Levi subset")
     if len(set(parts)) != len(parts):
         raise ConfigurationError("Levi subset has repeated indices")
     return tuple(sorted(parts))
@@ -56,13 +60,6 @@ def _parse_checks(text: str) -> tuple[str, ...]:
     if text in ("", "none"):
         return ()
     return tuple(dict.fromkeys(p.strip() for p in text.split(",")))
-
-
-def _parse_q_points(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"cannot parse q evaluation points {text!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -127,7 +124,7 @@ def _cmd_verify(args) -> int:
         levi=_parse_levi(args.levi),
         max_height=args.max_height,
         checks=_parse_checks(args.checks),
-        q_eval_points=_parse_q_points(args.q_points),
+        q_eval_points=_parse_ints(args.q_points, "q evaluation points"),
         jobs=args.jobs,
         seed=args.seed,
         saturation_n_max=args.n_max,

@@ -2,6 +2,13 @@
 and Levi subset, run the selected identity and property checks on each, scan
 for saturation behaviour, and assemble a machine-readable report.
 
+``_CHECKS`` lists every check in report order, with its kind (per mu, per
+instance, or a section) and the values it reads: r, c, m, n, the crystal at
+mu, the constant-term expansions at mu ("ct").  A cap hit on a value skips,
+through ``_skip``, exactly the checks that read it, each with a note naming
+the cap.  ``nonvanishing`` reads r at (k mu, k lam) on its own: a cap hit
+there skips it unless it has failed already.  Sections keep their own skips.
+
 Reports are deterministic for a fixed configuration: instance order follows
 the enumeration order, randomized sections draw from a seeded generator, and
 timing lives in dedicated ``*_ms`` fields so two runs differ at most there.
@@ -21,6 +28,7 @@ import os
 import random
 import time
 from functools import partial
+from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .characters import (
@@ -59,21 +67,20 @@ from .rootdata import (
     weyl_dim,
 )
 
-CHECK_NAMES = (
-    "crystal",
-    "product_identity",
-    "multiplicity_identity",
-    "nonvanishing",
-    "degrees",
-    "semigroup",
-    "saturation",
-    "hecke_paths",
-    "ct_transitivity",
-)
 
-_INSTANCE_CHECKS = ("multiplicity_identity", "product_identity", "degrees",
-                    "nonvanishing")
-_MU_CHECKS = ("crystal", "hecke_paths", "ct_transitivity")
+_Check = NamedTuple("_Check", [("kind", str), ("reads", tuple)])
+_CHECKS = MappingProxyType({
+    "crystal": _Check("mu", ("crystal",)),
+    "product_identity": _Check("instance", ("c", "m")),
+    "multiplicity_identity": _Check("instance", ("r", "n", "crystal")),
+    "nonvanishing": _Check("instance", ("r", "c")),
+    "degrees": _Check("instance", ("r", "c", "m", "n")),
+    "semigroup": _Check("section", ()),
+    "saturation": _Check("section", ()),
+    "hecke_paths": _Check("mu", ("crystal",)),
+    "ct_transitivity": _Check("mu", ("ct",)),
+})
+CHECK_NAMES = tuple(_CHECKS)
 
 PASS = "PASS"
 FAIL = "FAIL"
@@ -159,20 +166,19 @@ def _verdict_all(flags: Sequence[bool]) -> str:
     return PASS if all(flags) else FAIL
 
 
-# instance checks that read r, and those that read the Hecke values m and c
-_NEED_R = ("multiplicity_identity", "degrees", "nonvanishing")
-_NEED_HECKE = ("product_identity", "degrees", "nonvanishing")
+def _readers(checks: tuple, value: str) -> list:
+    return [c for c in checks if value in _CHECKS[c].reads]
 
 
-def _skip(checks: tuple, names: tuple, err: FeasibilityError, verdicts: dict,
+def _skip(checks: tuple, value: str, err: FeasibilityError, verdicts: dict,
           notes: list) -> tuple:
-    """Record the checks among ``names`` as SKIPPED for the cap hit ``err``
-    and return the checks left to run."""
-    for name in checks:
-        if name in names:
-            verdicts[name] = SKIPPED
-            notes.append(f"{name}: {err}")
-    return tuple(c for c in checks if c not in names)
+    """Record the checks that read ``value`` as SKIPPED for the cap hit
+    ``err`` and return the checks left to run."""
+    skipped = _readers(checks, value)
+    for name in skipped:
+        verdicts[name] = SKIPPED
+        notes.append(f"{name}: {err}")
+    return tuple(c for c in checks if c not in skipped)
 
 
 def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
@@ -180,19 +186,17 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     """The records of (mu, lam, nu) at the offsets ``nus``, in order; what
     reads no nu is computed once, at the first offset that needs it."""
     start = time.perf_counter()
-    head: dict = {}     # the verdicts and notes of a cap hit on r or c
-    head_notes: list[str] = []
+    head, head_notes = {}, []   # verdicts and notes of cap hits before nu
     mustar = dual_star(datum, mu)
     two_rho = datum.full.two_rho
 
-    r = None
+    r = c_poly = None
     try:
         r = branch_multiplicity(datum, levi, mu, lam)
     except FeasibilityError as e:
-        checks = _skip(checks, _NEED_R, e, head, head_notes)
+        checks = _skip(checks, "r", e, head, head_notes)
 
-    c_poly = None
-    if any(c in checks for c in _NEED_HECKE):
+    if _readers(checks, "c"):
         try:
             c_poly = constant_term_coefficient(datum, levi, mu, lam)
             # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
@@ -206,12 +210,19 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
                 and f_poly.leading() == r if r != 0
                 else not f_poly or f_poly.max_exponent() < f_bound)
         except FeasibilityError as e:
-            checks = _skip(checks, _NEED_HECKE, e, head, head_notes)
-    r_paths = lhs = nonvanishing = None
+            checks = _skip(checks, "c", e, head, head_notes)
+
+    if _readers(checks, "crystal"):
+        try:    # the restriction paths read the crystal at mu
+            r_paths = _branch_paths(datum, levi, mu, lam)
+        except FeasibilityError as e:
+            checks = _skip(checks, "crystal", e, head, head_notes)
+    lhs = nonvanishing = None
 
     records = []
     for nu in nus:
-        values: dict = {"r": r, "n": None, "m": None, "c": None}
+        values: dict = {"r": r, "n": None, "m": None,
+                        "c": None if c_poly is None else c_poly.to_json()}
         verdicts, notes = dict(head), list(head_notes)
         todo = checks
         m_negative = False
@@ -221,27 +232,26 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             try:
                 m_poly = structure_constant(datum, alpha, mustar, nu)
                 values["m"] = m_poly.to_json()
-                values["c"] = c_poly.to_json()
                 m_negative = any(cf < 0 for _, cf in m_poly.items())
             except FeasibilityError as e:
-                todo = _skip(todo, _NEED_HECKE, e, verdicts, notes)
+                todo = _skip(todo, "m", e, verdicts, notes)
+
+        if _readers(todo, "n"):
+            try:
+                values["n"] = tensor_multiplicity(datum, alpha, mustar, nu)
+            except FeasibilityError as e:
+                todo = _skip(todo, "n", e, verdicts, notes)
+        n2 = values["n"]
 
         if "multiplicity_identity" in todo:
-            try:
-                n2 = tensor_multiplicity(datum, alpha, mustar, nu)
-                values["n"] = n2
-                # grid paths of one crystal: equal exactly when their
-                # Fraction forms are
-                if r_paths is None:
-                    r_paths = _branch_paths(datum, levi, mu, lam)
-                n_paths = _tensor_paths(datum, mu, nu, alpha)
-                n1 = tensor_multiplicity(datum, nu, mu, alpha)
-                verdicts["multiplicity_identity"] = _verdict_all([
-                    len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
-                    r_paths == n_paths])
-            except FeasibilityError as e:
-                verdicts["multiplicity_identity"] = SKIPPED
-                notes.append(f"multiplicity_identity: {e}")
+            # grid paths of one crystal: equal exactly when their Fraction
+            # forms are.  The crystal at mu is under the cap, and so is the
+            # smaller factor of nu x mu
+            n_paths = _tensor_paths(datum, mu, nu, alpha)
+            n1 = tensor_multiplicity(datum, nu, mu, alpha)
+            verdicts["multiplicity_identity"] = _verdict_all([
+                len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
+                r_paths == n_paths])
 
         if "product_identity" in todo:
             if lhs is None:
@@ -249,9 +259,6 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             verdicts["product_identity"] = _verdict_all([lhs == m_poly])
 
         if "degrees" in todo:
-            if values["n"] is None:
-                values["n"] = tensor_multiplicity(datum, alpha, mustar, nu)
-            n2 = values["n"]
             # the top v-exponent of m, doubled: 2 <rho, alpha + mu* - nu>
             even = m_poly.has_even_exponents()
             flags = [even, f_ok]
@@ -276,14 +283,10 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             notes += note
 
         now = time.perf_counter()
-        records.append({
-            "mu": list(mu), "lambda": list(lam), "nu": list(nu),
-            "values": values,
-            "checks": verdicts,
-            "notes": notes,
-            "m_has_negative_coefficient": m_negative,
-            "time_ms": (now - start) * 1000.0,
-        })
+        records.append({"mu": list(mu), "lambda": list(lam), "nu": list(nu),
+                        "values": values, "checks": verdicts, "notes": notes,
+                        "m_has_negative_coefficient": m_negative,
+                        "time_ms": (now - start) * 1000.0})
         start = now
     return records
 
@@ -291,7 +294,8 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 def _nonvanishing(datum: RootDatum, levi, mu: Coweight, lam: Coweight, r,
                   c_poly) -> tuple[str, list]:
     """The nonvanishing verdict at (mu, lam) and its notes: r != 0 forces
-    c != 0, and c != 0 forces r != 0 at (k mu, k lam)."""
+    c != 0, and c != 0 forces r != 0 at (k mu, k lam).  A cap hit on the
+    stretched r leaves a failure found before it a FAIL."""
     flags = [bool(c_poly)] if r != 0 else []
     if c_poly:
         k = k_phi(datum)
@@ -305,15 +309,13 @@ def _nonvanishing(datum: RootDatum, levi, mu: Coweight, lam: Coweight, r,
 
 def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
     start = time.perf_counter()
-    verdicts: dict = {}
-    notes: list[str] = []
+    verdicts, notes = {}, []
     crystal_size = None
-    if "crystal" in checks or "hecke_paths" in checks:
+    if _readers(checks, "crystal"):
         try:
             crystal = _crystal(datum, mu)
         except FeasibilityError as e:
-            checks = _skip(checks, ("crystal", "hecke_paths"), e, verdicts,
-                           notes)
+            checks = _skip(checks, "crystal", e, verdicts, notes)
 
     if "crystal" in checks:
         # the crystal and the weight table run under one cap, so a crystal
@@ -330,7 +332,7 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
              for fiber in crystal.fibers.values()
              for ipath, points in fiber])
 
-    if "ct_transitivity" in checks:
+    if _readers(checks, "ct"):
         torus = levi_view(datum, ())
         try:
             direct = satake_expand(datum, datum.full, torus, mu)
@@ -340,19 +342,15 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
                 for tau, inner in satake_expand(datum, levi, torus, lam).items():
                     composed[tau] = (composed.get(tau, LaurentPoly.zero())
                                      + outer * inner)
-            verdicts["ct_transitivity"] = _verdict_all([
-                {t: p for t, p in composed.items() if p} == direct])
         except FeasibilityError as e:
-            verdicts["ct_transitivity"] = SKIPPED
-            notes.append(f"ct_transitivity: {e}")
+            checks = _skip(checks, "ct", e, verdicts, notes)
 
-    return {
-        "mu": list(mu),
-        "checks": verdicts,
-        "crystal_size": crystal_size,
-        "notes": notes,
-        "time_ms": (time.perf_counter() - start) * 1000.0,
-    }
+    if "ct_transitivity" in checks:
+        verdicts["ct_transitivity"] = _verdict_all([
+            {t: p for t, p in composed.items() if p} == direct])
+
+    return {"mu": list(mu), "checks": verdicts, "crystal_size": crystal_size,
+            "notes": notes, "time_ms": (time.perf_counter() - start) * 1000.0}
 
 
 def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
@@ -617,8 +615,8 @@ def run_sweep(config: SweepConfig) -> dict:
     offsets = 1 if len(levi.indices) == datum.rank else 2
     instance_count = offsets * sum(map(len, lams_by_mu.values()))
 
-    mu_checks = tuple(c for c in checks if c in _MU_CHECKS)
-    inst_checks = tuple(c for c in checks if c in _INSTANCE_CHECKS)
+    mu_checks = tuple(c for c in checks if _CHECKS[c].kind == "mu")
+    inst_checks = tuple(c for c in checks if _CHECKS[c].kind == "instance")
 
     tasks: list = []
     by_mu: dict = {mu: [] for mu in mus}

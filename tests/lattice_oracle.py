@@ -1,4 +1,4 @@
-"""Torus constant terms of A1 from a count of lattices in the building.
+"""Torus constant terms of A1 and A2 from a count of lattices in the building.
 
 The vertices of the Bruhat-Tits building of GL_2 over Q_p are lattices L in
 Q_p^2 (over F_p[[t]] the counts are the same, Hall's polynomials).  Each L
@@ -12,7 +12,19 @@ image p^b1 Z_p of L in Q_p e_2, is the torus coweight lam = a1 - b1.
 For a fixed a + b the number of lattices at (mu, lam) is
 f = v^<2rho, lam> c_mu(lam) at v = sqrt(p), with c the torus constant-term
 coefficient.  Nothing here is shared with ``heckebranch.hecke``.
+
+GL_3 is the same count one rank up.  A lattice between p^k Z_p^3 and Z_p^3
+has one upper triangular basis in Hermite normal form: the diagonal is
+p^a1, p^a2, p^a3, and each entry above it is reduced mod the diagonal entry
+of its row.  Its elementary divisors p^e1 | p^e2 | p^e3 come from its
+minors: e1 is the least valuation of an entry, e1 + e2 the least of a 2x2
+minor, and e1 + e2 + e3 = a1 + a2 + a3.  The lattice contains p^k Z_p^3
+exactly when e3 <= k.  In A2's fundamental coordinates its relative
+position is mu = (e3 - e2, e2 - e1) and its position on the Borel's flag is
+lam = (a1 - a2, a2 - a3), and the same f counts it.
 """
+
+import itertools
 
 
 def valuation(x: int, p: int, cap: int) -> int:
@@ -36,4 +48,26 @@ def torus_counts(p: int, k: int) -> dict:
                 if a <= k:
                     key = (a - b, a1 - b1, a + b)
                     out[key] = out.get(key, 0) + 1
+    return out
+
+
+def a2_torus_counts(p: int, k: int) -> dict:
+    """{(mu, lam, a1 + a2 + a3): the number of lattices between p^k Z_p^3
+    and Z_p^3 in that position}, for a prime p."""
+    out: dict = {}
+    cap = 3 * k     # no least valuation of a minor here reaches above it
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for a1, a2, a3 in itertools.product(range(k + 1), repeat=3):
+        for x12, x13, x23 in itertools.product(
+                range(p ** a1), range(p ** a1), range(p ** a2)):
+            rows = ((p ** a1, x12, x13), (0, p ** a2, x23), (0, 0, p ** a3))
+            e1 = min(valuation(x, p, cap) for row in rows for x in row)
+            e12 = min(valuation(rows[i][c] * rows[j][d]
+                                - rows[i][d] * rows[j][c], p, cap)
+                      for i, j in pairs for c, d in pairs)
+            size = a1 + a2 + a3
+            e2, e3 = e12 - e1, size - e12
+            if e3 <= k:
+                key = ((e3 - e2, e2 - e1), (a1 - a2, a2 - a3), size)
+                out[key] = out.get(key, 0) + 1
     return out

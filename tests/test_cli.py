@@ -93,6 +93,21 @@ def test_verify_rejects_repeated_levi_and_empty_samples(capsys):
         assert stdout == ""
 
 
+@pytest.mark.parametrize("option,value,message", [
+    ("--levi", "1,x", "cannot parse Levi subset '1,x'"),
+    ("--q-points", "2,x", "cannot parse q evaluation points '2,x'"),
+])
+def test_verify_rejects_unparsable_integer_lists(capsys, option, value,
+                                                 message):
+    args = ["verify", "--type", "A2", "--max-height", "1", option, value]
+    if option != "--levi":
+        args += ["--levi", "1"]
+    code, stdout, stderr = run_cli(args, capsys)
+    assert code == 2
+    assert message in stderr
+    assert stdout == ""
+
+
 def test_compute_r(capsys):
     code, stdout, _ = run_cli(
         ["compute", "r", "--type", "A2", "--levi", "1",

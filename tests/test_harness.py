@@ -1,5 +1,6 @@
 """Sweep enumeration, report structure, determinism, and worker independence."""
 
+import ast
 import functools
 import hashlib
 import importlib.util
@@ -9,6 +10,7 @@ import os
 import random
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,7 @@ from heckebranch.harness import (
     enumerate_instances,
     run_sweep,
 )
-from heckebranch.rootdata import root_datum
+from heckebranch.rootdata import levi_view, root_datum
 
 ALL = CHECK_NAMES
 IDENTITY_CHECKS = ("multiplicity_identity", "product_identity")
@@ -457,6 +459,94 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
             for rec in again["instances"]} == {"PASS"}
 
 
+# the harness functions each value is computed by, and the checks that read
+# that value; a per-mu record reads the crystal whole, an instance record
+# through its restriction paths
+VALUE_READERS = {
+    "r": (("branch_multiplicity",),
+          {"multiplicity_identity", "nonvanishing", "degrees"}),
+    "c": (("constant_term_coefficient",),
+          {"product_identity", "nonvanishing", "degrees"}),
+    "m": (("structure_constant",), {"product_identity", "degrees"}),
+    "n": (("tensor_multiplicity",), {"multiplicity_identity", "degrees"}),
+    "crystal": (("_crystal", "_branch_paths"),
+                {"crystal", "hecke_paths", "multiplicity_identity"}),
+    "ct": (("satake_expand",), {"ct_transitivity"}),
+}
+
+
+@pytest.mark.parametrize("value", sorted(VALUE_READERS))
+def test_a_cap_hit_skips_exactly_the_checks_that_read_its_value(monkeypatch,
+                                                                value):
+    names, readers = VALUE_READERS[value]
+
+    def capped(*args):
+        raise FeasibilityError(f"{value} over a test cap", 1)
+
+    for name in names:
+        monkeypatch.setattr(harness, name, capped)
+    report = run_sweep(SweepConfig("A2", (1,), 2, PER_MU_AND_INSTANCE))
+    per_mu = {"crystal", "hecke_paths", "ct_transitivity"}
+    for kind, records in ((per_mu, report["per_mu"]),
+                          (set(PER_MU_AND_INSTANCE) - per_mu,
+                           report["instances"])):
+        assert records
+        for rec in records:
+            skipped = {n for n, v in rec["checks"].items() if v == "SKIPPED"}
+            assert set(rec["checks"]) == kind
+            assert skipped == readers & kind
+            assert sorted(rec["notes"]) == sorted(
+                f"{n}: {value} over a test cap" for n in skipped)
+            assert {v for n, v in rec["checks"].items()
+                    if n not in skipped} <= {"PASS"}
+
+
+def test_a_cap_hit_on_m_keeps_the_nonvanishing_verdict_and_c(monkeypatch):
+    # A3 Levi {1} h2 at a numerator cap of 10: 12 records compute r and c and
+    # then hit the cap on m, which nonvanishing does not read
+    _fresh_caches()
+    monkeypatch.setattr(hecke, "NUMERATOR_CAP", 10)
+    both = run_sweep(SweepConfig("A3", (1,), 2, ("nonvanishing",
+                                                 "product_identity")))
+    _fresh_caches()
+    alone = run_sweep(SweepConfig("A3", (1,), 2, ("product_identity",)))
+    d = root_datum("A3")
+    levi = levi_view(d, (1,))
+    m_capped = 0
+    for rec, solo in zip(both["instances"], alone["instances"], strict=True):
+        # the product identity reads the same way whatever runs beside it
+        assert rec["checks"]["product_identity"] \
+            == solo["checks"]["product_identity"]
+        assert [n for n in rec["notes"] if n.startswith("product_identity")] \
+            == solo["notes"]
+        try:
+            c = hecke.constant_term_coefficient(d, levi, tuple(rec["mu"]),
+                                                tuple(rec["lambda"]))
+        except FeasibilityError:
+            continue
+        if rec["checks"]["product_identity"] == "SKIPPED":
+            m_capped += 1
+            assert rec["values"]["r"] is not None
+            assert hecke.LaurentPoly.from_json(rec["values"]["c"]) == c
+            assert rec["checks"]["nonvanishing"] == "PASS"
+            assert "10 terms" in solo["notes"][0]
+    assert m_capped == 12
+    assert both["summary"]["fail"] == 0
+
+
+def test_only_skip_and_nonvanishing_write_skipped_into_records():
+    # run_sweep only counts verdicts, and the saturation section writes the
+    # word into its own hit fields
+    tree = ast.parse(Path(harness.__file__).read_text(encoding="utf-8"))
+    naming = {fn.name for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef)
+              for node in ast.walk(fn)
+              if isinstance(node, ast.Name) and node.id == "SKIPPED"
+              or isinstance(node, ast.Constant) and node.value == "SKIPPED"}
+    assert naming == {"_skip", "_nonvanishing", "_saturation_section",
+                      "run_sweep"}
+
+
 def _recording_runner(workers: list):
     """Stands in for the forked runner: records the worker count, then runs
     the tasks in this process."""
@@ -716,6 +806,31 @@ def test_saturation_finds_witness_outside_type_a():
         assert hit["c_at_k"] in (True, "SKIPPED")
         assert hit["r_at_k_squared"] != 0
         assert "factor_two_r" in hit
+
+
+@pytest.mark.parametrize("patched,at,zero,field,value,reason", [
+    ("constant_term_coefficient", (0, 2), hecke.LaurentPoly.zero(), "c_at_k",
+     False, "saturation witness but zero constant term at factor k"),
+    ("branch_multiplicity", (0, 4), 0, "r_at_k_squared", 0,
+     "saturation witness but zero branching at factor k^2"),
+])
+def test_saturation_failures_are_reported(monkeypatch, patched, at, zero,
+                                          field, value, reason):
+    # B2 Levi {1} h3 has one witness, (0, 1) at lambda 0, with k = 2: a zero
+    # constant term at k mu = (0, 2), or a zero branching at k^2 mu = (0, 4),
+    # fails the section
+    real = getattr(harness, patched)
+    monkeypatch.setattr(harness, patched, lambda datum, levi, mu, lam: (
+        zero if mu == at else real(datum, levi, mu, lam)))
+    report = run_sweep(SweepConfig("B2", (1,), 3, ("saturation",)))
+    sat = report["saturation"]
+    assert [hit[field] for hit in sat["hits"]] == [value]
+    assert sat["failures"] == [{"mu": [0, 1], "lambda": [0, 0],
+                                "reason": reason}]
+    assert sat["verdict"] == "FAIL"
+    assert report["summary"]["counterexamples"] == [
+        {"where": "saturation", "check": "saturation"}]
+    assert (report["summary"]["pass"], report["summary"]["fail"]) == (0, 1)
 
 
 def test_saturation_type_a_has_no_witnesses():

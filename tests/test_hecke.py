@@ -222,6 +222,26 @@ def test_torus_constant_term_counts_lattices(p):
     assert lattice_oracle.torus_counts(p, 6) == want
 
 
+@pytest.mark.parametrize("p,k,positions", [(2, 3, 104), (3, 2, 34), (5, 2, 34)])
+def test_a2_torus_constant_term_counts_lattices(p, k, positions):
+    # the lattices between p^k Z_p^3 and Z_p^3 by relative position mu,
+    # position lam on the Borel's flag and a1 + a2 + a3: f = v^<2rho, lam>
+    # c_mu(lam) at v = sqrt(p), at each mu whose elementary divisors
+    # 0 <= e1 <= e2 <= e3 <= k have that sum
+    d = root_datum("A2")
+    torus = levi_view(d, ())
+    want = {}
+    for e1, e2, e3 in itertools.combinations_with_replacement(range(k + 1), 3):
+        mu = (e3 - e2, e2 - e1)
+        for lam, c in constant_term(d, torus, mu).items():
+            f = c.shift(pairing(d.full.two_rho, lam))
+            assert all(e >= 0 and e % 2 == 0 for e, _ in f.items())
+            want[mu, lam, e1 + e2 + e3] = sum(cf * p ** (e // 2)
+                                              for e, cf in f.items())
+    assert len(want) == positions
+    assert lattice_oracle.a2_torus_counts(p, k) == want
+
+
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
 def test_numerator_straightening_matches_the_full_walk(type_str):
     d = root_datum(type_str)

@@ -46,6 +46,18 @@ def test_readme_entry_points_are_exported():
     assert all(hasattr(heckebranch, n) for n in heckebranch.__all__)
 
 
+def test_readme_lists_the_supported_types():
+    # "Supported Cartan types: `A1`-`A6`, ..., `G2`." names each letter's
+    # ranks as one type or a range of them
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = re.search(r"Supported Cartan types:(.*?)\.", readme, re.S)
+    listed = {letter: list(range(int(lo), int(hi or lo) + 1))
+              for letter, lo, hi in re.findall(
+                  r"`([A-Z])(\d+)`(?:-`[A-Z](\d+)`)?", sentence.group(1))}
+    assert listed == {letter: list(ranks) for letter, ranks
+                      in heckebranch.rootdata._SUPPORTED_RANKS.items()}
+
+
 def test_memos_are_cached_functions():
     # every memo is functools.cache on a private function, so the only
     # module-level container is a constant table
