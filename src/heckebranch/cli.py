@@ -36,18 +36,14 @@ from .rootdata import (
 )
 
 
-def _parse_ints(text: str, what: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ConfigurationError(f"cannot parse {what} {text!r}")
-
-
 def _parse_levi(text: str) -> tuple[int, ...]:
     text = text.strip()
     if text in ("", "none"):
         return ()
-    parts = _parse_ints(text, "Levi subset")
+    try:
+        parts = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ConfigurationError(f"cannot parse Levi subset {text!r}")
     if len(set(parts)) != len(parts):
         raise ConfigurationError("Levi subset has repeated indices")
     return tuple(sorted(parts))
@@ -87,12 +83,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="processes, this one included (1 = serial)")
     ver.add_argument("--seed", type=int, default=default["seed"],
                      help="seed for the randomized semigroup sampling")
-    ver.add_argument("--n-max", type=int, dest="n_max",
-                     default=default["saturation_n_max"],
-                     help="largest stretch factor in the saturation scan")
-    ver.add_argument("--q-points", dest="q_points",
-                     default=",".join(map(str, default["q_eval_points"])),
-                     help="comma separated prime powers for spot evaluation")
     ver.add_argument("--semigroup-samples", type=int,
                      default=default["semigroup_samples"],
                      dest="semigroup_samples",
@@ -124,10 +114,8 @@ def _cmd_verify(args) -> int:
         levi=_parse_levi(args.levi),
         max_height=args.max_height,
         checks=_parse_checks(args.checks),
-        q_eval_points=_parse_ints(args.q_points, "q evaluation points"),
         jobs=args.jobs,
         seed=args.seed,
-        saturation_n_max=args.n_max,
         semigroup_samples=args.semigroup_samples,
     )
     report = run_sweep(config)

@@ -12,10 +12,10 @@ there skips it unless it has failed already.  Sections keep their own skips.
 Reports are deterministic for a fixed configuration: instance order follows
 the enumeration order, randomized sections draw from a seeded generator, and
 timing lives in dedicated ``*_ms`` fields so two runs differ at most there.
-One task makes the records of a (mu, lambda) at both its offsets nu, and
-computes what reads no nu once: r, c, the branch paths, f with its degree
-flags and orbit-size product, and the nonvanishing verdict; the first
-offset's ``time_ms`` carries that work.  With ``jobs`` > 1 the sweep forks
+One task makes the records of a (mu, lambda) at both its offsets nu.  It
+computes a value only for a selected check that reads it, and what reads no
+nu once, in the first offset's ``time_ms``; a record's ``values`` entry is
+null where no selected check reads it.  With ``jobs`` > 1 the sweep forks
 its workers after enumeration, so they start from the parent's warm caches,
 and the parent works as one of them.  Records are placed by task index, so
 results are independent of the worker count.
@@ -82,6 +82,9 @@ _CHECKS = MappingProxyType({
 })
 CHECK_NAMES = tuple(_CHECKS)
 
+Q_EVAL_POINTS = (2, 3, 4, 5, 7)     # where ``degrees`` evaluates m at q
+SATURATION_N_MAX = 3                # the saturation scan's largest stretch
+
 PASS = "PASS"
 FAIL = "FAIL"
 SKIPPED = "SKIPPED"
@@ -92,10 +95,8 @@ class SweepConfig(NamedTuple):
     levi: tuple[int, ...]
     max_height: int
     checks: tuple[str, ...]
-    q_eval_points: tuple[int, ...] = (2, 3, 4, 5, 7)
     jobs: int = 1
     seed: int = 20260816
-    saturation_n_max: int = 3
     semigroup_samples: int = 120
 
     def validate(self) -> None:
@@ -109,12 +110,8 @@ class SweepConfig(NamedTuple):
                 f"unknown checks {unknown}; known: {list(CHECK_NAMES)}")
         if self.jobs < 1:
             raise ConfigurationError("jobs must be at least 1")
-        if self.saturation_n_max < 2:
-            raise ConfigurationError("saturation_n_max must be at least 2")
         if self.semigroup_samples < 1:
             raise ConfigurationError("semigroup_samples must be at least 1")
-        if any(q < 2 for q in self.q_eval_points):
-            raise ConfigurationError("q evaluation points must be at least 2")
 
 
 def dominant_coweights_up_to(datum: RootDatum, max_height) -> list[Coweight]:
@@ -182,33 +179,37 @@ def _skip(checks: tuple, value: str, err: FeasibilityError, verdicts: dict,
 
 
 def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
-                      nus, checks, q_points) -> list[dict]:
-    """The records of (mu, lam, nu) at the offsets ``nus``, in order; what
-    reads no nu is computed once, at the first offset that needs it."""
+                      nus, checks) -> list[dict]:
+    """The records of (mu, lam, nu) at the offsets ``nus``, in order: each
+    value only where one of ``checks`` reads it, and what reads no nu once,
+    at the first offset that needs it."""
     start = time.perf_counter()
     head, head_notes = {}, []   # verdicts and notes of cap hits before nu
     mustar = dual_star(datum, mu)
     two_rho = datum.full.two_rho
 
     r = c_poly = None
-    try:
-        r = branch_multiplicity(datum, levi, mu, lam)
-    except FeasibilityError as e:
-        checks = _skip(checks, "r", e, head, head_notes)
+    if _readers(checks, "r"):
+        try:
+            r = branch_multiplicity(datum, levi, mu, lam)
+        except FeasibilityError as e:
+            checks = _skip(checks, "r", e, head, head_notes)
 
     if _readers(checks, "c"):
         try:
             c_poly = constant_term_coefficient(datum, levi, mu, lam)
             # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
-            # orbit size; its top v-exponent, doubled, is bounded by
-            # 2 <rho, mu + lam> - 2 <2rho_M, lam>
+            # orbit size
             levi_lam = pairing(levi.two_rho, lam)
             f_poly = c_poly.shift(pairing(two_rho, lam) - levi_lam)
-            f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
-            f_ok = f_poly.has_even_exponents() and (
-                bool(f_poly) and f_poly.max_exponent() == f_bound
-                and f_poly.leading() == r if r != 0
-                else not f_poly or f_poly.max_exponent() < f_bound)
+            if "degrees" in checks:
+                # the top v-exponent of f, doubled, is bounded by
+                # 2 <rho, mu + lam> - 2 <2rho_M, lam>
+                f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
+                f_ok = f_poly.has_even_exponents() and (
+                    bool(f_poly) and f_poly.max_exponent() == f_bound
+                    and f_poly.leading() == r if r != 0
+                    else not f_poly or f_poly.max_exponent() < f_bound)
         except FeasibilityError as e:
             checks = _skip(checks, "c", e, head, head_notes)
 
@@ -228,7 +229,7 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         m_negative = False
         alpha = vec_add(nu, lam)
 
-        if c_poly is not None:
+        if _readers(todo, "m"):
             try:
                 m_poly = structure_constant(datum, alpha, mustar, nu)
                 values["m"] = m_poly.to_json()
@@ -270,7 +271,7 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
                 flags.append(m_poly.max_exponent() < m_bound)
             terms = m_poly.items()
             low = min([0, *(e // 2 for e, _ in terms)])
-            for q in q_points:
+            for q in Q_EVAL_POINTS:
                 # m(q) = num / q^(-low), a nonnegative integer or not
                 num = sum(c * q ** (e // 2 - low) for e, c in terms)
                 flags.append(even and num >= 0 and num % q ** -low == 0)
@@ -421,8 +422,7 @@ def _semigroup_section(datum: RootDatum, levi, mus, seed: int,
     return section
 
 
-def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
-                        n_max: int) -> dict:
+def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict) -> dict:
     k = k_phi(datum)
     zero_pairs = []
     skips = []
@@ -446,7 +446,7 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
     failures = []
     for mu, lam in zero_pairs:
         witness = None
-        for n in range(2, n_max + 1):
+        for n in range(2, SATURATION_N_MAX + 1):
             rn = scaled_branch(n, mu, lam)
             if rn is None:
                 skips.append({"mu": list(mu), "lambda": list(lam), "n": n,
@@ -488,7 +488,7 @@ def _saturation_section(datum: RootDatum, levi, lams_by_mu: dict,
         hits.append(hit)
     return {
         "zero_pairs_scanned": len(zero_pairs),
-        "n_max": n_max,
+        "n_max": SATURATION_N_MAX,
         "hits": hits,
         "skipped": skips,
         "failures": failures,
@@ -629,7 +629,7 @@ def run_sweep(config: SweepConfig) -> dict:
         for mu, lam, nus in _instances(datum, levi, lams_by_mu):
             by_mu[mu].append(len(tasks))
             tasks.append(partial(_instance_records, datum, levi, mu, lam, nus,
-                                 inst_checks, config.q_eval_points))
+                                 inst_checks))
     records = len(tasks)
     sections = {}
     if "semigroup" in checks and mus:
@@ -637,7 +637,7 @@ def run_sweep(config: SweepConfig) -> dict:
                                         config.seed, config.semigroup_samples)
     if "saturation" in checks and mus:
         sections["saturation"] = partial(_saturation_section, datum, levi,
-                                         lams_by_mu, config.saturation_n_max)
+                                         lams_by_mu)
     tasks += sections.values()
     mu_units = [by_mu[mu] for mu in reversed(mus) if by_mu[mu]]
 
@@ -683,9 +683,9 @@ def run_sweep(config: SweepConfig) -> dict:
             "levi": list(config.levi),
             "max_height": config.max_height,
             "checks": list(checks),
-            "q_eval_points": list(config.q_eval_points),
+            "q_eval_points": list(Q_EVAL_POINTS),
             "seed": config.seed,
-            "saturation_n_max": config.saturation_n_max,
+            "saturation_n_max": SATURATION_N_MAX,
             "semigroup_samples": config.semigroup_samples,
         },
         "instance_count": instance_count,

@@ -22,6 +22,13 @@ minor, and e1 + e2 + e3 = a1 + a2 + a3.  The lattice contains p^k Z_p^3
 exactly when e3 <= k.  In A2's fundamental coordinates its relative
 position is mu = (e3 - e2, e2 - e1) and its position on the Borel's flag is
 lam = (a1 - a2, a2 - a3), and the same f counts it.
+
+The subgroups of the abelian p-group Z_p^n / diag(p^gamma_i) Z_p^n of type
+gamma are the lattices M with diag(p^gamma_i) Z_p^n inside M inside Z_p^n,
+each with one basis in the same Hermite normal form.  A subgroup's cotype
+alpha is the elementary divisors of M, its type beta those of
+diag(p^gamma_i) Z_p^n inside M; the count at (alpha, beta) is the Hall
+number, the structure constant m of A_{n-1} at v = sqrt(p).
 """
 
 import itertools
@@ -69,5 +76,65 @@ def a2_torus_counts(p: int, k: int) -> dict:
             e2, e3 = e12 - e1, size - e12
             if e3 <= k:
                 key = ((e3 - e2, e2 - e1), (a1 - a2, a2 - a3), size)
+                out[key] = out.get(key, 0) + 1
+    return out
+
+
+def _det(rows) -> int:
+    """The determinant of a square integer matrix, by its first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in rows[1:]])
+               for j, x in enumerate(rows[0]) if x)
+
+
+def _elementary_divisors(rows, p: int, cap: int) -> tuple:
+    """The elementary divisor exponents of a nonsingular integer matrix over
+    Z_p, largest first: e1 + ... + ek is the least valuation of a k x k
+    minor, at most cap, and no such least valuation is above e1 + ... + en."""
+    n = len(rows)
+    sums = [0] + [min(valuation(_det([[rows[i][j] for j in cols]
+                                      for i in picked]), p, cap)
+                      for picked in itertools.combinations(range(n), k)
+                      for cols in itertools.combinations(range(n), k))
+                  for k in range(1, n + 1)]
+    return tuple(sums[k] - sums[k - 1] for k in range(n, 0, -1))
+
+
+def _solve_diagonal(m, diag, gamma, p: int):
+    """The integer matrix y with m y = diag(p^gamma_j), m upper triangular
+    with diagonal p^diag_i, by back substitution; None when y is not
+    integral, that is when M does not hold diag(p^gamma_j) Z_p^n."""
+    n = len(gamma)
+    y = [[0] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, -1, -1):
+            rest = (p ** gamma[j] if i == j else 0) - sum(
+                m[i][k] * y[k][j] for k in range(i + 1, j + 1))
+            if rest % p ** diag[i]:
+                return None
+            y[i][j] = rest // p ** diag[i]
+    return y
+
+
+def hall_counts(gamma, p: int) -> dict:
+    """{(alpha, beta): the number of subgroups of cotype alpha and type beta
+    of the abelian p-group of type gamma}, for a prime p and a partition
+    gamma with n parts; alpha and beta have n parts too."""
+    n = len(gamma)
+    cap = sum(gamma)
+    slots = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    out: dict = {}
+    for diag in itertools.product(*(range(g + 1) for g in gamma)):
+        for xs in itertools.product(*(range(p ** diag[i]) for i, _ in slots)):
+            # the columns of m are M's basis
+            m = [[p ** diag[i] if i == j else 0 for j in range(n)]
+                 for i in range(n)]
+            for (i, j), x in zip(slots, xs):
+                m[i][j] = x
+            y = _solve_diagonal(m, diag, gamma, p)
+            if y is not None:
+                key = (_elementary_divisors(m, p, cap),
+                       _elementary_divisors(y, p, cap))
                 out[key] = out.get(key, 0) + 1
     return out

@@ -47,6 +47,15 @@ def test_verify_defaults_are_the_sweep_config_defaults(tmp_path, monkeypatch,
     assert json.loads(out.read_text())["config"] == run_sweep(config)["config"]
 
 
+def test_verify_takes_no_evaluation_points_or_stretch_bound(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["verify", "--help"])
+    assert done.value.code == 0
+    usage = capsys.readouterr().out
+    assert "--semigroup-samples" in usage
+    assert "--q-points" not in usage and "--n-max" not in usage
+
+
 def test_verify_subset_of_checks(capsys):
     code, stdout, _ = run_cli(
         ["verify", "--type", "A1", "--levi", "none", "--max-height", "1",
@@ -95,14 +104,11 @@ def test_verify_rejects_repeated_levi_and_empty_samples(capsys):
 
 @pytest.mark.parametrize("option,value,message", [
     ("--levi", "1,x", "cannot parse Levi subset '1,x'"),
-    ("--q-points", "2,x", "cannot parse q evaluation points '2,x'"),
 ])
 def test_verify_rejects_unparsable_integer_lists(capsys, option, value,
                                                  message):
-    args = ["verify", "--type", "A2", "--max-height", "1", option, value]
-    if option != "--levi":
-        args += ["--levi", "1"]
-    code, stdout, stderr = run_cli(args, capsys)
+    code, stdout, stderr = run_cli(
+        ["verify", "--type", "A2", "--max-height", "1", option, value], capsys)
     assert code == 2
     assert message in stderr
     assert stdout == ""

@@ -114,9 +114,6 @@ def test_config_validation():
         run_sweep(SweepConfig("A2", (1,), 1, IDENTITY_CHECKS, jobs=0))
     with pytest.raises(ConfigurationError):
         run_sweep(SweepConfig("E8", (1,), 1, IDENTITY_CHECKS))
-    with pytest.raises(ConfigurationError):
-        run_sweep(SweepConfig("A2", (1,), 1, IDENTITY_CHECKS,
-                              saturation_n_max=1))
 
 
 @pytest.mark.parametrize("config", [
@@ -135,19 +132,17 @@ def test_config_validation_rejects_repeats_and_empty_samples(config):
 
 
 def test_sweep_config_surface():
-    positional = SweepConfig("A2", (1,), 2, ("crystal",), (2, 3), 2, 7, 4, 9)
+    positional = SweepConfig("A2", (1,), 2, ("crystal",), 2, 7, 9)
     keyword = SweepConfig(cartan_type="A2", levi=(1,), max_height=2,
-                          checks=("crystal",), q_eval_points=(2, 3), jobs=2,
-                          seed=7, saturation_n_max=4, semigroup_samples=9)
+                          checks=("crystal",), jobs=2, seed=7,
+                          semigroup_samples=9)
     assert positional == keyword and hash(positional) == hash(keyword)
     assert positional != SweepConfig("A2", (1,), 2, ("crystal",))
     defaults = SweepConfig("A2", (1,), 2, ("crystal",))
-    assert (defaults.q_eval_points, defaults.jobs, defaults.seed,
-            defaults.saturation_n_max, defaults.semigroup_samples) == (
-        (2, 3, 4, 5, 7), 1, 20260816, 3, 120)
+    assert (defaults.jobs, defaults.seed, defaults.semigroup_samples) == (
+        1, 20260816, 120)
     assert repr(defaults).startswith("SweepConfig(cartan_type='A2', levi=(1,)")
-    for name in ("cartan_type", "levi", "max_height", "checks",
-                 "q_eval_points", "jobs", "seed", "saturation_n_max",
+    for name in ("cartan_type", "levi", "max_height", "checks", "jobs", "seed",
                  "semigroup_samples"):
         with pytest.raises(AttributeError):
             setattr(defaults, name, getattr(defaults, name))
@@ -499,6 +494,49 @@ def test_a_cap_hit_skips_exactly_the_checks_that_read_its_value(monkeypatch,
                 f"{n}: {value} over a test cap" for n in skipped)
             assert {v for n, v in rec["checks"].items()
                     if n not in skipped} <= {"PASS"}
+
+
+INSTANCE_CHECKS = tuple(c for c in CHECK_NAMES
+                        if harness._CHECKS[c].kind == "instance")
+
+
+@pytest.mark.parametrize("check", INSTANCE_CHECKS)
+def test_an_instance_check_alone_builds_exactly_the_values_it_reads(
+        monkeypatch, check):
+    # nonvanishing builds r and c and no m; product_identity builds c and m
+    # and no r.  A value no check reads is null in the record
+    built = set()
+
+    def spy(value, fn):
+        def call(*args):
+            built.add(value)
+            return fn(*args)
+        return call
+
+    for value, (names, _) in VALUE_READERS.items():
+        for name in names:
+            monkeypatch.setattr(harness, name,
+                                spy(value, getattr(harness, name)))
+    report = run_sweep(SweepConfig("A2", (1,), 2, (check,)))
+    reads = set(harness._CHECKS[check].reads)
+    assert built == reads
+    assert report["instances"]
+    for rec in report["instances"]:
+        assert rec["checks"] == {check: "PASS"}
+        assert {k for k, v in rec["values"].items() if v is not None} \
+            == reads - {"crystal"}
+        assert "m" in reads or not rec["m_has_negative_coefficient"]
+
+
+def test_fixed_evaluation_points_and_stretch_stay_in_the_report():
+    assert SweepConfig._fields == ("cartan_type", "levi", "max_height",
+                                   "checks", "jobs", "seed",
+                                   "semigroup_samples")
+    report = run_sweep(SweepConfig("A2", (1,), 1, ("degrees", "saturation")))
+    assert report["config"]["q_eval_points"] == [2, 3, 4, 5, 7] \
+        == list(harness.Q_EVAL_POINTS)
+    assert report["config"]["saturation_n_max"] \
+        == report["saturation"]["n_max"] == harness.SATURATION_N_MAX == 3
 
 
 def test_a_cap_hit_on_m_keeps_the_nonvanishing_verdict_and_c(monkeypatch):

@@ -1,7 +1,8 @@
 """Laurent arithmetic, triangular bases, products, and constant terms."""
 
 import itertools
-from operator import sub
+from math import comb
+from operator import ge, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -49,11 +50,13 @@ from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
     coroot_numerators,
     dual_star,
+    k_phi,
     levi_view,
     pairing,
     rho_height,
     root_datum,
     vec_add,
+    vec_scale,
     vec_sub,
     weyl_dim,
 )
@@ -240,6 +243,44 @@ def test_a2_torus_constant_term_counts_lattices(p, k, positions):
                                               for e, cf in f.items())
     assert len(want) == positions
     assert lattice_oracle.a2_torus_counts(p, k) == want
+
+
+def _partitions(size: int, parts: int) -> list:
+    """The partitions of size with at most ``parts`` parts, padded with
+    zeros to ``parts`` entries."""
+    return [c for c in itertools.product(range(size, -1, -1), repeat=parts)
+            if sum(c) == size and all(map(ge, c, c[1:]))]
+
+
+@pytest.mark.parametrize("n,p,top,nonzero", [(2, 2, 5, 69), (2, 3, 5, 69),
+                                             (3, 2, 3, 23)])
+def test_structure_constants_are_hall_numbers(n, p, top, nonzero):
+    # the subgroups of cotype alpha and type beta of the abelian p-group of
+    # type gamma, counted as lattices, are m_{alpha,beta}^gamma of A_{n-1}
+    # at v = sqrt(p), at every pair with |alpha| + |beta| = |gamma| <= top,
+    # zero counts included; m reads _kostka_foulkes on this route
+    d = root_datum(f"A{n - 1}")
+
+    def coweight(part):
+        return tuple(map(sub, part, part[1:]))
+
+    found = 0
+    for size in range(top + 1):
+        for gamma in _partitions(size, n):
+            counts = lattice_oracle.hall_counts(gamma, p)
+            for part in range(size + 1):
+                for alpha in _partitions(part, n):
+                    for beta in _partitions(size - part, n):
+                        m = structure_constant(d, coweight(alpha),
+                                               coweight(beta), coweight(gamma))
+                        assert all(e >= 0 and e % 2 == 0 for e, _ in m.items())
+                        count = counts.pop((alpha, beta), 0)
+                        assert count == sum(cf * p ** (e // 2)
+                                            for e, cf in m.items()), \
+                            (gamma, alpha, beta)
+                        found += count != 0
+            assert counts == {}
+    assert found == nonzero
 
 
 @pytest.mark.parametrize("type_str", ["A2", "B2", "G2", "A3", "B3", "C3"])
@@ -805,3 +846,98 @@ def test_structure_constants_agree_under_triangle_rotation():
             assert lhs == rhs, (type_str, levi, mu, lam, nu)
             count += 1
     assert count == 184
+
+
+def _dominant_up_to(d, total: int) -> list:
+    """The dominant coweights with coordinate sum at most ``total``."""
+    return [c for c in itertools.product(range(total + 1), repeat=d.rank)
+            if sum(c) <= total]
+
+
+@pytest.mark.parametrize("type_str,total,triples,stretched,held", [
+    ("A2", 4, 1521, 0, 0), ("B2", 4, 2452, 30, 30), ("C2", 4, 2452, 30, 30),
+    ("G2", 3, 1476, 72, 56)])
+def test_triangle_laws_on_general_triples(type_str, total, triples,
+                                          stretched, held):
+    # on every (alpha, beta, gamma), gamma below alpha + beta: Haines' degree
+    # law, the top v-exponent of m is <2rho, alpha + beta - gamma> with
+    # leading coefficient n when n != 0, and below it when n = 0; so n != 0
+    # forces m != 0.  Where m != 0 and n = 0, n(k alpha, k beta, k gamma)
+    # != 0 at k = k_phi, a cap hit counted and not failed (16 on G2 at k = 6)
+    d = root_datum(type_str)
+    k = k_phi(d)
+    seen = cases = stretch_held = 0
+    for alpha, beta in itertools.product(_dominant_up_to(d, total), repeat=2):
+        ms = hecke_product(d, alpha, beta)
+        ns = tensor_decompose(d, alpha, beta)
+        for gamma in dominant_support(d.full, vec_add(alpha, beta)):
+            seen += 1
+            m, n = ms.get(gamma, ZERO), ns.get(gamma, 0)
+            bound = pairing(d.full.two_rho, vec_sub(vec_add(alpha, beta),
+                                                    gamma))
+            where = (alpha, beta, gamma)
+            if n:
+                assert m and m.max_exponent() == bound, where
+                assert m.leading() == n, where
+            else:
+                assert not m or m.max_exponent() < bound, where
+            if m and not n:
+                cases += 1
+                try:
+                    stretch_held += tensor_multiplicity(
+                        d, vec_scale(k, alpha), vec_scale(k, beta),
+                        vec_scale(k, gamma)) != 0
+                except FeasibilityError:
+                    continue
+    assert (seen, cases, stretch_held) == (triples, stretched, held)
+
+
+def _in_n_of_s(poly: LaurentPoly) -> bool:
+    """Whether a polynomial in q = v^2 has nonnegative coefficients in
+    s = q - 1: the coefficient of s^i is sum over j of c_j binom(j, i)."""
+    assert all(e >= 0 and e % 2 == 0 for e, _ in poly.items())
+    top = max((e // 2 for e, _ in poly.items()), default=0)
+    return all(sum(cf * comb(e // 2, i) for e, cf in poly.items()) >= 0
+               for i in range(top + 1))
+
+
+def test_structure_constants_are_positive_in_q_minus_one():
+    """m(1 + s) lies in N[s] for every structure constant of the pairs with
+    coordinate sum at most 3 on A2 and B2 and at most 2 on G2, A3 and B3:
+    the gallery formula writes m as a sum of products of powers of q and
+    q - 1 (C. Schwer, "Galleries, Hall-Littlewood polynomials, and structure
+    constants of the spherical Hecke algebra", IMRN 2006; J. Parkinson,
+    A. Ram, C. Schwer, "Combinatorics in affine flag varieties", J. Algebra
+    2009)."""
+    count = 0
+    for type_str, total in (("A2", 3), ("B2", 3), ("G2", 2), ("A3", 2),
+                            ("B3", 2)):
+        d = root_datum(type_str)
+        for pair in itertools.product(_dominant_up_to(d, total), repeat=2):
+            for gamma, m in hecke_product(d, *pair).items():
+                assert _in_n_of_s(m), (type_str, pair, gamma)
+                count += 1
+    assert count == 1990
+
+
+def test_constant_terms_are_positive_in_q_minus_one():
+    """Every constant-term coefficient over every proper Levi, divided by
+    its lowest power of v, is a polynomial in q that lies in N[s] at
+    q = 1 + s, for mu with coordinate sum at most 4 on A2 and B2, 3 on G2
+    and A3, and 2 on B3 and C3.  On the torus these are the monomial
+    coefficients of P_mu, which the alcove-walk formula writes as sums over
+    positively folded galleries (Schwer, IMRN 2006; Parkinson-Ram-Schwer,
+    J. Algebra 2009); over a proper Levi the positivity is observed here."""
+    count = 0
+    for type_str, total in (("A2", 4), ("B2", 4), ("G2", 3), ("A3", 3),
+                            ("B3", 2), ("C3", 2)):
+        d = root_datum(type_str)
+        for size in range(d.rank):
+            for indices in itertools.combinations(range(1, d.rank + 1), size):
+                levi = levi_view(d, indices)
+                for mu in _dominant_up_to(d, total):
+                    for lam, c in constant_term(d, levi, mu).items():
+                        assert _in_n_of_s(c.shift(-c.min_exponent())), \
+                            (type_str, indices, mu, lam)
+                        count += 1
+    assert count == 5384
