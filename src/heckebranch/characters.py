@@ -8,9 +8,12 @@ which restricts correctly to every Levi subsystem.  Tensor products and
 restrictions are both decomposed by one step, ``klimyk``: a weight table is
 shifted by a highest weight and straightened by the dot action, for a tensor
 product by the full Weyl group (Klimyk's rule) and for a restriction by the
-Levi's, at highest weight 0 (Brauer's rule).  Everything here is integer
-arithmetic: the recursion orders weights by their pairing with the view's
-sum of positive roots and divides exactly by
+Levi's, at highest weight 0 (Brauer's rule).  A tensor product walks the
+table of its factor of lower height, the pairing with the sum of positive
+roots, and picks the factor of smaller Weyl dimension only when that table
+is over the dimension cap.  Everything here is integer arithmetic: the
+recursion orders weights by their pairing with the view's sum of positive
+roots and divides exactly by
 ``<mu - kappa, mu + kappa + 2 rho_hat>``, and the Klimyk step works in doubled
 coordinates.  Its walk to the dominant chamber reflects a list in place and
 stops at the first point that a simple reflection fixes, since that term
@@ -330,8 +333,14 @@ def tensor_decompose(datum: RootDatum, a: Coweight,
     weights a and b, as a read-only map highest weight -> multiplicity
     whose order is unspecified.
 
-    Runs ``klimyk`` over the weights of the smaller factor.  Cached on the
-    ordered pair, so (a, b) and (b, a) are computed independently."""
+    Runs ``klimyk`` over the weights of the factor of lower height, its
+    pairing with ``two_rho``, which takes no Weyl dimension to pick.  When
+    that factor is over ``DIMENSION_CAP``, the factor of smaller Weyl
+    dimension is walked instead, so a decomposition raises
+    ``FeasibilityError`` only when both factors are over the cap, naming
+    the smaller.  Klimyk's sum is exact and symmetric in the two factors,
+    so the choice moves no multiplicity.  Cached on the ordered pair, so
+    (a, b) and (b, a) are computed independently."""
     return _tensor(datum, tuple(a), tuple(b))
 
 
@@ -340,8 +349,16 @@ def _tensor(datum: RootDatum, a: Coweight, b: Coweight) -> Mapping:
     view = datum.full
     if not (view.is_dominant(a) and view.is_dominant(b)):
         raise DomainError("tensor factors must be dominant")
-    big, small = (b, a) if weyl_dim(view, b) > weyl_dim(view, a) else (a, b)
-    return MappingProxyType(klimyk(view, big, weight_table(view, small)))
+    two_rho = view.two_rho
+    big, small = (b, a) if pairing(two_rho, b) > pairing(two_rho, a) else (a, b)
+    try:
+        table = weight_table(view, small)
+    except FeasibilityError:
+        # over the cap: the smaller module by dimension, which is over it
+        # exactly when both are
+        big, small = (b, a) if weyl_dim(view, b) > weyl_dim(view, a) else (a, b)
+        table = weight_table(view, small)
+    return MappingProxyType(klimyk(view, big, table))
 
 
 def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,

@@ -246,8 +246,8 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
         if "multiplicity_identity" in todo:
             # grid paths of one crystal: equal exactly when their Fraction
-            # forms are.  The crystal at mu is under the cap, and so is the
-            # smaller factor of nu x mu
+            # forms are.  The crystal at mu is under the cap, so nu x mu,
+            # which raises only when both factors are over it, does not
             n_paths = _tensor_paths(datum, mu, nu, alpha)
             n1 = tensor_multiplicity(datum, nu, mu, alpha)
             verdicts["multiplicity_identity"] = _verdict_all([

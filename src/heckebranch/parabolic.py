@@ -11,7 +11,9 @@ root theta, the highest root of alpha's length, and every root of the orbit
 lies below theta, so q_alpha = <theta, mu>.  The Weyl group carries coroots
 as it carries roots, so theta is the root whose coroot
 ``SubsystemView.dominate`` reaches from alpha's coroot, and that is the one
-upward Weyl walk here.  The polytope and facet forms, computed from the
+upward Weyl walk here.  The list of pairs (alpha, theta) depends only on the
+datum and the Levi, so it is built once for each and cached; each mu then
+costs pairings only.  The polytope and facet forms, computed from the
 exact hull vertices, and the box search for the minimal offset are
 reference routes in ``tests/peel_oracle.py``, and the tests check that they
 agree.
@@ -19,6 +21,7 @@ agree.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Sequence
 
 from .errors import DomainError
@@ -42,16 +45,23 @@ def is_levi_central(levi: SubsystemView, nu: Sequence) -> bool:
     return all(nu[i - 1] == 0 for i in levi.indices)
 
 
+@cache
+def _offset_roots(datum: RootDatum, levi: SubsystemView) -> tuple:
+    """(alpha, theta) for every root alpha outside the Levi, theta the
+    dominant root of alpha's orbit: its coroot is the dominant point of the
+    orbit of alpha's coroot.  Built once per datum and Levi; read-only."""
+    coroot = dict(zip(datum.positive_roots, datum.positive_coroots))
+    root = {cv: r for r, cv in coroot.items()}
+    return tuple((alpha, root[datum.full.dominate(coroot[alpha])])
+                 for alpha in nilradical_roots(datum, levi))
+
+
 def _requirements(datum: RootDatum, levi: SubsystemView,
                   mu: Coweight) -> list:
     """(alpha, q_alpha) for every root alpha outside the Levi, where
-    q_alpha = -min_w <alpha, w mu> = <theta, mu>, theta the dominant root
-    of alpha's orbit: its coroot is the dominant point of the orbit of
-    alpha's coroot."""
-    coroot = dict(zip(datum.positive_roots, datum.positive_coroots))
-    root = {cv: r for r, cv in coroot.items()}
-    return [(alpha, pairing(root[datum.full.dominate(coroot[alpha])], mu))
-            for alpha in nilradical_roots(datum, levi)]
+    q_alpha = -min_w <alpha, w mu> = <theta, mu>."""
+    return [(alpha, pairing(theta, mu))
+            for alpha, theta in _offset_roots(datum, levi)]
 
 
 def geq_parabolic(datum: RootDatum, levi: SubsystemView, nu: Coweight,

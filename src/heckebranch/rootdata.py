@@ -280,7 +280,10 @@ def _build(letter: str, rank: int) -> RootDatum:
                                 for j in range(rank)})
 
     # the simple reflection at coordinate j (0-based) with coroot c:
-    # x -> x - x[j] c on a coroot and r -> r - <r, c> e_j on a root
+    # x -> x - x[j] c on a coroot and r -> r - <r, c> e_j on a root.
+    # Every finite type has at most 4 rank^2 roots (E8: 240 <= 256); the
+    # closure of a Cartan matrix of infinite type never ends
+    bound = 4 * rank * rank
     pairs = set()
     frontier = []
     for i in range(rank):
@@ -288,6 +291,10 @@ def _build(letter: str, rank: int) -> RootDatum:
         pairs.add((root, coroots[i + 1]))
         frontier.append((root, coroots[i + 1]))
     while frontier:
+        if len(pairs) > bound:
+            raise AssertionError(
+                f"root enumeration of {letter}{rank} passed {bound} roots: "
+                "its Cartan matrix is not of finite type")
         nxt = []
         for (root, coroot) in frontier:
             for j, c in enumerate(coroots.values()):

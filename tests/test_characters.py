@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,7 @@ from heckebranch.errors import DomainError, FeasibilityError
 from heckebranch.rootdata import (
     dual_star,
     levi_view,
+    pairing,
     root_datum,
     vec_add,
     weyl_dim,
@@ -246,6 +248,59 @@ def test_dot_straighten_matches_the_full_walk(type_str, levi, top, weights):
     table = weyl_oracle.tagged(tuple(w[:d.rank]) for w in weights)
     assert list(klimyk(view, top, table).items()) \
         == list(weyl_oracle.klimyk(view, top, table).items())
+
+
+@pytest.mark.parametrize("a, b", [((0, 2), (1, 1)), ((1, 1), (0, 2))],
+                         ids=["lower_second", "lower_first"])
+def test_tensor_walks_the_lower_factor_unless_it_is_over_the_cap(
+        monkeypatch, a, b):
+    # on B2, (1, 1) lies lower than (0, 2) but has the larger module: the
+    # product walks (1, 1) under a cap above both, (0, 2) under a cap
+    # between them, and raises on (0, 2) under a cap below both
+    d = root_datum("B2")
+    view = d.full
+    assert pairing(view.two_rho, (1, 1)) < pairing(view.two_rho, (0, 2))
+    assert (weyl_dim(view, (1, 1)), weyl_dim(view, (0, 2))) == (16, 14)
+    want = weyl_oracle.klimyk(view, a, weyl_oracle.weight_table(view, b))
+    walked = []
+
+    def recorded(view, mu):
+        walked.append(mu)
+        return weight_table(view, mu)
+
+    monkeypatch.setattr(characters, "weight_table", recorded)
+    for cap, tables in ((16, [(1, 1)]), (15, [(1, 1), (0, 2)]),
+                        (13, [(1, 1), (0, 2)])):
+        characters._freudenthal.cache_clear()
+        characters._tensor.cache_clear()
+        monkeypatch.setattr(characters, "DIMENSION_CAP", cap)
+        walked.clear()
+        if cap < 14:
+            with pytest.raises(FeasibilityError, match=re.escape(
+                    "module of dimension 14 at highest weight (0, 2) "
+                    "exceeds the cap")):
+                tensor_decompose(d, a, b)
+        else:
+            assert tensor_decompose(d, a, b) == want
+        assert walked == tables
+
+
+def test_digits_past_eight_bits_on_a_restriction_and_a_tensor_product():
+    # doubled coordinates past 128 need digits wider than 8 bits: Sym^100
+    # of A2 restricts to Levi {1} with weights reaching 100, and the
+    # product's shifted top reaches 202
+    d = root_datum("A2")
+    levi = levi_view(d, (1,))
+    sym = (100, 0)
+    assert branch_decompose(d, levi, sym) == {(k, k - 100): 1
+                                              for k in range(101)}
+    assert branch_decompose(d, levi, sym) == weyl_oracle.klimyk(
+        levi, (0, 0), weyl_oracle.weight_table(d.full, sym))
+    want = weyl_oracle.klimyk(d.full, sym,
+                              weyl_oracle.weight_table(d.full, (1, 1)))
+    assert len(want) == 4
+    assert tensor_decompose(d, sym, (1, 1)) == want
+    assert tensor_decompose(d, (1, 1), sym) == want
 
 
 def test_packing_never_aliases():

@@ -17,7 +17,7 @@ import pytest
 import harness_oracle
 import hecke_oracle
 import weyl_oracle
-from heckebranch import characters, harness, hecke, littelmann
+from heckebranch import characters, harness, hecke, littelmann, rootdata
 from heckebranch.errors import ConfigurationError, FeasibilityError
 from heckebranch.harness import (
     CHECK_NAMES,
@@ -707,6 +707,23 @@ def test_nu_free_values_are_computed_once_per_mu_and_lambda(monkeypatch):
     report = run_sweep(SweepConfig("A2", (), 2, FIXTURE_CHECKS))
     assert len(report["instances"]) == 52
     assert calls == {"orbit_size": 26, "constant_term_coefficient": 26}
+
+
+@pytest.mark.parametrize("config, modules", [
+    (SweepConfig("A3", (1,), 4, ("multiplicity_identity", "crystal",
+                                 "hecke_paths")), 10),
+    (SweepConfig("A2", (), 2, FIXTURE_CHECKS), 15)],
+    ids=["A3_levi1_h4", "A2_torus_h2"])
+def test_a_sweep_evaluates_weyl_dimensions_only_for_modules_it_builds(
+        config, modules):
+    # a tensor product picks the factor it walks by height, so Weyl's
+    # formula runs only at the cap check of a weight table being built,
+    # not on both factors of every product
+    _fresh_caches()
+    rootdata._weyl_dim.cache_clear()
+    run_sweep(config)
+    assert rootdata._weyl_dim.cache_info().misses == modules
+    assert characters._freudenthal.cache_info().misses == modules
 
 
 def test_failed_checks_are_reported_as_counterexamples(monkeypatch):

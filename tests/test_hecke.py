@@ -205,6 +205,22 @@ def test_torus_constant_term_evaluates_no_kostka_foulkes():
     assert (info.hits, info.misses) == (0, 0)
 
 
+def test_digits_past_eight_bits_on_a_hall_littlewood_route():
+    # a top of (40, 40) or (100, 0) puts the shifted doubled coordinates
+    # past 128, where 8-bit digits would alias: P_mu's characters against
+    # Macdonald's formula walked without packing, and the top constant-term
+    # coefficient against its closed form v^(<2rho, mu> - <2rho_M, mu>)
+    d = root_datum("A2")
+    for mu in ((100, 0), (70, 30), (40, 40)):
+        got = hall_littlewood_characters(d.full, mu)
+        want = hecke_oracle.divided_hall_littlewood_characters(d.full, mu)
+        assert list(got.items()) == list(want.items()), mu
+    levi = levi_view(d, (1,))
+    mu = (40, 40)
+    assert pairing(d.full.two_rho, mu) - pairing(levi.two_rho, mu) == 120
+    assert constant_term_coefficient(d, levi, mu, mu) == LaurentPoly({120: 1})
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_torus_constant_term_counts_lattices(p):
     # the lattices between p^6 Z_p^2 and Z_p^2, counted by relative position

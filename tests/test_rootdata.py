@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -95,6 +96,29 @@ def test_cartan_matrix_shapes():
     assert f4[1][2] == -2 and f4[2][1] == -1
     d4 = cartan_matrix("D", 4)
     assert d4[1][3] == -1 and d4[3][1] == -1 and d4[2][3] == 0
+
+
+@pytest.mark.parametrize("letter, rank, i, j, wrong",
+                         [("G", 2, 1, 0, -4), ("F", 4, 1, 2, -3)])
+def test_a_cartan_matrix_of_infinite_type_raises_instead_of_hanging(
+        monkeypatch, letter, rank, i, j, wrong):
+    # one wrong constant makes the closure under simple reflections
+    # infinite; past 4 rank^2 roots, a bound every finite type meets, the
+    # build stops.  The cached builder is bypassed, so no datum is replaced
+    right = rootdata.cartan_matrix
+
+    def cartan_matrix(letter, rank):
+        c = [list(row) for row in right(letter, rank)]
+        c[i][j] = wrong
+        return tuple(map(tuple, c))
+
+    monkeypatch.setattr(rootdata, "cartan_matrix", cartan_matrix)
+    start = time.perf_counter()
+    with pytest.raises(AssertionError, match=f"passed {4 * rank * rank} "
+                                             "roots: its Cartan matrix is "
+                                             "not of finite type"):
+        rootdata._build.__wrapped__(letter, rank)
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("bad", ["", "A0", "A7", "B1", "B6", "D6", "E6", "H2",
