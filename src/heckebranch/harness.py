@@ -18,33 +18,44 @@ nu once, in the first offset's ``time_ms``; a record's ``values`` entry is
 null where no selected check reads it.  With ``jobs`` > 1 the sweep forks
 its workers after enumeration, so they start from the parent's warm caches,
 and the parent works as one of them.  Records are placed by task index, so
-results are independent of the worker count.
+results are independent of the worker count.  Workers send them back as
+``marshal`` data: records and sections are plain JSON values.
+
+Arguments are validated at the public boundary.  Records hold enumerated
+dominant tuples, so they call the cached kernels directly: ``_restrict``
+(r), ``_tensor`` (both n), ``_structure_constant`` (m) and ``_crystal``
+(fetched once per task for both path sets); c and the constant-term
+expansions keep ``constant_term_coefficient`` and ``satake_expand``, as the
+sections keep their public calls.  These names are the seams, one per
+value, that tests replace to fake a cap hit or count builds.
 """
 
 from __future__ import annotations
 
 import itertools
+import marshal
 import os
 import random
 import time
-from functools import partial
+from functools import cache, partial
 from types import MappingProxyType
 from typing import NamedTuple, Optional, Sequence
 
 from .characters import (
+    _restrict,
+    _tensor,
     branch_decompose,
     branch_multiplicity,
     dominant_support,
-    tensor_multiplicity,
     weight_table,
 )
 from .errors import ConfigurationError, FeasibilityError
 from .hecke import (
     LaurentPoly,
+    _structure_constant,
     constant_term_coefficient,
     orbit_size,
     satake_expand,
-    structure_constant,
 )
 from .littelmann import (
     _branch_paths,
@@ -163,15 +174,16 @@ def _verdict_all(flags: Sequence[bool]) -> str:
     return PASS if all(flags) else FAIL
 
 
-def _readers(checks: tuple, value: str) -> list:
-    return [c for c in checks if value in _CHECKS[c].reads]
+@cache
+def _reads(checks: tuple, value: str) -> bool:
+    return any(value in _CHECKS[c].reads for c in checks)
 
 
 def _skip(checks: tuple, value: str, err: FeasibilityError, verdicts: dict,
           notes: list) -> tuple:
     """Record the checks that read ``value`` as SKIPPED for the cap hit
     ``err`` and return the checks left to run."""
-    skipped = _readers(checks, value)
+    skipped = [c for c in checks if value in _CHECKS[c].reads]
     for name in skipped:
         verdicts[name] = SKIPPED
         notes.append(f"{name}: {err}")
@@ -189,13 +201,13 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     two_rho = datum.full.two_rho
 
     r = c_poly = None
-    if _readers(checks, "r"):
+    if _reads(checks, "r"):
         try:
-            r = branch_multiplicity(datum, levi, mu, lam)
+            r = _restrict(datum.full, levi, mu).get(lam, 0)
         except FeasibilityError as e:
             checks = _skip(checks, "r", e, head, head_notes)
 
-    if _readers(checks, "c"):
+    if _reads(checks, "c"):
         try:
             c_poly = constant_term_coefficient(datum, levi, mu, lam)
             # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
@@ -213,9 +225,10 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         except FeasibilityError as e:
             checks = _skip(checks, "c", e, head, head_notes)
 
-    if _readers(checks, "crystal"):
-        try:    # the restriction paths read the crystal at mu
-            r_paths = _branch_paths(datum, levi, mu, lam)
+    if _reads(checks, "crystal"):
+        try:    # both path sets filter the crystal's fiber at lam
+            crystal = _crystal(datum, mu)
+            r_paths = _branch_paths(crystal, levi, lam)
         except FeasibilityError as e:
             checks = _skip(checks, "crystal", e, head, head_notes)
     lhs = nonvanishing = None
@@ -229,17 +242,17 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
         m_negative = False
         alpha = vec_add(nu, lam)
 
-        if _readers(todo, "m"):
+        if _reads(todo, "m"):
             try:
-                m_poly = structure_constant(datum, alpha, mustar, nu)
+                m_poly = _structure_constant(datum, alpha, mustar, nu)
                 values["m"] = m_poly.to_json()
                 m_negative = any(cf < 0 for _, cf in m_poly.items())
             except FeasibilityError as e:
                 todo = _skip(todo, "m", e, verdicts, notes)
 
-        if _readers(todo, "n"):
+        if _reads(todo, "n"):
             try:
-                values["n"] = tensor_multiplicity(datum, alpha, mustar, nu)
+                values["n"] = _tensor(datum, alpha, mustar).get(nu, 0)
             except FeasibilityError as e:
                 todo = _skip(todo, "n", e, verdicts, notes)
         n2 = values["n"]
@@ -248,8 +261,8 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             # grid paths of one crystal: equal exactly when their Fraction
             # forms are.  The crystal at mu is under the cap, so nu x mu,
             # which raises only when both factors are over it, does not
-            n_paths = _tensor_paths(datum, mu, nu, alpha)
-            n1 = tensor_multiplicity(datum, nu, mu, alpha)
+            n_paths = _tensor_paths(crystal, nu, alpha)
+            n1 = _tensor(datum, nu, mu).get(alpha, 0)
             verdicts["multiplicity_identity"] = _verdict_all([
                 len(r_paths) == r, len(n_paths) == n1, n1 == n2, r == n2,
                 r_paths == n_paths])
@@ -301,8 +314,8 @@ def _nonvanishing(datum: RootDatum, levi, mu: Coweight, lam: Coweight, r,
     if c_poly:
         k = k_phi(datum)
         try:
-            flags.append(branch_multiplicity(
-                datum, levi, vec_scale(k, mu), vec_scale(k, lam)) != 0)
+            flags.append(_restrict(datum.full, levi, vec_scale(k, mu)).get(
+                vec_scale(k, lam), 0) != 0)
         except FeasibilityError as e:
             return SKIPPED if all(flags) else FAIL, [f"nonvanishing: {e}"]
     return _verdict_all(flags), []
@@ -312,7 +325,7 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
     start = time.perf_counter()
     verdicts, notes = {}, []
     crystal_size = None
-    if _readers(checks, "crystal"):
+    if _reads(checks, "crystal"):
         try:
             crystal = _crystal(datum, mu)
         except FeasibilityError as e:
@@ -328,12 +341,13 @@ def _mu_record(datum: RootDatum, levi, mu: Coweight, checks) -> dict:
             hist == weight_table(datum.full, mu)])
 
     if "hecke_paths" in checks:
+        # a one-segment path has no interior breakpoint to fold at
         verdicts["hecke_paths"] = _verdict_all(
             [_folds_connected(datum, ipath, points, crystal.grid)
              for fiber in crystal.fibers.values()
-             for ipath, points in fiber])
+             for ipath, points, _ in fiber if len(ipath) > 1])
 
-    if _readers(checks, "ct"):
+    if _reads(checks, "ct"):
         torus = levi_view(datum, ())
         try:
             direct = satake_expand(datum, datum.full, torus, mu)
@@ -514,23 +528,25 @@ def _claims(fd: int):
 
 def _child_exit(tasks: list, units: list, claims: int, out: int) -> None:
     """A forked worker's whole life: claim units until the pipe runs dry,
-    pickle ``(None, [(task index, result), ...])`` or ``(exception, None)``
-    into ``out``, and leave without returning to the caller."""
-    import pickle
-
+    write ``(None, [(task index, result), ...])`` or ``(pickled exception,
+    None)`` into ``out`` as ``marshal`` data, and leave without returning to
+    the caller.  Results are plain JSON values, which ``marshal`` carries;
+    ``pickle`` is imported only for an exception."""
     status = 1
     try:
         try:
             done = [(i, tasks[i]()) for unit in _claims(claims)
                     for i in units[unit]]
-            payload = pickle.dumps((None, done), pickle.HIGHEST_PROTOCOL)
+            payload = marshal.dumps((None, done))
         except Exception as exc:
+            import pickle
             import traceback
             # what ``add_note`` does; Python 3.10 has no ``add_note``
             exc.__notes__ = [*getattr(exc, "__notes__", ()),
                              "raised in a sweep worker:\n"
                              + "".join(traceback.format_exception(exc))]
-            payload = pickle.dumps((exc, None), pickle.HIGHEST_PROTOCOL)
+            payload = marshal.dumps(
+                (pickle.dumps(exc, pickle.HIGHEST_PROTOCOL), None))
         with os.fdopen(out, "wb") as fh:
             fh.write(payload)
         status = 0
@@ -550,10 +566,6 @@ def _run_forked(tasks: list, units: list, workers: int) -> list:
     the children first.  The caller must not run threads: a forked child
     holds only the thread that forked it.
     """
-    # imported here, so that a run that never forks does not pay for them
-    import pickle
-    import signal
-
     results: list = [None] * len(tasks)
     claims, feed = os.pipe()
     os.set_blocking(feed, False)
@@ -579,6 +591,7 @@ def _run_forked(tasks: list, units: list, workers: int) -> list:
             with os.fdopen(out_r, "rb", closefd=False) as fh:
                 payloads.append(fh.read())
     except BaseException:
+        import signal
         for pid in children:
             os.kill(pid, signal.SIGKILL)
         raise
@@ -590,9 +603,10 @@ def _run_forked(tasks: list, units: list, workers: int) -> list:
     for payload in payloads:
         if not payload:
             raise RuntimeError("a sweep worker exited without its results")
-        exc, done = pickle.loads(payload)
+        exc, done = marshal.loads(payload)
         if exc is not None:
-            raise exc
+            import pickle
+            raise pickle.loads(exc)
         for i, result in done:
             results[i] = result
     return results

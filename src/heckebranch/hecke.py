@@ -502,6 +502,13 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         raise DomainError("product arguments must be dominant")
     if not view.is_dominant(gamma):
         return LaurentPoly.zero()
+    return _structure_constant(datum, alpha, beta, gamma)
+
+
+def _structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
+                        gamma: Coweight) -> LaurentPoly:
+    """``structure_constant`` at dominant tuples alpha, beta and gamma."""
+    view = datum.full
     # m is zero unless alpha + beta is at or above gamma: answer that before
     # any Hall-Littlewood polynomial is expanded
     if _offset_above(datum, view, vec_add(alpha, beta), gamma) is None:

@@ -28,12 +28,12 @@ The crystal at a dominant mu is generated from the straight path by the
 lowering operators alone (every path of Littelmann's crystal is a string of
 lowerings of the straight path).  It is indexed once by endpoint, with each
 path's breakpoints computed once, and holds grid paths only; the restriction
-and tensor path filters, ``_branch_paths`` and ``_tensor_paths``, read only
-the fiber at the endpoint they can match and return grid paths, which is
-what the sweep compares.  Its size is the Weyl dimension at mu, so it runs
-under the module cap: ``characters._check_cap`` tests it, the same rule as
-for a weight table.  ``Fraction`` paths
-exist at the public path functions alone: they encode their input on a grid
+and tensor path filters, ``_branch_paths`` and ``_tensor_paths``, take a
+crystal their caller fetched, read only the fiber at the endpoint they can
+match and return grid paths, which is what the sweep compares.  Its size is
+the Weyl dimension at mu, so it runs under the module cap:
+``characters._check_cap`` tests it, the same rule as for a weight table.
+``Fraction`` paths exist at the public path functions alone: they encode their input on a grid
 that its denominators fix, run the integer routine and decode the result on
 each call, importing ``Fraction`` there, so importing this module does not
 load ``fractions``.
@@ -213,15 +213,16 @@ class _Crystal:
     """The crystal at one dominant mu, on its grid.
 
     ``fibers`` maps each endpoint weight to the tuple of ``(grid path,
-    breakpoints)`` ending there, both in the grid's integers, in the order
-    the search met them; endpoints are sorted."""
+    breakpoints, their coordinate-wise minimum)`` ending there, in the
+    grid's integers and the order the search met them; endpoints are sorted.
+    A path stays in a cone x_i >= c_i exactly when its minimum does."""
 
     def __init__(self, datum: RootDatum, mu: Coweight):
         self.grid = grid = lcm(*range(1, pairing(datum.highest_root, mu) + 1))
         fibers: dict = {}
         for ipath, points in _lowering_closure(datum, mu, grid).items():
             fibers.setdefault(_lattice_point(points[-1], grid), []).append(
-                (ipath, points))
+                (ipath, points, tuple(map(min, *points))))
         self.fibers = {w: tuple(f) for w, f in sorted(fibers.items())}
 
 
@@ -244,41 +245,34 @@ def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:
     of the dual group with highest weight mu."""
     crystal = _crystal(datum, tuple(mu))
     return frozenset(_decode(p, crystal.grid)
-                     for fiber in crystal.fibers.values() for p, _ in fiber)
+                     for fiber in crystal.fibers.values() for p, *_ in fiber)
 
 
-def _branch_paths(datum: RootDatum, levi: SubsystemView, mu: Coweight,
+def _branch_paths(crystal: _Crystal, levi: SubsystemView,
                   lam: Coweight) -> frozenset:
-    """Grid paths of the crystal at mu that stay Levi-dominant at every
-    breakpoint and end at lam."""
-    fiber = _crystal(datum, tuple(mu)).fibers.get(tuple(lam), ())
-    return frozenset(p for p, points in fiber
-                     if all(map(levi.is_dominant, points)))
+    """Grid paths of the crystal that stay Levi-dominant at every breakpoint
+    and end at lam."""
+    return frozenset(p for p, _, low in crystal.fibers.get(lam, ())
+                     if levi.is_dominant(low))
 
 
-def _tensor_paths(datum: RootDatum, mu: Coweight, nu: Coweight,
+def _tensor_paths(crystal: _Crystal, nu: Coweight,
                   target: Coweight) -> frozenset:
-    """Grid paths of the crystal at mu that stay G-dominant at every
-    breakpoint after translation by nu and whose translated endpoint is the
-    target."""
-    nu, target = tuple(nu), tuple(target)
-    if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
-        raise DomainError("translation point and target must be dominant")
-    crystal = _crystal(datum, tuple(mu))
+    """Grid paths of the crystal that stay G-dominant at every breakpoint
+    after translation by nu and whose translated endpoint is the target."""
     shift = vec_scale(crystal.grid, nu)
     fiber = crystal.fibers.get(vec_sub(target, nu), ())
-    return frozenset(p for p, points in fiber
-                     if all(a + c >= 0 for x in points
-                            for a, c in zip(shift, x)))
+    return frozenset(p for p, _, low in fiber
+                     if all(a + c >= 0 for a, c in zip(shift, low)))
 
 
 def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                     lam: Coweight) -> frozenset:
     """Crystal paths that stay Levi-dominant at every breakpoint and end
     at lam: ``_branch_paths`` decoded."""
-    paths = _branch_paths(datum, levi, mu, lam)
-    grid = _crystal(datum, tuple(mu)).grid
-    return frozenset(_decode(p, grid) for p in paths)
+    crystal = _crystal(datum, tuple(mu))
+    return frozenset(_decode(p, crystal.grid)
+                     for p in _branch_paths(crystal, levi, tuple(lam)))
 
 
 def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
@@ -286,9 +280,12 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     """Crystal paths of mu that stay G-dominant at every breakpoint after
     translation by nu and whose translated endpoint is the target:
     ``_tensor_paths`` decoded."""
-    paths = _tensor_paths(datum, mu, nu, target)
-    grid = _crystal(datum, tuple(mu)).grid
-    return frozenset(_decode(p, grid) for p in paths)
+    nu, target = tuple(nu), tuple(target)
+    if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
+        raise DomainError("translation point and target must be dominant")
+    crystal = _crystal(datum, tuple(mu))
+    return frozenset(_decode(p, crystal.grid)
+                     for p in _tensor_paths(crystal, nu, target))
 
 
 # --- folded paths ---------------------------------------------------------

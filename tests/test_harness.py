@@ -454,17 +454,17 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
             for rec in again["instances"]} == {"PASS"}
 
 
-# the harness functions each value is computed by, and the checks that read
-# that value; a per-mu record reads the crystal whole, an instance record
-# through its restriction paths
+# the harness seam each value is computed by, and the checks that read that
+# value; a per-mu record reads the crystal whole, an instance record filters
+# its fiber at lambda
 VALUE_READERS = {
-    "r": (("branch_multiplicity",),
+    "r": (("_restrict",),
           {"multiplicity_identity", "nonvanishing", "degrees"}),
     "c": (("constant_term_coefficient",),
           {"product_identity", "nonvanishing", "degrees"}),
-    "m": (("structure_constant",), {"product_identity", "degrees"}),
-    "n": (("tensor_multiplicity",), {"multiplicity_identity", "degrees"}),
-    "crystal": (("_crystal", "_branch_paths"),
+    "m": (("_structure_constant",), {"product_identity", "degrees"}),
+    "n": (("_tensor",), {"multiplicity_identity", "degrees"}),
+    "crystal": (("_crystal",),
                 {"crystal", "hecke_paths", "multiplicity_identity"}),
     "ct": (("satake_expand",), {"ct_transitivity"}),
 }

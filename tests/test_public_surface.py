@@ -1,9 +1,11 @@
 """The names other code looks up: the benchmark tracer's tables and the
-README's library entry points."""
+README's library entry points; the argument checks at the public boundary,
+which the sweep's records skip; and the modules a sweep loads."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import pkgutil
@@ -12,7 +14,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import heckebranch
+from heckebranch.characters import branch_multiplicity, tensor_multiplicity
+from heckebranch.errors import DomainError
+from heckebranch.hecke import constant_term_coefficient, structure_constant
+from heckebranch.littelmann import branch_path_set, tensor_path_set
+from heckebranch.rootdata import levi_view, root_datum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -108,3 +117,47 @@ def test_import_and_path_sweep_load_no_dataclasses_or_fractions():
         "('multiplicity_identity', 'crystal', 'hecke_paths')))")
     assert "heckebranch.harness" in loaded
     assert heavy & loaded == set()
+
+
+def test_a_forked_sweep_loads_no_pickle_or_signal():
+    # worker results travel as marshal data: pickle carries only a worker's
+    # exception, and signal only kills workers after an error here
+    heavy = {"pickle", "signal"} - _modules_after("")
+    loaded = _modules_after(
+        "import os, heckebranch\n"
+        "forks, fork = [], os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "report = heckebranch.run_sweep(heckebranch.SweepConfig('A2', (1,), "
+        "2, ('multiplicity_identity', 'degrees'), jobs=2))\n"
+        "assert forks == [1] and report['summary']['fail'] == 0")
+    assert heavy == {"pickle", "signal"}
+    assert heavy & loaded == set()
+
+
+_A2 = root_datum("A2")
+_LEVI = levi_view(_A2, (1,))
+# function -> dominant arguments, and the indices of the arguments it checks
+_BOUNDARY = {
+    structure_constant: ((_A2, (1, 0), (0, 1), (1, 1)), (1, 2)),
+    tensor_multiplicity: ((_A2, (1, 0), (0, 1), (1, 1)), (1, 2)),
+    branch_multiplicity: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
+    constant_term_coefficient: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
+    branch_path_set: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
+    tensor_path_set: ((_A2, (1, 0), (0, 1), (1, 1)), (1, 2, 3)),
+}
+_CHECKED = [(fn, i) for fn, (_, indices) in _BOUNDARY.items()
+            for i in indices]
+
+
+@pytest.mark.parametrize(
+    "fn,index", _CHECKED,
+    ids=[f"{fn.__name__}-{list(inspect.signature(fn).parameters)[i]}"
+         for fn, i in _CHECKED])
+def test_a_public_function_rejects_a_non_dominant_argument(fn, index):
+    # the sweep reads these values from kernels with the enumeration's
+    # dominant tuples; the public functions keep checking their arguments
+    args, _ = _BOUNDARY[fn]
+    fn(*args)
+    with pytest.raises(DomainError, match="dominant"):
+        fn(*args[:index], [1, -1], *args[index + 1:])
