@@ -23,11 +23,14 @@ results are independent of the worker count.  Workers send them back as
 
 Arguments are validated at the public boundary.  Records hold enumerated
 dominant tuples, so they call the cached kernels directly: ``_restrict``
-(r), ``_tensor`` (both n), ``_structure_constant`` (m) and ``_crystal``
+(r), ``_fiber`` (n, the fiber at -lam of the crystal at mu*, fetched once
+per task for both offsets), ``_structure_constant`` (m) and ``_crystal``
 (fetched once per task for both path sets); c and the constant-term
 expansions keep ``constant_term_coefficient`` and ``satake_expand``, as the
 sections keep their public calls.  These names are the seams, one per
 value, that tests replace to fake a cap hit or count builds.
+``multiplicity_identity`` reads ``_tensor`` besides, for the Klimyk route
+to n on ``nu x mu``, and no other check reads that value.
 """
 
 from __future__ import annotations
@@ -60,6 +63,8 @@ from .hecke import (
 from .littelmann import (
     _branch_paths,
     _crystal,
+    _dominant_after,
+    _fiber,
     _folds_connected,
     _tensor_paths,
 )
@@ -231,6 +236,16 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
             r_paths = _branch_paths(crystal, levi, lam)
         except FeasibilityError as e:
             checks = _skip(checks, "crystal", e, head, head_notes)
+
+    if _reads(checks, "n"):
+        # n of nu in (nu + lam) x mu*, by Littelmann's rule: the paths of the
+        # crystal at mu* that end at -lam and stay dominant translated by
+        # nu + lam.  That crystal has the dimension of r's table at mu, so
+        # it is under the cap wherever r is
+        try:
+            grid, dual_fiber = _fiber(datum, mustar, vec_scale(-1, lam))
+        except FeasibilityError as e:
+            checks = _skip(checks, "n", e, head, head_notes)
     lhs = nonvanishing = None
 
     records = []
@@ -251,16 +266,15 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
                 todo = _skip(todo, "m", e, verdicts, notes)
 
         if _reads(todo, "n"):
-            try:
-                values["n"] = _tensor(datum, alpha, mustar).get(nu, 0)
-            except FeasibilityError as e:
-                todo = _skip(todo, "n", e, verdicts, notes)
+            values["n"] = len(_dominant_after(dual_fiber,
+                                              vec_scale(grid, alpha)))
         n2 = values["n"]
 
         if "multiplicity_identity" in todo:
-            # grid paths of one crystal: equal exactly when their Fraction
-            # forms are.  The crystal at mu is under the cap, so nu x mu,
-            # which raises only when both factors are over it, does not
+            # positions in the crystal's fiber at lam: equal exactly when
+            # the Fraction path sets are.  The crystal at mu is under the
+            # cap, so nu x mu, which raises only when both factors are over
+            # it, does not
             n_paths = _tensor_paths(crystal, nu, alpha)
             n1 = _tensor(datum, nu, mu).get(alpha, 0)
             verdicts["multiplicity_identity"] = _verdict_all([

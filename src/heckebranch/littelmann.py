@@ -30,19 +30,26 @@ lowerings of the straight path).  It is indexed once by endpoint, with each
 path's breakpoints computed once, and holds grid paths only; the restriction
 and tensor path filters, ``_branch_paths`` and ``_tensor_paths``, take a
 crystal their caller fetched, read only the fiber at the endpoint they can
-match and return grid paths, which is what the sweep compares.  Its size is
+match and return the positions of the passing paths in that fiber, which is
+what the sweep compares.  ``_fiber`` hands out one fiber of a crystal and
+``_dominant_after`` is the tensor filter's cone test on it: by Littelmann's
+rule the multiplicity of nu in ``V(alpha) x V(mu)`` is the number of paths
+of the crystal at mu that end at ``nu - alpha`` and stay dominant after
+translation by alpha, which is how the sweep counts its second tensor
+multiplicity, on the crystal at the dual of its mu.  A crystal's size is
 the Weyl dimension at mu, so it runs under the module cap:
 ``characters._check_cap`` tests it, the same rule as for a weight table.
-``Fraction`` paths exist at the public path functions alone: they encode their input on a grid
-that its denominators fix, run the integer routine and decode the result on
-each call, importing ``Fraction`` there, so importing this module does not
-load ``fractions``.
+``Fraction`` paths exist at the public path functions alone: they encode
+their input on a grid that its denominators fix, run the integer routine
+and decode the result on each call, importing ``Fraction`` there, so
+importing this module does not load ``fractions``.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import lcm
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from .characters import _check_cap
@@ -248,31 +255,50 @@ def generate_crystal(datum: RootDatum, mu: Coweight) -> frozenset:
                      for fiber in crystal.fibers.values() for p, *_ in fiber)
 
 
+def _fiber(datum: RootDatum, mu: Coweight,
+           weight: Coweight) -> tuple[int, tuple]:
+    """The grid of the crystal at mu and its fiber at ``weight``, under the
+    crystal's cap."""
+    crystal = _crystal(datum, mu)
+    return crystal.grid, crystal.fibers.get(weight, ())
+
+
+def _dominant_after(fiber: tuple, shift: Coweight) -> tuple[int, ...]:
+    """Positions in the fiber of the paths that stay G-dominant at every
+    breakpoint after translation by ``shift``, in the grid's units."""
+    return tuple(k for k, (_, _, low) in enumerate(fiber)
+                 if min(map(add, shift, low)) >= 0)
+
+
 def _branch_paths(crystal: _Crystal, levi: SubsystemView,
-                  lam: Coweight) -> frozenset:
-    """Grid paths of the crystal that stay Levi-dominant at every breakpoint
-    and end at lam."""
-    return frozenset(p for p, _, low in crystal.fibers.get(lam, ())
-                     if levi.is_dominant(low))
+                  lam: Coweight) -> tuple[int, ...]:
+    """Positions in the fiber at lam of the paths that stay Levi-dominant
+    at every breakpoint."""
+    return tuple(k for k, (_, _, low) in enumerate(crystal.fibers.get(lam, ()))
+                 if levi.is_dominant(low))
 
 
 def _tensor_paths(crystal: _Crystal, nu: Coweight,
-                  target: Coweight) -> frozenset:
-    """Grid paths of the crystal that stay G-dominant at every breakpoint
-    after translation by nu and whose translated endpoint is the target."""
-    shift = vec_scale(crystal.grid, nu)
-    fiber = crystal.fibers.get(vec_sub(target, nu), ())
-    return frozenset(p for p, _, low in fiber
-                     if all(a + c >= 0 for a, c in zip(shift, low)))
+                  target: Coweight) -> tuple[int, ...]:
+    """Positions in the fiber at ``target - nu`` of the paths that stay
+    G-dominant at every breakpoint after translation by nu: those whose
+    translated endpoint is the target."""
+    return _dominant_after(crystal.fibers.get(vec_sub(target, nu), ()),
+                           vec_scale(crystal.grid, nu))
+
+
+def _decoded(crystal: _Crystal, weight: Coweight, positions) -> frozenset:
+    """The paths at ``positions`` in the fiber at ``weight``, decoded."""
+    fiber = crystal.fibers.get(weight, ())
+    return frozenset(_decode(fiber[k][0], crystal.grid) for k in positions)
 
 
 def branch_path_set(datum: RootDatum, levi: SubsystemView, mu: Coweight,
                     lam: Coweight) -> frozenset:
     """Crystal paths that stay Levi-dominant at every breakpoint and end
     at lam: ``_branch_paths`` decoded."""
-    crystal = _crystal(datum, tuple(mu))
-    return frozenset(_decode(p, crystal.grid)
-                     for p in _branch_paths(crystal, levi, tuple(lam)))
+    crystal, lam = _crystal(datum, tuple(mu)), tuple(lam)
+    return _decoded(crystal, lam, _branch_paths(crystal, levi, lam))
 
 
 def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
@@ -284,8 +310,8 @@ def tensor_path_set(datum: RootDatum, mu: Coweight, nu: Coweight,
     if not (datum.full.is_dominant(nu) and datum.full.is_dominant(target)):
         raise DomainError("translation point and target must be dominant")
     crystal = _crystal(datum, tuple(mu))
-    return frozenset(_decode(p, crystal.grid)
-                     for p in _tensor_paths(crystal, nu, target))
+    return _decoded(crystal, vec_sub(target, nu),
+                    _tensor_paths(crystal, nu, target))
 
 
 # --- folded paths ---------------------------------------------------------

@@ -372,6 +372,43 @@ def test_dimension_cap_hit_skips_checks(monkeypatch):
          "exceeds the cap"] for mu in over]
 
 
+def test_a_dimension_cap_hit_skips_n_through_r(monkeypatch):
+    # every check that reads n reads r, and the crystal at mu* that n is
+    # counted on has the dimension of r's table at mu: over the cap, r skips
+    # n's readers, one note each, and no crystal at mu* is asked for
+    _fresh_caches()
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 10)
+    asked = []
+    crystal = littelmann._crystal
+
+    def recorded(datum, mu):
+        asked.append(mu)
+        return crystal(datum, mu)
+
+    monkeypatch.setattr(littelmann, "_crystal", recorded)
+    checks = ("multiplicity_identity", "degrees")
+    report = run_sweep(SweepConfig("A2", (1,), 3, checks))
+    over = {(1, 2), (2, 1)}
+    for rec in report["instances"]:
+        mu = tuple(rec["mu"])
+        if mu in over:
+            assert rec["checks"] == dict.fromkeys(checks, "SKIPPED")
+            assert rec["notes"] == [
+                f"{c}: module of dimension 15 at highest weight {mu} exceeds "
+                "the cap" for c in checks]
+            assert rec["values"]["n"] is None
+        else:
+            assert rec["checks"] == dict.fromkeys(checks, "PASS")
+            assert rec["notes"] == []
+    mus = {tuple(rec["mu"]) for rec in report["instances"]}
+    assert mus >= over
+    # 2 offsets a lambda, 1 fetch a (mu, lambda) for both
+    assert len(asked) == sum(tuple(rec["mu"]) not in over
+                             for rec in report["instances"]) // 2
+    d = root_datum("A2")
+    assert set(asked) == {rootdata.dual_star(d, mu) for mu in mus - over}
+
+
 def test_nonvanishing_reads_the_dimension_cap_at_call_time(monkeypatch):
     # at cap 10 the scaled modules at (0, 2) and (4, 0), of dimensions 14
     # and 35, are over it: the branching at them stops where their weight
@@ -456,14 +493,15 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
 
 # the harness seam each value is computed by, and the checks that read that
 # value; a per-mu record reads the crystal whole, an instance record filters
-# its fiber at lambda
+# its fiber at lambda.  n is counted on the fiber at -lambda of the crystal
+# at mu*, which ``_fiber`` fetches apart from the ``_crystal`` seam
 VALUE_READERS = {
     "r": (("_restrict",),
           {"multiplicity_identity", "nonvanishing", "degrees"}),
     "c": (("constant_term_coefficient",),
           {"product_identity", "nonvanishing", "degrees"}),
     "m": (("_structure_constant",), {"product_identity", "degrees"}),
-    "n": (("_tensor",), {"multiplicity_identity", "degrees"}),
+    "n": (("_fiber",), {"multiplicity_identity", "degrees"}),
     "crystal": (("_crystal",),
                 {"crystal", "hecke_paths", "multiplicity_identity"}),
     "ct": (("satake_expand",), {"ct_transitivity"}),

@@ -11,11 +11,12 @@ from littelmann_oracle import canonical, e_op, straight_path
 from heckebranch.characters import (
     branch_multiplicity,
     dominant_weights,
+    tensor_decompose,
     tensor_multiplicity,
     weight_table,
 )
 from heckebranch.errors import DomainError, FeasibilityError
-from heckebranch import characters, littelmann
+from heckebranch import characters, harness, littelmann
 from heckebranch.harness import SweepConfig, enumerate_instances
 from heckebranch.littelmann import (
     branch_path_set,
@@ -28,10 +29,12 @@ from heckebranch.littelmann import (
 )
 from heckebranch.parabolic import offset_pair
 from heckebranch.rootdata import (
+    dual_star,
     levi_view,
     pairing,
     root_datum,
     vec_add,
+    vec_scale,
     weyl_dim,
 )
 
@@ -222,23 +225,63 @@ _LEVI_ONE_SWEEPS = [(t, idx, h) for t, idx, h in _PATH_SET_SWEEPS
     "type_str,height", [(t, h) for t, _, h in _LEVI_ONE_SWEEPS],
     ids=[f"{t}-h{h}" for t, _, h in _LEVI_ONE_SWEEPS])
 def test_grid_path_sets_decode_to_the_public_ones(type_str, height):
-    # the sweep compares grid paths; decoded on the crystal's grid they are
-    # the Fraction path sets, and their sizes are r and n
+    # the sweep compares positions in the fiber at lambda, which both
+    # filters read; the grid paths there, decoded on the crystal's grid, are
+    # the Fraction path sets, and their counts are r and n
     d = root_datum(type_str)
     lv = levi_view(d, (1,))
     config = SweepConfig(type_str, (1,), height, ("multiplicity_identity",))
     for mu, lam, nu in enumerate_instances(config):
         target = vec_add(nu, lam)
         crystal = littelmann._crystal(d, mu)
-        grid = crystal.grid
+        grid, fiber = crystal.grid, crystal.fibers[lam]
         r_paths = littelmann._branch_paths(crystal, lv, lam)
         n_paths = littelmann._tensor_paths(crystal, nu, target)
-        assert {littelmann._decode(p, grid) for p in r_paths} == \
+        assert {littelmann._decode(fiber[k][0], grid) for k in r_paths} == \
             branch_path_set(d, lv, mu, lam), (mu, lam)
-        assert {littelmann._decode(p, grid) for p in n_paths} == \
+        assert {littelmann._decode(fiber[k][0], grid) for k in n_paths} == \
             tensor_path_set(d, mu, nu, target), (mu, nu, lam)
         assert len(r_paths) == branch_multiplicity(d, lv, mu, lam)
         assert len(n_paths) == tensor_multiplicity(d, nu, mu, target)
+
+
+@pytest.mark.parametrize(
+    "type_str,idx,height", _PATH_SET_SWEEPS,
+    ids=[f"{t}-levi{''.join(map(str, idx))}-h{h}" for t, idx, h in _PATH_SET_SWEEPS])
+def test_sweep_n_on_the_dual_crystal_is_the_klimyk_coefficient(type_str, idx,
+                                                               height):
+    # a record's n, counted on the crystal at mu*, against the multiplicity of
+    # nu in (nu + lambda) x mu* from Klimyk's formula; at every instance, and
+    # one coordinate step below the minimal offset, where (nu + lambda) stays
+    # dominant
+    d = root_datum(type_str)
+    lv = levi_view(d, idx)
+    config = SweepConfig(type_str, idx, height, ("multiplicity_identity",))
+    compared = below = fewer = 0
+    for mu, lam, nu in enumerate_instances(config):
+        nus = [nu]
+        if nu == offset_pair(d, lv, mu)[0]:
+            for j, c in enumerate(nu):
+                step = tuple(x - (k == j) for k, x in enumerate(nu))
+                if c and d.full.is_dominant(vec_add(step, lam)):
+                    nus.append(step)
+        below += len(nus) - 1
+        records = harness._instance_records(d, lv, mu, lam, nus,
+                                            config.checks)
+        mustar = dual_star(d, mu)
+        fiber = littelmann._crystal(d, mustar).fibers[vec_scale(-1, lam)]
+        for nu, rec in zip(nus, records, strict=True):
+            n2 = rec["values"]["n"]
+            assert n2 == tensor_decompose(d, vec_add(nu, lam), mustar).get(
+                nu, 0), (mu, lam, nu)
+            compared += 1
+            fewer += n2 < len(fiber)
+    # G's offset is 0, with nothing below it
+    assert compared and (below > 0) == (len(idx) < d.rank)
+    # at the torus n is a weight multiplicity, the whole fiber, even below
+    # the minimal offset; on every other Levi the translated cone turns some
+    # paths away
+    assert (fewer > 0) == (len(idx) > 0)
 
 
 def test_crystal_cap():
