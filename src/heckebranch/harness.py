@@ -22,15 +22,14 @@ results are independent of the worker count.  Workers send them back as
 ``marshal`` data: records and sections are plain JSON values.
 
 Arguments are validated at the public boundary.  Records hold enumerated
-dominant tuples, so they call the cached kernels directly: ``_restrict``
-(r), ``_fiber`` (n, the fiber at -lam of the crystal at mu*, fetched once
-per task for both offsets), ``_structure_constant`` (m) and ``_crystal``
-(fetched once per task for both path sets); c and the constant-term
-expansions keep ``constant_term_coefficient`` and ``satake_expand``, as the
-sections keep their public calls.  These names are the seams, one per
-value, that tests replace to fake a cap hit or count builds.
-``multiplicity_identity`` reads ``_tensor`` besides, for the Klimyk route
-to n on ``nu x mu``, and no other check reads that value.
+dominant tuples, so they call the kernels directly, one seam per value that
+tests replace to fake a cap hit or count builds: ``_restrict`` (r),
+``_ct_coefficient`` (c), ``_fiber`` (n), ``_structure_constant`` (m),
+``_crystal`` and, for the constant-term expansions, ``satake_expand``.  A
+task fetches the fiber and the crystal once for both offsets, and sorts each
+flat Hecke value once.  ``multiplicity_identity`` reads ``_tensor`` besides,
+for the Klimyk route to n on ``nu x mu``, and ``product_identity`` reads
+``_orbit_size``.  The sections call the public functions.
 """
 
 from __future__ import annotations
@@ -55,9 +54,13 @@ from .characters import (
 from .errors import ConfigurationError, FeasibilityError
 from .hecke import (
     LaurentPoly,
+    _add_product,
+    _check_ct_support,
+    _ct_coefficient,
+    _orbit_size,
+    _poly_json,
     _structure_constant,
     constant_term_coefficient,
-    orbit_size,
     satake_expand,
 )
 from .littelmann import (
@@ -205,7 +208,7 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
     mustar = dual_star(datum, mu)
     two_rho = datum.full.two_rho
 
-    r = c_poly = None
+    r = c = c_json = None
     if _reads(checks, "r"):
         try:
             r = _restrict(datum.full, levi, mu).get(lam, 0)
@@ -214,21 +217,24 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
     if _reads(checks, "c"):
         try:
-            c_poly = constant_term_coefficient(datum, levi, mu, lam)
-            # f = v^(<2rho, lam> - <2rho_M, lam>) c, the left side before the
-            # orbit size
-            levi_lam = pairing(levi.two_rho, lam)
-            f_poly = c_poly.shift(pairing(two_rho, lam) - levi_lam)
-            if "degrees" in checks:
-                # the top v-exponent of f, doubled, is bounded by
-                # 2 <rho, mu + lam> - 2 <2rho_M, lam>
-                f_bound = pairing(two_rho, vec_add(mu, lam)) - 2 * levi_lam
-                f_ok = f_poly.has_even_exponents() and (
-                    bool(f_poly) and f_poly.max_exponent() == f_bound
-                    and f_poly.leading() == r if r != 0
-                    else not f_poly or f_poly.max_exponent() < f_bound)
+            c = _ct_coefficient(datum, datum.full, levi, mu, lam)
         except FeasibilityError as e:
             checks = _skip(checks, "c", e, head, head_notes)
+        else:
+            if c:
+                _check_ct_support(datum, mu, lam)
+            c_items = sorted(c.items())
+            c_json = _poly_json(c_items)
+            # f = v^f_shift c, the left side before the orbit size
+            levi_lam = pairing(levi.two_rho, lam)
+            f_shift = pairing(two_rho, lam) - levi_lam
+            if "degrees" in checks:
+                # c's top v-exponent is at most <2rho, mu> - <2rho_M, lam>
+                bound = pairing(two_rho, mu) - levi_lam
+                top, lead = c_items[-1] if c_items else (None, 0)
+                f_ok = all((e + f_shift) % 2 == 0 for e, _ in c_items) and (
+                    top == bound and lead == r if r != 0
+                    else not c_items or top < bound)
 
     if _reads(checks, "crystal"):
         try:    # both path sets filter the crystal's fiber at lam
@@ -250,8 +256,7 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
     records = []
     for nu in nus:
-        values: dict = {"r": r, "n": None, "m": None,
-                        "c": None if c_poly is None else c_poly.to_json()}
+        values: dict = {"r": r, "n": None, "m": None, "c": c_json}
         verdicts, notes = dict(head), list(head_notes)
         todo = checks
         m_negative = False
@@ -259,11 +264,13 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
         if _reads(todo, "m"):
             try:
-                m_poly = _structure_constant(datum, alpha, mustar, nu)
-                values["m"] = m_poly.to_json()
-                m_negative = any(cf < 0 for _, cf in m_poly.items())
+                m = _structure_constant(datum, alpha, mustar, nu)
             except FeasibilityError as e:
                 todo = _skip(todo, "m", e, verdicts, notes)
+            else:
+                m_items = sorted(m.items())
+                values["m"] = _poly_json(m_items)
+                m_negative = any(x < 0 for _, x in m_items)
 
         if _reads(todo, "n"):
             values["n"] = len(_dominant_after(dual_fiber,
@@ -283,30 +290,33 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
         if "product_identity" in todo:
             if lhs is None:
-                lhs = f_poly * orbit_size(datum, levi, lam)
-            verdicts["product_identity"] = _verdict_all([lhs == m_poly])
+                lhs = {e: x for e, x in _add_product(
+                    {}, c, _orbit_size(levi, lam), f_shift).items() if x}
+            verdicts["product_identity"] = _verdict_all([lhs == m])
 
         if "degrees" in todo:
             # the top v-exponent of m, doubled: 2 <rho, alpha + mu* - nu>
-            even = m_poly.has_even_exponents()
+            even = all(e % 2 == 0 for e, _ in m_items)
             flags = [even, f_ok]
             m_bound = pairing(two_rho, vec_sub(vec_add(alpha, mustar), nu))
+            top, lead = m_items[-1] if m_items else (None, 0)
             if n2 != 0:
-                flags.append(bool(m_poly) and m_poly.max_exponent() == m_bound)
-                flags.append(m_poly.leading() == n2)
-            elif m_poly:
-                flags.append(m_poly.max_exponent() < m_bound)
-            terms = m_poly.items()
-            low = min([0, *(e // 2 for e, _ in terms)])
+                flags += [top == m_bound, lead == n2]
+            elif m_items:
+                flags.append(top < m_bound)
+            low = min(0, m_items[0][0] // 2) if m_items else 0
+            terms = [(e // 2 - low, x) for e, x in m_items]
             for q in Q_EVAL_POINTS:
                 # m(q) = num / q^(-low), a nonnegative integer or not
-                num = sum(c * q ** (e // 2 - low) for e, c in terms)
+                num = 0
+                for k, x in terms:
+                    num += x * q ** k
                 flags.append(even and num >= 0 and num % q ** -low == 0)
             verdicts["degrees"] = _verdict_all(flags)
 
         if "nonvanishing" in todo:
             if nonvanishing is None:
-                nonvanishing = _nonvanishing(datum, levi, mu, lam, r, c_poly)
+                nonvanishing = _nonvanishing(datum, levi, mu, lam, r, c)
             verdicts["nonvanishing"], note = nonvanishing
             notes += note
 
@@ -320,12 +330,12 @@ def _instance_records(datum: RootDatum, levi, mu: Coweight, lam: Coweight,
 
 
 def _nonvanishing(datum: RootDatum, levi, mu: Coweight, lam: Coweight, r,
-                  c_poly) -> tuple[str, list]:
+                  c) -> tuple[str, list]:
     """The nonvanishing verdict at (mu, lam) and its notes: r != 0 forces
     c != 0, and c != 0 forces r != 0 at (k mu, k lam).  A cap hit on the
     stretched r leaves a failure found before it a FAIL."""
-    flags = [bool(c_poly)] if r != 0 else []
-    if c_poly:
+    flags = [bool(c)] if r != 0 else []
+    if c:
         k = k_phi(datum)
         try:
             flags.append(_restrict(datum.full, levi, vec_scale(k, mu)).get(

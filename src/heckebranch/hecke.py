@@ -45,27 +45,20 @@ expansions of the Hall-Littlewood polynomials at alpha and beta,
 with n from the cached ``tensor_decompose``, r from the cached
 ``restrict_decompose`` (so the constant-term coefficients come from the
 branching multiplicities), and K^M taken over the Levi's positive coroots.
-Each coefficient has one body: ``structure_constant`` for m and
+Each coefficient has one body: ``_structure_constant`` for m and
 ``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
 over their supports and cache no result of their own.
 K is evaluated only where it can be nonzero: K_{c,gamma} on the
 constituents c at or above gamma, and ``structure_constant`` evaluates none
-unless alpha + beta is at or above gamma.  On the torus K^M is the identity,
-so the torus constant term at lam reads the one restricted character at lam
-and evaluates no K.  On a proper Levi K^M decides its own support: it is {}
-at once unless l - lam is a nonnegative integer combination of the Levi's
-simple coroots, the one test ``_kostka_foulkes`` makes before its walk.  The
-partial sum G is memoized on (datum, a, beta, gamma) and leaves out the
-characters b with a + b not at or above gamma, on whose
-constituents K_{c,gamma} vanishes; the sum over a leaves out, by the same
-test, the characters a with a + beta not at or above gamma, since every b
-lies below beta.  Every such dominance test reads the datum's memo of
-integer coroot numerators adj @ x (``rootdata.coroot_numerators``): by
-linearity, those of x - y are those of x minus those of y.  The instances
-of a sweep that share mu share beta = mu* and gamma = nu, so they reuse G
-across their first factors, and ``hecke_product`` reads the same G at each
-gamma of its support.  The restricted characters sum_kappa A_kappa r_kappa(l)
-are memoized per (upper, lower, mu).  On the torus they are the monomial
+unless alpha + beta is at or above gamma; ``_ct_coefficient`` says where
+K^M is evaluated.  Terms that cannot reach gamma in dominance are left out
+of G, memoized on (datum, a, beta, gamma), and of the sum over a, by tests
+on the datum's memo of coroot numerators adj @ x
+(``rootdata.coroot_numerators``), linear in x.  The instances of a sweep
+that share mu share beta = mu* and gamma = nu, so they reuse G across their
+first factors, and ``hecke_product`` reads the same G at each gamma of its
+support.  The restricted characters sum_kappa A_kappa r_kappa(l) are
+memoized per (upper, lower, mu).  On the torus they are the monomial
 coefficients of P_mu, and on dominant weights those are its orbit-sum
 coefficients: ``hall_littlewood`` reads them at view-dominant keys, so
 orbit sums take the same route as the torus constant term.
@@ -82,10 +75,10 @@ by the datum or view object itself.
 
 Between ``_unpack_t`` and the public boundary every polynomial is one flat
 {v-exponent: int} map: the Hall-Littlewood characters, the restricted
-characters, the partial sums G, and K itself, whose t^j sits at exponent
--2j with no zero coefficient kept.  ``_add_product`` is the one product of
-two such maps, and ``LaurentPoly``, built at the public boundary only,
-multiplies through it too.
+characters, the partial sums G, and, with no zero coefficient kept, K, whose
+t^j sits at exponent -2j, and the values of ``_structure_constant``,
+``_ct_coefficient`` and ``_orbit_size``.  ``_add_product`` is the one
+product of two such maps.  Only the public functions build ``LaurentPoly``.
 
 Nothing here peels: the triangular peels against the Hall-Littlewood
 characters are kept in ``tests/hecke_oracle.py`` as oracles, and the
@@ -210,7 +203,7 @@ class LaurentPoly:
         return all(e % 2 == 0 for e in self._c)
 
     def to_json(self) -> dict:
-        return {"exponents_of_v": {str(e): c for e, c in sorted(self._c.items())}}
+        return _poly_json(self.items())
 
     @classmethod
     def from_json(cls, data: dict) -> "LaurentPoly":
@@ -244,6 +237,11 @@ InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 _T_BITS = 64
 _T_MASK = (1 << _T_BITS) - 1
 _T_HALF = 1 << (_T_BITS - 1)
+
+
+def _poly_json(items) -> dict:
+    """The JSON form of a polynomial's sorted nonzero items."""
+    return {"exponents_of_v": {str(e): c for e, c in items}}
 
 
 def _add_product(out: dict, p: Mapping, q: Mapping, shift: int = 0) -> dict:
@@ -502,17 +500,17 @@ def structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         raise DomainError("product arguments must be dominant")
     if not view.is_dominant(gamma):
         return LaurentPoly.zero()
-    return _structure_constant(datum, alpha, beta, gamma)
+    return LaurentPoly(_structure_constant(datum, alpha, beta, gamma))
 
 
 def _structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
-                        gamma: Coweight) -> LaurentPoly:
+                        gamma: Coweight) -> dict:
     """``structure_constant`` at dominant tuples alpha, beta and gamma."""
     view = datum.full
     # m is zero unless alpha + beta is at or above gamma: answer that before
     # any Hall-Littlewood polynomial is expanded
     if _offset_above(datum, view, vec_add(alpha, beta), gamma) is None:
-        return LaurentPoly.zero()
+        return {}
     shift = pairing(view.two_rho, vec_sub(vec_add(alpha, beta), gamma))
     rest = tuple(map(sub, coroot_numerators(datum, beta),
                      coroot_numerators(datum, gamma)))
@@ -523,7 +521,7 @@ def _structure_constant(datum: RootDatum, alpha: Coweight, beta: Coweight,
         if min(map(add, rest, coroot_numerators(datum, a))) < 0:
             continue
         _add_product(out, pa, _partial_sum(datum, a, beta, gamma), shift)
-    return LaurentPoly(out)
+    return {e: x for e, x in out.items() if x}
 
 
 def hecke_product(datum: RootDatum, alpha: Coweight,
@@ -542,7 +540,7 @@ def hecke_product(datum: RootDatum, alpha: Coweight,
 
 def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
                     lower: SubsystemView, mu: Coweight,
-                    lam: Coweight) -> LaurentPoly:
+                    lam: Coweight) -> dict:
     """The coefficient at the lower view's lam of the upper view's basis
     element at mu: v^(<2rho, mu> - <2rho_M, lam>) times the sum over l of
     the restricted characters at l times K^M_{l,lam}(v^-2).  On the torus
@@ -553,11 +551,11 @@ def _ct_coefficient(datum: RootDatum, upper: SubsystemView,
     shift = pairing(upper.two_rho, mu) - pairing(lower.two_rho, lam)
     chars = _restricted_characters(upper, lower, mu)
     if not lower.indices:
-        return LaurentPoly(chars.get(lam, {})).shift(shift)
+        return {e + shift: x for e, x in chars.get(lam, {}).items() if x}
     out: dict[int, int] = {}
     for l, p in chars.items():
         _add_product(out, _kostka_foulkes(datum, lower, l, lam), p, shift)
-    return LaurentPoly(out)
+    return {e: x for e, x in out.items() if x}
 
 
 def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
@@ -578,7 +576,7 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
                                     for l in chars))):
         c = _ct_coefficient(datum, upper, lower, mu, lam)
         if c:
-            out[lam] = c
+            out[lam] = LaurentPoly(c)
     return MappingProxyType(out)
 
 
@@ -635,7 +633,7 @@ def constant_term_coefficient(datum: RootDatum, levi: SubsystemView,
     c = _ct_coefficient(datum, datum.full, levi, mu, lam)
     if c:
         _check_ct_support(datum, mu, lam)
-    return c
+    return LaurentPoly(c)
 
 
 def orbit_size(datum: RootDatum, levi: SubsystemView,
@@ -649,6 +647,11 @@ def orbit_size(datum: RootDatum, levi: SubsystemView,
     lam = tuple(lam)
     if not levi.is_dominant(lam):
         raise DomainError(f"{lam} is not dominant for the Levi {levi.indices}")
+    return LaurentPoly(_orbit_size(levi, lam))
+
+
+def _orbit_size(levi: SubsystemView, lam: Coweight) -> dict:
+    """``orbit_size`` at a Levi-dominant tuple lam."""
     sh = pairing(levi.two_rho, lam)
     d = sum(1 for r in levi.positive_roots if pairing(r, lam) > 0)
     coeffs: dict[int, int] = {}
@@ -656,4 +659,4 @@ def orbit_size(datum: RootDatum, levi: SubsystemView,
         e = 2 * (sh - d + sum(1 for r in levi.positive_roots
                               if pairing(r, x) < 0))
         coeffs[e] = coeffs.get(e, 0) + 1
-    return LaurentPoly(coeffs)
+    return coeffs

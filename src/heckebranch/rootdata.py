@@ -71,7 +71,7 @@ def vec_sub(x: Sequence, y: Sequence) -> tuple:
 
 
 def vec_scale(c, x: Sequence) -> tuple:
-    return tuple(c * a for a in x)
+    return tuple([c * a for a in x])
 
 
 def mat_apply(m: Sequence[Sequence], v: Sequence) -> tuple:

@@ -26,7 +26,7 @@ from heckebranch.harness import (
     enumerate_instances,
     run_sweep,
 )
-from heckebranch.rootdata import levi_view, root_datum
+from heckebranch.rootdata import dual_star, levi_view, root_datum, vec_add
 
 ALL = CHECK_NAMES
 IDENTITY_CHECKS = ("multiplicity_identity", "product_identity")
@@ -498,7 +498,7 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
 VALUE_READERS = {
     "r": (("_restrict",),
           {"multiplicity_identity", "nonvanishing", "degrees"}),
-    "c": (("constant_term_coefficient",),
+    "c": (("_ct_coefficient",),
           {"product_identity", "nonvanishing", "degrees"}),
     "m": (("_structure_constant",), {"product_identity", "degrees"}),
     "n": (("_fiber",), {"multiplicity_identity", "degrees"}),
@@ -730,7 +730,7 @@ def test_torus_fixture_sweep_is_jobs_independent(monkeypatch):
 def test_nu_free_values_are_computed_once_per_mu_and_lambda(monkeypatch):
     # the torus fixture sweep's 52 instances are 26 (mu, lambda) at two
     # offsets: the orbit size and the constant term are read once for both
-    calls = {"orbit_size": 0, "constant_term_coefficient": 0}
+    calls = {"_orbit_size": 0, "_ct_coefficient": 0}
 
     def counting(name):
         real = getattr(harness, name)
@@ -744,7 +744,55 @@ def test_nu_free_values_are_computed_once_per_mu_and_lambda(monkeypatch):
         monkeypatch.setattr(harness, name, counting(name))
     report = run_sweep(SweepConfig("A2", (), 2, FIXTURE_CHECKS))
     assert len(report["instances"]) == 52
-    assert calls == {"orbit_size": 26, "constant_term_coefficient": 26}
+    assert calls == {"_orbit_size": 26, "_ct_coefficient": 26}
+
+
+@pytest.mark.parametrize("type_str,levi,height", [
+    ("A2", (), 4), ("B2", (1,), 4), ("G2", (2,), 5), ("A3", (1,), 4)])
+def test_record_values_match_the_public_route(type_str, levi, height):
+    # records read m and c off the flat kernels; the public functions wrap
+    # the same kernels in LaurentPoly and check their arguments first
+    report = run_sweep(SweepConfig(type_str, levi, height,
+                                   ("product_identity",)))
+    d = root_datum(type_str)
+    lv = levi_view(d, levi)
+    assert report["instances"]
+    for rec in report["instances"]:
+        mu, lam, nu = (tuple(rec[k]) for k in ("mu", "lambda", "nu"))
+        m = hecke.structure_constant(d, vec_add(nu, lam), dual_star(d, mu), nu)
+        c = hecke.constant_term_coefficient(d, lv, mu, lam)
+        assert rec["values"]["m"] == m.to_json()
+        assert rec["values"]["c"] == c.to_json()
+        assert rec["m_has_negative_coefficient"] \
+            == any(x < 0 for _, x in m.items())
+
+
+@pytest.mark.parametrize("crafted,verdict,negative", [
+    ({0: 1}, "PASS", False),            # the true value
+    ({0: 1, -1: 420}, "FAIL", False),   # odd exponent, integral at each q
+    ({0: 1, -2: 1}, "FAIL", False),     # 1 + 1/q, no integer
+    ({0: 1, -2: -420}, "FAIL", True),   # negative at each q
+], ids=["true", "odd", "fraction", "negative"])
+def test_degrees_and_the_sign_flag_read_crafted_values_of_m(
+        monkeypatch, crafted, verdict, negative):
+    # no real sweep gives m a negative exponent.  At mu = 0, where m = 1 has
+    # top exponent 0 = <2rho, lam + mu*> and leading coefficient 1 = n, each
+    # crafted value breaks one flag of degrees alone
+    real = harness._structure_constant
+    monkeypatch.setattr(harness, "_structure_constant",
+                        lambda datum, alpha, beta, gamma: dict(crafted)
+                        if beta == (0, 0) else real(datum, alpha, beta, gamma))
+    report = run_sweep(SweepConfig("A2", (), 1, ("degrees",)))
+    hits = [rec["mu"] == [0, 0] for rec in report["instances"]]
+    assert hits.count(True) == 2
+    for rec, hit in zip(report["instances"], hits):
+        assert rec["checks"] == {"degrees": verdict if hit else "PASS"}
+        assert rec["m_has_negative_coefficient"] == (hit and negative)
+        if hit:
+            assert rec["values"]["m"] == hecke.LaurentPoly(crafted).to_json()
+    summary = report["summary"]
+    assert summary["m_nonneg_violations"] == 2 * negative
+    assert summary["fail"] == (0 if verdict == "PASS" else 2)
 
 
 @pytest.mark.parametrize("config, modules", [
@@ -768,12 +816,11 @@ def test_failed_checks_are_reported_as_counterexamples(monkeypatch):
     # a wrong weight table at (0, 1) fails its crystal check, and a zero
     # orbit size at lambda (1, -1) fails the product identity of both
     # instances there, whose m is nonzero
-    real_table, real_orbit = harness.weight_table, harness.orbit_size
+    real_table, real_orbit = harness.weight_table, harness._orbit_size
     monkeypatch.setattr(harness, "weight_table", lambda view, mu: (
         {} if mu == (0, 1) else real_table(view, mu)))
-    monkeypatch.setattr(harness, "orbit_size", lambda datum, levi, lam: (
-        hecke.LaurentPoly.zero() if lam == (1, -1)
-        else real_orbit(datum, levi, lam)))
+    monkeypatch.setattr(harness, "_orbit_size", lambda levi, lam: (
+        {} if lam == (1, -1) else real_orbit(levi, lam)))
     monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
     serial, forked = (strip_timing(run_sweep(SweepConfig(
         "A2", (1,), 1, ("crystal", "product_identity"), jobs=jobs)))
