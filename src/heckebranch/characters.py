@@ -33,8 +33,9 @@ one, so the doubled point 2(top + w) + 2 rho_hat of a term is one integer
 addition.  ``klimyk`` keeps one memo per view and width, ``_walks``, from
 that integer to the walk's result, its dominant highest weight and sign or
 a wall, and walks a point only on a miss.  Tensor products, restrictions to
-a Levi and ``hecke``'s Hall-Littlewood numerators share it.  The torus has
-no simple roots, so it straightens nothing and builds no walk state: a
+a Levi (``_restrict``, which ``branch_decompose``, ``hecke`` and ``harness``
+read) and ``hecke``'s Hall-Littlewood numerators share it.  The torus has no
+simple roots, so it straightens nothing and builds no walk state: a
 restriction to it (every orbit sum and torus constant term) is the weight
 table itself.
 """
@@ -366,22 +367,15 @@ def tensor_multiplicity(datum: RootDatum, a: Coweight, b: Coweight,
     return tensor_decompose(datum, a, b).get(tuple(c), 0)
 
 
-def restrict_decompose(upper: SubsystemView, lower: SubsystemView,
-                       mu: Coweight) -> Mapping[Coweight, int]:
-    """Restriction of the upper view's irreducible module at mu to the lower
-    view (lower simple roots a subset of upper's): a read-only map of
-    lower-dominant highest weights to multiplicities, sorted by highest
-    weight and cached.
-
-    Brauer's rule: the upper weight table is invariant under the lower Weyl
-    group, so ``klimyk`` at highest weight 0 straightens it into lower
-    characters."""
-    return _restrict(upper, lower, tuple(mu))
-
-
 @cache
 def _restrict(upper: SubsystemView, lower: SubsystemView,
               mu: Coweight) -> Mapping:
+    """Restriction of the upper view's irreducible module at the tuple mu to
+    the lower view (lower simple roots a subset of upper's) by Brauer's
+    rule: the upper weight table is invariant under the lower Weyl group,
+    so ``klimyk`` at highest weight 0 straightens it into lower characters.
+    A read-only map of lower-dominant highest weights to multiplicities,
+    sorted by highest weight and cached."""
     out = klimyk(lower, (0,) * len(mu), weight_table(upper, mu))
     if any(m < 0 for m in out.values()):
         raise AssertionError("restriction has a negative multiplicity")
@@ -396,7 +390,7 @@ def branch_decompose(datum: RootDatum, levi: SubsystemView,
     mu = tuple(mu)
     if not datum.full.is_dominant(mu):
         raise DomainError(f"{mu} is not dominant")
-    return restrict_decompose(datum.full, levi, mu)
+    return _restrict(datum.full, levi, mu)
 
 
 def branch_multiplicity(datum: RootDatum, levi: SubsystemView, mu: Coweight,

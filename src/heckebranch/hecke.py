@@ -35,7 +35,7 @@ P_gamma.  Lusztig's q-analogue of Kostant's partition function gives them as
 where prod over positive coroots a of 1 / (1 - t x^a) = sum_g P_t(g) x^g
 (Lusztig, Singularities, character formulas, and a q-analog of weight
 multiplicities, 1983; Kato, Invent. Math. 1982).  With A and B the character
-expansions of the Hall-Littlewood polynomials at alpha and beta,
+expansions of P_alpha and P_beta (``_hl_characters``),
 
     m_{alpha,beta}^gamma = v^<2rho, alpha+beta-gamma> sum_a A_a G(a, beta, gamma),
     G(a, beta, gamma) = sum_b B_b sum_c n_{ab}^c K_{c,gamma}(v^-2),
@@ -43,7 +43,7 @@ expansions of the Hall-Littlewood polynomials at alpha and beta,
                 sum_{kappa,l} A_kappa r_kappa(l) K^M_{l,lam}(v^-2),
 
 with n from the cached ``tensor_decompose``, r from the cached
-``restrict_decompose`` (so the constant-term coefficients come from the
+``characters._restrict`` (so the constant-term coefficients come from the
 branching multiplicities), and K^M taken over the Levi's positive coroots.
 Each coefficient has one body: ``_structure_constant`` for m and
 ``_ct_coefficient`` for c.  ``hecke_product`` and ``satake_expand`` loop them
@@ -99,10 +99,10 @@ from typing import Mapping, Optional
 from .characters import (
     PackedWeights,
     _pack,
+    _restrict,
     _width,
     dominant_support,
     klimyk,
-    restrict_decompose,
     tensor_decompose,
 )
 from .errors import DomainError, FeasibilityError
@@ -145,9 +145,6 @@ class LaurentPoly:
     def items(self):
         return sorted(self._c.items())
 
-    def coeff(self, e: int) -> int:
-        return self._c.get(e, 0)
-
     def __bool__(self) -> bool:
         return bool(self._c)
 
@@ -164,9 +161,7 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __neg__(self) -> "LaurentPoly":
-        r = LaurentPoly.zero()
-        r._c = {e: -c for e, c in self._c.items()}
-        return r
+        return LaurentPoly({e: -c for e, c in self._c.items()})
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
@@ -174,40 +169,8 @@ class LaurentPoly:
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         return LaurentPoly(_add_product({}, self._c, other._c))
 
-    def scale(self, k: int) -> "LaurentPoly":
-        return LaurentPoly({e: k * c for e, c in self._c.items()})
-
-    def shift(self, d: int) -> "LaurentPoly":
-        """Multiply by v**d."""
-        r = LaurentPoly.zero()
-        r._c = {e + d: c for e, c in self._c.items()}
-        return r
-
-    def max_exponent(self) -> int:
-        if not self._c:
-            raise DomainError("zero polynomial has no degree")
-        return max(self._c)
-
-    def min_exponent(self) -> int:
-        if not self._c:
-            raise DomainError("zero polynomial has no valuation")
-        return min(self._c)
-
-    def leading(self) -> int:
-        """Coefficient of the highest v-power (0 for the zero polynomial)."""
-        if not self._c:
-            return 0
-        return self._c[max(self._c)]
-
-    def has_even_exponents(self) -> bool:
-        return all(e % 2 == 0 for e in self._c)
-
     def to_json(self) -> dict:
         return _poly_json(self.items())
-
-    @classmethod
-    def from_json(cls, data: dict) -> "LaurentPoly":
-        return cls({int(e): int(c) for e, c in data["exponents_of_v"].items()})
 
     def __repr__(self) -> str:
         if not self._c:
@@ -226,8 +189,6 @@ PARTITION_CAP = 20_000
 # A regular weight needs 51,936 on C5, 50,574 on B5, 36,961 on A6, 15,145 on
 # F4 and 13,213 on D5; D6, A7 and E6 need 0.37-0.74M.
 NUMERATOR_CAP = 60_000
-
-InvariantElement = Mapping  # dominant Coweight -> LaurentPoly
 
 # A numerator coefficient is a polynomial in t, packed into one integer: the
 # coefficient of t^j is the j-th signed base-2^64 digit.  Every coefficient
@@ -311,27 +272,15 @@ def _numerator(view: SubsystemView, zeros: tuple[int, ...]) -> PackedWeights:
                          packed=[(k, p) for k, p in terms.items() if p])
 
 
-def hall_littlewood_characters(view: SubsystemView,
-                               mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
-    """Hall-Littlewood polynomial of the subsystem at mu in the basis of its
-    Weyl characters, by Macdonald's formula taken over the cosets of the
-    stabilizer of mu: the characters of x^mu times ``_numerator`` at the
-    view indices where mu vanishes, straightened and summed as packed
-    coefficients by ``klimyk`` through the view's memo.
-    Summing 1 / Delta over the stabilizer leaves 1 / prod (1 - x^(-a)) over
-    the coroots off it, so nothing is divided.  Read-only, keyed by
-    subsystem-dominant coweights in sorted order, monic at mu; coefficients
-    lie in Z[t], built afresh from the cached flat maps on each call."""
-    return MappingProxyType({kappa: LaurentPoly(p) for kappa, p
-                             in _hl_characters(view, tuple(mu)).items()})
-
-
 @cache
 def _hl_characters(view: SubsystemView, mu: Coweight) -> Mapping:
-    """``hall_littlewood_characters`` as {kappa: flat {v-exponent: int}
-    map}.  Cached; callers only read it."""
-    if not view.is_dominant(mu):
-        raise DomainError(f"{mu} is not dominant for {view.key}")
+    """Hall-Littlewood polynomial of the subsystem at its dominant mu in the
+    basis of its Weyl characters, by Macdonald's formula over the cosets of
+    the stabilizer of mu, which leaves 1 / prod (1 - x^(-a)) over the
+    coroots off it, so nothing is divided: x^mu times ``_numerator`` at the
+    view indices where mu vanishes, straightened and summed by ``klimyk``.
+    Read-only, sorted, monic at mu, of flat {v-exponent: int} maps in Z[t].
+    Cached; callers check that mu is dominant and only read it."""
     zeros = tuple(i for i in view.indices if not mu[i - 1])
     chars = klimyk(view, mu, _numerator(view, zeros))
     return MappingProxyType({kappa: _unpack_t(p)
@@ -475,11 +424,11 @@ def _restricted_characters(upper: SubsystemView, lower: SubsystemView,
     """The upper view's Hall-Littlewood polynomial at mu restricted to the
     lower view's Weyl characters, through the cached branching
     multiplicities: {l: flat map}.  Cached; callers only read it."""
-    # mu is a character of P_mu: over the cap, fail before expanding P_mu
-    restrict_decompose(upper, lower, mu)
+    # mu, a character of P_mu, fails here if not dominant or over the cap
+    _restrict(upper, lower, mu)
     out: dict = {}
     for kappa, p in _hl_characters(upper, mu).items():
-        for l, r in restrict_decompose(upper, lower, kappa).items():
+        for l, r in _restrict(upper, lower, kappa).items():
             acc = out.setdefault(l, {})
             for e, x in p.items():
                 acc[e] = acc.get(e, 0) + r * x
@@ -565,7 +514,7 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
     the coefficient map of the constant-term homomorphism, one
     ``_ct_coefficient`` at each lower-dominant weight below the restricted
     characters.  Each upper character is restricted by
-    ``restrict_decompose``, so the coefficients come from the branching
+    ``characters._restrict``, so the coefficients come from the branching
     multiplicities of the dual groups."""
     mu = tuple(mu)
     if not set(lower.indices) <= set(upper.indices):
@@ -581,7 +530,7 @@ def satake_expand(datum: RootDatum, upper: SubsystemView, lower: SubsystemView,
 
 
 def hall_littlewood(datum: RootDatum, view: SubsystemView,
-                    mu: Coweight) -> InvariantElement:
+                    mu: Coweight) -> Mapping[Coweight, LaurentPoly]:
     """Hall-Littlewood orbit polynomial for the subsystem.  Its orbit-sum
     coefficient at a view-dominant lam is its monomial coefficient there,
     the restriction of P_mu to the torus's characters at lam, which the

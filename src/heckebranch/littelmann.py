@@ -325,11 +325,10 @@ def _directions_connected(datum: RootDatum, point: Coweight,
     integral and with the direction strictly negative.  Directions live in
     a finite Weyl orbit, so the search halts.  The directions differ: the
     path is canonical."""
-    integral_walls = [
-        (root, cv) for root, cv in zip(datum.positive_roots,
-                                       datum.positive_coroots)
-        if pairing(root, point) % unit == 0
-    ]
+    full = datum.full
+    integral_walls = [(root, cv) for root, cv in zip(full.positive_roots,
+                                                     full.positive_coroots)
+                      if pairing(root, point) % unit == 0]
     seen = {incoming}
     frontier = [incoming]
     while frontier:

@@ -37,7 +37,7 @@ from .rootdata import (
 def nilradical_roots(datum: RootDatum, levi: SubsystemView) -> tuple[Root, ...]:
     """Positive roots of the full system outside the Levi span."""
     inside = set(levi.positive_roots)
-    return tuple(r for r in datum.positive_roots if r not in inside)
+    return tuple(r for r in datum.full.positive_roots if r not in inside)
 
 
 def is_levi_central(levi: SubsystemView, nu: Sequence) -> bool:
@@ -50,7 +50,7 @@ def _offset_roots(datum: RootDatum, levi: SubsystemView) -> tuple:
     """(alpha, theta) for every root alpha outside the Levi, theta the
     dominant root of alpha's orbit: its coroot is the dominant point of the
     orbit of alpha's coroot.  Built once per datum and Levi; read-only."""
-    coroot = dict(zip(datum.positive_roots, datum.positive_coroots))
+    coroot = dict(zip(datum.full.positive_roots, datum.full.positive_coroots))
     root = {cv: r for r, cv in coroot.items()}
     return tuple((alpha, root[datum.full.dominate(coroot[alpha])])
                  for alpha in nilradical_roots(datum, levi))

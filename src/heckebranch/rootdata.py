@@ -209,21 +209,19 @@ class RootDatum(_ReadOnly):
 
     Fields are all derived from the Cartan matrix at construction time and
     validated by the test suite against classical tables (root counts,
-    Weyl group orders, highest-root coefficients).
+    Weyl group orders, highest-root coefficients).  Its positive roots and
+    coroots, by height, and its invariant form are those of ``full``.
     """
 
     cartan_type: str
     letter: str
     rank: int
     cartan_matrix: Matrix
-    positive_roots: tuple[Root, ...]
-    positive_coroots: tuple[Coweight, ...]
     highest_root: Root
     # integer adjugate and determinant of the Cartan matrix: adj @ x is det
     # times the coefficients of x over the simple coroots
     cartan_adjugate: Matrix
     cartan_det: int
-    form: tuple[tuple[int, ...], ...]
     # the diagram involution: -w_0 carries the i-th fundamental coweight to
     # the star[i]-th, 0-based
     star: tuple[int, ...]
@@ -320,10 +318,8 @@ def _build(letter: str, rank: int) -> RootDatum:
                  for i in range(rank))
     return RootDatum(
         cartan_type=f"{letter}{rank}", letter=letter, rank=rank, cartan_matrix=cm,
-        positive_roots=tuple(r for (r, _) in positive),
-        positive_coroots=tuple(c for (_, c) in positive),
         highest_root=positive[-1][0],
-        cartan_adjugate=_adjugate(cm), cartan_det=_det(cm), form=form,
+        cartan_adjugate=_adjugate(cm), cartan_det=_det(cm),
         star=star, full=view,
     )
 
@@ -347,9 +343,10 @@ def levi_view(datum: RootDatum, indices: Iterable[int]) -> SubsystemView:
 
 @cache
 def _levi_view(datum: RootDatum, idx: tuple[int, ...]) -> SubsystemView:
-    positive = list(zip(datum.positive_roots, datum.positive_coroots))
+    full = datum.full
+    positive = list(zip(full.positive_roots, full.positive_coroots))
     return _build_view((datum.cartan_type, idx), datum.rank, idx, positive,
-                       datum.full.simple_coroots, datum.form)
+                       full.simple_coroots, full.form)
 
 
 def pairing(root: Sequence, coweight: Sequence):

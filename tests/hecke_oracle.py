@@ -18,7 +18,8 @@ the Levi orbit sizes from the lengths of the group elements, both over the
 group enumerated by ``weyl_oracle``.
 
 ``kostka_foulkes`` reads one of the library's cached Kostka-Foulkes
-polynomials on its own, as a ``LaurentPoly`` in v.
+polynomials on its own, and ``hl_characters`` the library's character
+expansion of one Hall-Littlewood polynomial, as ``LaurentPoly``s in v.
 
 ``numerator`` multiplies out the library's singular numerator with tuple
 exponents, where the library packs each exponent into one integer.
@@ -32,12 +33,11 @@ since its instance enumeration guarantees them.
 from functools import lru_cache
 
 from heckebranch import hecke
-from heckebranch.characters import restrict_decompose, tensor_decompose
+from heckebranch.characters import _restrict, tensor_decompose
 from heckebranch.errors import DomainError
 from heckebranch.hecke import (
     LaurentPoly,
     constant_term_coefficient,
-    hall_littlewood_characters,
     orbit_size,
     structure_constant,
 )
@@ -55,6 +55,13 @@ from weyl_oracle import dot_straighten, group
 
 ONE = LaurentPoly.one()
 T = LaurentPoly({-2: 1})
+V = LaurentPoly.v_power
+
+
+def hl_characters(view, mu):
+    """``hecke._hl_characters`` at a view-dominant mu, as ``LaurentPoly``s."""
+    chars = hecke._hl_characters(view, tuple(mu))
+    return {k: LaurentPoly(p) for k, p in chars.items()}
 
 
 def _gadd(a, b):
@@ -96,20 +103,19 @@ def _poly_exact_div(f, g):
         raise DomainError("division by zero polynomial")
     if not f:
         return LaurentPoly.zero()
-    gmax = g.max_exponent()
-    gtop = g.coeff(gmax)
+    gmax, gtop = g.items()[-1]
     if gtop not in (1, -1):
         raise AssertionError("divisor top coefficient is not a unit")
-    floor = f.min_exponent() - g.min_exponent()
+    floor = f.items()[0][0] - g.items()[0][0]
     q = {}
     rem = f
     while rem:
-        d = rem.max_exponent() - gmax
+        top, ce = rem.items()[-1]
+        d = top - gmax
         if d < floor:
             raise AssertionError("inexact polynomial division")
-        ce = rem.coeff(rem.max_exponent()) * gtop
-        q[d] = ce
-        rem = rem - g.shift(d).scale(ce)
+        q[d] = ce = ce * gtop
+        rem = rem - g * LaurentPoly({d: ce})
     return LaurentPoly(q)
 
 
@@ -185,7 +191,7 @@ def hall_littlewood(datum, view, mu):
 
 def satake_f(datum, view, mu):
     shift = pairing(view.two_rho, mu)
-    return {k: p.shift(shift)
+    return {k: p * V(shift)
             for k, p in hall_littlewood(datum, view, mu).items()}
 
 
@@ -202,7 +208,7 @@ def hecke_product(datum, alpha, beta):
         return hall_littlewood(datum, view, gamma)
 
     coeffs = peel(prod, view.two_rho, basis)
-    return {gamma: c.shift(-pairing(view.two_rho, gamma))
+    return {gamma: c * V(-pairing(view.two_rho, gamma))
             for gamma, c in coeffs.items()}
 
 
@@ -212,45 +218,46 @@ def satake_expand(datum, upper, lower, mu):
     em = collect_orbits(lower, expand_orbits(upper, satake_f(datum, upper, mu)))
     coeffs = peel(em, peel_height(lower),
                   lambda lam: hall_littlewood(datum, lower, lam))
-    return {lam: c.shift(-pairing(lower.two_rho, lam))
+    return {lam: c * V(-pairing(lower.two_rho, lam))
             for lam, c in coeffs.items()}
 
 
 def _add_scaled(out, k, p, n):
-    out[k] = out.get(k, LaurentPoly.zero()) + (p if n == 1 else p.scale(n))
+    out[k] = out.get(k, LaurentPoly.zero()) + (p if n == 1 else
+                                                p * LaurentPoly({0: n}))
 
 
 def peeled_hecke_product(datum, alpha, beta):
     view = datum.full
     shift = pairing(view.two_rho, vec_add(alpha, beta))
-    right = hall_littlewood_characters(view, beta)
+    right = hl_characters(view, beta)
     prod = {}
-    for ka, pa in hall_littlewood_characters(view, alpha).items():
+    for ka, pa in hl_characters(view, alpha).items():
         for kb, pb in right.items():
-            p = (pa * pb).shift(shift)
+            p = pa * pb * V(shift)
             for gamma, n in tensor_decompose(datum, ka, kb).items():
                 _add_scaled(prod, gamma, p, n)
 
     def basis(gamma):
         if not view.is_dominant(gamma):
             raise AssertionError("peak of the product expansion is not dominant")
-        return hall_littlewood_characters(view, gamma)
+        return hl_characters(view, gamma)
 
     coeffs = peel(prod, view.two_rho, basis)
-    return {gamma: c.shift(-pairing(view.two_rho, gamma))
+    return {gamma: c * V(-pairing(view.two_rho, gamma))
             for gamma, c in sorted(coeffs.items())}
 
 
 def peeled_satake_expand(datum, upper, lower, mu):
     shift = pairing(upper.two_rho, mu)
     em = {}
-    for kappa, p in hall_littlewood_characters(upper, mu).items():
-        p = p.shift(shift)
-        for lam, r in restrict_decompose(upper, lower, kappa).items():
+    for kappa, p in hl_characters(upper, mu).items():
+        p = p * V(shift)
+        for lam, r in _restrict(upper, lower, kappa).items():
             _add_scaled(em, lam, p, r)
     coeffs = peel(em, peel_height(lower),
-                  lambda lam: hall_littlewood_characters(lower, lam))
-    return {lam: c.shift(-pairing(lower.two_rho, lam))
+                  lambda lam: hl_characters(lower, lam))
+    return {lam: c * V(-pairing(lower.two_rho, lam))
             for lam, c in sorted(coeffs.items())}
 
 
@@ -316,7 +323,7 @@ def enumerated_orbit_size(levi, lam):
     coeffs = {}
     for l in best.values():
         coeffs[2 * l] = coeffs.get(2 * l, 0) + 1
-    return LaurentPoly(coeffs).shift(2 * (sh - d))
+    return LaurentPoly(coeffs) * V(2 * (sh - d))
 
 
 def kostka_foulkes(datum, view, lam, gamma):
@@ -348,6 +355,6 @@ def product_identity_sides(datum, levi, mu, lam, nu):
         raise DomainError("nu + lam left the dominant cone")
     c = constant_term_coefficient(datum, levi, mu, lam)
     shift_n = pairing(datum.full.two_rho, lam) - pairing(levi.two_rho, lam)
-    lhs = c.shift(shift_n) * orbit_size(datum, levi, lam)
+    lhs = c * V(shift_n) * orbit_size(datum, levi, lam)
     rhs = structure_constant(datum, alpha, dual_star(datum, mu), nu)
     return lhs, rhs

@@ -14,11 +14,11 @@ from peel_oracle import decompose_invariant_multiset, tensor_decompose_by_tables
 from heckebranch import characters
 from heckebranch.characters import (
     PackedWeights,
+    _restrict,
     branch_decompose,
     branch_multiplicity,
     dominant_weights,
     klimyk,
-    restrict_decompose,
     tensor_decompose,
     tensor_multiplicity,
     weight_table,
@@ -211,7 +211,7 @@ def test_branching_matches_peel_oracle(type_str):
         for mu in itertools.product(range(-1, 3), repeat=d.rank):
             if not upper.is_dominant(mu) or sum(map(abs, mu)) > 2:
                 continue
-            got = restrict_decompose(upper, lower, mu)
+            got = _restrict(upper, lower, mu)
             want = decompose_invariant_multiset(lower, weight_table(upper, mu))
             assert list(got.items()) == list(want.items()), (
                 upper.key, lower.key, mu)

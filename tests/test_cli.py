@@ -160,6 +160,20 @@ def test_compute_m_off_the_coroot_lattice_expands_nothing(capsys):
     assert hecke._hl_characters.cache_info().misses == 0
 
 
+def test_compute_over_the_cap_exits_1(monkeypatch, capsys):
+    # the caps are checked on cache misses only, so start from empty caches
+    monkeypatch.setattr(characters, "DIMENSION_CAP", 1)
+    for fn in (*vars(characters).values(), *vars(hecke).values()):
+        if hasattr(fn, "cache_clear"):
+            fn.cache_clear()
+    code, stdout, stderr = run_cli(
+        ["compute", "c", "--type", "B3", "--levi", "1",
+         "--mu", "1,0,1", "--lambda", "0,0,0"], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr == ("error: module of dimension 70 at highest weight "
+                      "(1, 0, 1) exceeds the cap\n")
+
+
 def test_compute_json_output(capsys):
     code, stdout, _ = run_cli(
         ["compute", "c", "--type", "A1", "--levi", "none",

@@ -473,7 +473,7 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
     cap = hecke.NUMERATOR_CAP
     monkeypatch.setattr(hecke, "NUMERATOR_CAP", 10)
     with pytest.raises(FeasibilityError) as hit:
-        hecke.hall_littlewood_characters(d.full, (1, 1, 1))
+        hecke_oracle.hl_characters(d.full, (1, 1, 1))
     assert hit.value.cap == 10 and "10 terms" in str(hit.value)
     report = run_sweep(SweepConfig("A3", (1,), 2, ("product_identity",)))
     verdicts = [rec["checks"]["product_identity"]
@@ -483,7 +483,7 @@ def test_numerator_cap_hit_skips_checks_and_caches_nothing(monkeypatch):
                len(rec["notes"]) == 1 and "10 terms" in rec["notes"][0]
                for rec, v in zip(report["instances"], verdicts))
     monkeypatch.setattr(hecke, "NUMERATOR_CAP", cap)
-    got = hecke.hall_littlewood_characters(d.full, (1, 1, 1))
+    got = hecke_oracle.hl_characters(d.full, (1, 1, 1))
     want = hecke_oracle.divided_hall_littlewood_characters(d.full, (1, 1, 1))
     assert list(got.items()) == list(want.items())
     again = run_sweep(SweepConfig("A3", (1,), 2, ("product_identity",)))
@@ -603,7 +603,7 @@ def test_a_cap_hit_on_m_keeps_the_nonvanishing_verdict_and_c(monkeypatch):
         if rec["checks"]["product_identity"] == "SKIPPED":
             m_capped += 1
             assert rec["values"]["r"] is not None
-            assert hecke.LaurentPoly.from_json(rec["values"]["c"]) == c
+            assert rec["values"]["c"] == c.to_json()
             assert rec["checks"]["nonvanishing"] == "PASS"
             assert "10 terms" in solo["notes"][0]
     assert m_capped == 12
@@ -885,6 +885,17 @@ def test_parent_error_kills_and_reaps_children(monkeypatch):
     with pytest.raises(RuntimeError, match="parent"):
         run_sweep(SweepConfig("A1", (), 1, IDENTITY_CHECKS, jobs=3))
     assert time.monotonic() - start < 4.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_worker_that_exits_without_its_results_raises(monkeypatch):
+    # a child that leaves before writing leaves its result pipe empty
+    monkeypatch.setattr(harness, "_child_exit", lambda *a: os._exit(0))
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1})
+    with pytest.raises(RuntimeError,
+                       match="a sweep worker exited without its results"):
+        run_sweep(SweepConfig("A2", (1,), 2, IDENTITY_CHECKS, jobs=2))
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -19,8 +19,14 @@ import pytest
 import heckebranch
 from heckebranch.characters import branch_multiplicity, tensor_multiplicity
 from heckebranch.errors import DomainError
-from heckebranch.hecke import constant_term_coefficient, structure_constant
+from heckebranch.hecke import (
+    constant_term,
+    constant_term_coefficient,
+    orbit_size,
+    structure_constant,
+)
 from heckebranch.littelmann import branch_path_set, tensor_path_set
+from heckebranch.parabolic import minimal_offset
 from heckebranch.rootdata import levi_view, root_datum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -143,6 +149,10 @@ _BOUNDARY = {
     tensor_multiplicity: ((_A2, (1, 0), (0, 1), (1, 1)), (1, 2)),
     branch_multiplicity: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
     constant_term_coefficient: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
+    constant_term: ((_A2, _LEVI, (1, 1)), (2,)),
+    # [1, -1] is dominant for the Levi {1}, so the view is the full one
+    orbit_size: ((_A2, _A2.full, (1, 1)), (2,)),
+    minimal_offset: ((_A2, _LEVI, (1, 1)), (2,)),
     branch_path_set: ((_A2, _LEVI, (1, 1), (1, 1)), (2,)),
     tensor_path_set: ((_A2, (1, 0), (0, 1), (1, 1)), (1, 2, 3)),
 }

@@ -66,8 +66,8 @@ def test_counts_per_type(type_str):
         regular = (1,) * d.rank
         assert sum(c for _, c in orbit_size(d, d.full, regular).items()) \
             == WIDE_WEYL_ORDERS[type_str]
-    assert len(d.positive_roots) == POSITIVE_ROOT_COUNTS[type_str]
-    assert len(d.positive_coroots) == POSITIVE_ROOT_COUNTS[type_str]
+    assert len(d.full.positive_roots) == POSITIVE_ROOT_COUNTS[type_str]
+    assert len(d.full.positive_coroots) == POSITIVE_ROOT_COUNTS[type_str]
     assert k_phi(d) == K_PHI[type_str]
 
 
@@ -82,7 +82,7 @@ def test_rho_invariants(type_str):
     # half sum of positive coroots is the all-ones coweight
     rho_hat = fraction_oracle.rho_hat(d.full)
     assert rho_hat == tuple(Fraction(1) for _ in range(d.rank))
-    assert tuple(Fraction(sum(c[i] for c in d.positive_coroots), 2)
+    assert tuple(Fraction(sum(c[i] for c in d.full.positive_coroots), 2)
                  for i in range(d.rank)) == rho_hat
 
 
@@ -201,7 +201,7 @@ def test_simple_coroots_are_read_only():
 def test_levi_view_roots_are_ambient_roots():
     d = root_datum("B3")
     lv = levi_view(d, (2, 3))
-    full_pos = set(d.positive_roots)
+    full_pos = set(d.full.positive_roots)
     assert all(r in full_pos for r in lv.positive_roots)
     assert lv.two_rho_hat != d.full.two_rho_hat
 
@@ -235,8 +235,8 @@ def test_w0_is_the_longest_element(type_str):
 def test_roots_are_the_closure_under_reflection_matrices(type_str):
     d = root_datum(type_str)
     pairs = weyl_oracle.positive_roots(d.cartan_matrix)
-    assert d.positive_roots == tuple(r for r, _ in pairs)
-    assert d.positive_coroots == tuple(c for _, c in pairs)
+    assert d.full.positive_roots == tuple(r for r, _ in pairs)
+    assert d.full.positive_coroots == tuple(c for _, c in pairs)
 
 
 def test_dominate_and_orbit():
@@ -533,14 +533,14 @@ def _times_binomial(f, coroot):
 def test_peel_divides_by_binomial(type_str, raw):
     d = root_datum(type_str)
     f = {k: LaurentPoly({e: c}) for k, (e, c) in raw.items()}
-    for coroot in d.positive_coroots:
+    for coroot in d.full.positive_coroots:
         g = _times_binomial(f, coroot)
         assert peel(g, d.full.two_rho, _binomial(coroot)) == f
 
 
 def test_peel_order_and_input():
     d = root_datum("B2")
-    coroot = d.positive_coroots[-1]
+    coroot = d.full.positive_coroots[-1]
     # (4, 0) and (0, 3) have the same height, so the order of the two keys
     # comes from the tie-break alone
     f = {(0, 0): ONE, (4, 0): LaurentPoly({2: 3}), (0, 3): -ONE,
@@ -559,7 +559,7 @@ def test_peel_order_and_input():
 
 def test_peel_guard(monkeypatch):
     d = root_datum("B2")
-    coroot = d.positive_coroots[0]
+    coroot = d.full.positive_coroots[0]
     g = _times_binomial({(0, 0): ONE, (3, 1): ONE, (-2, 2): ONE}, coroot)
     monkeypatch.setattr(peel_oracle, "_PEEL_GUARD", 2)
     with pytest.raises(AssertionError, match="did not terminate"):

@@ -114,7 +114,7 @@ def order(view) -> int:
 def longest_element(datum):
     """The element of the full group inverting every positive root."""
     g = group(datum.full)
-    return g.elements[g.lengths.index(len(datum.positive_roots))]
+    return g.elements[g.lengths.index(len(datum.full.positive_roots))]
 
 
 def dominate_with_sign(view, x):
